@@ -6,8 +6,11 @@ trail, the per-entry propagation/decision conditions, falseness and
 non-emptiness of conflict sets, the top-level-literal counts, the strict
 decrease of the conflict-resolution measure, blocking of removed decisions
 by case-(3) clauses, non-redundancy of every learned clause, and the model
-property at success.  Violations are collected, not raised, so a test can
-assert the list is empty.
+property at success.  At every backjump it also referees the solver's
+lifted derivations by grounding: assertiveness of the conflict and the
+absence of false learned-clause instances under the chosen prefix.
+Violations are collected, not raised, so a test can assert the list is
+empty.
 
 Incremental schedule: pushes check the new entry against its prefix; each
 resolution step checks the conflict set and the measure; Backjump and the
@@ -21,8 +24,15 @@ from typing import Optional
 
 from .constrained import CLit, clit_is_empty, overlaps
 from .derive import is_blocked
-from .syntax import Clause, Signature, apply_clause, apply_lit, clause_vars
-from .trail import FALSE, clause_instances, clause_value
+from .syntax import (
+    Clause,
+    Signature,
+    apply_clause,
+    apply_lit,
+    clause_vars,
+    ground_assignments,
+)
+from .trail import FALSE, clause_instances, clause_value, is_assertive
 
 
 class Auditor:
@@ -63,7 +73,10 @@ class Auditor:
             if not any(c == () for c in solver.pool):
                 self._flag("Failure without the empty clause")
 
-    def before_learn(self, solver, learned: Clause) -> None:
+    def before_learn(self, solver, learned: Clause, case: int,
+                     target_len: int) -> None:
+        """Checks before Backjump `case` learns `learned` and cuts the
+        trail to `target_len` entries."""
         from .oracle import check_nonredundant
         ordering = solver.conflict_ordering
         if ordering is None:
@@ -78,18 +91,38 @@ class Auditor:
             self._flag(f"learned clause is redundant: "
                        f"{render_clause(self.sig, learned)}")
         self._check_entailed_by_input(solver, learned)
+        self._check_false_under_prefix(solver, learned, target_len)
+        cs = solver.conflict
+        assertive = None
+        if case != 1:
+            # case 2 is taken exactly when the lifted test found it assertive
+            assertive = is_assertive(solver.trail, cs.clause, cs.sigma, cs.pi)
+            if assertive != (case == 2):
+                self._flag(f"lifted assertiveness disagrees with grounding "
+                           f"at a case-({case}) backjump")
         # a clause learned below a surviving decision must block it
         entry = solver.trail.entries[-1] if solver.trail.entries else None
         if entry is not None and entry.is_decision and learned != ():
-            cs = solver.conflict
-            from .trail import is_assertive
-            if not is_assertive(solver.trail, cs.clause, cs.sigma, cs.pi):
-                below = solver.trail.prefix_entries(len(solver.trail) - 1)
+            if not assertive:
                 probe = _PrefixTrail(solver.trail, len(solver.trail) - 1)
                 wit = is_blocked(probe, entry.lit, entry.pi, [learned],
                                  solver.n)
                 if wit is None:
                     self._flag("case-(3) clause does not block the removed decision")
+
+    def _check_false_under_prefix(self, solver, learned: Clause,
+                                  target_len: int) -> None:
+        # the solver's lifted falsifiability test chose this prefix
+        if learned == ():
+            return
+        for d in ground_assignments(clause_vars(learned), solver.n):
+            inst = apply_clause(learned, d)
+            if all(solver.trail.value_of(l, upto=target_len) == FALSE
+                   for l in inst):
+                from .render import render_clause
+                self._flag(f"learned clause has a false instance under the "
+                           f"backjump prefix: {render_clause(self.sig, inst)}")
+                return
 
     def at_success(self, solver) -> None:
         from .oracle import verify_model
@@ -107,7 +140,6 @@ class Auditor:
         except OracleCeiling:
             self.skipped.append("entailment check skipped (universe too big)")
             return
-        from .syntax import ground_assignments
         for d in ground_assignments(clause_vars(learned), self.sig.n):
             inst = apply_clause(learned, d)
             if not _entails(gp.ground_clauses, inst, self.sig):

@@ -4,9 +4,13 @@ A constrained literal pairs a literal with a normalized dismatching
 constraint whose lhs variables all occur in the literal.  It denotes the set
 of ground literals whose grounding solves the constraint.  Conjunction
 intersects two covers, difference subtracts them (as a set of disjoint
-pieces), emptiness asks whether the cover is empty.  Closures arising during
-solving may carry extra "free" lhs variables; those are existential and get
-eliminated by instantiation before a literal is ever placed on the trail.
+pieces), emptiness asks whether the cover is empty, and `cover_size` counts
+it.  None of these grounds: `cover_size` works on the constraint's induced
+substitutions, emptiness on the least solution.  The enumerating `cover`
+stays as the referee for the oracle, the audits and the tests.  Closures
+arising during solving may carry extra "free" lhs variables; those are
+existential and get eliminated by instantiation before a literal is ever
+placed on the trail.
 """
 from __future__ import annotations
 
@@ -30,10 +34,13 @@ from .constraints import (
 from .syntax import (
     Lit,
     Subst,
+    apply_args,
     apply_lit,
+    args_vars,
     compose,
     ground_assignments,
     lit_vars,
+    mgu_args,
     mgu_atoms,
     renaming_for,
 )
@@ -91,6 +98,64 @@ def cover(lit: Lit, pi: Constraint, n: int) -> set[Lit]:
 
 def clit_cover(cl: CLit, n: int) -> set[Lit]:
     return cover(cl.lit, cl.pi, n)
+
+
+def cover_size(lit: Lit, pi: Constraint, n: int) -> int:
+    """|Gnd(lit; pi)|, counted by inclusion-exclusion instead of enumeration.
+
+    The groundings violating every subconstraint of a set S are the instances
+    of the unifier theta of their lhs -> rhs matchers: n^k of them, k the
+    number of variables in theta(vars(lit)).  A set whose matchers do not
+    unify contributes nothing and neither does any superset, so the search
+    prunes it.  Subconstraints on disjoint variables are counted apart and
+    multiplied, so independent ones cost a sum of unifications, not a
+    product.  Free lhs variables are rejected; `elim_free_vars` removes them
+    first.
+    """
+    if pi.is_bot:
+        return 0
+    vs = lit_vars(lit)
+    if free_lvars(lit, pi):
+        raise ValueError("cover_size: free lhs variable")
+    if pi.is_top:
+        return n ** len(vs)
+    # rename every rhs apart (rhs variables are per-subconstraint patterns)
+    # with codes below every variable in sight
+    code = min(vs + rvars(pi) + [0])
+    groups: list[tuple[set[int], list[list[tuple[int, int]]]]] = []
+    for lhs, rhs in pi.subs:
+        ren: Subst = {}
+        for t in rhs:
+            if t < 0 and t not in ren:
+                code -= 1
+                ren[t] = code
+        scope = {t for t in lhs if t < 0}
+        matchers = [list(zip(lhs, apply_args(rhs, ren)))]
+        for g in [g for g in groups if g[0] & scope]:
+            groups.remove(g)
+            scope |= g[0]
+            matchers += g[1]
+        groups.append((scope, matchers))
+    total = n ** (len(vs) - sum(len(scope) for scope, _ in groups))
+    for scope, matchers in groups:
+        total *= _count_solutions(tuple(scope), matchers, n)
+    return total
+
+
+def _count_solutions(vs: tuple[int, ...], matchers: list[list[tuple[int, int]]],
+                     n: int) -> int:
+    total = 0
+
+    def rec(start: int, theta: Subst, sign: int) -> None:
+        nonlocal total
+        total += sign * n ** len(args_vars(apply_args(vs, theta)))
+        for i in range(start, len(matchers)):
+            grown = mgu_args(matchers[i], theta)
+            if grown is not None:
+                rec(i + 1, grown, -sign)
+
+    rec(0, {}, 1)
+    return total
 
 
 def is_empty(lit: Lit, pi: Constraint, n: int) -> bool:

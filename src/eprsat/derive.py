@@ -7,36 +7,47 @@ remainders are propagation candidates.  Every use of a trail entry renames
 that entry fresh, so one entry can justify several independent instances in
 a single derivation (constraints stay right-hand-side disjoint).
 
-The same machinery decides blocked decisions: a decision candidate is added
-as a pseudo-entry and a conflict derivation using it at two positions with
-distinct ground instances is a blocking witness.
+The same machinery answers every other question the solver asks about false
+clause instances, without grounding.  A conflict derivation (no literal
+kept) picks, for every literal, the trail entry that falsifies it; strong
+consistency makes that the literal's defining entry.  So assertiveness is a
+count of top-level entries among a leaf's sources, falsifiability under a
+trail prefix is a derivation against that prefix, and a blocked decision is
+a derivation using the decision as a pseudo-entry at two positions whose
+instances can differ.  Non-emptiness of a leaf is always the least-solution
+test of `find_solution_enum`.  The grounding versions in `trail` serve only
+as referees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .constrained import rename_clit_fresh
+from .constrained import cover_size, rename_clit_fresh
 from .constraints import (
     BOT,
     TOP,
     Constraint,
     apply_constraint,
     conj,
+    find_solution_enum,
     lvars,
     normalize,
-    violates,
+    rename_rhs_fresh,
 )
 from .syntax import (
     Clause,
     Lit,
     Subst,
+    apply_args,
     apply_clause,
     apply_lit,
+    args_vars,
     clause_vars,
     compose,
-    ground_assignments,
     mgu_atoms,
+    mgu_many,
+    renaming_for,
 )
 from .trail import Trail, TrailEntry
 
@@ -147,6 +158,42 @@ def find_candidates(
     return out
 
 
+def least_instance(clause: Clause, sigma: Subst, pi: Constraint, n: int,
+                   ) -> Optional[Subst]:
+    """Least grounding (enumeration order) of the variables of clause*sigma,
+    then of pi's other lhs variables, that solves pi; None when the
+    instance set of (clause*sigma; pi) is empty."""
+    vs = clause_vars(apply_clause(clause, sigma))
+    extra = [v for v in lvars(pi) if v not in vs]
+    return find_solution_enum(pi, vs + extra, n)
+
+
+def no_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int) -> bool:
+    return least_instance(clause, sigma, pi, n) is None
+
+
+def falsifiable(clause: Clause, sources: list[TrailEntry], n: int) -> bool:
+    """Some ground instance of `clause` is false under `sources`."""
+    return any(not no_instances(clause, leaf.sigma, leaf.pi, n)
+               for leaf in find_candidates(-2, clause, sources, keep_limit=0))
+
+
+def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> bool:
+    """Some instance of (clause*sigma; pi) is false with exactly one literal
+    defined at the top level (the lifted `trail.is_assertive`)."""
+    top = trail.level
+    base = apply_clause(clause, sigma)
+    entries = trail.entries
+    pi = rename_rhs_fresh(pi)
+    for leaf in find_candidates(-1, base, list(entries), keep_limit=0):
+        if sum(1 for _, src in leaf.used if entries[src].level == top) != 1:
+            continue
+        both = normalize(_and(apply_constraint(pi, leaf.sigma), leaf.pi))
+        if not no_instances(base, leaf.sigma, both, trail.n):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # blocked decisions
 
@@ -163,11 +210,8 @@ def is_blocked(
     A clause blocks the decision when some ground instance becomes false
     with two distinct literals falsified by the decision alone.
     """
-    from .constrained import cover
-
     # decisions covering a single ground atom are never blocked
-    d_cover = cover(d_lit.atom, d_pi, n)
-    if len(d_cover) <= 1:
+    if cover_size(d_lit, d_pi, n) <= 1:
         return None
 
     for ci, clause in enumerate(pool):
@@ -184,16 +228,28 @@ def is_blocked(
             if len(d_positions) < 2:
                 continue
             base = apply_clause(clause, leaf.sigma)
-            vs = clause_vars(base)
-            extra_vs = [v for v in lvars(leaf.pi) if v not in vs]
-            for delta in ground_assignments(vs + extra_vs, n):
-                if violates(delta, leaf.pi):
-                    continue
-                inst = apply_clause(base, delta)
-                for i in range(len(d_positions)):
-                    for j in range(i + 1, len(d_positions)):
-                        l1 = inst[d_positions[i]]
-                        l2 = inst[d_positions[j]]
-                        if l1 != l2:
-                            return ci, inst, l1, l2
+            delta = least_instance(
+                base, {}, _split(base, d_positions, leaf.pi), n)
+            if delta is None:
+                continue
+            inst = apply_clause(base, delta)
+            l1, l2 = next((inst[p], inst[q])
+                          for i, p in enumerate(d_positions)
+                          for q in d_positions[i + 1:] if inst[p] != inst[q])
+            return ci, inst, l1, l2
     return None
+
+
+def _split(base: Clause, positions: list[int], pi: Constraint) -> Constraint:
+    """pi plus: the literals at `positions` are not all the same instance.
+
+    They are equal exactly on the instances of their mgu eta, so the
+    addition is the disequation (V) != eta(V) over their variables V."""
+    lits = [base[p] for p in positions]
+    eta = mgu_many(lits)
+    if eta is None:
+        return pi
+    vs = tuple(args_vars(a for l in lits for a in l.args))
+    img = apply_args(vs, eta)
+    img = apply_args(img, renaming_for(args_vars(img)))
+    return normalize(_and(pi, conj([(vs, img)])))

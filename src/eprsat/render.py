@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .constrained import CLit, clit_cover
+from .constrained import CLit, conjunction, cover_size
 from .constraints import Constraint, conj, normalize
 from .syntax import Clause, Lit, Signature, Subst
 
@@ -114,10 +114,17 @@ def merge_cover(sig: Signature, clits: list[CLit], cap: int = 6000) -> list[CLit
     """Greedy consolidation: drop a subconstraint of one literal when the
     widened cover equals the union with another literal's cover.
 
-    Checked by ground enumeration, so only applied when per-predicate
-    universes stay below `cap` ground atoms.
+    Checked by counting, not by grounding.  The widened w contains b, so
+    w = a | b exactly when a is inside w (|a & w| = |a|) and
+    |w| = |a| + |b| - |a & b|.  `cap` only skips predicates whose universe
+    exceeds that many ground atoms; dropping it would change which model
+    documents get consolidated.
     """
     n = sig.n
+
+    def size(cl: CLit) -> int:
+        return cover_size(cl.lit, cl.pi, n)
+
     out = list(clits)
     changed = True
     while changed:
@@ -133,13 +140,13 @@ def merge_cover(sig: Signature, clits: list[CLit], cap: int = 6000) -> list[CLit
                     continue
                 if b.pi.kind != "and":
                     continue
-                ga = clit_cover(a, n)
-                gb = clit_cover(b, n)
+                size_a = size(a)
+                union = size_a + size(b) - size(conjunction(a, b))
                 merged = None
                 for k in range(len(b.pi.subs)):
                     widened = normalize(conj(b.pi.subs[:k] + b.pi.subs[k + 1:]))
                     w = CLit(b.lit, widened)
-                    if clit_cover(w, n) == ga | gb:
+                    if size(w) == union and size(conjunction(a, w)) == size_a:
                         merged = w
                         break
                 if merged is not None:

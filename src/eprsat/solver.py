@@ -17,7 +17,7 @@ from typing import Optional
 from .constrained import (
     CLit,
     clit_is_empty,
-    cover,
+    cover_size,
     diff_pairs,
     elim_free_vars,
     is_empty,
@@ -33,7 +33,13 @@ from .constraints import (
     normalize,
     rename_rhs_fresh,
 )
-from .derive import find_candidates, is_blocked
+from .derive import (
+    falsifiable,
+    find_candidates,
+    is_assertive,
+    is_blocked,
+    no_instances,
+)
 from .syntax import (
     Clause,
     Lit,
@@ -52,7 +58,7 @@ from .syntax import (
     renaming_for,
     restrict,
 )
-from .trail import FALSE, InducedOrdering, Trail, TrailEntry, is_assertive
+from .trail import InducedOrdering, Trail, TrailEntry
 
 
 class RuleRejected(Exception):
@@ -70,7 +76,6 @@ class RunConfig:
     script: Optional[list[tuple[Lit, Constraint]]] = None
     use_watch_index: bool = False
     simplify: bool = True
-    occurs_restriction: bool = True
     audit: bool = False
     combiner: str = "sum"
     renorm_conflicts: int = 128
@@ -203,7 +208,7 @@ class Solver:
 
     def _enqueue(self, cand: PropCand) -> None:
         lit = cand.lit(self.pool)
-        size = _cover_size(lit, cand.pi, self.n)
+        size = cover_size(lit, cand.pi, self.n)
         if size == 0:
             return
         self._pq.append((size, self._seq, cand))
@@ -241,7 +246,7 @@ class Solver:
         wit = is_blocked(self.trail, lit, pi, self.pool, self.n)
         if wit is not None:
             raise RuleRejected(f"decision blocked by clause C{wit[0] + 1}")
-        if self.cfg.occurs_restriction and not self._occurs_in_input(lit):
+        if not self._occurs_in_input(lit):
             raise RuleRejected("decision does not instantiate an input literal")
         self.level += 1
         entry = self._push(lit, pi, reason=None)
@@ -350,7 +355,7 @@ class Solver:
         cs = self.conflict
         learned = canonical_variant(cs.clause)
         if self.auditor is not None:
-            self.auditor.before_learn(self, learned)
+            self.auditor.before_learn(self, learned, case, target_len)
         self.pool.append(learned)
         ci = len(self.pool) - 1
         self._index_new_clause(ci)
@@ -429,7 +434,8 @@ class Solver:
                                        apply_constraint(entry_pi, eta)))
             if combined.is_bot:
                 continue
-            if not self._combined_empty(cs.clause, cs.sigma, eta, combined):
+            if not no_instances(apply_clause(cs.clause, cs.sigma), eta,
+                                combined, self.n):
                 return pos
         return None
 
@@ -454,18 +460,11 @@ class Solver:
                                            apply_constraint(entry_pi, eta)))
                 if combined.is_bot:
                     continue
-                if self._combined_empty(cs.clause, cs.sigma, eta, combined):
+                if no_instances(apply_clause(cs.clause, cs.sigma), eta,
+                                combined, self.n):
                     continue
                 return i, j, eta
         return None
-
-    def _combined_empty(self, clause: Clause, sigma: Subst, eta: Subst,
-                        combined: Constraint) -> bool:
-        inst = apply_clause(apply_clause(clause, sigma), eta)
-        vs = clause_vars(inst)
-        extra = [v for v in lvars(combined) if v not in vs]
-        from .constraints import find_solution_enum
-        return find_solution_enum(combined, vs + extra, self.n) is None
 
     # -- propagation ----------------------------------------------------------
 
@@ -519,7 +518,7 @@ class Solver:
                 continue
             clause = self.pool[cand.clause_idx]
             sig2 = compose(cand.sigma, delta)
-            if self._conflict_set_empty(clause, sig2, combined):
+            if no_instances(clause, sig2, combined, self.n):
                 continue
             self.rule_conflict(ConflictSet(
                 clause, restrict(sig2, clause_vars(clause)), combined,
@@ -537,7 +536,7 @@ class Solver:
             for leaf in leaves:
                 if not leaf.remaining:
                     sigma = restrict(leaf.sigma, clause_vars(clause))
-                    if self._conflict_set_empty(clause, sigma, leaf.pi):
+                    if no_instances(clause, sigma, leaf.pi, self.n):
                         continue
                     self.rule_conflict(ConflictSet(clause, sigma, leaf.pi,
                                                    origin=ci, kind="derived"))
@@ -548,13 +547,6 @@ class Solver:
                         lit, leaf.pi, leaf.sigma, self.n):
                     self._enqueue(PropCand(ci, lit_idx, sigma2, pi2))
         return True
-
-    def _conflict_set_empty(self, clause: Clause, sigma: Subst, pi: Constraint) -> bool:
-        inst = apply_clause(clause, sigma)
-        vs = clause_vars(inst)
-        extra = [v for v in lvars(pi) if v not in vs]
-        from .constraints import find_solution_enum
-        return find_solution_enum(pi, vs + extra, self.n) is None
 
     def _reseed_from_clause(self, ci: int) -> None:
         clause = self.pool[ci]
@@ -580,7 +572,7 @@ class Solver:
             for leaf in leaves:
                 if not leaf.remaining:
                     sigma = restrict(leaf.sigma, clause_vars(clause))
-                    if not self._conflict_set_empty(clause, sigma, leaf.pi):
+                    if not no_instances(clause, sigma, leaf.pi, self.n):
                         return ConflictSet(clause, sigma, leaf.pi, origin=ci,
                                            kind="derived")
                 else:
@@ -625,10 +617,6 @@ class Solver:
             got = self._repair_blocking(i, pieces)
             if got is not None:
                 return got
-        if not self.cfg.occurs_restriction:
-            g = self._first_undefined_ground_atom()
-            if g is not None:
-                return Lit(True, g.pred, g.args), TOP
         return None
 
     def _diff_lit_against_trail(self, lit: Lit, pi: Constraint,
@@ -704,16 +692,6 @@ class Solver:
         while self._refinements and self._refinements[-1][0] > trail_len:
             _, idx, old, count = self._refinements.pop()
             self.pool_cands[idx:idx + count] = [old]
-
-    def _first_undefined_ground_atom(self) -> Optional[Lit]:
-        for pred in sorted(self.sig.preds):
-            ar = self.sig.preds[pred]
-            import itertools as _it
-            for args in _it.product(range(self.n), repeat=ar):
-                atom = Lit(False, pred, args)
-                if self.trail.defining_entry(atom) is None:
-                    return atom
-        return None
 
     # -- scores -----------------------------------------------------------------
 
@@ -862,7 +840,7 @@ class Solver:
         fallback = None
         for j in range(k):
             plen = self.trail.level_prefix_len(j)
-            if self._falsifiable_under_prefix(learned, plen):
+            if falsifiable(learned, self.trail.prefix_entries(plen), self.n):
                 break
             if self._propagatable_under_prefix(learned, plen):
                 return plen, j
@@ -872,20 +850,9 @@ class Solver:
         # pathological: false already somewhere inside level 0
         lvl0 = self.trail.level_prefix_len(0)
         for m in range(lvl0, -1, -1):
-            if not self._falsifiable_under_prefix(learned, m):
+            if not falsifiable(learned, self.trail.prefix_entries(m), self.n):
                 return m, 0
         return 0, 0
-
-    def _falsifiable_under_prefix(self, clause: Clause, plen: int) -> bool:
-        if clause == ():
-            return True
-        from .syntax import ground_assignments
-        vs = clause_vars(clause)
-        for d in ground_assignments(vs, self.n):
-            inst = apply_clause(clause, d)
-            if all(self.trail.value_of(l, upto=plen) == FALSE for l in inst):
-                return True
-        return False
 
     def _propagatable_under_prefix(self, clause: Clause, plen: int) -> bool:
         # mirrors the Propagate path: subtract what the prefix defines and
@@ -927,10 +894,6 @@ def _apply_chain(v: int, chain: list[Subst]) -> int:
     for s in chain:
         t = apply_term(t, s)
     return t
-
-
-def _cover_size(lit: Lit, pi: Constraint, n: int) -> int:
-    return len(cover(lit.atom, pi, n))
 
 
 def _var_shape(l: Lit) -> tuple:
@@ -996,7 +959,11 @@ def _match_restricted(want: Lit, sub: Lit, bindable: set[int]) -> Optional[Subst
 
 def subsumes(c: Clause, d: Clause) -> bool:
     """Some instance of c is a submultiset of d."""
-    c = canonical_variant(c)
+    return _subsumes(canonical_variant(c), d)
+
+
+def _subsumes(c: Clause, d: Clause) -> bool:
+    # c is already a variant sharing no variable with d
     cvars = set(clause_vars(c))
 
     def rec(i: int, used: set[int], sigma: Subst) -> bool:
@@ -1023,6 +990,13 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
     clauses = list(pool)
     changed = True
     alive = [True] * len(clauses)
+    variants: dict[Clause, Clause] = {}
+
+    def variant(c: Clause) -> Clause:
+        if c not in variants:
+            variants[c] = canonical_variant(c)
+        return variants[c]
+
     while changed:
         changed = False
         for i, c in enumerate(clauses):
@@ -1039,7 +1013,7 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
             for j, d in enumerate(clauses):
                 if i == j or not alive[j]:
                     continue
-                res = _subsumption_resolvent(c, d)
+                res = _subsumption_resolvent(variant(c), d)
                 if res is not None and res != d:
                     clauses[j] = res
                     log.append(f"subsumption resolution: clause {j + 1} reduced")
@@ -1050,8 +1024,9 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
             for j, d in enumerate(clauses):
                 if i == j or not alive[j]:
                     continue
-                if subsumes(c, d) and not (len(c) == len(d) and subsumes(d, c) and i > j):
-                    if len(c) < len(d) or not subsumes(d, c) or i < j:
+                if _subsumes(variant(c), d) and not (
+                        len(c) == len(d) and _subsumes(variant(d), c) and i > j):
+                    if len(c) < len(d) or not _subsumes(variant(d), c) or i < j:
                         alive[j] = False
                         log.append(f"subsumption: clause {j + 1} deleted by {i + 1}")
                         changed = True
@@ -1059,8 +1034,9 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
 
 
 def _subsumption_resolvent(c: Clause, d: Clause) -> Optional[Clause]:
-    """If c == C or L with C*s a subset of d minus ~L*s, drop that literal."""
-    c = canonical_variant(c)
+    """If c == C or L with C*s a subset of d minus ~L*s, drop that literal.
+
+    c must be a variant sharing no variable with d."""
     cvars = set(clause_vars(c))
 
     def covers(rest: Clause, pool: Clause, used: set[int], sigma: Subst) -> bool:

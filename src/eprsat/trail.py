@@ -135,7 +135,9 @@ class Trail:
 
 def clause_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
                      ) -> list[Clause]:
-    """Ground instances of (clause*sigma; pi); free lhs vars existential."""
+    """Ground instances of (clause*sigma; pi); free lhs vars existential.
+
+    For the audits and tests only: no solver path grounds."""
     base = apply_clause(clause, sigma)
     vs = clause_vars(base)
     extra = [v for v in lvars(pi) if v not in vs]
@@ -170,7 +172,10 @@ def clause_value(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint,
 
 
 def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> bool:
-    """Some covered ground instance is false with exactly one top-level literal."""
+    """Some covered ground instance is false with exactly one top-level literal.
+
+    Enumerates the instances; the solver runs the lifted
+    `derive.is_assertive`, and this form referees it in the audits."""
     top = trail.level
     for g in clause_instances(clause, sigma, pi, trail.n):
         vals = [trail.value_of(l) for l in g]

@@ -1,0 +1,275 @@
+"""The solver's lifted counting and conflict derivations against the
+grounding versions they replace.
+
+The grounding versions (`constrained.cover`, `trail.is_assertive`, ground
+enumeration of clause instances) remain as referees; here they check
+`cover_size`, `derive.is_assertive`, `derive.falsifiable` and the witness
+of `derive.is_blocked` on random constraints and on every call a solve
+makes.  A last test forbids grounding outright and solves anyway.
+"""
+import random
+import sys
+
+import pytest
+
+from eprsat import constrained, derive, solver as solver_mod, syntax, trail
+from eprsat.constrained import cover, cover_size
+from eprsat.constraints import BOT, TOP, conj, lvars, normalize, violates
+from eprsat.derive import find_candidates
+from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
+from eprsat.parser import parse_problem
+from eprsat.render import render_model
+from eprsat.solver import RunConfig, Solver
+from eprsat.syntax import (
+    Lit,
+    apply_clause,
+    apply_lit,
+    clause_vars,
+    ground_assignments,
+    lit_vars,
+    match_args,
+    var_code,
+)
+
+
+# ---------------------------------------------------------------------------
+# cover_size
+
+def _random_constraint(rng, vs, n):
+    """A random conjunction over lhs variables `vs`; subconstraints share
+    lhs variables and mix constants with (possibly repeated) rhs variables."""
+    subs = []
+    for i in range(rng.randrange(1, 6)):
+        width = rng.randrange(1, min(3, len(vs)) + 1)
+        lhs = tuple(rng.sample(vs, width))
+        rvs = [var_code(8000 + 10 * i + k) for k in range(2)]
+        rhs = tuple(rng.choice(rvs) if rng.random() < 0.4 else rng.randrange(n)
+                    for _ in range(width))
+        subs.append((lhs, rhs))
+    return normalize(conj(subs))
+
+
+def test_cover_size_counts_the_cover():
+    rng = random.Random(4242)
+    seen = dict(checked=0, top=0, bot=0, multi=0, shared=0, constants=0)
+    while seen["checked"] < 1200:
+        n = rng.randrange(1, 5)
+        arity = rng.randrange(0, 4)
+        pool = [var_code(rng.randrange(0, 4)) for _ in range(arity)]
+        args = tuple(rng.choice(pool) if rng.random() < 0.8 else rng.randrange(n)
+                     for _ in range(arity))
+        lit = Lit(False, "P", args)
+        vs = lit_vars(lit)
+        roll = rng.random()
+        if roll < 0.05:
+            pi = TOP
+        elif roll < 0.1:
+            pi = BOT
+        else:
+            pi = _random_constraint(rng, vs, n) if vs else TOP
+        assert cover_size(lit, pi, n) == len(cover(lit, pi, n)), (lit, pi, n)
+        seen["checked"] += 1
+        seen["top"] += pi.is_top
+        seen["bot"] += pi.is_bot
+        if pi.kind == "and":
+            lhs_vars = [v for lhs, _ in pi.subs for v in lhs]
+            seen["multi"] += len(pi.subs) > 1
+            seen["shared"] += len(lhs_vars) > len(set(lhs_vars))
+            seen["constants"] += any(t >= 0 for _, rhs in pi.subs for t in rhs)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_cover_size_examples():
+    x, y, v = var_code(0), var_code(1), var_code(20)
+    # (P(x,y); (x,y) != (v,v) /\ x != a /\ y != b) over 3 constants
+    pi = normalize(conj([((x, y), (v, v)), ((x,), (0,)), ((y,), (1,))]))
+    assert cover_size(Lit(False, "P", (x, y)), pi, 3) == 3
+    assert cover_size(Lit(False, "P", (x, x)), TOP, 5) == 5
+    assert cover_size(Lit(False, "P", (0, 1)), TOP, 5) == 1
+    assert cover_size(Lit(False, "P", (x,)), BOT, 5) == 0
+
+
+def test_cover_size_rejects_free_lhs_variables():
+    x, y = var_code(0), var_code(1)
+    pi = conj([((y,), (0,))])
+    with pytest.raises(ValueError):
+        cover_size(Lit(False, "P", (x,)), pi, 3)
+
+
+# ---------------------------------------------------------------------------
+# lifted derivations against grounding, on every call a solve makes
+
+def _is_false(sources, lit):
+    # strong consistency: an opposite-polarity entry covering the atom defines it
+    for e in sources:
+        if e.lit.pred == lit.pred and e.lit.neg != lit.neg:
+            d = match_args(e.lit.args, lit.args)
+            if d is not None and not violates(d, e.pi):
+                return True
+    return False
+
+
+def _ground_falsifiable(clause, sources, n):
+    """Ground search for an all-false instance, grounding literal by literal
+    and abandoning a partial grounding at its first literal that is not
+    false."""
+    def search(i, delta):
+        if i == len(clause):
+            return True
+        lit = apply_lit(clause[i], delta)
+        for ext in ground_assignments(lit_vars(lit), n):
+            if _is_false(sources, apply_lit(lit, ext)) and search(
+                    i + 1, {**delta, **ext}):
+                return True
+        return False
+
+    return search(0, {})
+
+
+def _ground_is_blocked(tr, d_lit, d_pi, pool, n):
+    """The enumerating decision-blocking test the solver used to run."""
+    if len(cover(d_lit.atom, d_pi, n)) <= 1:
+        return None
+    for ci, clause in enumerate(pool):
+        hits = [p for p, l in enumerate(clause)
+                if l.pred == d_lit.pred and l.neg != d_lit.neg]
+        if len(hits) < 2:
+            continue
+        for leaf in find_candidates(ci, clause, list(tr.entries), keep_limit=0,
+                                    extra=[(d_lit, d_pi)]):
+            d_positions = [p for p, src in leaf.used if src < 0]
+            if len(d_positions) < 2:
+                continue
+            base = apply_clause(clause, leaf.sigma)
+            vs = clause_vars(base)
+            extra_vs = [v for v in lvars(leaf.pi) if v not in vs]
+            for delta in ground_assignments(vs + extra_vs, n):
+                if violates(delta, leaf.pi):
+                    continue
+                inst = apply_clause(base, delta)
+                for i in range(len(d_positions)):
+                    for j in range(i + 1, len(d_positions)):
+                        l1, l2 = inst[d_positions[i]], inst[d_positions[j]]
+                        if l1 != l2:
+                            return ci, inst, l1, l2
+    return None
+
+
+class _Referee:
+    """Wraps the solver's lifted calls and compares each with grounding."""
+
+    def __init__(self, monkeypatch):
+        self.calls = dict(assertive=0, falsifiable=0, blocked=0, witness=0)
+        self.mismatches = []
+
+        def assertive(tr, clause, sigma, pi):
+            got = derive.is_assertive(tr, clause, sigma, pi)
+            self.calls["assertive"] += 1
+            if got != trail.is_assertive(tr, clause, sigma, pi):
+                self.mismatches.append(("is_assertive", clause, got))
+            return got
+
+        def falsifiable(clause, sources, n):
+            got = derive.falsifiable(clause, sources, n)
+            self.calls["falsifiable"] += 1
+            if got != _ground_falsifiable(clause, sources, n):
+                self.mismatches.append(("falsifiable", clause, got))
+            return got
+
+        def is_blocked(tr, d_lit, d_pi, pool, n):
+            got = derive.is_blocked(tr, d_lit, d_pi, pool, n)
+            self.calls["blocked"] += 1
+            self.calls["witness"] += got is not None
+            if got != _ground_is_blocked(tr, d_lit, d_pi, pool, n):
+                self.mismatches.append(("is_blocked", d_lit, got))
+            return got
+
+        monkeypatch.setattr(solver_mod, "is_assertive", assertive)
+        monkeypatch.setattr(solver_mod, "falsifiable", falsifiable)
+        monkeypatch.setattr(solver_mod, "is_blocked", is_blocked)
+
+
+def _coloring(nodes, edges, colours):
+    ks = [f"k{j}" for j in range(1, colours + 1)]
+    vs = [f"n{i}" for i in range(1, nodes + 1)]
+    lines = [f"domain {' '.join(vs + ks)} .",
+             "-node(X) | " + " | ".join(f"col(X,{k})" for k in ks) + " .",
+             "-edge(X,Y) | -col(X,C) | -col(Y,C) ."]
+    lines += [f"node({v}) ." for v in vs]
+    lines += [f"edge({vs[a]},{vs[b]}) ." for a, b in edges]
+    return parse_problem("\n".join(lines) + "\n")
+
+
+def _c5_2():
+    return _coloring(5, [(i, (i + 1) % 5) for i in range(5)], 2)
+
+
+def _k4_3():
+    return _coloring(4, [(i, j) for i in range(4) for j in range(i + 1, 4)], 3)
+
+
+def _probe(n):
+    return parse_problem(
+        f"domain {' '.join(f'c{i}' for i in range(n))} .\n"
+        "q(X) | -r(X) .\nr(c0) .\np(X,Y,Z,W) | -q(X) .\n-p(X,Y,Z,W) | s(Y) .\n")
+
+
+@pytest.mark.parametrize("make, status, steps", [
+    (_c5_2, "unsat", 101),
+    (_k4_3, "unsat", 238),
+])
+def test_lifted_matches_ground_on_colourings(monkeypatch, make, status, steps):
+    ref = _Referee(monkeypatch)
+    sig, clauses = make()
+    verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+    assert (verdict.status, verdict.steps) == (status, steps)
+    assert ref.mismatches == []
+    assert min(ref.calls.values()) > 0, ref.calls
+
+
+def test_lifted_matches_ground_on_a_random_population(monkeypatch):
+    ref = _Referee(monkeypatch)
+    statuses = set()
+    for seed in range(150):
+        sig, clauses = gen_random_instance(GenParams(
+            n_preds=3, max_arity=3, domain_size=4, n_clauses=10, max_lits=4,
+            seed=seed))
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        statuses.add(verdict.status)
+    assert statuses == {"sat", "unsat"}
+    assert ref.mismatches == []
+    assert min(ref.calls.values()) > 0, ref.calls
+
+
+# ---------------------------------------------------------------------------
+# no grounding outside the oracle and the audits
+
+def _forbid_grounding(monkeypatch):
+    forbidden = (syntax.ground_assignments, constrained.cover)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grounding outside the oracle and the audits")
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "eprsat" or name.startswith("eprsat.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in forbidden):
+                monkeypatch.setattr(module, attr, refuse)
+
+
+@pytest.mark.parametrize("make, status, steps", [
+    (lambda: _probe(60), "sat", 8),
+    (lambda: gen_benchmark(7, 3), "sat", 82),
+    (_c5_2, "unsat", 101),
+    (_k4_3, "unsat", 238),
+])
+def test_solve_and_render_without_grounding(monkeypatch, make, status, steps):
+    sig, clauses = make()
+    _forbid_grounding(monkeypatch)
+    with pytest.raises(AssertionError):
+        cover(Lit(False, "r", (0,)), TOP, 1)
+    verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+    assert (verdict.status, verdict.steps) == (status, steps)
+    if status == "sat":
+        assert render_model(sig, verdict.model).endswith("% all other atoms false\n")
