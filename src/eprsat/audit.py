@@ -16,14 +16,29 @@ Incremental schedule: pushes check the new entry against its prefix; each
 resolution step checks the conflict set and the measure; Backjump and the
 terminal rules trigger a full-trail sweep (including re-checking decisions
 against the grown learned set).
+
+The resolution measure is the multiset of the conflict set's ground
+instances under the conflict snapshot's induced ordering.  That ordering is
+total, and the Dershowitz-Manna multiset extension of a total order is
+lexicographic order on descending-sorted lists, a proper prefix being
+smaller.  So the measure is kept as the descending-sorted list of the
+instances' `clause_key`s, and "strictly decreased" is one list comparison.
 """
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 from .constrained import CLit, clit_is_empty, overlaps
 from .derive import is_blocked
+from .oracle import (
+    DPLL_ATOM_CAP,
+    OracleCeiling,
+    _entails,
+    check_nonredundant,
+    ground_problem,
+    verify_model,
+)
+from .render import render_clause
 from .syntax import (
     Clause,
     Signature,
@@ -35,16 +50,18 @@ from .syntax import (
 from .trail import FALSE, clause_instances, clause_value, is_assertive
 
 
+_UNSET = object()
+
+
 class Auditor:
-    def __init__(self, sig: Signature, clauses: list[Clause],
-                 redundancy_ceiling: int = 24):
+    def __init__(self, sig: Signature, clauses: list[Clause]):
         self.sig = sig
         self.input_clauses = list(clauses)
-        self.redundancy_ceiling = redundancy_ceiling
         self.violations: list[str] = []
         self.skipped: list[str] = []
         self._last_rules: list[str] = []
-        self._measure: Optional[tuple[int, list[Clause]]] = None
+        self._measure: Optional[tuple[int, list]] = None
+        self._input_ground = _UNSET
 
     def _flag(self, msg: str) -> None:
         self.violations.append(msg)
@@ -77,17 +94,14 @@ class Auditor:
                      target_len: int) -> None:
         """Checks before Backjump `case` learns `learned` and cuts the
         trail to `target_len` entries."""
-        from .oracle import check_nonredundant
         ordering = solver.conflict_ordering
         if ordering is None:
             self._flag("learning without a conflict snapshot")
             return
-        got = check_nonredundant(learned, solver.pool, ordering, self.sig,
-                                 ceiling=self.redundancy_ceiling)
+        got = check_nonredundant(learned, solver.pool, ordering, self.sig)
         if got is None:
             self.skipped.append("non-redundancy check skipped (universe too big)")
         elif got is False:
-            from .render import render_clause
             self._flag(f"learned clause is redundant: "
                        f"{render_clause(self.sig, learned)}")
         self._check_entailed_by_input(solver, learned)
@@ -119,13 +133,11 @@ class Auditor:
             inst = apply_clause(learned, d)
             if all(solver.trail.value_of(l, upto=target_len) == FALSE
                    for l in inst):
-                from .render import render_clause
                 self._flag(f"learned clause has a false instance under the "
                            f"backjump prefix: {render_clause(self.sig, inst)}")
                 return
 
     def at_success(self, solver) -> None:
-        from .oracle import verify_model
         model = [CLit(e.lit, e.pi) for e in solver.trail.entries]
         ok, witness = verify_model(model, self.sig, self.input_clauses)
         if not ok:
@@ -133,17 +145,20 @@ class Auditor:
 
     def _check_entailed_by_input(self, solver, learned: Clause) -> None:
         # sound-state item for the learned set: the inputs entail it
-        from .oracle import DPLL_ATOM_CAP, OracleCeiling, _entails, ground_problem
-        try:
-            gp = ground_problem(self.sig, self.input_clauses,
-                                ceiling=DPLL_ATOM_CAP)
-        except OracleCeiling:
+        if self._input_ground is _UNSET:
+            # the input never changes: ground it once per run
+            try:
+                self._input_ground = ground_problem(
+                    self.sig, self.input_clauses,
+                    ceiling=DPLL_ATOM_CAP).ground_clauses
+            except OracleCeiling:
+                self._input_ground = None
+        if self._input_ground is None:
             self.skipped.append("entailment check skipped (universe too big)")
             return
         for d in ground_assignments(clause_vars(learned), self.sig.n):
             inst = apply_clause(learned, d)
-            if not _entails(gp.ground_clauses, inst, self.sig):
-                from .render import render_clause
+            if not _entails(self._input_ground, inst, self.sig):
                 self._flag(f"learned clause not entailed by the input: "
                            f"{render_clause(self.sig, learned)}")
                 return
@@ -203,12 +218,17 @@ class Auditor:
                     break
 
     def _measure_of(self, solver):
+        """(trail length, the instances' clause keys sorted descending).
+
+        The induced ordering is total, so the multiset extension over the
+        instances is lexicographic order on this list."""
         cs = solver.conflict
         if cs is None or solver.conflict_ordering is None:
             return None
         insts = clause_instances(cs.clause, cs.sigma, cs.pi, solver.n)
-        key = functools.cmp_to_key(solver.conflict_ordering.cmp_clauses)
-        return (len(solver.trail), sorted(insts, key=key, reverse=True))
+        return (len(solver.trail),
+                sorted(map(solver.conflict_ordering.clause_key, insts),
+                       reverse=True))
 
     def _check_measure_decrease(self, rule: str, solver) -> None:
         before = self._measure
@@ -216,14 +236,13 @@ class Auditor:
         self._measure = after
         if before is None or after is None:
             return
-        ordering = solver.conflict_ordering
         if after[0] < before[0]:
             return
         if after[0] > before[0]:
             self._flag(f"{rule} grew the trail during resolution")
             return
         # same trail length: the instance multiset must strictly decrease
-        if not _multiset_strictly_less(after[1], before[1], ordering):
+        if not after[1] < before[1]:
             self._flag(f"{rule} did not decrease the resolution measure")
 
     def _check_immediate_conflict_factorize(self, rule: str) -> None:
@@ -294,15 +313,3 @@ class _PrefixTrail:
     def for_pred(self, pred: str):
         return [e for e in self.entries if e.lit.pred == pred]
 
-
-def _multiset_strictly_less(after: list, before: list, ordering) -> bool:
-    a, b = list(after), list(before)
-    for x in list(a):
-        for y in list(b):
-            if ordering.cmp_clauses(x, y) == 0:
-                a.remove(x)
-                b.remove(y)
-                break
-    if not b:
-        return False
-    return all(any(ordering.cmp_clauses(x, y) < 0 for y in b) for x in a)

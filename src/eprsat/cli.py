@@ -73,7 +73,6 @@ def main(argv=None) -> int:
         script=script,
         use_watch_index=args.index and not args.no_index,
         simplify=not args.no_simplify,
-        audit=args.check,
     )
     auditor = Auditor(sig, clauses) if args.check else None
     solver = Solver(sig, clauses, cfg, auditor=auditor)

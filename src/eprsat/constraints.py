@@ -324,17 +324,3 @@ def count_solutions(c: Constraint, variables: list[int], n: int) -> int:
         return n ** len(variables)
     return len(solutions(c, variables, n))
 
-
-def render_constraint(c: Constraint, name_of) -> str:
-    """Surface syntax; `name_of` maps a term code to its display string."""
-    if c.is_top:
-        return "TOP"
-    if c.is_bot:
-        return "BOT"
-
-    def tup(ts: tuple[int, ...]) -> str:
-        if len(ts) == 1:
-            return name_of(ts[0])
-        return "(" + ",".join(name_of(t) for t in ts) + ")"
-
-    return " /\\ ".join(f"{tup(l)} != {tup(r)}" for l, r in c.subs)

@@ -28,7 +28,7 @@ from .trail import InducedOrdering
 
 ENUM_ATOM_CAP = 20      # full truth-table route
 DPLL_ATOM_CAP = 60      # backtracking route
-REDUNDANCY_ATOM_CAP = 24
+REDUNDANCY_ATOM_CAP = 36
 
 
 class OracleCeiling(ValueError):
@@ -335,7 +335,7 @@ def run_differential(seed: int, params: Optional[GenParams] = None,
     p = GenParams(**{**p.__dict__, "seed": seed})
     sig, clauses = gen_random_instance(p)
     auditor = Auditor(sig, clauses) if audit else None
-    solver = Solver(sig, clauses, RunConfig(max_steps=max_steps, audit=audit),
+    solver = Solver(sig, clauses, RunConfig(max_steps=max_steps),
                     auditor=auditor)
     verdict = solver.solve()
     gp = ground_problem(sig, clauses)

@@ -76,7 +76,6 @@ class RunConfig:
     script: Optional[list[tuple[Lit, Constraint]]] = None
     use_watch_index: bool = False
     simplify: bool = True
-    audit: bool = False
     combiner: str = "sum"
     renorm_conflicts: int = 128
 
@@ -139,7 +138,6 @@ class Solver:
         self.level = 0
         self.conflict: Optional[ConflictSet] = None
         self.conflict_ordering: Optional[InducedOrdering] = None
-        self.conflict_after_decide = False
         self.trace: list[TraceEvent] = []
         self.steps = 0
         self.backjumps = 0
@@ -261,9 +259,6 @@ class Solver:
             raise RuleRejected("the empty clause cannot be a conflict set")
         self.conflict = cs
         self.conflict_ordering = InducedOrdering.from_trail(self.trail)
-        self.conflict_after_decide = (
-            bool(self.trail.entries) and self.trail.entries[-1].is_decision
-        )
         self._pq.clear()
         self._bump_clause(cs.clause)
         self._emit("Conflict", self._render_conflict(cs))

@@ -84,10 +84,6 @@ class Lit(NamedTuple):
 Clause = tuple[Lit, ...]
 
 
-def term_vars(t: int) -> tuple[int, ...]:
-    return (t,) if t < 0 else ()
-
-
 def args_vars(args: Iterable[int]) -> list[int]:
     """Variables in first-occurrence order."""
     seen: list[int] = []
@@ -273,10 +269,6 @@ def ground_clauses(c: Clause, n: int) -> set[Clause]:
             for d in ground_assignments(clause_vars(c), n)}
 
 
-def is_ground_lit(l: Lit) -> bool:
-    return all(a >= 0 for a in l.args)
-
-
 def renaming_for(vars_: Iterable[int]) -> Subst:
     return {v: fresh_var() for v in vars_}
 
@@ -285,11 +277,6 @@ def rename_fresh(l: Lit, reserved: set[int]) -> Lit:
     """Variant of l with variables disjoint from `reserved`."""
     ren = {v: fresh_var() for v in lit_vars(l) if v in reserved}
     return apply_lit(l, ren)
-
-
-def rename_clause_fresh(c: Clause) -> tuple[Clause, Subst]:
-    ren = renaming_for(clause_vars(c))
-    return apply_clause(c, ren), ren
 
 
 # ---------------------------------------------------------------------------

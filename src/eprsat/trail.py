@@ -6,7 +6,8 @@ substitution).  Strong consistency -- pairwise disjoint atom covers -- is an
 invariant the solver maintains and the auditor re-checks.  The trail also
 induces the ordering used for redundancy: atoms compare by the position of
 their defining entry (undefined atoms maximal), ties broken by a fixed base
-order, lifted to literals and, by multiset extension, to clauses.
+order, lifted to literals and, by multiset extension, to clauses (computed
+as a lexicographic comparison of sorted keys, see `InducedOrdering`).
 """
 from __future__ import annotations
 
@@ -196,9 +197,14 @@ _INF = 1 << 60
 @dataclass(frozen=True)
 class InducedOrdering:
     """Snapshot ordering: trail position of the defining entry, then a fixed
-    base order (predicate name, argument indices; negative above positive)."""
+    base order (predicate name, argument indices; negative above positive).
+
+    Clauses compare by `clause_key`.  The entries are immutable, so `def_pos`
+    is memoized per snapshot."""
 
     entries: tuple[tuple[Lit, Constraint, int], ...]  # (lit, pi, pos)
+    _pos: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)
 
     @staticmethod
     def from_trail(trail: Trail) -> "InducedOrdering":
@@ -206,6 +212,12 @@ class InducedOrdering:
 
     def def_pos(self, atom: Lit) -> int:
         """Position of the defining entry; maximal when undefined."""
+        pos = self._pos.get(atom)
+        if pos is None:
+            pos = self._pos[atom] = self._scan(atom)
+        return pos
+
+    def _scan(self, atom: Lit) -> int:
         for lit, pi, pos in self.entries:
             if lit.pred != atom.pred:
                 continue
@@ -223,35 +235,21 @@ class InducedOrdering:
         # same atom: the negative literal is the bigger one
         return (self.def_pos(lit.atom), lit.pred, lit.args, lit.neg)
 
+    def clause_key(self, c: Clause):
+        """(abstract multiset, literal multiset), each sorted descending.
+
+        The multiset extension of a total order is lexicographic order on
+        descending-sorted lists (a proper prefix is smaller), so comparing
+        these keys is the clause ordering."""
+        return (sorted(((self.def_pos(l.atom), l.neg) for l in c), reverse=True),
+                sorted((self.lit_key(l) for l in c), reverse=True))
+
     def cmp_atoms(self, p: Lit, q: Lit) -> int:
-        kp, kq = self.atom_key(p), self.atom_key(q)
-        return -1 if kp < kq else (0 if kp == kq else 1)
-
-    def cmp_lits(self, p: Lit, q: Lit) -> int:
-        kp, kq = self.lit_key(p), self.lit_key(q)
-        return -1 if kp < kq else (0 if kp == kq else 1)
-
-    def _abstract_clause(self, c: Clause):
-        return sorted(((self.def_pos(l.atom), l.neg) for l in c), reverse=True)
-
-    def _lit_multiset_key(self, c: Clause):
-        return sorted((self.lit_key(l) for l in c), reverse=True)
+        return _cmp(self.atom_key(p), self.atom_key(q))
 
     def cmp_clauses(self, c1: Clause, c2: Clause) -> int:
-        a1, a2 = self._abstract_clause(c1), self._abstract_clause(c2)
-        if a1 != a2:
-            return -1 if _mul_less(a1, a2) else 1
-        k1, k2 = self._lit_multiset_key(c1), self._lit_multiset_key(c2)
-        if k1 == k2:
-            return 0
-        return -1 if _mul_less(k1, k2) else 1
+        return _cmp(self.clause_key(c1), self.clause_key(c2))
 
 
-def _mul_less(d1: list, d2: list) -> bool:
-    """Multiset extension of a total order, on descending-sorted keys."""
-    i = 0
-    while i < len(d1) and i < len(d2):
-        if d1[i] != d2[i]:
-            return d1[i] < d2[i]
-        i += 1
-    return len(d1) < len(d2)
+def _cmp(k1, k2) -> int:
+    return -1 if k1 < k2 else (0 if k1 == k2 else 1)

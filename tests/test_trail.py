@@ -288,3 +288,111 @@ def test_subsumption_embeds_in_ordering():
         if sorted(csub) == sorted(d):
             continue
         assert ordering.cmp_clauses(csub, d) == -1
+
+
+def test_clause_key_order_matches_bruteforce():
+    rng = random.Random(41)
+    n = 2
+    entries = [
+        (Lit(True, "Q", (x, y)), conj([((x, y), (v, v))])),
+        (Lit(False, "P", (x,)), TOP),
+    ]
+    tr = Trail(n)
+    for i, (lit, pi) in enumerate(entries):
+        tr.push(TrailEntry(lit, pi, 0, i, reason=0))
+    ordering = InducedOrdering.from_trail(tr)
+    for _ in range(400):
+        c1 = _random_ground_clause(rng, n)
+        c2 = _random_ground_clause(rng, n)
+        k1, k2 = ordering.clause_key(c1), ordering.clause_key(c2)
+        got = -1 if k1 < k2 else (0 if k1 == k2 else 1)
+        assert got == _brute_cmp(entries, n, c1, c2)
+
+
+def _multiset_strictly_less(after: list, before: list, cmp) -> bool:
+    """Dershowitz-Manna by definition, quadratic: the referee for the
+    sorted-key reduction the audit uses."""
+    a, b = list(after), list(before)
+    for x in list(a):
+        for y in list(b):
+            if cmp(x, y) == 0:
+                a.remove(x)
+                b.remove(y)
+                break
+    if not b:
+        return False
+    return all(any(cmp(x, y) < 0 for y in b) for x in a)
+
+
+def _random_trail_entries(rng, n):
+    out = []
+    for _ in range(rng.randrange(0, 4)):
+        if rng.random() < 0.5:
+            lit = Lit(rng.random() < 0.5, "P", (rng.choice([x, rng.randrange(n)]),))
+            pi = TOP if lit.args[0] >= 0 or rng.random() < 0.5 else conj(
+                [((x,), (rng.randrange(n),))])
+        else:
+            lit = Lit(rng.random() < 0.5, "Q",
+                      (rng.choice([x, rng.randrange(n)]), rng.choice([y, x])))
+            vs = sorted({t for t in lit.args if t < 0})
+            pi = TOP
+            if len(vs) == 2 and rng.random() < 0.5:
+                pi = conj([((x, y), (v, v))])
+        out.append((lit, pi))
+    return out
+
+
+def test_sorted_keys_decide_the_multiset_ordering():
+    rng = random.Random(2024)
+    n = 2
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        entries = _random_trail_entries(rng, n)
+        tr = Trail(n)
+        for i, (lit, pi) in enumerate(entries):
+            tr.push(TrailEntry(lit, pi, 0, i, reason=0))
+        ordering = InducedOrdering.from_trail(tr)
+
+        def brute(c1, c2):
+            return _brute_cmp(entries, n, c1, c2)
+
+        pool = [_random_ground_clause(rng, n) for _ in range(5)]
+        for _ in range(25):
+            before = [rng.choice(pool) for _ in range(rng.randrange(0, 5))]
+            shuffled = [tuple(rng.sample(c, len(c))) for c in before]
+            candidates = [
+                [],
+                list(before),                         # equal
+                shuffled,                             # equal, literals permuted
+                before + [rng.choice(pool)],          # one more (duplicates)
+                before[1:],                           # one fewer
+                before[:-1] + [rng.choice(pool)],     # one replaced
+                [rng.choice(pool) for _ in range(rng.randrange(0, 5))],
+            ]
+            for after in candidates:
+                want = _multiset_strictly_less(after, before, brute)
+                got = (sorted(map(ordering.clause_key, after), reverse=True)
+                       < sorted(map(ordering.clause_key, before), reverse=True))
+                assert got == want, (entries, after, before)
+                outcomes[want] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_ordering_snapshot_survives_trail_changes():
+    n = 2
+    tr = Trail(n)
+    tr.push(TrailEntry(Lit(False, "P", (x,)), conj([((x,), (a,))]), 0, 0, reason=0))
+    tr.push(TrailEntry(Lit(True, "Q", (a, y)), TOP, 1, 1))
+    warm = InducedOrdering.from_trail(tr)
+    cold = InducedOrdering.from_trail(tr)
+    atoms = [Lit(False, "P", (d,)) for d in range(n)] + [
+        Lit(False, "Q", (d1, d2)) for d1 in range(n) for d2 in range(n)]
+    seen = {atom: warm.def_pos(atom) for atom in atoms}
+    assert sorted(set(seen.values()))[:2] == [0, 1]
+    tr.push(TrailEntry(Lit(False, "Q", (b, y)), TOP, 1, 2, reason=0))
+    tr.push(TrailEntry(Lit(False, "P", (a,)), TOP, 1, 3, reason=0))
+    assert InducedOrdering.from_trail(tr).def_pos(Lit(False, "Q", (b, a))) == 2
+    assert {atom: warm.def_pos(atom) for atom in atoms} == seen
+    tr.truncate(0)
+    assert {atom: warm.def_pos(atom) for atom in atoms} == seen
+    assert {atom: cold.def_pos(atom) for atom in atoms} == seen
