@@ -1,19 +1,23 @@
-"""Command-line entry point.
+"""Command-line entry point and the differential harness.
 
 Exit codes follow the SAT-solver convention: 10 satisfiable, 20
-unsatisfiable, 1 error (including parse failures and the step cap),
-2 check-mode disagreement or audit violation.
+unsatisfiable, 1 error (including usage errors, parse failures and the step
+cap), 2 check-mode disagreement or audit violation.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from typing import Optional
 
 from .audit import Auditor
 from .oracle import (
+    GenParams,
     OracleCeiling,
     brute_sat,
     gen_benchmark,
+    gen_random_instance,
     ground_problem,
     verify_model,
 )
@@ -22,8 +26,15 @@ from .render import render_model, render_trace
 from .solver import RunConfig, Solver
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # exit 2 means a failed check here, so usage errors exit 1
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="eprsat",
         description="Model-building satisfiability for function-free clauses",
     )
@@ -38,10 +49,6 @@ def build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--check", action="store_true",
                     help="audit every rule application and compare against the "
                          "ground oracle")
-    ap.add_argument("--no-index", action="store_true",
-                    help="disable the optional watched-literal layer")
-    ap.add_argument("--index", action="store_true",
-                    help="enable the optional watched-literal layer")
     ap.add_argument("--no-simplify", action="store_true",
                     help="skip preprocessing simplifications")
     return ap
@@ -63,17 +70,16 @@ def main(argv=None) -> int:
         if args.script:
             with open(args.script, encoding="utf-8") as f:
                 script = parse_script(f.read(), sig)
+        cfg = RunConfig(
+            max_steps=args.max_steps,
+            seed=args.seed,
+            script=script,
+            simplify=not args.no_simplify,
+        )
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    cfg = RunConfig(
-        max_steps=args.max_steps,
-        seed=args.seed,
-        script=script,
-        use_watch_index=args.index and not args.no_index,
-        simplify=not args.no_simplify,
-    )
     auditor = Auditor(sig, clauses) if args.check else None
     solver = Solver(sig, clauses, cfg, auditor=auditor)
     verdict = solver.solve()
@@ -98,39 +104,70 @@ def main(argv=None) -> int:
 
 
 def _run_checks(sig, clauses, verdict, auditor, seed) -> int:
-    import json
+    record, notes = _check_record(sig, clauses, verdict, auditor, seed)
+    for note in notes:
+        print(note, file=sys.stderr)
+    print(json.dumps(record, sort_keys=True))
+    failed = (not record["audits_passed"]
+              or record["verdict_oracle"] not in (None, verdict.status)
+              or record.get("model_verified") is False)
+    return 2 if failed else 0
 
+
+def _check_record(sig, clauses, verdict, auditor, seed) -> tuple[dict, list[str]]:
+    """One solve against its audits and the ground oracle.
+
+    Returns the JSON-ready record and the messages explaining every failed
+    check.  `verdict_oracle` stays None, with a message, when the ground
+    universe is over the oracle's ceiling.
+    """
+    violations = auditor.violations if auditor is not None else []
     record = {
         "seed": seed,
         "verdict_nrcl": verdict.status,
         "verdict_oracle": None,
         "steps": verdict.steps,
         "learned": verdict.learned,
-        "audits_passed": not auditor.violations,
+        "audits_passed": not violations,
     }
-    code = 0
-    if auditor.violations:
-        for v in auditor.violations:
-            print(f"audit violation: {v}", file=sys.stderr)
-        code = 2
+    notes = [f"audit violation: {v}" for v in violations]
     try:
         gp = ground_problem(sig, clauses)
-        oracle = "sat" if brute_sat(gp) is not None else "unsat"
-        record["verdict_oracle"] = oracle
-        if oracle != verdict.status:
-            print(f"check: verdict {verdict.status} but oracle says {oracle}",
-                  file=sys.stderr)
-            code = 2
-        if verdict.status == "sat":
-            ok, witness = verify_model(verdict.model, sig, clauses)
-            record["model_verified"] = ok
-            if not ok:
-                print(f"check: model fails on {witness}", file=sys.stderr)
-                code = 2
     except OracleCeiling as exc:
-        print(f"check: oracle skipped ({exc})", file=sys.stderr)
-    print(json.dumps(record, sort_keys=True))
-    return code
+        notes.append(f"check: oracle skipped ({exc})")
+        return record, notes
+    oracle = "sat" if brute_sat(gp) is not None else "unsat"
+    record["verdict_oracle"] = oracle
+    if oracle != verdict.status:
+        notes.append(f"check: verdict {verdict.status} but oracle says {oracle}")
+    if verdict.status == "sat":
+        ok, witness = verify_model(verdict.model, sig, clauses)
+        record["model_verified"] = ok
+        if not ok:
+            notes.append(f"check: model fails on {witness}")
+    return record, notes
+
+
+# ---------------------------------------------------------------------------
+# differential harness
+
+def run_differential(seed: int, params: Optional[GenParams] = None,
+                     audit: bool = False, max_steps: int = 1_000_000) -> dict:
+    """Solve one random instance both ways; one JSON-ready record."""
+    p = params or GenParams()
+    p = GenParams(**{**p.__dict__, "seed": seed})
+    sig, clauses = gen_random_instance(p)
+    auditor = Auditor(sig, clauses) if audit else None
+    solver = Solver(sig, clauses, RunConfig(max_steps=max_steps),
+                    auditor=auditor)
+    record, _ = _check_record(sig, clauses, solver.solve(), auditor, seed)
+    if auditor is not None and auditor.violations:
+        record["violations"] = auditor.violations[:5]
+    return record
+
+
+def harness_report(records: list[dict]) -> str:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 if __name__ == "__main__":

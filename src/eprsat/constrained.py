@@ -23,6 +23,7 @@ from .constraints import (
     Constraint,
     apply_constraint,
     conj,
+    conjoin,
     find_solution_enum,
     lvars,
     normalize,
@@ -184,15 +185,8 @@ def conjunction(a: CLit, b: CLit) -> CLit:
     if sigma is None:
         return CLit(a.lit, BOT)
     lit = apply_lit(a.lit, sigma)
-    pi = normalize(_and(apply_constraint(pi_a, sigma), apply_constraint(pi_b, sigma)))
+    pi = normalize(conjoin(apply_constraint(pi_a, sigma), apply_constraint(pi_b, sigma)))
     return CLit(lit, pi)
-
-
-def _and(a: Constraint, b: Constraint) -> Constraint:
-    if a.is_bot or b.is_bot:
-        return BOT
-    subs = (a.subs if a.kind == "and" else ()) + (b.subs if b.kind == "and" else ())
-    return conj(subs)
 
 
 def overlaps(a: CLit, b: CLit, n: int) -> bool:
@@ -225,7 +219,7 @@ def diff_pairs(lit1: Lit, pi1: Constraint, lit2: Lit, pi2: Constraint,
     args = lit1.args
     ren = renaming_for([t for t in (sigma.get(a, a) for a in args) if t < 0])
     guard = (args, tuple(ren.get(sigma.get(a, a), sigma.get(a, a)) for a in args))
-    keep = normalize(_and(pi1, conj([guard])))
+    keep = normalize(conjoin(pi1, conj([guard])))
     if not keep.is_bot:
         out.append(({}, keep))
     common_pi1 = normalize(apply_constraint(pi1, sigma))
@@ -258,7 +252,7 @@ def _diff_same(pi1: Constraint, pi2: Constraint) -> list[tuple[Subst, Constraint
 def _and_many(parts: list[Constraint]) -> Constraint:
     acc = TOP
     for p in parts:
-        acc = _and(acc, p)
+        acc = conjoin(acc, p)
         if acc.is_bot:
             return BOT
     return acc

@@ -8,6 +8,7 @@ instantiated lhs tuple.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -47,6 +48,14 @@ BOT = Constraint("bot")
 def conj(subs: Iterable[Pair]) -> Constraint:
     subs = tuple(subs)
     return Constraint("and", subs) if subs else TOP
+
+
+def conjoin(a: Constraint, b: Constraint) -> Constraint:
+    """a and b, not normalized."""
+    if a.is_bot or b.is_bot:
+        return BOT
+    subs = (a.subs if a.kind == "and" else ()) + (b.subs if b.kind == "and" else ())
+    return conj(subs)
 
 
 def lvars(c: Constraint) -> list[int]:
@@ -265,8 +274,7 @@ def solutions(c: Constraint, variables: list[int], n: int) -> list[Subst]:
         assert set(lvars(c)) <= set(variables)
         assert not (set(variables) & set(rvars(c)))
     out = []
-    import itertools as _it
-    for combo in _it.product(range(n), repeat=len(variables)):
+    for combo in itertools.product(range(n), repeat=len(variables)):
         delta = dict(zip(variables, combo))
         if not violates(delta, c):
             out.append(delta)

@@ -1,7 +1,7 @@
 """Candidate derivation: resolving clause literals against trail entries.
 
 A derivation tuple carries a remainder of a clause, the accumulated
-substitution and constraint, and how often the newest trail entry was used.
+substitution and constraint, and the trail entry each resolved literal used.
 Tuples whose remainder is empty are conflict candidates; single-literal
 remainders are propagation candidates.  Every use of a trail entry renames
 that entry fresh, so one entry can justify several independent instances in
@@ -25,11 +25,11 @@ from typing import Optional
 
 from .constrained import cover_size, rename_clit_fresh
 from .constraints import (
-    BOT,
     TOP,
     Constraint,
     apply_constraint,
     conj,
+    conjoin,
     find_solution_enum,
     lvars,
     normalize,
@@ -56,36 +56,26 @@ from .trail import Trail, TrailEntry
 class DTuple:
     """One maximal derivation outcome for a clause against the trail."""
 
-    clause_idx: int
     remaining: tuple[int, ...]          # unresolved literal positions
     sigma: Subst
     pi: Constraint
-    uses_newest: int
     used: tuple[tuple[int, int], ...]   # (position, entry pos); extras negative
 
 
-def _and(a: Constraint, b: Constraint) -> Constraint:
-    if a.is_bot or b.is_bot:
-        return BOT
-    subs = (a.subs if a.kind == "and" else ()) + (b.subs if b.kind == "and" else ())
-    return conj(subs)
-
-
 def find_candidates(
-    clause_idx: int,
     clause: Clause,
     sources: list[TrailEntry],
     newest_pos: Optional[int] = None,
-    need_newest: bool = False,
     keep_limit: Optional[int] = 1,
     extra: Optional[list[tuple[Lit, Constraint]]] = None,
 ) -> list[DTuple]:
     """All maximal derivation tuples for `clause` against `sources`.
 
     keep_limit bounds the remainder size of reported tuples (None: no bound).
-    With need_newest, only derivations touching entry `newest_pos` at least
-    once are explored.  Extra pseudo-entries get pseudo-positions -1, -2, ...
+    With `newest_pos`, only derivations touching that entry at least once
+    are explored.  Extra pseudo-entries get pseudo-positions -1, -2, ...
     """
+    need_newest = newest_pos is not None
     pool: list[tuple[int, Lit, Constraint]] = [
         (e.pos, e.lit, e.pi) for e in sources
     ]
@@ -117,7 +107,7 @@ def find_candidates(
                 if theta is None:
                     continue
                 combined = normalize(
-                    _and(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
+                    conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
                 )
                 if not combined.is_bot:
                     return False
@@ -133,7 +123,7 @@ def find_candidates(
             if need_newest and uses == 0:
                 return
             if leaf_ok(kept, sigma, pi):
-                out.append(DTuple(clause_idx, tuple(kept), sigma, pi, uses, tuple(used)))
+                out.append(DTuple(tuple(kept), sigma, pi, tuple(used)))
             return
         # resolve this position against each compatible source
         lit = apply_lit(clause[pos], sigma)
@@ -143,7 +133,7 @@ def find_candidates(
             if theta is None:
                 continue
             combined = normalize(
-                _and(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
+                conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
             )
             if combined.is_bot:
                 continue
@@ -175,7 +165,7 @@ def no_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int) -> bool:
 def falsifiable(clause: Clause, sources: list[TrailEntry], n: int) -> bool:
     """Some ground instance of `clause` is false under `sources`."""
     return any(not no_instances(clause, leaf.sigma, leaf.pi, n)
-               for leaf in find_candidates(-2, clause, sources, keep_limit=0))
+               for leaf in find_candidates(clause, sources, keep_limit=0))
 
 
 def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> bool:
@@ -185,10 +175,10 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
     base = apply_clause(clause, sigma)
     entries = trail.entries
     pi = rename_rhs_fresh(pi)
-    for leaf in find_candidates(-1, base, list(entries), keep_limit=0):
+    for leaf in find_candidates(base, entries, keep_limit=0):
         if sum(1 for _, src in leaf.used if entries[src].level == top) != 1:
             continue
-        both = normalize(_and(apply_constraint(pi, leaf.sigma), leaf.pi))
+        both = normalize(conjoin(apply_constraint(pi, leaf.sigma), leaf.pi))
         if not no_instances(base, leaf.sigma, both, trail.n):
             return True
     return False
@@ -219,10 +209,8 @@ def is_blocked(
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        leaves = find_candidates(
-            ci, clause, list(trail.entries), keep_limit=0,
-            extra=[(d_lit, d_pi)],
-        )
+        leaves = find_candidates(clause, trail.entries, keep_limit=0,
+                                 extra=[(d_lit, d_pi)])
         for leaf in leaves:
             d_positions = [p for p, src in leaf.used if src < 0]
             if len(d_positions) < 2:
@@ -252,4 +240,4 @@ def _split(base: Clause, positions: list[int], pi: Constraint) -> Constraint:
     vs = tuple(args_vars(a for l in lits for a in l.args))
     img = apply_args(vs, eta)
     img = apply_args(img, renaming_for(args_vars(img)))
-    return normalize(_and(pi, conj([(vs, img)])))
+    return normalize(conjoin(pi, conj([(vs, img)])))

@@ -9,7 +9,6 @@ redundancy goes straight by its definition over the ground instances.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -320,41 +319,3 @@ def gen_benchmark(n: int, k: int) -> tuple[Signature, list[Clause]]:
         big.append(Lit(False, "q", (xs[j], xs[j + 1])))
     clauses.append(tuple(big))
     return sig, clauses
-
-
-# ---------------------------------------------------------------------------
-# differential harness
-
-def run_differential(seed: int, params: Optional[GenParams] = None,
-                     audit: bool = False, max_steps: int = 1_000_000) -> dict:
-    """Solve one random instance both ways; one JSON-ready record."""
-    from .solver import RunConfig, Solver
-    from .audit import Auditor
-
-    p = params or GenParams()
-    p = GenParams(**{**p.__dict__, "seed": seed})
-    sig, clauses = gen_random_instance(p)
-    auditor = Auditor(sig, clauses) if audit else None
-    solver = Solver(sig, clauses, RunConfig(max_steps=max_steps),
-                    auditor=auditor)
-    verdict = solver.solve()
-    gp = ground_problem(sig, clauses)
-    oracle_model = brute_sat(gp)
-    record = {
-        "seed": seed,
-        "verdict_nrcl": verdict.status,
-        "verdict_oracle": "sat" if oracle_model is not None else "unsat",
-        "steps": verdict.steps,
-        "learned": verdict.learned,
-        "audits_passed": auditor is None or not auditor.violations,
-    }
-    if verdict.status == "sat":
-        ok, witness = verify_model(verdict.model, sig, clauses)
-        record["model_verified"] = ok
-    if audit and auditor.violations:
-        record["violations"] = auditor.violations[:5]
-    return record
-
-
-def harness_report(records: list[dict]) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constraints import BOT, TOP, Constraint, conj, normalize
+from .render import render_clause
 from .syntax import Clause, Lit, Signature, fresh_var
 
 
@@ -293,7 +294,6 @@ def trace_decisions(trace_text: str) -> str:
 
 
 def render_problem(sig: Signature, clauses: list[Clause]) -> str:
-    from .render import render_clause
     lines = ["domain " + " ".join(sig.domain) + " ."]
     for c in clauses:
         lines.append(render_clause(sig, c).replace("~", "-") + " .")

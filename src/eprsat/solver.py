@@ -7,9 +7,18 @@ eagerly; decisions are drawn from a pool seeded with the input literals and
 repaired by splitting whenever a candidate is blocked.  Conflict resolution
 applies Skip / Factorize / Resolve until a clause can be learned, then
 backjumps to the smallest level where the new clause propagates.
+
+Everything the solver learns about the trail comes from one derivation
+path, `Solver._derive`: resolve a clause's literals against the trail and
+read a leaf with nothing left as a conflict, a leaf with one literal left as
+a propagation candidate.  Its four callers (`add_consequences`,
+`_reseed_from_clause`, `full_scan`, `_propagatable_under_prefix`) differ only
+in what they do with the results; `_diff_against_trail` is the one trail
+difference behind the queue, the decisions and the backjump level.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,15 +30,15 @@ from .constrained import (
     diff_pairs,
     elim_free_vars,
     is_empty,
+    overlaps,
     rename_clit_fresh,
 )
 from .constraints import (
-    BOT,
     TOP,
     Constraint,
     apply_constraint,
     conj,
-    lvars,
+    conjoin,
     normalize,
     rename_rhs_fresh,
 )
@@ -47,6 +56,7 @@ from .syntax import (
     Subst,
     apply_clause,
     apply_lit,
+    apply_term,
     canonical_clause,
     canonical_variant,
     clause_vars,
@@ -58,6 +68,7 @@ from .syntax import (
     renaming_for,
     restrict,
 )
+from .render import render_clause, render_conflict, render_entry
 from .trail import InducedOrdering, Trail, TrailEntry
 
 
@@ -74,10 +85,7 @@ class RunConfig:
     max_steps: int = 1_000_000
     seed: Optional[int] = None
     script: Optional[list[tuple[Lit, Constraint]]] = None
-    use_watch_index: bool = False
     simplify: bool = True
-    combiner: str = "sum"
-    renorm_conflicts: int = 128
 
     def __post_init__(self) -> None:
         if self.max_steps <= 0:
@@ -154,13 +162,9 @@ class Solver:
         # scores: canonical literal -> value
         self.scores: dict[Lit, float] = {}
         self._bump = 1.0
-        self._conflicts_seen = 0
-        # index structures
+        # clauses by (predicate, polarity) of their literals
         self._clauses_by_shape: dict[tuple[str, bool], list[int]] = {}
         self._rebuild_clause_index()
-        self._watches: dict[int, tuple[int, int]] = {}
-        if cfg.use_watch_index:
-            self._setup_watches()
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -179,10 +183,10 @@ class Solver:
         seen: set[tuple] = set()
         for c in self.pool:
             for l in c:
-                shape = _var_shape(l)
-                if shape in seen:
+                key = _canon_lit(l)
+                if key in seen:
                     continue
-                seen.add(shape)
+                seen.add(key)
                 cands.append((l, TOP))
         return cands
 
@@ -194,14 +198,6 @@ class Solver:
         if self.auditor is not None:
             self.auditor.after_rule(rule, self)
 
-    def _render_entry(self, e: TrailEntry) -> str:
-        from .render import render_entry
-        return render_entry(self.sig, e)
-
-    def _render_conflict(self, cs: ConflictSet) -> str:
-        from .render import render_conflict
-        return render_conflict(self.sig, cs, self.n_input)
-
     # -- propagation queue ---------------------------------------------------
 
     def _enqueue(self, cand: PropCand) -> None:
@@ -209,11 +205,8 @@ class Solver:
         size = cover_size(lit, cand.pi, self.n)
         if size == 0:
             return
-        self._pq.append((size, self._seq, cand))
+        heapq.heappush(self._pq, (size, self._seq, cand))
         self._seq += 1
-
-    def _pq_sorted(self) -> list[tuple[int, int, PropCand]]:
-        return sorted(self._pq, key=lambda t: (t[0], t[1]))
 
     def seed_units(self) -> None:
         for ci, c in enumerate(self.pool):
@@ -231,7 +224,7 @@ class Solver:
             raise RuleRejected("empty propagation")
         entry = self._push(lit, pi, reason=cand.clause_idx,
                            reason_lit=cand.lit_idx, sigma=sigma)
-        self._emit("Propagate", self._render_entry(entry))
+        self._emit("Propagate", render_entry(self.sig, entry))
         return entry
 
     def rule_decide(self, lit: Lit, pi: Constraint) -> TrailEntry:
@@ -249,7 +242,7 @@ class Solver:
         self.level += 1
         entry = self._push(lit, pi, reason=None)
         entry.level = self.level
-        self._emit("Decide", self._render_entry(entry))
+        self._emit("Decide", render_entry(self.sig, entry))
         return entry
 
     def rule_conflict(self, cs: ConflictSet) -> None:
@@ -261,7 +254,7 @@ class Solver:
         self.conflict_ordering = InducedOrdering.from_trail(self.trail)
         self._pq.clear()
         self._bump_clause(cs.clause)
-        self._emit("Conflict", self._render_conflict(cs))
+        self._emit("Conflict", render_conflict(self.sig, cs, self.n_input))
 
     def rule_success(self) -> None:
         self.level = -1
@@ -283,7 +276,7 @@ class Solver:
         if self._resolvable_position(cs, entry) is not None:
             raise RuleRejected("rightmost literal touches the conflict")
         self.trail.pop()
-        self._emit("Skip", self._render_entry(entry))
+        self._emit("Skip", render_entry(self.sig, entry))
 
     def rule_resolve(self) -> None:
         cs = self.conflict
@@ -320,11 +313,11 @@ class Solver:
                                     clause_vars(cs.clause) + clause_vars(rp))
         sigma_star = restrict(sigma_star, clause_vars(new_clause))
         entry_pi = rename_rhs_fresh(entry.pi)
-        new_pi = normalize(_and2(apply_constraint(cs.pi, eta),
-                                 apply_constraint(entry_pi, eta)))
+        new_pi = normalize(conjoin(apply_constraint(cs.pi, eta),
+                                   apply_constraint(entry_pi, eta)))
         self._bump_clause(apply_clause(rest_r, eta0))
         self.conflict = ConflictSet(new_clause, sigma_star, new_pi)
-        self._emit("Resolve", self._render_conflict(self.conflict))
+        self._emit("Resolve", render_conflict(self.sig, self.conflict, self.n_input))
 
     def rule_factorize(self) -> None:
         cs = self.conflict
@@ -344,7 +337,7 @@ class Solver:
         sigma_star = restrict(sigma_star, clause_vars(new_clause))
         new_pi = normalize(apply_constraint(cs.pi, eta))
         self.conflict = ConflictSet(new_clause, sigma_star, new_pi)
-        self._emit("Factorize", self._render_conflict(self.conflict))
+        self._emit("Factorize", render_conflict(self.sig, self.conflict, self.n_input))
 
     def rule_backjump(self, case: int, target_len: int, target_level: int) -> int:
         cs = self.conflict
@@ -354,18 +347,14 @@ class Solver:
         self.pool.append(learned)
         ci = len(self.pool) - 1
         self._index_new_clause(ci)
-        if self.cfg.use_watch_index:
-            self._watch_clause(ci)
         mid_level = target_len != self.trail.level_prefix_len(target_level)
         self.trail.truncate(target_len)
         self.level = target_level
         self.conflict = None
         self.conflict_ordering = None
         self.backjumps += 1
-        self._conflicts_seen += 1
         self._decay_scores()
         self._reroll_refinements(target_len)
-        from .render import render_clause
         self._emit(
             "Backjump",
             f"case {case} | learn C{ci + 1}: "
@@ -385,21 +374,15 @@ class Solver:
     def _push(self, lit: Lit, pi: Constraint, reason: Optional[int],
               reason_lit: int = -1, sigma: Optional[Subst] = None) -> TrailEntry:
         # every trail entry gets its own fresh variables
-        ren = renaming_for(lit_vars(lit) + lvars(pi) + _rvars_list(pi))
-        from .constraints import rename_constraint
-        lit2 = apply_lit(lit, ren)
-        pi2 = rename_constraint(pi, ren)
+        lit2, pi2, ren = rename_clit_fresh(lit, pi)
         sigma2 = compose(sigma or {}, ren) if reason is not None else {}
         entry = TrailEntry(lit2, pi2, level=self.level, pos=len(self.trail),
                            reason=reason, reason_lit=reason_lit, sigma=sigma2)
         self.trail.push(entry)
-        if self.cfg.use_watch_index:
-            self._adjust_watches(entry)
         return entry
 
     def _is_undefined(self, lit: Lit, pi: Constraint) -> bool:
         probe = CLit(lit, pi).atom
-        from .constrained import overlaps
         for e in self.trail.for_pred(lit.pred):
             if overlaps(probe, CLit(e.lit, e.pi).atom, self.n):
                 return False
@@ -425,8 +408,8 @@ class Solver:
             if eta is None:
                 continue
             entry_pi = rename_rhs_fresh(entry.pi)
-            combined = normalize(_and2(apply_constraint(cs.pi, eta),
-                                       apply_constraint(entry_pi, eta)))
+            combined = normalize(conjoin(apply_constraint(cs.pi, eta),
+                                         apply_constraint(entry_pi, eta)))
             if combined.is_bot:
                 continue
             if not no_instances(apply_clause(cs.clause, cs.sigma), eta,
@@ -451,8 +434,8 @@ class Solver:
                 if eta is None:
                     continue
                 entry_pi = rename_rhs_fresh(entry.pi)
-                combined = normalize(_and2(apply_constraint(cs.pi, eta),
-                                           apply_constraint(entry_pi, eta)))
+                combined = normalize(conjoin(apply_constraint(cs.pi, eta),
+                                             apply_constraint(entry_pi, eta)))
                 if combined.is_bot:
                     continue
                 if no_instances(apply_clause(cs.clause, cs.sigma), eta,
@@ -466,12 +449,10 @@ class Solver:
     def prop_loop(self) -> bool:
         """Exhaust the queue; False means a conflict is pending."""
         while self._pq:
-            self._pq.sort(key=lambda t: (t[0], t[1]))
-            _, _, cand = self._pq.pop(0)
-            pieces = self._diff_against_trail(cand)
-            for sigma, pi in pieces:
-                lit = apply_lit(self.pool[cand.clause_idx][cand.lit_idx], sigma)
-                if is_empty(lit, pi, self.n):
+            _, _, cand = heapq.heappop(self._pq)
+            base = self.pool[cand.clause_idx][cand.lit_idx]
+            for sigma, pi in self._diff_against_trail(base, cand.sigma, cand.pi):
+                if is_empty(apply_lit(base, sigma), pi, self.n):
                     continue
                 entry = self.rule_propagate(
                     PropCand(cand.clause_idx, cand.lit_idx, sigma, pi), sigma, pi)
@@ -479,27 +460,60 @@ class Solver:
                     return False
         return True
 
-    def _diff_against_trail(self, cand: PropCand) -> list[tuple[Subst, Constraint]]:
-        base = self.pool[cand.clause_idx][cand.lit_idx]
-        pieces = [(cand.sigma, cand.pi)]
-        lit0 = apply_lit(base, cand.sigma)
-        for e in self.trail.for_pred(lit0.pred):
+    def _diff_against_trail(self, lit: Lit, sigma: Subst, pi: Constraint,
+                            upto: Optional[int] = None,
+                            ) -> list[tuple[Subst, Constraint]]:
+        """(lit*sigma; pi) minus the atoms the trail defines, as disjoint
+        pieces (sigma', pi') of `lit`; with `upto`, only the entries before
+        that position count."""
+        pieces = [(sigma, pi)]
+        for e in self.trail.for_pred(lit.pred):
+            if upto is not None and e.pos >= upto:
+                continue
             new_pieces: list[tuple[Subst, Constraint]] = []
-            for sigma, pi in pieces:
-                cur = apply_lit(base, sigma)
+            for s, p in pieces:
+                cur = apply_lit(lit, s)
                 e_lit, e_pi, _ = rename_clit_fresh(e.lit, e.pi)
-                for tau, pi2 in diff_pairs(cur.atom, pi, e_lit.atom, e_pi):
-                    if not pi2.is_bot:
-                        new_pieces.append((compose(sigma, tau), pi2))
+                for tau, p2 in diff_pairs(cur.atom, p, e_lit.atom, e_pi):
+                    if not p2.is_bot:
+                        new_pieces.append((compose(s, tau), p2))
             pieces = new_pieces
             if not pieces:
                 break
         return pieces
 
+    def _has_nonempty_piece(self, lit: Lit, sigma: Subst, pi: Constraint,
+                            upto: Optional[int] = None) -> bool:
+        return any(not is_empty(apply_lit(lit, s), p, self.n)
+                   for s, p in self._diff_against_trail(lit, sigma, pi, upto))
+
+    def _derive(self, ci: int, clause: Clause, sources: list[TrailEntry],
+                newest_pos: Optional[int] = None):
+        """The one derivation path: resolve `clause` against `sources`.
+
+        Yields, in leaf order, a ConflictSet for every leaf with no literal
+        left and a ground instance, and the PropCands (free variables
+        eliminated) of every leaf with one literal left.  With `newest_pos`,
+        only derivations that use that entry.  `ci` is the clause's pool
+        index (-1 for a learned clause not yet in the pool).
+        """
+        for leaf in find_candidates(clause, sources, newest_pos=newest_pos,
+                                    keep_limit=1):
+            if not leaf.remaining:
+                sigma = restrict(leaf.sigma, clause_vars(clause))
+                if not no_instances(clause, sigma, leaf.pi, self.n):
+                    yield ConflictSet(clause, sigma, leaf.pi, origin=ci,
+                                      kind="derived")
+                continue
+            lit_idx = leaf.remaining[0]
+            lit = apply_lit(clause[lit_idx], leaf.sigma)
+            for _, pi2, sigma2 in elim_free_vars(lit, leaf.pi, leaf.sigma, self.n):
+                yield PropCand(ci, lit_idx, sigma2, pi2)
+
     def add_consequences(self, entry: TrailEntry) -> bool:
         """Conflict checks and new candidates after a push; False on conflict."""
         # type-1: an unprocessed queue candidate is falsified by the new entry
-        for _, _, cand in self._pq_sorted():
+        for _, _, cand in sorted(self._pq):
             lit = cand.lit(self.pool)
             if lit.neg == entry.lit.neg or lit.pred != entry.lit.pred:
                 continue
@@ -507,8 +521,8 @@ class Solver:
             if delta is None:
                 continue
             entry_pi = rename_rhs_fresh(entry.pi)
-            combined = normalize(_and2(apply_constraint(cand.pi, delta),
-                                       apply_constraint(entry_pi, delta)))
+            combined = normalize(conjoin(apply_constraint(cand.pi, delta),
+                                         apply_constraint(entry_pi, delta)))
             if combined.is_bot:
                 continue
             clause = self.pool[cand.clause_idx]
@@ -522,38 +536,19 @@ class Solver:
         # derived consequences: every clause touching the new entry
         key = (entry.lit.pred, not entry.lit.neg)
         for ci in self._clauses_by_shape.get(key, []):
-            if self.cfg.use_watch_index and self._fully_watched(ci):
-                continue
-            clause = self.pool[ci]
-            leaves = find_candidates(ci, clause, list(self.trail.entries),
-                                     newest_pos=entry.pos, need_newest=True,
-                                     keep_limit=1)
-            for leaf in leaves:
-                if not leaf.remaining:
-                    sigma = restrict(leaf.sigma, clause_vars(clause))
-                    if no_instances(clause, sigma, leaf.pi, self.n):
-                        continue
-                    self.rule_conflict(ConflictSet(clause, sigma, leaf.pi,
-                                                   origin=ci, kind="derived"))
+            for got in self._derive(ci, self.pool[ci], self.trail.entries,
+                                    newest_pos=entry.pos):
+                if isinstance(got, ConflictSet):
+                    self.rule_conflict(got)
                     return False
-                lit_idx = leaf.remaining[0]
-                lit = apply_lit(clause[lit_idx], leaf.sigma)
-                for lit2, pi2, sigma2 in elim_free_vars(
-                        lit, leaf.pi, leaf.sigma, self.n):
-                    self._enqueue(PropCand(ci, lit_idx, sigma2, pi2))
+                self._enqueue(got)
         return True
 
     def _reseed_from_clause(self, ci: int) -> None:
-        clause = self.pool[ci]
-        leaves = find_candidates(ci, clause, list(self.trail.entries),
-                                 keep_limit=1)
-        for leaf in leaves:
-            if not leaf.remaining:
-                continue  # cannot happen after a proper backjump
-            lit_idx = leaf.remaining[0]
-            lit = apply_lit(clause[lit_idx], leaf.sigma)
-            for lit2, pi2, sigma2 in elim_free_vars(lit, leaf.pi, leaf.sigma, self.n):
-                self._enqueue(PropCand(ci, lit_idx, sigma2, pi2))
+        # after a proper backjump the clause has no false instance
+        for got in self._derive(ci, self.pool[ci], self.trail.entries):
+            if isinstance(got, PropCand):
+                self._enqueue(got)
 
     def _reseed_full(self) -> None:
         for ci in range(len(self.pool)):
@@ -562,30 +557,12 @@ class Solver:
     def full_scan(self) -> Optional[ConflictSet]:
         """Exhaustion backstop before Success: find any conflict or candidate."""
         for ci, clause in enumerate(self.pool):
-            leaves = find_candidates(ci, clause, list(self.trail.entries),
-                                     keep_limit=1)
-            for leaf in leaves:
-                if not leaf.remaining:
-                    sigma = restrict(leaf.sigma, clause_vars(clause))
-                    if not no_instances(clause, sigma, leaf.pi, self.n):
-                        return ConflictSet(clause, sigma, leaf.pi, origin=ci,
-                                           kind="derived")
-                else:
-                    lit_idx = leaf.remaining[0]
-                    lit = apply_lit(clause[lit_idx], leaf.sigma)
-                    for lit2, pi2, sigma2 in elim_free_vars(
-                            lit, leaf.pi, leaf.sigma, self.n):
-                        cand = PropCand(ci, lit_idx, sigma2, pi2)
-                        if self._diff_nonempty(cand):
-                            self._enqueue(cand)
+            for got in self._derive(ci, clause, self.trail.entries):
+                if isinstance(got, ConflictSet):
+                    return got
+                if self._has_nonempty_piece(clause[got.lit_idx], got.sigma, got.pi):
+                    self._enqueue(got)
         return None
-
-    def _diff_nonempty(self, cand: PropCand) -> bool:
-        for sigma, pi in self._diff_against_trail(cand):
-            lit = apply_lit(self.pool[cand.clause_idx][cand.lit_idx], sigma)
-            if not is_empty(lit, pi, self.n):
-                return True
-        return False
 
     # -- decisions -------------------------------------------------------------
 
@@ -607,31 +584,12 @@ class Solver:
             lit, pi = self.pool_cands[i]
             pieces = [
                 (apply_lit(lit, sigma), piece_pi)
-                for sigma, piece_pi in self._diff_lit_against_trail(lit, pi)
+                for sigma, piece_pi in self._diff_against_trail(lit, {}, pi)
             ]
             got = self._repair_blocking(i, pieces)
             if got is not None:
                 return got
         return None
-
-    def _diff_lit_against_trail(self, lit: Lit, pi: Constraint,
-                                upto: Optional[int] = None,
-                                ) -> list[tuple[Subst, Constraint]]:
-        pieces = [({}, pi)]
-        for e in self.trail.for_pred(lit.pred):
-            if upto is not None and e.pos >= upto:
-                continue
-            new_pieces: list[tuple[Subst, Constraint]] = []
-            for sigma, p in pieces:
-                cur = apply_lit(lit, sigma)
-                e_lit, e_pi, _ = rename_clit_fresh(e.lit, e.pi)
-                for tau, p2 in diff_pairs(cur.atom, p, e_lit.atom, e_pi):
-                    if not p2.is_bot:
-                        new_pieces.append((compose(sigma, tau), p2))
-            pieces = new_pieces
-            if not pieces:
-                break
-        return pieces
 
     def _repair_blocking(self, pool_idx: int,
                          pieces: list[tuple[Lit, Constraint]],
@@ -669,7 +627,7 @@ class Solver:
             assert c1 is not None and c1 >= 0
             inst = (apply_lit(d_lit, {x: c1}),
                     normalize(apply_constraint(d_pi, {x: c1})))
-            rest = (d_lit, normalize(_and2(d_pi, conj([((x,), (c1,))]))))
+            rest = (d_lit, normalize(conjoin(d_pi, conj([((x,), (c1,))]))))
             work[0:1] = [p for p in (inst, rest) if not p[1].is_bot]
             split = True
         if split:
@@ -697,64 +655,22 @@ class Solver:
 
     def _decay_scores(self) -> None:
         self._bump /= 0.95
-        if self._bump > 1e100 or (
-                self.cfg.renorm_conflicts and
-                self._conflicts_seen % self.cfg.renorm_conflicts == 0):
+        if self._bump > 1e100:
+            # rescale everything before the bump overflows; the order stays
             scale = 1.0 / self._bump
             self.scores = {l: s * scale for l, s in self.scores.items()}
             self._bump = 1.0
 
     def _combined_score(self, lit: Lit) -> float:
+        """Sum of the scores of the literals unifiable with `lit`."""
         total = 0.0
-        best = 0.0
         for l, s in self.scores.items():
             if l.neg != lit.neg or l.pred != lit.pred:
                 continue
             l2 = apply_lit(l, renaming_for(lit_vars(l)))
             if mgu_atoms(l2.atom, lit.atom) is not None:
                 total += s
-                best = max(best, s)
-        return best if self.cfg.combiner == "max" else total
-
-    # -- watch layer --------------------------------------------------------------
-
-    def _setup_watches(self) -> None:
-        for ci in range(len(self.pool)):
-            self._watch_clause(ci)
-
-    def _watch_clause(self, ci: int) -> None:
-        clause = self.pool[ci]
-        free = [p for p in range(len(clause))
-                if self._watchable(clause[p])]
-        if len(free) >= 2:
-            self._watches[ci] = (free[0], free[1])
-        else:
-            self._watches.pop(ci, None)
-
-    def _watchable(self, lit: Lit) -> bool:
-        # cheapest cannot-be-false approximation: no complement-unifiable entry
-        for e in self.trail.for_pred(lit.pred):
-            if e.lit.neg != lit.neg and mgu_atoms(
-                    apply_lit(lit, renaming_for(lit_vars(lit))).atom,
-                    e.lit.atom) is not None:
-                return False
-        return True
-
-    def _fully_watched(self, ci: int) -> bool:
-        return ci in self._watches
-
-    def _adjust_watches(self, entry: TrailEntry) -> None:
-        for ci in list(self._watches):
-            p1, p2 = self._watches[ci]
-            clause = self.pool[ci]
-            bad = [p for p in (p1, p2)
-                   if clause[p].pred == entry.lit.pred
-                   and clause[p].neg != entry.lit.neg
-                   and mgu_atoms(apply_lit(clause[p], renaming_for(lit_vars(clause[p]))).atom,
-                                 entry.lit.atom) is not None]
-            if not bad:
-                continue
-            self._watch_clause(ci)
+        return total
 
     # -- the regular-run driver -----------------------------------------------
 
@@ -852,19 +768,10 @@ class Solver:
     def _propagatable_under_prefix(self, clause: Clause, plen: int) -> bool:
         # mirrors the Propagate path: subtract what the prefix defines and
         # ask whether a non-empty piece remains
-        prefix = self.trail.prefix_entries(plen)
-        leaves = find_candidates(-2, clause, prefix, keep_limit=1)
-        for leaf in leaves:
-            if not leaf.remaining:
-                continue
-            lit_idx = leaf.remaining[0]
-            lit = apply_lit(clause[lit_idx], leaf.sigma)
-            for lit2, pi2, sigma2 in elim_free_vars(lit, leaf.pi, leaf.sigma, self.n):
-                pieces = self._diff_lit_against_trail(lit2, pi2, upto=plen)
-                for tau, piece_pi in pieces:
-                    if not is_empty(apply_lit(lit2, tau), piece_pi, self.n):
-                        return True
-        return False
+        return any(
+            isinstance(got, PropCand) and self._has_nonempty_piece(
+                clause[got.lit_idx], got.sigma, got.pi, upto=plen)
+            for got in self._derive(-1, clause, self.trail.prefix_entries(plen)))
 
     def _verdict(self) -> Verdict:
         model = [CLit(e.lit, e.pi) for e in self.trail.entries]
@@ -876,32 +783,11 @@ class Solver:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _and2(a: Constraint, b: Constraint) -> Constraint:
-    if a.is_bot or b.is_bot:
-        return BOT
-    subs = (a.subs if a.kind == "and" else ()) + (b.subs if b.kind == "and" else ())
-    return conj(subs)
-
-
 def _apply_chain(v: int, chain: list[Subst]) -> int:
-    from .syntax import apply_term
     t = v
     for s in chain:
         t = apply_term(t, s)
     return t
-
-
-def _var_shape(l: Lit) -> tuple:
-    seen: dict[int, int] = {}
-    shape = []
-    for a in l.args:
-        if a >= 0:
-            shape.append((0, a))
-        else:
-            if a not in seen:
-                seen[a] = len(seen)
-            shape.append((1, seen[a]))
-    return (l.pred, l.neg, tuple(shape))
 
 
 def _canon_lit(l: Lit) -> Lit:
@@ -915,11 +801,6 @@ def _canon_lit(l: Lit) -> Lit:
                 seen[a] = -len(seen) - 1
             args.append(seen[a])
     return Lit(l.neg, l.pred, tuple(args))
-
-
-def _rvars_list(pi: Constraint) -> list[int]:
-    from .constraints import rvars
-    return rvars(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +861,6 @@ def _subsumes(c: Clause, d: Clause) -> bool:
 
 def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
     """Tautology deletion, strict subsumption, subsumption resolution."""
-    from .render import render_clause  # local to avoid cycles at import time
     log: list[str] = []
     clauses = list(pool)
     changed = True

@@ -72,9 +72,32 @@ def test_bench_bad_format(capsys):
 
 def test_no_index_and_seed_flags(tmp_path):
     assert main(["--input", os.path.join(DATA, "ex33.p"),
-                 "--seed", "5", "--no-index"]) == 10
-    assert main(["--input", os.path.join(DATA, "ex33.p"),
-                 "--seed", "5", "--index"]) == 10
+                 "--seed", "5"]) == 10
+    # the watched-literal flags are gone: a usage error, not a failed check
+    for flag in ("--index", "--no-index"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--input", os.path.join(DATA, "ex33.p"), flag])
+        assert exc.value.code == 1
+
+
+def test_usage_errors_exit_1(capsys):
+    for argv in (["--bogus"], ["--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_nonpositive_step_cap_exit_code(capsys):
+    assert main(["--bench", "3,3", "--max-steps", "0"]) == 1
+    assert "error: step cap must be positive" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -21,7 +21,7 @@ def test_propagation_example_from_three_entry_trail():
     # clause: P(y,b) | ~Q(x,y) | R(y)
     cx, cy = var_code(100), var_code(101)
     clause = (L(False, "P", cy, b), L(True, "Q", cx, cy), L(False, "R", cy))
-    leaves = find_candidates(0, clause, list(tr.entries), keep_limit=1)
+    leaves = find_candidates(clause, list(tr.entries), keep_limit=1)
     units = [lf for lf in leaves if len(lf.remaining) == 1]
     assert len(units) == 1
     lf = units[0]
@@ -35,7 +35,7 @@ def test_propagation_example_from_three_entry_trail():
 
 def test_unit_clause_is_its_own_candidate():
     clause = (L(False, "P", x),)
-    leaves = find_candidates(0, clause, [], keep_limit=1)
+    leaves = find_candidates(clause, [], keep_limit=1)
     assert len(leaves) == 1 and leaves[0].remaining == (0,)
     assert leaves[0].pi.is_top and leaves[0].sigma == {}
 
@@ -44,7 +44,7 @@ def test_unrelated_clause_keeps_initial_tuple():
     tr = Trail(2)
     tr.push(TrailEntry(L(False, "Q", x), TOP, 0, 0, reason=0))
     clause = (L(False, "P", y), L(False, "R", y))
-    leaves = find_candidates(0, clause, list(tr.entries), keep_limit=None)
+    leaves = find_candidates(clause, list(tr.entries), keep_limit=None)
     assert len(leaves) == 1
     assert leaves[0].remaining == (0, 1)
 
@@ -55,12 +55,15 @@ def test_need_newest_filters_derivations():
     tr.push(TrailEntry(L(True, "Q", x), TOP, 0, 1, reason=1))
     clause = (L(False, "P", y),)
     # newest entry is the Q one; the P unit derivation never touches it
-    leaves = find_candidates(0, clause, list(tr.entries), newest_pos=1,
-                             need_newest=True, keep_limit=0)
+    leaves = find_candidates(clause, list(tr.entries), newest_pos=1,
+                             keep_limit=0)
     assert leaves == []
-    leaves = find_candidates(0, clause, list(tr.entries), newest_pos=0,
-                             need_newest=True, keep_limit=0)
-    assert len(leaves) == 1 and leaves[0].uses_newest == 1
+    leaves = find_candidates(clause, list(tr.entries), newest_pos=0,
+                             keep_limit=0)
+    assert len(leaves) == 1 and leaves[0].used == ((0, 0),)
+    # without newest_pos every derivation counts
+    leaves = find_candidates(clause, list(tr.entries), keep_limit=0)
+    assert len(leaves) == 1
 
 
 def test_is_blocked_two_distinct_falsified_instances():

@@ -135,7 +135,7 @@ def _ground_is_blocked(tr, d_lit, d_pi, pool, n):
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        for leaf in find_candidates(ci, clause, list(tr.entries), keep_limit=0,
+        for leaf in find_candidates(clause, list(tr.entries), keep_limit=0,
                                     extra=[(d_lit, d_pi)]):
             d_positions = [p for p, src in leaf.used if src < 0]
             if len(d_positions) < 2:

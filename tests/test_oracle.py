@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from eprsat.cli import harness_report, run_differential
 from eprsat.constrained import CLit
 from eprsat.constraints import TOP, conj
 from eprsat.oracle import (
@@ -13,8 +14,6 @@ from eprsat.oracle import (
     gen_benchmark,
     gen_random_instance,
     ground_problem,
-    harness_report,
-    run_differential,
     truth_table_sat,
     verify_model,
 )
