@@ -44,6 +44,7 @@ from .syntax import (
     mgu_args,
     mgu_atoms,
     renaming_for,
+    unifiable_apart,
 )
 
 
@@ -176,14 +177,17 @@ def clit_is_empty(cl: CLit, n: int) -> bool:
 # conjunction
 
 def conjunction(a: CLit, b: CLit) -> CLit:
-    """Cover intersection; operands are renamed apart first."""
+    """Cover intersection; operands are renamed apart first.
+
+    Different polarities or predicates, or atoms that do not unify once
+    renamed apart, give the empty (a.lit; BOT) without renaming anything.
+    """
+    if (a.lit.neg != b.lit.neg or a.lit.pred != b.lit.pred
+            or not unifiable_apart(a.lit.args, b.lit.args)):
+        return CLit(a.lit, BOT)
     lit_b, pi_b, _ = rename_clit_fresh(b.lit, b.pi)
     pi_a = rename_rhs_fresh(a.pi)
-    if a.lit.neg != lit_b.neg:
-        return CLit(a.lit, BOT)
     sigma = mgu_atoms(a.lit.atom, lit_b.atom)
-    if sigma is None:
-        return CLit(a.lit, BOT)
     lit = apply_lit(a.lit, sigma)
     pi = normalize(conjoin(apply_constraint(pi_a, sigma), apply_constraint(pi_b, sigma)))
     return CLit(lit, pi)

@@ -3,9 +3,11 @@
 A derivation tuple carries a remainder of a clause, the accumulated
 substitution and constraint, and the trail entry each resolved literal used.
 Tuples whose remainder is empty are conflict candidates; single-literal
-remainders are propagation candidates.  Every use of a trail entry renames
-that entry fresh, so one entry can justify several independent instances in
-a single derivation (constraints stay right-hand-side disjoint).
+remainders are propagation candidates.  Every use of a trail entry that
+unifies renames that entry fresh, so one entry can justify several
+independent instances in a single derivation (constraints stay
+right-hand-side disjoint).  An entry that cannot unify is skipped by
+`unifiable_apart` before it is renamed.
 
 The same machinery answers every other question the solver asks about false
 clause instances, without grounding.  A conflict derivation (no literal
@@ -48,6 +50,7 @@ from .syntax import (
     mgu_atoms,
     mgu_many,
     renaming_for,
+    unifiable_apart,
 )
 from .trail import Trail, TrailEntry
 
@@ -102,10 +105,10 @@ def find_candidates(
         for p in kept:
             lit = apply_lit(clause[p], sigma)
             for _, src_lit, src_pi in compatible(p):
+                if not unifiable_apart(lit.args, src_lit.args):
+                    continue
                 r_lit, r_pi, _ = rename_clit_fresh(src_lit, src_pi)
                 theta = mgu_atoms(lit.atom, r_lit.atom)
-                if theta is None:
-                    continue
                 combined = normalize(
                     conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
                 )
@@ -128,10 +131,10 @@ def find_candidates(
         # resolve this position against each compatible source
         lit = apply_lit(clause[pos], sigma)
         for src_pos, src_lit, src_pi in compatible(pos):
+            if not unifiable_apart(lit.args, src_lit.args):
+                continue
             r_lit, r_pi, _ = rename_clit_fresh(src_lit, src_pi)
             theta = mgu_atoms(lit.atom, r_lit.atom)
-            if theta is None:
-                continue
             combined = normalize(
                 conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
             )

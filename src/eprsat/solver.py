@@ -67,6 +67,7 @@ from .syntax import (
     mgu_atoms,
     renaming_for,
     restrict,
+    unifiable_apart,
 )
 from .render import render_clause, render_conflict, render_entry
 from .trail import InducedOrdering, Trail, TrailEntry
@@ -465,7 +466,8 @@ class Solver:
                             ) -> list[tuple[Subst, Constraint]]:
         """(lit*sigma; pi) minus the atoms the trail defines, as disjoint
         pieces (sigma', pi') of `lit`; with `upto`, only the entries before
-        that position count."""
+        that position count.  An entry that does not unify with a piece
+        leaves it as it is, without being renamed."""
         pieces = [(sigma, pi)]
         for e in self.trail.for_pred(lit.pred):
             if upto is not None and e.pos >= upto:
@@ -473,6 +475,9 @@ class Solver:
             new_pieces: list[tuple[Subst, Constraint]] = []
             for s, p in pieces:
                 cur = apply_lit(lit, s)
+                if not unifiable_apart(cur.args, e.lit.args):
+                    new_pieces.append((s, p))
+                    continue
                 e_lit, e_pi, _ = rename_clit_fresh(e.lit, e.pi)
                 for tau, p2 in diff_pairs(cur.atom, p, e_lit.atom, e_pi):
                     if not p2.is_bot:
@@ -665,10 +670,8 @@ class Solver:
         """Sum of the scores of the literals unifiable with `lit`."""
         total = 0.0
         for l, s in self.scores.items():
-            if l.neg != lit.neg or l.pred != lit.pred:
-                continue
-            l2 = apply_lit(l, renaming_for(lit_vars(l)))
-            if mgu_atoms(l2.atom, lit.atom) is not None:
+            if (l.neg == lit.neg and l.pred == lit.pred
+                    and unifiable_apart(l.args, lit.args)):
                 total += s
         return total
 

@@ -23,16 +23,6 @@ def fresh_var() -> int:
     return -next(_counter) - 1
 
 
-def reset_fresh_counter() -> None:
-    # test helper only; production code never depends on absolute ids
-    global _counter
-    _counter = itertools.count(_FRESH_BASE)
-
-
-def is_var(t: int) -> bool:
-    return t < 0
-
-
 def var_id(t: int) -> int:
     return -t - 1
 
@@ -60,9 +50,6 @@ class Signature:
     @property
     def n(self) -> int:
         return len(self.domain)
-
-    def const(self, name: str) -> int:
-        return self.domain.index(name)
 
     def atom_universe_size(self) -> int:
         return sum(self.n ** a for a in self.preds.values())
@@ -180,6 +167,51 @@ def mgu_args(pairs: Iterable[tuple[int, int]], base: Optional[Subst] = None) -> 
         else:
             return None
     return {v: _resolve(x, s) for v, x in s.items() if _resolve(x, s) != v}
+
+
+def unifiable_apart(a_args: tuple[int, ...], b_args: tuple[int, ...]) -> bool:
+    """Does mgu(a, b') exist for a variant b' of b sharing no variable with a?
+
+    Exactly when the renamed `mgu_atoms` succeeds, since unifiability does not
+    depend on variable names; but no fresh variable is allocated.  A
+    union-find keys a's variables by their (negative) codes and b's by their
+    (non-negative) ids, so the two stay apart; a root may carry a constant.
+    """
+    if len(a_args) != len(b_args):
+        return False
+    parent: dict[int, int] = {}
+    const: dict[int, int] = {}
+    for x, y in zip(a_args, b_args):
+        if x >= 0 and y >= 0:
+            if x != y:
+                return False
+            continue
+        if y < 0:
+            y = -y - 1
+            while y in parent:
+                y = parent[y]
+            if x < 0:
+                while x in parent:
+                    x = parent[x]
+                if x != y:
+                    cx, cy = const.get(x), const.get(y)
+                    if cx is not None and cy is not None and cx != cy:
+                        return False
+                    parent[x] = y
+                    if cy is None and cx is not None:
+                        const[y] = cx
+                continue
+            root, c = y, x
+        else:
+            while x in parent:
+                x = parent[x]
+            root, c = x, y
+        bound = const.get(root)
+        if bound is None:
+            const[root] = c
+        elif bound != c:
+            return False
+    return True
 
 
 def mgu_atoms(a: Lit, b: Lit, base: Optional[Subst] = None) -> Optional[Subst]:

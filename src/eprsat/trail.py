@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .constrained import CLit, cover
+from .constrained import cover
 from .constraints import Constraint, lvars, violates
 from .syntax import (
     Clause,
@@ -42,10 +42,6 @@ class TrailEntry:
     @property
     def is_decision(self) -> bool:
         return self.reason is None
-
-    @property
-    def clit(self) -> CLit:
-        return CLit(self.lit, self.pi)
 
 
 class Trail:

@@ -10,8 +10,8 @@ from eprsat.constrained import (
     elim_free_vars,
     make_clit,
 )
-from eprsat.constraints import BOT, TOP, conj, normalize
-from eprsat.syntax import Lit, apply_lit, lit_vars, var_code
+from eprsat.constraints import BOT, TOP, conj
+from eprsat.syntax import Lit, lit_vars, var_code
 
 x, y, z, u = var_code(0), var_code(1), var_code(2), var_code(3)
 x1, x2, x3 = var_code(4), var_code(5), var_code(6)

@@ -1,19 +1,14 @@
 import random
 
-import pytest
-
 from eprsat.constraints import (
     BOT,
     TOP,
-    Constraint,
     conj,
     count_solutions,
     find_solution_enum,
     induced_substitutions,
     is_normal,
-    lvars,
     normalize,
-    rvars,
     solutions,
     violates,
 )

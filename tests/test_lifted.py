@@ -5,7 +5,9 @@ The grounding versions (`constrained.cover`, `trail.is_assertive`, ground
 enumeration of clause instances) remain as referees; here they check
 `cover_size`, `derive.is_assertive`, `derive.falsifiable` and the witness
 of `derive.is_blocked` on random constraints and on every call a solve
-makes.  A last test forbids grounding outright and solves anyway.
+makes.  A last test forbids grounding outright and solves anyway, and
+another checks that `find_candidates` renames a trail entry only when it
+unifies.
 """
 import random
 import sys
@@ -273,3 +275,35 @@ def test_solve_and_render_without_grounding(monkeypatch, make, status, steps):
     assert (verdict.status, verdict.steps) == (status, steps)
     if status == "sat":
         assert render_model(sig, verdict.model).endswith("% all other atoms false\n")
+
+
+# ---------------------------------------------------------------------------
+# no renaming without unifying
+
+@pytest.mark.parametrize("make, status, steps", [
+    (lambda: gen_benchmark(7, 3), "sat", 82),
+    (_k4_3, "unsat", 238),
+])
+def test_find_candidates_renames_only_sources_that_unify(monkeypatch, make, status,
+                                                        steps):
+    renamed = []
+    failed = []
+
+    def rename(lit, pi):
+        out = constrained.rename_clit_fresh(lit, pi)
+        renamed.append(out[0].atom)
+        return out
+
+    def mgu(a, b, base=None):
+        theta = syntax.mgu_atoms(a, b, base)
+        if theta is None and b == renamed[-1]:
+            failed.append((a, b))
+        return theta
+
+    monkeypatch.setattr(derive, "rename_clit_fresh", rename)
+    monkeypatch.setattr(derive, "mgu_atoms", mgu)
+    sig, clauses = make()
+    verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+    assert (verdict.status, verdict.steps) == (status, steps)
+    assert renamed
+    assert failed == [], f"{len(failed)} of {len(renamed)} renamed sources failed to unify"

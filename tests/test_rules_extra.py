@@ -1,11 +1,9 @@
 """Rule-level checks that complement the golden derivation."""
 
-import os
-
 import pytest
 
 from eprsat.cli import main
-from eprsat.constraints import BOT, TOP, conj
+from eprsat.constraints import BOT, TOP
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import RuleRejected, RunConfig, Solver
 from eprsat.syntax import Lit, var_code

@@ -1,9 +1,6 @@
-from collections import Counter
-
 import pytest
 
-from eprsat.constraints import TOP, conj
-from eprsat.oracle import brute_sat, ground_problem
+from eprsat.constraints import TOP
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import (
     RuleRejected,

@@ -1,24 +1,20 @@
 import random
 
-import pytest
-
 from eprsat.syntax import (
     Lit,
-    apply_clause,
     apply_lit,
     apply_term,
     canonical_clause,
     compose,
-    fresh_var,
     ground_clauses,
     ground_lits,
     lit_vars,
     match_args,
     match_lit,
     mgu_atoms,
-    mgu_lits,
     mgu_many,
     rename_fresh,
+    unifiable_apart,
     var_code,
 )
 
@@ -118,6 +114,67 @@ def test_mgu_soundness_minimality_bruteforce():
             assert not common
         else:
             assert ground_lits(apply_lit(l1, s), n) == common
+
+
+def _unifies_renamed(args1, args2):
+    return mgu_atoms(Lit(False, "p", args1),
+                     rename_fresh(Lit(False, "p", args2), set(args2))) is not None
+
+
+def test_unifiable_apart_examples():
+    assert unifiable_apart((), ())
+    assert not unifiable_apart((a,), ())
+    assert not unifiable_apart((x, x), (a, b))
+    assert unifiable_apart((x, x), (y, b))
+    assert unifiable_apart((x, y, x), (z, a, b))
+    assert not unifiable_apart((x, y, x, y), (z, z, a, b))
+    # b's x is not a's x
+    assert unifiable_apart((x, a), (b, x))
+    assert not unifiable_apart((x, x, y, y), (a, u, u, b))
+
+
+def test_unifiable_apart_is_the_renamed_mgu_randomized():
+    rng = random.Random(5)
+    consts = [a, b, c]
+    pool = [x, y, z, u, w]
+
+    def terms(k, vs, p_var=0.5):
+        return tuple(rng.choice(vs) if rng.random() < p_var else rng.choice(consts)
+                     for _ in range(k))
+
+    def arity_zero():
+        return (), ()
+
+    def constants_only():
+        k = rng.randint(1, 4)
+        return terms(k, pool, 0.0), terms(k, pool, 0.0)
+
+    def repeated_variables():
+        # few variables on one side, so they repeat: p(X,X) against p(a,b)
+        k = rng.randint(2, 4)
+        rep = (x,) * k if rng.random() < 0.3 else terms(k, [x, y], 0.8)
+        other = terms(k, [z, u, w], 0.4)
+        return (rep, other) if rng.random() < 0.5 else (other, rep)
+
+    def shared_codes():
+        k = rng.randint(1, 4)
+        return terms(k, [x, y, z]), terms(k, [x, y, z])
+
+    def chains():
+        # p(X,Y,X) against p(Z,a,b): bindings that link positions far apart
+        k = rng.randint(3, 5)
+        return terms(k, [x, y], 0.8), terms(k, [z, u], 0.5)
+
+    kinds = [arity_zero, constants_only, repeated_variables, shared_codes, chains]
+    outcomes = {kind.__name__: set() for kind in kinds}
+    for i in range(1000):
+        kind = kinds[i % len(kinds)]
+        args1, args2 = kind()
+        got = unifiable_apart(args1, args2)
+        assert got == _unifies_renamed(args1, args2), (kind.__name__, args1, args2)
+        outcomes[kind.__name__].add(got)
+    assert outcomes.pop("arity_zero") == {True}
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def test_mgu_many_three_way():

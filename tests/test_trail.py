@@ -1,7 +1,6 @@
 import itertools
 import random
 
-from eprsat.constrained import clit_cover
 from eprsat.constraints import TOP, conj, violates
 from eprsat.trail import (
     FALSE,
