@@ -1,8 +1,9 @@
 """Command-line entry point and the differential harness.
 
 Exit codes follow the SAT-solver convention: 10 satisfiable, 20
-unsatisfiable, 1 error (including usage errors, parse failures and the step
-cap), 2 check-mode disagreement or audit violation.
+unsatisfiable, 1 error (including usage errors, parse failures, a rejected
+script decision and the step cap), 2 check-mode disagreement or audit
+violation.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .oracle import (
 )
 from .parser import ParseError, parse_problem, parse_script
 from .render import render_model, render_trace
-from .solver import RunConfig, Solver
+from .solver import RuleRejected, RunConfig, Solver
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -82,7 +83,13 @@ def main(argv=None) -> int:
 
     auditor = Auditor(sig, clauses) if args.check else None
     solver = Solver(sig, clauses, cfg, auditor=auditor)
-    verdict = solver.solve()
+    try:
+        verdict = solver.solve()
+    except RuleRejected as exc:
+        if script is None:
+            raise
+        print(f"error: decision script rejected: {exc}", file=sys.stderr)
+        return 1
 
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:

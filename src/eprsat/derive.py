@@ -7,7 +7,8 @@ remainders are propagation candidates.  Every use of a trail entry that
 unifies renames that entry fresh, so one entry can justify several
 independent instances in a single derivation (constraints stay
 right-hand-side disjoint).  An entry that cannot unify is skipped by
-`unifiable_apart` before it is renamed.
+`unifiable_apart` before it is renamed.  A search that must use the newest
+entry is cut as soon as no unresolved literal can still unify with it.
 
 The same machinery answers every other question the solver asks about false
 clause instances, without grounding.  A conflict derivation (no literal
@@ -76,7 +77,10 @@ def find_candidates(
 
     keep_limit bounds the remainder size of reported tuples (None: no bound).
     With `newest_pos`, only derivations touching that entry at least once
-    are explored.  Extra pseudo-entries get pseudo-positions -1, -2, ...
+    are explored: a node that has not used it yet is cut when no later
+    position's literal, under the node's sigma, unifies with it.  Sigma only
+    grows along a branch, so the cut loses no leaf and keeps leaf order.
+    Extra pseudo-entries get pseudo-positions -1, -2, ...
     """
     need_newest = newest_pos is not None
     pool: list[tuple[int, Lit, Constraint]] = [
@@ -93,10 +97,14 @@ def find_candidates(
         l = clause[pos]
         return by_pred.get((l.pred, not l.neg), [])
 
-    newest_possible = [
-        any(src[0] == newest_pos for src in compatible(p))
-        for p in range(len(clause))
-    ]
+    # the newest entry's literal at each position it is compatible with
+    newest = [next((src[1] for src in compatible(p) if src[0] == newest_pos), None)
+              for p in range(len(clause))] if need_newest else []
+
+    def reaches_newest(pos: int, sigma: Subst) -> bool:
+        return any(nl is not None
+                   and unifiable_apart(apply_args(clause[p].args, sigma), nl.args)
+                   for p, nl in enumerate(newest[pos:], pos))
 
     out: list[DTuple] = []
 
@@ -118,13 +126,9 @@ def find_candidates(
 
     def rec(pos: int, kept: list[int], sigma: Subst, pi: Constraint,
             uses: int, used: list[tuple[int, int]]) -> None:
-        if need_newest and uses == 0 and not any(newest_possible[p] for p in range(pos, len(clause))):
+        if need_newest and uses == 0 and not reaches_newest(pos, sigma):
             return
         if pos == len(clause):
-            if keep_limit is not None and len(kept) > keep_limit:
-                return
-            if need_newest and uses == 0:
-                return
             if leaf_ok(kept, sigma, pi):
                 out.append(DTuple(tuple(kept), sigma, pi, tuple(used)))
             return

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constraints import BOT, TOP, Constraint, conj, normalize
+from .constraints import BOT, TOP, Constraint, conj, lvars, normalize
 from .render import render_clause
 from .syntax import Clause, Lit, Signature, fresh_var
 
@@ -35,9 +35,9 @@ class _Tok:
 _PUNCT = ("::", "!=", "/\\", "(", ")", ",", "|", ".", "-", "~", ":")
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str, line: int = 1) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
+    col = 1
     i = 0
     while i < len(text):
         ch = text[i]
@@ -142,9 +142,9 @@ class _ClauseParser:
         if pred in self.arities:
             ar, ln, co = self.arities[pred]
             if ar != len(args):
-                raise ParseError(
-                    f"arity mismatch for {pred!r}: {len(args)} here, "
-                    f"{ar} at {ln}:{co}", t.line, t.col)
+                seen = f"{ar} at {ln}:{co}" if ln else f"declared arity {ar}"
+                raise ParseError(f"arity mismatch for {pred!r}: {len(args)} here, "
+                                 f"{seen}", t.line, t.col)
         else:
             self.arities[pred] = (len(args), t.line, t.col)
         return Lit(neg, pred, tuple(args))
@@ -234,14 +234,19 @@ def parse_problem(text: str) -> tuple[Signature, list[Clause]]:
     return sig, clauses
 
 
-def parse_clit_line(text: str, sig: Signature) -> tuple[Lit, Constraint]:
-    """One `literal :: constraint` line; bare literals mean TOP."""
-    toks = _tokenize(text)
+def parse_clit_line(text: str, sig: Signature,
+                    line: int = 1) -> tuple[Lit, Constraint]:
+    """One `literal :: constraint` line (number `line`) over `sig`'s
+    predicates; bare literals mean TOP.  Lhs variables must be the literal's."""
+    toks = _tokenize(text, line)
     s = _Stream(toks)
     domain = {name: i for i, name in enumerate(sig.domain)}
     arities = {p: (a, 0, 0) for p, a in sig.preds.items()}
     cp = _ClauseParser(s, domain, arities)
     lit = cp.literal()
+    if lit.pred not in sig.preds:
+        _, ln, co = arities[lit.pred]
+        raise ParseError(f"undeclared predicate {lit.pred!r}", ln, co)
     pi = TOP
     if s.peek() is not None and s.peek().text == "::":
         s.next()
@@ -249,15 +254,19 @@ def parse_clit_line(text: str, sig: Signature) -> tuple[Lit, Constraint]:
     if s.peek() is not None:
         t = s.peek()
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    for name, var in cp.varmap.items():
+        if var in lvars(pi) and var not in lit.args:
+            t = next(t for t in toks if t.text == name)
+            raise ParseError(f"lhs variable {name!r} is not in the literal",
+                             t.line, t.col)
     return lit, normalize(pi)
 
 
 def parse_script(text: str, sig: Signature) -> list[tuple[Lit, Constraint]]:
     out = []
-    for raw in text.splitlines():
-        line = raw.split("%", 1)[0].strip()
-        if line:
-            out.append(parse_clit_line(line, sig))
+    for ln, line in enumerate(text.splitlines(), 1):
+        if line.split("%", 1)[0].strip():
+            out.append(parse_clit_line(line, sig, ln))
     return out
 
 
@@ -266,7 +275,7 @@ def parse_model(text: str, sig: Signature) -> tuple[list, list]:
     entries: list = []
     compact: list = []
     target = entries
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -280,7 +289,7 @@ def parse_model(text: str, sig: Signature) -> tuple[list, list]:
             break
         if line.startswith("%"):
             continue
-        target.append(parse_clit_line(line, sig))
+        target.append(parse_clit_line(raw, sig, ln))
     return entries, compact
 
 

@@ -165,15 +165,10 @@ class Solver:
         self._bump = 1.0
         # clauses by (predicate, polarity) of their literals
         self._clauses_by_shape: dict[tuple[str, bool], list[int]] = {}
-        self._rebuild_clause_index()
+        for ci in range(len(self.pool)):
+            self._index_new_clause(ci)
 
     # -- bookkeeping --------------------------------------------------------
-
-    def _rebuild_clause_index(self) -> None:
-        self._clauses_by_shape = {}
-        for ci, c in enumerate(self.pool):
-            for l in set((l.pred, l.neg) for l in c):
-                self._clauses_by_shape.setdefault(l, []).append(ci)
 
     def _index_new_clause(self, ci: int) -> None:
         for key in set((l.pred, l.neg) for l in self.pool[ci]):
@@ -279,16 +274,12 @@ class Solver:
         self.trail.pop()
         self._emit("Skip", render_entry(self.sig, entry))
 
-    def rule_resolve(self) -> None:
+    def rule_resolve(self, pos: int) -> None:
+        """Resolve the literal at `pos` against the rightmost trail entry."""
         cs = self.conflict
         entry = self.trail.entries[-1]
         if entry.is_decision:
             raise RuleRejected("cannot resolve against a decision")
-        if self.level > 0 and is_assertive(self.trail, cs.clause, cs.sigma, cs.pi):
-            raise RuleRejected("conflict is assertive; backjump instead")
-        pos = self._resolvable_position(cs, entry)
-        if pos is None:
-            raise RuleRejected("no resolvable literal")
         lit = cs.clause[pos]
         reason = self.pool[entry.reason]
         # rename the reason clause apart when it shares variables
@@ -320,13 +311,9 @@ class Solver:
         self.conflict = ConflictSet(new_clause, sigma_star, new_pi)
         self._emit("Resolve", render_conflict(self.sig, self.conflict, self.n_input))
 
-    def rule_factorize(self) -> None:
+    def rule_factorize(self, i: int, j: int, eta: Subst) -> None:
+        """Merge the conflict clause's literals i < j under `eta`."""
         cs = self.conflict
-        entry = self.trail.entries[-1]
-        found = self._factorize_choice(cs, entry)
-        if found is None:
-            raise RuleRejected("no factorizable pair")
-        i, j, eta = found
         li, lj = cs.clause[i], cs.clause[j]
         eta0 = mgu_atoms(li.atom, lj.atom)
         assert eta0 is not None
@@ -404,46 +391,38 @@ class Solver:
         for pos, lit in enumerate(cs.clause):
             if lit.neg == entry.lit.neg or lit.pred != entry.lit.pred:
                 continue
-            inst = apply_lit(lit, cs.sigma)
-            eta = mgu_atoms(entry.lit.atom, inst.atom)
-            if eta is None:
-                continue
-            entry_pi = rename_rhs_fresh(entry.pi)
-            combined = normalize(conjoin(apply_constraint(cs.pi, eta),
-                                         apply_constraint(entry_pi, eta)))
-            if combined.is_bot:
-                continue
-            if not no_instances(apply_clause(cs.clause, cs.sigma), eta,
-                                combined, self.n):
+            eta = mgu_atoms(entry.lit.atom, apply_lit(lit, cs.sigma).atom)
+            if eta is not None and self._meets_entry(cs, entry, eta):
                 return pos
         return None
 
     def _factorize_choice(self, cs: ConflictSet, entry: TrailEntry):
-        for i in range(len(cs.clause)):
-            for j in range(i + 1, len(cs.clause)):
-                li, lj = cs.clause[i], cs.clause[j]
-                if li.neg != lj.neg or li.pred != lj.pred:
-                    continue
-                if entry.lit.neg == li.neg or entry.lit.pred != li.pred:
-                    continue
-                ai = apply_lit(li, cs.sigma).atom
-                aj = apply_lit(lj, cs.sigma).atom
+        # a pair's joint unifier unifies each of its literals with the entry,
+        # so only the literals that unify with it alone can pair
+        target = entry.lit.atom
+        atoms = []
+        for i, l in enumerate(cs.clause):
+            if l.neg == entry.lit.neg or l.pred != target.pred:
+                continue
+            a = apply_lit(l, cs.sigma).atom
+            if mgu_atoms(a, target) is not None:
+                atoms.append((i, a))
+        for k, (i, ai) in enumerate(atoms):
+            for j, aj in atoms[k + 1:]:
                 eta = mgu_atoms(ai, aj)
                 if eta is None:
                     continue
-                eta = mgu_atoms(apply_lit(ai, eta), entry.lit.atom, base=eta)
-                if eta is None:
-                    continue
-                entry_pi = rename_rhs_fresh(entry.pi)
-                combined = normalize(conjoin(apply_constraint(cs.pi, eta),
-                                             apply_constraint(entry_pi, eta)))
-                if combined.is_bot:
-                    continue
-                if no_instances(apply_clause(cs.clause, cs.sigma), eta,
-                                combined, self.n):
-                    continue
-                return i, j, eta
+                eta = mgu_atoms(apply_lit(ai, eta), target, base=eta)
+                if eta is not None and self._meets_entry(cs, entry, eta):
+                    return i, j, eta
         return None
+
+    def _meets_entry(self, cs: ConflictSet, entry: TrailEntry, eta: Subst) -> bool:
+        """Some instance of the conflict under `eta` lies in `entry`'s cover."""
+        combined = normalize(conjoin(apply_constraint(cs.pi, eta),
+                                     apply_constraint(rename_rhs_fresh(entry.pi), eta)))
+        return not combined.is_bot and not no_instances(
+            apply_clause(cs.clause, cs.sigma), eta, combined, self.n)
 
     # -- propagation ----------------------------------------------------------
 
@@ -714,6 +693,10 @@ class Solver:
             return self._verdict()
 
     def _resolution_step(self) -> None:
+        """Apply the conflict-resolution rule that fits.  The preconditions
+        are decided here, each once per step: assertiveness (Backjump), then
+        the Factorize pair and the resolvable position against the rightmost
+        entry, which `rule_factorize` and `rule_resolve` take as arguments."""
         cs = self.conflict
         if cs.clause == ():
             # the empty clause was derived (only level 0 can get here):
@@ -722,24 +705,25 @@ class Solver:
             self.rule_backjump(1, len(self.trail), 0)
             return
         if self.level > 0 and is_assertive(self.trail, cs.clause, cs.sigma, cs.pi):
-            tgt_len, tgt_level = self.compute_backjump_level(cs.clause)
-            self.rule_backjump(2, tgt_len, tgt_level)
+            self.rule_backjump(2, *self.compute_backjump_level(cs.clause))
             return
         entry = self.trail.entries[-1]
         if entry.is_decision:
-            if self._factorize_choice(cs, entry) is not None:
-                self.rule_factorize()
+            found = self._factorize_choice(cs, entry)
+            if found is not None:
+                self.rule_factorize(*found)
                 return
-            tgt_len, tgt_level = self.compute_backjump_level(cs.clause)
-            self.rule_backjump(3, tgt_len, tgt_level)
+            self.rule_backjump(3, *self.compute_backjump_level(cs.clause))
             return
-        if self._resolvable_position(cs, entry) is None:
+        pos = self._resolvable_position(cs, entry)
+        if pos is None:
             self.rule_skip()
             return
-        if self._factorize_choice(cs, entry) is not None:
-            self.rule_factorize()
+        found = self._factorize_choice(cs, entry)
+        if found is not None:
+            self.rule_factorize(*found)
             return
-        self.rule_resolve()
+        self.rule_resolve(pos)
 
     def compute_backjump_level(self, learned: Clause) -> tuple[int, int]:
         """(trail prefix length, level) for the backjump target.

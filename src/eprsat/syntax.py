@@ -220,12 +220,6 @@ def mgu_atoms(a: Lit, b: Lit, base: Optional[Subst] = None) -> Optional[Subst]:
     return mgu_args(zip(a.args, b.args), base)
 
 
-def mgu_lits(a: Lit, b: Lit) -> Optional[Subst]:
-    if a.neg != b.neg:
-        return None
-    return mgu_atoms(a, b)
-
-
 def mgu_many(lits: list[Lit]) -> Optional[Subst]:
     """Unify a nonempty list of equal-polarity literals simultaneously."""
     first = lits[0]

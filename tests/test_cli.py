@@ -106,3 +106,24 @@ def test_console_entry_point_runs():
         capture_output=True,
     )
     assert proc.returncode == 10
+
+
+def test_rejected_script_decision_exits_1(tmp_path, capsys):
+    # the second decision covers atoms the first one already defined
+    script = tmp_path / "dup.dec"
+    script.write_text("P(X,Y,Z) :: X != c\nP(X,Y,Z) :: X != c\n")
+    code = main(["--input", os.path.join(DATA, "ex33.p"),
+                 "--script", str(script)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: decision script rejected: decision covers a defined atom\n"
+
+
+def test_malformed_script_line_exits_1(tmp_path, capsys):
+    script = tmp_path / "bad.dec"
+    script.write_text("P(X,Y,Z) :: W != c\n")
+    code = main(["--input", os.path.join(DATA, "ex33.p"),
+                 "--script", str(script)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: 1:13: lhs variable 'W' is not in the literal")

@@ -125,6 +125,39 @@ def test_script_parsing_skips_blank_and_comment_lines():
     assert script[0][1].is_top
 
 
+def test_clit_line_rejects_a_free_lhs_variable():
+    # W is constrained but does not occur in the literal; such a line used to
+    # parse and then fail an assertion during the solve
+    sig = Signature({"P": 3}, ("a", "b", "c"))
+    for line, col, name in [("P(X,Y,Z) :: W != c", 13, "W"),
+                            ("P(X,Y,Z) :: (X,Y) != (V,V) /\\ V != a", 23, "V")]:
+        with pytest.raises(ParseError) as exc:
+            parse_clit_line(line, sig)
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert f"lhs variable {name!r}" in str(exc.value)
+    # rhs-only variables and literal variables stay fine
+    lit, pi = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ Z != a", sig)
+    assert pi.kind == "and"
+
+
+def test_clit_line_rejects_an_undeclared_predicate():
+    sig = Signature({"P": 1}, ("a",))
+    with pytest.raises(ParseError) as exc:
+        parse_clit_line("R(X) :: TOP", sig)
+    assert str(exc.value) == "1:1: undeclared predicate 'R'"
+    # a script error names the script's own line and column
+    with pytest.raises(ParseError) as exc:
+        parse_script("P(a)\n% comment\n  ~R(X)\n", sig)
+    assert str(exc.value) == "3:4: undeclared predicate 'R'"
+
+
+def test_clit_line_arity_mismatch_names_the_declared_arity():
+    sig = Signature({"P": 3}, ("a",))
+    with pytest.raises(ParseError) as exc:
+        parse_clit_line("P(X,Y) :: TOP", sig)
+    assert str(exc.value) == "1:1: arity mismatch for 'P': 2 here, declared arity 3"
+
+
 def test_model_document_roundtrip():
     sig = Signature({"P": 3, "Q": 2}, ("a", "b", "c"))
     z = var_code(2)

@@ -7,8 +7,12 @@ enumeration of clause instances) remain as referees; here they check
 of `derive.is_blocked` on random constraints and on every call a solve
 makes.  A last test forbids grounding outright and solves anyway, and
 another checks that `find_candidates` renames a trail entry only when it
-unifies.
+unifies.  The last ones check that the learning path's shortcuts are exact:
+`_factorize_choice` against the all-pairs scan it replaced, the
+newest-entry reachability cut of `find_candidates` against the uncut
+search, and each conflict-resolution precondition decided once per step.
 """
+import os
 import random
 import sys
 
@@ -16,10 +20,20 @@ import pytest
 
 from eprsat import constrained, derive, solver as solver_mod, syntax, trail
 from eprsat.constrained import cover, cover_size
-from eprsat.constraints import BOT, TOP, conj, lvars, normalize, violates
+from eprsat.constraints import (
+    BOT,
+    TOP,
+    apply_constraint,
+    conj,
+    conjoin,
+    lvars,
+    normalize,
+    rename_rhs_fresh,
+    violates,
+)
 from eprsat.derive import find_candidates
 from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
-from eprsat.parser import parse_problem
+from eprsat.parser import parse_problem, parse_script
 from eprsat.render import render_model
 from eprsat.solver import RunConfig, Solver
 from eprsat.syntax import (
@@ -30,6 +44,7 @@ from eprsat.syntax import (
     ground_assignments,
     lit_vars,
     match_args,
+    mgu_atoms,
     var_code,
 )
 
@@ -307,3 +322,153 @@ def test_find_candidates_renames_only_sources_that_unify(monkeypatch, make, stat
     assert (verdict.status, verdict.steps) == (status, steps)
     assert renamed
     assert failed == [], f"{len(failed)} of {len(renamed)} renamed sources failed to unify"
+
+
+# ---------------------------------------------------------------------------
+# the learning path decides each thing once, and its shortcuts are exact
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _ex33():
+    sig, clauses = parse_problem(open(os.path.join(DATA, "ex33.p")).read())
+    script = parse_script(open(os.path.join(DATA, "ex33.dec")).read(), sig)
+    return sig, clauses, script
+
+
+def _learning_runs():
+    """(name, sig, clauses, script, status or None): the colourings, the
+    scripted ex33 and a random population."""
+    runs = [("C5/2", *_c5_2(), None, "unsat"), ("K4/3", *_k4_3(), None, "unsat"),
+            ("ex33", *_ex33(), "sat")]
+    for seed in range(150):
+        sig, clauses = gen_random_instance(GenParams(
+            n_preds=3, max_arity=3, domain_size=4, n_clauses=10, max_lits=4,
+            seed=seed))
+        runs.append((f"pop-{seed}", sig, clauses, None, None))
+    return runs
+
+
+def _all_pairs_factorize_choice(s, cs, entry):
+    """The scan `_factorize_choice` replaced: every same-sign,
+    same-predicate pair in (i, j) order, unified with each other and then
+    with the entry."""
+    for i in range(len(cs.clause)):
+        for j in range(i + 1, len(cs.clause)):
+            li, lj = cs.clause[i], cs.clause[j]
+            if li.neg != lj.neg or li.pred != lj.pred:
+                continue
+            if entry.lit.neg == li.neg or entry.lit.pred != li.pred:
+                continue
+            ai = apply_lit(li, cs.sigma).atom
+            aj = apply_lit(lj, cs.sigma).atom
+            eta = mgu_atoms(ai, aj)
+            if eta is None:
+                continue
+            eta = mgu_atoms(apply_lit(ai, eta), entry.lit.atom, base=eta)
+            if eta is None:
+                continue
+            entry_pi = rename_rhs_fresh(entry.pi)
+            combined = normalize(conjoin(apply_constraint(cs.pi, eta),
+                                         apply_constraint(entry_pi, eta)))
+            if combined.is_bot:
+                continue
+            if derive.no_instances(apply_clause(cs.clause, cs.sigma), eta,
+                                   combined, s.n):
+                continue
+            return i, j, eta
+    return None
+
+
+def test_factorize_choice_matches_the_all_pairs_scan(monkeypatch):
+    real = Solver._factorize_choice
+    seen = dict(calls=0, found=0)
+
+    def referee(self, cs, entry):
+        got = real(self, cs, entry)
+        seen["calls"] += 1
+        seen["found"] += got is not None
+        # fail at once: a wrong choice can send the solve into a long detour
+        assert got == _all_pairs_factorize_choice(self, cs, entry), (
+            cs.clause, entry.lit, got)
+        return got
+
+    monkeypatch.setattr(Solver, "_factorize_choice", referee)
+    for name, sig, clauses, script, status in _learning_runs():
+        verdict = Solver(sig, clauses,
+                         RunConfig(max_steps=10_000, script=script)).solve()
+        assert status in (None, verdict.status), name
+    assert seen["found"] > 50 and seen["calls"] > seen["found"], seen
+
+
+def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
+    """With `newest_pos`, `find_candidates` returns exactly the leaves of the
+    uncut search that use the newest entry, in the same order: the cut only
+    drops subtrees that cannot reach it."""
+    real = derive.find_candidates
+    seen = dict(calls=0, leaves=0)
+
+    def shape(leaves):
+        return [(leaf.remaining, leaf.used) for leaf in leaves]
+
+    def referee(clause, sources, newest_pos=None, keep_limit=1, extra=None):
+        got = real(clause, sources, newest_pos=newest_pos, keep_limit=keep_limit,
+                   extra=extra)
+        if newest_pos is not None:
+            want = [leaf for leaf in real(clause, sources, keep_limit=keep_limit,
+                                          extra=extra)
+                    if any(src == newest_pos for _, src in leaf.used)]
+            seen["calls"] += 1
+            seen["leaves"] += len(got)
+            assert shape(got) == shape(want), (clause, newest_pos)
+        return got
+
+    monkeypatch.setattr(solver_mod, "find_candidates", referee)
+    for make, status, steps in [(lambda: gen_benchmark(7, 3), "sat", 82),
+                                (_c5_2, "unsat", 101), (_k4_3, "unsat", 238)]:
+        sig, clauses = make()
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        assert (verdict.status, verdict.steps) == (status, steps)
+    assert seen["leaves"] > 100, seen
+
+
+def test_resolution_step_decides_each_precondition_once(monkeypatch):
+    """Per conflict-resolution step, `is_assertive` runs at most once, and a
+    Factorize step runs `_factorize_choice` exactly once."""
+    counts = {}
+    factorized = dict(steps=0)
+    bad = []
+    real_step = Solver._resolution_step
+    real_choice = Solver._factorize_choice
+    real_factorize = Solver.rule_factorize
+
+    def step(self):
+        counts.update(assertive=0, choice=0, factorize=0)
+        real_step(self)
+        if counts["assertive"] > 1 or (counts["factorize"]
+                                       and counts["choice"] != 1):
+            bad.append(dict(counts))
+        factorized["steps"] += counts["factorize"]
+
+    def assertive(*args):
+        counts["assertive"] += 1
+        return derive.is_assertive(*args)
+
+    def choice(self, cs, entry):
+        counts["choice"] += 1
+        return real_choice(self, cs, entry)
+
+    def factorize(self, *args):
+        counts["factorize"] += 1
+        return real_factorize(self, *args)
+
+    monkeypatch.setattr(Solver, "_resolution_step", step)
+    monkeypatch.setattr(Solver, "_factorize_choice", choice)
+    monkeypatch.setattr(Solver, "rule_factorize", factorize)
+    monkeypatch.setattr(solver_mod, "is_assertive", assertive)
+    for name, sig, clauses, script, status in _learning_runs()[:3]:
+        verdict = Solver(sig, clauses,
+                         RunConfig(max_steps=10_000, script=script)).solve()
+        assert verdict.status == status, name
+    assert bad == []
+    assert factorized["steps"] > 10, factorized
