@@ -18,7 +18,8 @@ terminal rules trigger a full-trail sweep (including re-checking decisions
 against the grown learned set).
 
 The resolution measure is the multiset of the conflict set's ground
-instances under the conflict snapshot's induced ordering.  That ordering is
+instances under the induced ordering of the trail at the Conflict, which the
+auditor snapshots there.  That ordering is
 total, and the Dershowitz-Manna multiset extension of a total order is
 lexicographic order on descending-sorted lists, a proper prefix being
 smaller.  So the measure is kept as the descending-sorted list of the
@@ -47,7 +48,13 @@ from .syntax import (
     clause_vars,
     ground_assignments,
 )
-from .trail import FALSE, clause_instances, clause_value, is_assertive
+from .trail import (
+    FALSE,
+    InducedOrdering,
+    clause_instances,
+    clause_value,
+    is_assertive,
+)
 
 
 _UNSET = object()
@@ -61,6 +68,8 @@ class Auditor:
         self.skipped: list[str] = []
         self._last_rules: list[str] = []
         self._measure: Optional[tuple[int, list]] = None
+        # the induced ordering of the trail at the last Conflict
+        self._ordering: Optional[InducedOrdering] = None
         self._input_ground = _UNSET
 
     def _flag(self, msg: str) -> None:
@@ -75,6 +84,7 @@ class Auditor:
         elif rule == "Decide":
             self._check_new_entry(solver, decision=True)
         elif rule == "Conflict":
+            self._ordering = InducedOrdering.from_trail(solver.trail)
             self._check_conflict_set(solver, fresh=True)
             self._measure = self._measure_of(solver)
         elif rule in ("Skip", "Resolve", "Factorize"):
@@ -83,7 +93,7 @@ class Auditor:
             self._check_immediate_conflict_factorize(rule)
         elif rule == "Backjump":
             self._full_sweep(solver)
-            self._measure = None
+            self._measure = self._ordering = None
         elif rule == "Success":
             self._full_sweep(solver)
         elif rule == "Failure":
@@ -94,11 +104,10 @@ class Auditor:
                      target_len: int) -> None:
         """Checks before Backjump `case` learns `learned` and cuts the
         trail to `target_len` entries."""
-        ordering = solver.conflict_ordering
-        if ordering is None:
+        if self._ordering is None:
             self._flag("learning without a conflict snapshot")
             return
-        got = check_nonredundant(learned, solver.pool, ordering, self.sig)
+        got = check_nonredundant(learned, solver.pool, self._ordering, self.sig)
         if got is None:
             self.skipped.append("non-redundancy check skipped (universe too big)")
         elif got is False:
@@ -118,9 +127,8 @@ class Auditor:
         entry = solver.trail.entries[-1] if solver.trail.entries else None
         if entry is not None and entry.is_decision and learned != ():
             if not assertive:
-                probe = _PrefixTrail(solver.trail, len(solver.trail) - 1)
-                wit = is_blocked(probe, entry.lit, entry.pi, [learned],
-                                 solver.n)
+                wit = is_blocked(solver.trail.entries[:-1], entry.lit, entry.pi,
+                                 [learned], solver.n)
                 if wit is None:
                     self._flag("case-(3) clause does not block the removed decision")
 
@@ -186,8 +194,7 @@ class Auditor:
             if got != e.lit:
                 self._flag(f"closure substitution does not produce entry {e.pos}")
         else:
-            wit = is_blocked(_PrefixTrail(trail, e.pos), e.lit, e.pi,
-                             solver.pool, n)
+            wit = is_blocked(trail.entries[:e.pos], e.lit, e.pi, solver.pool, n)
             if wit is not None:
                 self._flag(f"blocked decision reached the trail at {e.pos}")
 
@@ -223,12 +230,11 @@ class Auditor:
         The induced ordering is total, so the multiset extension over the
         instances is lexicographic order on this list."""
         cs = solver.conflict
-        if cs is None or solver.conflict_ordering is None:
+        if cs is None or self._ordering is None:
             return None
         insts = clause_instances(cs.clause, cs.sigma, cs.pi, solver.n)
         return (len(solver.trail),
-                sorted(map(solver.conflict_ordering.clause_key, insts),
-                       reverse=True))
+                sorted(map(self._ordering.clause_key, insts), reverse=True))
 
     def _check_measure_decrease(self, rule: str, solver) -> None:
         before = self._measure
@@ -273,7 +279,7 @@ class Auditor:
             if clit_is_empty(CLit(e.lit, e.pi), n):
                 self._flag(f"entry {e.pos} is empty")
             if e.is_decision:
-                wit = is_blocked(_PrefixTrail(trail, e.pos), e.lit, e.pi,
+                wit = is_blocked(trail.entries[:e.pos], e.lit, e.pi,
                                  solver.pool, n)
                 if wit is not None:
                     self._flag(f"decision at {e.pos} is blocked w.r.t. the "
@@ -301,15 +307,4 @@ class Auditor:
                     f"reason instance of entry {e.pos} has {count} literals "
                     f"of level {e.level}")
                 return
-
-
-class _PrefixTrail:
-    """Read-only view of a trail prefix, good enough for is_blocked."""
-
-    def __init__(self, trail, length: int):
-        self.n = trail.n
-        self.entries = trail.entries[:length]
-
-    def for_pred(self, pred: str):
-        return [e for e in self.entries if e.lit.pred == pred]
 

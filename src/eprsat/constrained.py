@@ -1,21 +1,23 @@
-"""Constrained literals and their three core operations.
+"""Constrained literals and the lifted steps every rule is made of.
 
 A constrained literal pairs a literal with a normalized dismatching
 constraint whose lhs variables all occur in the literal.  It denotes the set
-of ground literals whose grounding solves the constraint.  Conjunction
-intersects two covers, difference subtracts them (as a set of disjoint
-pieces), emptiness asks whether the cover is empty, and `cover_size` counts
-it.  None of these grounds: `cover_size` works on the constraint's induced
-substitutions, emptiness on the least solution.  The enumerating `cover`
-stays as the referee for the oracle, the audits and the tests.  Closures
-arising during solving may carry extra "free" lhs variables; those are
-existential and get eliminated by instantiation before a literal is ever
-placed on the trail.
+of ground literals whose grounding solves the constraint.  Every rule that
+resolves a literal against a trail literal makes one of two steps, each
+implemented here once: `meet` renames the other literal apart, unifies and
+conjoins both constraints under the unifier (the cover intersection), and
+`diff_apart` subtracts its cover as a set of disjoint pieces.  Neither
+renames a literal that cannot unify.  Emptiness (`least_instance`,
+`no_instances`) asks for the least solution and `cover_size` counts the
+cover; neither grounds.  The enumerating `cover` stays as the referee for
+the oracle, the audits and the tests.  Closures arising during solving may
+carry extra "free" lhs variables; those are existential and get eliminated
+by instantiation before a literal is ever placed on the trail.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
+from typing import Iterable, Optional
 
 from .constraints import (
     BOT,
@@ -28,16 +30,18 @@ from .constraints import (
     lvars,
     normalize,
     rename_constraint,
-    rename_rhs_fresh,
     rvars,
     violates,
 )
 from .syntax import (
+    Clause,
     Lit,
     Subst,
     apply_args,
+    apply_clause,
     apply_lit,
     args_vars,
+    clause_vars,
     compose,
     ground_assignments,
     lit_vars,
@@ -160,13 +164,25 @@ def _count_solutions(vs: tuple[int, ...], matchers: list[list[tuple[int, int]]],
     return total
 
 
-def is_empty(lit: Lit, pi: Constraint, n: int) -> bool:
-    """True iff the cover is empty (enumeration-based satisfiability)."""
+def least_instance(clause: Clause, sigma: Subst, pi: Constraint, n: int,
+                   ) -> Optional[Subst]:
+    """Least grounding (enumeration order) of the variables of clause*sigma,
+    then of pi's other lhs variables, that solves pi; None when the
+    instance set of (clause*sigma; pi) is empty."""
     if pi.is_bot:
-        return True
-    vs = lit_vars(lit)
+        return None
+    vs = clause_vars(apply_clause(clause, sigma))
     extra = [v for v in lvars(pi) if v not in vs]
-    return find_solution_enum(pi, vs + extra, n) is None
+    return find_solution_enum(pi, vs + extra, n)
+
+
+def no_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int) -> bool:
+    return least_instance(clause, sigma, pi, n) is None
+
+
+def is_empty(lit: Lit, pi: Constraint, n: int) -> bool:
+    """True iff the cover is empty."""
+    return no_instances((lit,), {}, pi, n)
 
 
 def clit_is_empty(cl: CLit, n: int) -> bool:
@@ -176,29 +192,38 @@ def clit_is_empty(cl: CLit, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # conjunction
 
-def conjunction(a: CLit, b: CLit) -> CLit:
-    """Cover intersection; operands are renamed apart first.
+def conjoin_under(a: Constraint, b: Constraint, theta: Subst) -> Constraint:
+    """a and b with `theta` applied to both, normalized."""
+    return normalize(conjoin(apply_constraint(a, theta), apply_constraint(b, theta)))
 
-    Different polarities or predicates, or atoms that do not unify once
-    renamed apart, give the empty (a.lit; BOT) without renaming anything.
-    """
-    if (a.lit.neg != b.lit.neg or a.lit.pred != b.lit.pred
-            or not unifiable_apart(a.lit.args, b.lit.args)):
+
+def meet(lit: Lit, pi: Constraint, src: Lit, src_pi: Constraint,
+         ) -> Optional[tuple[Subst, Constraint]]:
+    """(theta, pi and src_pi under theta), theta the mgu of the atom of `lit`
+    with that of a variant of `src` (same predicate) renamed apart; None when
+    the atoms do not unify (then nothing is renamed) or the conjunction is
+    BOT."""
+    if not unifiable_apart(lit.args, src.args):
+        return None
+    r_lit, r_pi, _ = rename_clit_fresh(src, src_pi)
+    theta = mgu_atoms(lit.atom, r_lit.atom)
+    met = conjoin_under(pi, r_pi, theta)
+    return None if met.is_bot else (theta, met)
+
+
+def conjunction(a: CLit, b: CLit) -> CLit:
+    """Cover intersection; an empty one is (a.lit; BOT)."""
+    same = a.lit.neg == b.lit.neg and a.lit.pred == b.lit.pred
+    got = meet(a.lit, a.pi, b.lit, b.pi) if same else None
+    if got is None:
         return CLit(a.lit, BOT)
-    lit_b, pi_b, _ = rename_clit_fresh(b.lit, b.pi)
-    pi_a = rename_rhs_fresh(a.pi)
-    sigma = mgu_atoms(a.lit.atom, lit_b.atom)
-    lit = apply_lit(a.lit, sigma)
-    pi = normalize(conjoin(apply_constraint(pi_a, sigma), apply_constraint(pi_b, sigma)))
-    return CLit(lit, pi)
+    return CLit(apply_lit(a.lit, got[0]), got[1])
 
 
 def overlaps(a: CLit, b: CLit, n: int) -> bool:
     """Do the atom covers of a and b share a ground atom?"""
-    if a.lit.pred != b.lit.pred:
-        return False
-    c = conjunction(a.atom, b.atom)
-    return not clit_is_empty(c, n)
+    got = meet(a.lit, a.pi, b.lit, b.pi) if a.lit.pred == b.lit.pred else None
+    return got is not None and not is_empty(apply_lit(a.lit, got[0]), got[1], n)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +287,37 @@ def _and_many(parts: list[Constraint]) -> Constraint:
     return acc
 
 
+def diff_apart(lit: Lit, sigma: Subst, pi: Constraint,
+               sources: Iterable[tuple[Lit, Constraint]],
+               ) -> list[tuple[Subst, Constraint]]:
+    """(lit*sigma; pi) minus the atoms of every source (src; src_pi), each
+    renamed apart, as disjoint non-BOT pieces (sigma', pi') of `lit`.  A
+    source whose atom does not unify with a piece is not renamed and leaves
+    the piece as it is, its sigma the same object."""
+    pieces = [] if pi.is_bot else [(sigma, pi)]
+    for src, src_pi in sources:
+        new_pieces: list[tuple[Subst, Constraint]] = []
+        for s, p in pieces:
+            cur = apply_lit(lit, s)
+            if not unifiable_apart(cur.args, src.args):
+                new_pieces.append((s, p))
+                continue
+            r_lit, r_pi, _ = rename_clit_fresh(src, src_pi)
+            new_pieces += [(compose(s, tau), p2)
+                           for tau, p2 in diff_pairs(cur, p, r_lit, r_pi)
+                           if not p2.is_bot]
+        pieces = new_pieces
+        if not pieces:
+            break
+    return pieces
+
+
 def difference(a: CLit, b: CLit) -> list[CLit]:
     """Cover difference of two constrained literals, as disjoint pieces."""
     if a.lit.neg != b.lit.neg:
         return [a]
-    lit_b, pi_b, _ = rename_clit_fresh(b.lit, b.pi)
-    pi_a = rename_rhs_fresh(a.pi)
-    pieces = diff_pairs(a.lit, pi_a, lit_b, pi_b)
-    return [CLit(apply_lit(a.lit, tau), pi) for tau, pi in pieces if not pi.is_bot]
+    return [CLit(apply_lit(a.lit, tau), pi)
+            for tau, pi in diff_apart(a.lit, {}, a.pi, [(b.lit, b.pi)])]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 A derivation tuple carries a remainder of a clause, the accumulated
 substitution and constraint, and the trail entry each resolved literal used.
 Tuples whose remainder is empty are conflict candidates; single-literal
-remainders are propagation candidates.  Every use of a trail entry that
-unifies renames that entry fresh, so one entry can justify several
-independent instances in a single derivation (constraints stay
-right-hand-side disjoint).  An entry that cannot unify is skipped by
-`unifiable_apart` before it is renamed.  A search that must use the newest
-entry is cut as soon as no unresolved literal can still unify with it.
+remainders are propagation candidates.  Each resolution step is
+`constrained.meet`: it renames the entry fresh, so one entry can justify
+several independent instances in a single derivation (constraints stay
+right-hand-side disjoint), and it renames nothing that cannot unify.  A
+search that must use the newest entry is cut as soon as no unresolved
+literal can still unify with it.
 
 The same machinery answers every other question the solver asks about false
 clause instances, without grounding.  A conflict derivation (no literal
@@ -18,23 +18,21 @@ count of top-level entries among a leaf's sources, falsifiability under a
 trail prefix is a derivation against that prefix, and a blocked decision is
 a derivation using the decision as a pseudo-entry at two positions whose
 instances can differ.  Non-emptiness of a leaf is always the least-solution
-test of `find_solution_enum`.  The grounding versions in `trail` serve only
-as referees.
+test of `constrained.no_instances`.  The grounding versions in `trail` serve
+only as referees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .constrained import cover_size, rename_clit_fresh
+from .constrained import cover_size, least_instance, meet, no_instances
 from .constraints import (
     TOP,
     Constraint,
     apply_constraint,
     conj,
     conjoin,
-    find_solution_enum,
-    lvars,
     normalize,
     rename_rhs_fresh,
 )
@@ -46,9 +44,7 @@ from .syntax import (
     apply_clause,
     apply_lit,
     args_vars,
-    clause_vars,
     compose,
-    mgu_atoms,
     mgu_many,
     renaming_for,
     unifiable_apart,
@@ -70,12 +66,12 @@ def find_candidates(
     clause: Clause,
     sources: list[TrailEntry],
     newest_pos: Optional[int] = None,
-    keep_limit: Optional[int] = 1,
+    keep_limit: int = 1,
     extra: Optional[list[tuple[Lit, Constraint]]] = None,
 ) -> list[DTuple]:
     """All maximal derivation tuples for `clause` against `sources`.
 
-    keep_limit bounds the remainder size of reported tuples (None: no bound).
+    keep_limit bounds the remainder size of reported tuples.
     With `newest_pos`, only derivations touching that entry at least once
     are explored: a node that has not used it yet is cut when no later
     position's literal, under the node's sigma, unifies with it.  Sigma only
@@ -112,16 +108,9 @@ def find_candidates(
         # maximality: no kept literal still resolves against any source
         for p in kept:
             lit = apply_lit(clause[p], sigma)
-            for _, src_lit, src_pi in compatible(p):
-                if not unifiable_apart(lit.args, src_lit.args):
-                    continue
-                r_lit, r_pi, _ = rename_clit_fresh(src_lit, src_pi)
-                theta = mgu_atoms(lit.atom, r_lit.atom)
-                combined = normalize(
-                    conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
-                )
-                if not combined.is_bot:
-                    return False
+            if any(meet(lit, pi, src_lit, src_pi) is not None
+                   for _, src_lit, src_pi in compatible(p)):
+                return False
         return True
 
     def rec(pos: int, kept: list[int], sigma: Subst, pi: Constraint,
@@ -135,38 +124,19 @@ def find_candidates(
         # resolve this position against each compatible source
         lit = apply_lit(clause[pos], sigma)
         for src_pos, src_lit, src_pi in compatible(pos):
-            if not unifiable_apart(lit.args, src_lit.args):
+            got = meet(lit, pi, src_lit, src_pi)
+            if got is None:
                 continue
-            r_lit, r_pi, _ = rename_clit_fresh(src_lit, src_pi)
-            theta = mgu_atoms(lit.atom, r_lit.atom)
-            combined = normalize(
-                conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
-            )
-            if combined.is_bot:
-                continue
+            theta, combined = got
             rec(pos + 1, kept, compose(sigma, theta), combined,
                 uses + (1 if src_pos == newest_pos else 0),
                 used + [(pos, src_pos)])
         # or keep it (keep_limit bounds the remainder size)
-        if keep_limit is None or len(kept) < keep_limit:
+        if len(kept) < keep_limit:
             rec(pos + 1, kept + [pos], sigma, pi, uses, used)
 
     rec(0, [], {}, TOP, 0, [])
     return out
-
-
-def least_instance(clause: Clause, sigma: Subst, pi: Constraint, n: int,
-                   ) -> Optional[Subst]:
-    """Least grounding (enumeration order) of the variables of clause*sigma,
-    then of pi's other lhs variables, that solves pi; None when the
-    instance set of (clause*sigma; pi) is empty."""
-    vs = clause_vars(apply_clause(clause, sigma))
-    extra = [v for v in lvars(pi) if v not in vs]
-    return find_solution_enum(pi, vs + extra, n)
-
-
-def no_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int) -> bool:
-    return least_instance(clause, sigma, pi, n) is None
 
 
 def falsifiable(clause: Clause, sources: list[TrailEntry], n: int) -> bool:
@@ -195,7 +165,7 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
 # blocked decisions
 
 def is_blocked(
-    trail: Trail,
+    entries: list[TrailEntry],
     d_lit: Lit,
     d_pi: Constraint,
     pool: list[Clause],
@@ -203,7 +173,8 @@ def is_blocked(
 ) -> Optional[tuple[int, Clause, Lit, Lit]]:
     """Witness (clause index, ground instance, L1, L2) or None.
 
-    The decision must already be undefined in the trail (caller contract).
+    The decision must already be undefined under the trail `entries`
+    (caller contract).
     A clause blocks the decision when some ground instance becomes false
     with two distinct literals falsified by the decision alone.
     """
@@ -216,7 +187,7 @@ def is_blocked(
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        leaves = find_candidates(clause, trail.entries, keep_limit=0,
+        leaves = find_candidates(clause, entries, keep_limit=0,
                                  extra=[(d_lit, d_pi)])
         for leaf in leaves:
             d_positions = [p for p, src in leaf.used if src < 0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .constrained import CLit, clit_cover
 from .syntax import (
@@ -100,21 +100,12 @@ def truth_table_sat(gp: GroundProblem, cap: int = ENUM_ATOM_CAP,
     return None
 
 
-def brute_sat(gp: GroundProblem, assumptions: Iterable[int] = (),
-              ) -> Optional[set[Lit]]:
-    """DPLL with unit propagation; None means unsatisfiable.
-
-    `assumptions` are signed atom indices fixed up front.
-    """
+def brute_sat(gp: GroundProblem) -> Optional[set[Lit]]:
+    """DPLL with unit propagation; None means unsatisfiable."""
     if len(gp.atoms) > DPLL_ATOM_CAP:
         raise OracleCeiling(
             f"{len(gp.atoms)} atoms exceed the backtracking cap {DPLL_ATOM_CAP}")
     assign: dict[int, bool] = {}
-    for a in assumptions:
-        v = a > 0
-        if assign.get(abs(a), v) != v:
-            return None
-        assign[abs(a)] = v
 
     def value(cl):
         undef = None
@@ -193,17 +184,16 @@ def verify_model(model: list[CLit], sig: Signature, clauses: list[Clause],
 # non-redundant learning check
 
 def check_nonredundant(learned: Clause, pool: list[Clause],
-                       ordering: InducedOrdering, sig: Signature,
-                       ceiling: int = REDUNDANCY_ATOM_CAP) -> Optional[bool]:
+                       ordering: InducedOrdering, sig: Signature) -> Optional[bool]:
     """True iff the clause is NOT redundant w.r.t. the pool and ordering.
 
     A ground instance is redundant when it already occurs in the ground pool
     or follows from the strictly smaller ground pool clauses (the "all
     smaller clauses" entailment shortcut is exact).  None means the check
-    was skipped because the universe exceeds the ceiling.
+    was skipped because the universe exceeds REDUNDANCY_ATOM_CAP.
     """
     try:
-        gp = ground_problem(sig, pool, ceiling=ceiling)
+        gp = ground_problem(sig, pool, ceiling=REDUNDANCY_ATOM_CAP)
     except OracleCeiling:
         return None
     pool_ground = set(gp.ground_clauses)

@@ -14,7 +14,11 @@ read a leaf with nothing left as a conflict, a leaf with one literal left as
 a propagation candidate.  Its four callers (`add_consequences`,
 `_reseed_from_clause`, `full_scan`, `_propagatable_under_prefix`) differ only
 in what they do with the results; `_diff_against_trail` is the one trail
-difference behind the queue, the decisions and the backjump level.
+difference behind the queue, the decisions and the backjump level.  The
+lifted steps themselves (meet, difference apart, emptiness) live in
+`constrained`; a conflict-resolution step unifies each conflict literal with
+the rightmost entry once (`_entry_unifiers`) and reads both the resolvable
+position and the Factorize pairs from that scan.
 """
 from __future__ import annotations
 
@@ -26,10 +30,12 @@ from typing import Optional
 from .constrained import (
     CLit,
     clit_is_empty,
+    conjoin_under,
     cover_size,
-    diff_pairs,
+    diff_apart,
     elim_free_vars,
     is_empty,
+    no_instances,
     overlaps,
     rename_clit_fresh,
 )
@@ -42,13 +48,7 @@ from .constraints import (
     normalize,
     rename_rhs_fresh,
 )
-from .derive import (
-    falsifiable,
-    find_candidates,
-    is_assertive,
-    is_blocked,
-    no_instances,
-)
+from .derive import falsifiable, find_candidates, is_assertive, is_blocked
 from .syntax import (
     Clause,
     Lit,
@@ -70,7 +70,7 @@ from .syntax import (
     unifiable_apart,
 )
 from .render import render_clause, render_conflict, render_entry
-from .trail import InducedOrdering, Trail, TrailEntry
+from .trail import Trail, TrailEntry
 
 
 class RuleRejected(Exception):
@@ -146,7 +146,6 @@ class Solver:
         self.trail = Trail(self.n)
         self.level = 0
         self.conflict: Optional[ConflictSet] = None
-        self.conflict_ordering: Optional[InducedOrdering] = None
         self.trace: list[TraceEvent] = []
         self.steps = 0
         self.backjumps = 0
@@ -230,7 +229,7 @@ class Solver:
             raise RuleRejected("empty decision")
         if not self._is_undefined(lit, pi):
             raise RuleRejected("decision covers a defined atom")
-        wit = is_blocked(self.trail, lit, pi, self.pool, self.n)
+        wit = is_blocked(self.trail.entries, lit, pi, self.pool, self.n)
         if wit is not None:
             raise RuleRejected(f"decision blocked by clause C{wit[0] + 1}")
         if not self._occurs_in_input(lit):
@@ -247,7 +246,6 @@ class Solver:
         if not cs.clause:
             raise RuleRejected("the empty clause cannot be a conflict set")
         self.conflict = cs
-        self.conflict_ordering = InducedOrdering.from_trail(self.trail)
         self._pq.clear()
         self._bump_clause(cs.clause)
         self._emit("Conflict", render_conflict(self.sig, cs, self.n_input))
@@ -265,17 +263,18 @@ class Solver:
     # -- rules: conflict resolution -------------------------------------------
 
     def rule_skip(self) -> None:
-        cs = self.conflict
+        """Pop the rightmost entry; the caller vouches that it touches no
+        instance of the conflict (`_resolution_step` found no position)."""
         entry = self.trail.entries[-1]
         if entry.is_decision:
             raise RuleRejected("cannot skip a decision")
-        if self._resolvable_position(cs, entry) is not None:
-            raise RuleRejected("rightmost literal touches the conflict")
         self.trail.pop()
         self._emit("Skip", render_entry(self.sig, entry))
 
-    def rule_resolve(self, pos: int) -> None:
-        """Resolve the literal at `pos` against the rightmost trail entry."""
+    def rule_resolve(self, pos: int, eta: Subst, new_pi: Constraint) -> None:
+        """Resolve the literal at `pos` against the rightmost trail entry:
+        `eta` unifies the entry's atom with the literal under the conflict's
+        sigma and `new_pi` is both constraints met under it (`_meets_entry`)."""
         cs = self.conflict
         entry = self.trail.entries[-1]
         if entry.is_decision:
@@ -287,8 +286,6 @@ class Solver:
         rho = renaming_for(clause_vars(reason)) if shared else {}
         rp = apply_clause(reason, rho)
         lprime = rp[entry.reason_lit]
-        eta = mgu_atoms(entry.lit.atom, apply_lit(lit, cs.sigma).atom)
-        assert eta is not None
         eta0 = mgu_atoms(lprime.atom, apply_lit(lit, {}).atom)
         assert eta0 is not None, "eta exists, so eta0 must"
         rest = cs.clause[:pos] + cs.clause[pos + 1:]
@@ -304,9 +301,6 @@ class Solver:
         sigma_star = factor_through(eta0, mu,
                                     clause_vars(cs.clause) + clause_vars(rp))
         sigma_star = restrict(sigma_star, clause_vars(new_clause))
-        entry_pi = rename_rhs_fresh(entry.pi)
-        new_pi = normalize(conjoin(apply_constraint(cs.pi, eta),
-                                   apply_constraint(entry_pi, eta)))
         self._bump_clause(apply_clause(rest_r, eta0))
         self.conflict = ConflictSet(new_clause, sigma_star, new_pi)
         self._emit("Resolve", render_conflict(self.sig, self.conflict, self.n_input))
@@ -339,7 +333,6 @@ class Solver:
         self.trail.truncate(target_len)
         self.level = target_level
         self.conflict = None
-        self.conflict_ordering = None
         self.backjumps += 1
         self._decay_scores()
         self._reroll_refinements(target_len)
@@ -387,42 +380,44 @@ class Solver:
                     return True
         return False
 
-    def _resolvable_position(self, cs: ConflictSet, entry: TrailEntry) -> Optional[int]:
-        for pos, lit in enumerate(cs.clause):
-            if lit.neg == entry.lit.neg or lit.pred != entry.lit.pred:
-                continue
-            eta = mgu_atoms(entry.lit.atom, apply_lit(lit, cs.sigma).atom)
-            if eta is not None and self._meets_entry(cs, entry, eta):
-                return pos
-        return None
-
-    def _factorize_choice(self, cs: ConflictSet, entry: TrailEntry):
-        # a pair's joint unifier unifies each of its literals with the entry,
-        # so only the literals that unify with it alone can pair
+    def _entry_unifiers(self, cs: ConflictSet, entry: TrailEntry,
+                        ) -> list[tuple[int, Lit, Subst]]:
+        """(position, atom under the conflict's sigma, its mgu with the
+        entry's atom) for each conflict literal the entry can falsify."""
         target = entry.lit.atom
-        atoms = []
+        out = []
         for i, l in enumerate(cs.clause):
             if l.neg == entry.lit.neg or l.pred != target.pred:
                 continue
             a = apply_lit(l, cs.sigma).atom
-            if mgu_atoms(a, target) is not None:
-                atoms.append((i, a))
-        for k, (i, ai) in enumerate(atoms):
-            for j, aj in atoms[k + 1:]:
+            eta = mgu_atoms(target, a)
+            if eta is not None:
+                out.append((i, a, eta))
+        return out
+
+    def _factorize_choice(self, cs: ConflictSet, entry: TrailEntry,
+                          unifiers: list[tuple[int, Lit, Subst]]):
+        # a pair's joint unifier unifies each of its literals with the entry,
+        # so only the literals that unify with it alone can pair
+        for k, (i, ai, _) in enumerate(unifiers):
+            for j, aj, _ in unifiers[k + 1:]:
                 eta = mgu_atoms(ai, aj)
                 if eta is None:
                     continue
-                eta = mgu_atoms(apply_lit(ai, eta), target, base=eta)
-                if eta is not None and self._meets_entry(cs, entry, eta):
+                eta = mgu_atoms(apply_lit(ai, eta), entry.lit.atom, base=eta)
+                if eta is not None and self._meets_entry(cs, entry, eta) is not None:
                     return i, j, eta
         return None
 
-    def _meets_entry(self, cs: ConflictSet, entry: TrailEntry, eta: Subst) -> bool:
-        """Some instance of the conflict under `eta` lies in `entry`'s cover."""
-        combined = normalize(conjoin(apply_constraint(cs.pi, eta),
-                                     apply_constraint(rename_rhs_fresh(entry.pi), eta)))
-        return not combined.is_bot and not no_instances(
-            apply_clause(cs.clause, cs.sigma), eta, combined, self.n)
+    def _meets_entry(self, cs: ConflictSet, entry: TrailEntry, eta: Subst,
+                     ) -> Optional[Constraint]:
+        """The conflict's and `entry`'s constraints met under `eta`, when some
+        instance of the conflict under `eta` lies in `entry`'s cover."""
+        met = conjoin_under(cs.pi, rename_rhs_fresh(entry.pi), eta)
+        if met.is_bot or no_instances(apply_clause(cs.clause, cs.sigma), eta,
+                                      met, self.n):
+            return None
+        return met
 
     # -- propagation ----------------------------------------------------------
 
@@ -447,24 +442,9 @@ class Solver:
         pieces (sigma', pi') of `lit`; with `upto`, only the entries before
         that position count.  An entry that does not unify with a piece
         leaves it as it is, without being renamed."""
-        pieces = [(sigma, pi)]
-        for e in self.trail.for_pred(lit.pred):
-            if upto is not None and e.pos >= upto:
-                continue
-            new_pieces: list[tuple[Subst, Constraint]] = []
-            for s, p in pieces:
-                cur = apply_lit(lit, s)
-                if not unifiable_apart(cur.args, e.lit.args):
-                    new_pieces.append((s, p))
-                    continue
-                e_lit, e_pi, _ = rename_clit_fresh(e.lit, e.pi)
-                for tau, p2 in diff_pairs(cur.atom, p, e_lit.atom, e_pi):
-                    if not p2.is_bot:
-                        new_pieces.append((compose(s, tau), p2))
-            pieces = new_pieces
-            if not pieces:
-                break
-        return pieces
+        return diff_apart(lit, sigma, pi, [
+            (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
+            if upto is None or e.pos < upto])
 
     def _has_nonempty_piece(self, lit: Lit, sigma: Subst, pi: Constraint,
                             upto: Optional[int] = None) -> bool:
@@ -504,9 +484,7 @@ class Solver:
             delta = mgu_atoms(lit.atom, entry.lit.atom)
             if delta is None:
                 continue
-            entry_pi = rename_rhs_fresh(entry.pi)
-            combined = normalize(conjoin(apply_constraint(cand.pi, delta),
-                                         apply_constraint(entry_pi, delta)))
+            combined = conjoin_under(cand.pi, rename_rhs_fresh(entry.pi), delta)
             if combined.is_bot:
                 continue
             clause = self.pool[cand.clause_idx]
@@ -592,7 +570,7 @@ class Solver:
             if d_pi.is_bot or clit_is_empty(CLit(d_lit, d_pi), self.n):
                 work.pop(0)
                 continue
-            wit = is_blocked(self.trail, d_lit, d_pi, self.pool, self.n)
+            wit = is_blocked(self.trail.entries, d_lit, d_pi, self.pool, self.n)
             if wit is None:
                 if split:
                     self._record_refinement(pool_idx, work)
@@ -694,9 +672,10 @@ class Solver:
 
     def _resolution_step(self) -> None:
         """Apply the conflict-resolution rule that fits.  The preconditions
-        are decided here, each once per step: assertiveness (Backjump), then
-        the Factorize pair and the resolvable position against the rightmost
-        entry, which `rule_factorize` and `rule_resolve` take as arguments."""
+        are decided here, each once per step: assertiveness (Backjump), then,
+        from one scan of the conflict literals against the rightmost entry,
+        the Factorize pair and the resolvable position, which `rule_factorize`
+        and `rule_resolve` take as arguments."""
         cs = self.conflict
         if cs.clause == ():
             # the empty clause was derived (only level 0 can get here):
@@ -708,22 +687,25 @@ class Solver:
             self.rule_backjump(2, *self.compute_backjump_level(cs.clause))
             return
         entry = self.trail.entries[-1]
+        unifiers = self._entry_unifiers(cs, entry)
         if entry.is_decision:
-            found = self._factorize_choice(cs, entry)
+            found = self._factorize_choice(cs, entry, unifiers)
             if found is not None:
                 self.rule_factorize(*found)
                 return
             self.rule_backjump(3, *self.compute_backjump_level(cs.clause))
             return
-        pos = self._resolvable_position(cs, entry)
-        if pos is None:
+        resolvable = next(((pos, eta, met) for pos, _, eta in unifiers
+                           if (met := self._meets_entry(cs, entry, eta)) is not None),
+                          None)
+        if resolvable is None:
             self.rule_skip()
             return
-        found = self._factorize_choice(cs, entry)
+        found = self._factorize_choice(cs, entry, unifiers)
         if found is not None:
             self.rule_factorize(*found)
             return
-        self.rule_resolve(pos)
+        self.rule_resolve(*resolvable)
 
     def compute_backjump_level(self, learned: Clause) -> tuple[int, int]:
         """(trail prefix length, level) for the backjump target.
@@ -827,23 +809,21 @@ def subsumes(c: Clause, d: Clause) -> bool:
 
 def _subsumes(c: Clause, d: Clause) -> bool:
     # c is already a variant sharing no variable with d
-    cvars = set(clause_vars(c))
+    return _embeds(c, d, set(clause_vars(c)), {})
 
-    def rec(i: int, used: set[int], sigma: Subst) -> bool:
-        if i == len(c):
+
+def _embeds(lits: Clause, target: Clause, bindable: set[int], sigma: Subst) -> bool:
+    """Some extension of `sigma`, binding only `bindable`, maps `lits` onto
+    distinct literals of `target`."""
+    if not lits:
+        return True
+    want = apply_lit(lits[0], sigma)
+    for j, l in enumerate(target):
+        m = _match_restricted(want, l, bindable)
+        if m is not None and _embeds(lits[1:], target[:j] + target[j + 1:],
+                                     bindable, compose(sigma, m)):
             return True
-        want = apply_lit(c[i], sigma)
-        for j, l in enumerate(d):
-            if j in used:
-                continue
-            m = _match_restricted(want, l, cvars)
-            if m is None:
-                continue
-            if rec(i + 1, used | {j}, compose(sigma, m)):
-                return True
-        return False
-
-    return rec(0, set(), {})
+    return False
 
 
 def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
@@ -886,12 +866,12 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
             for j, d in enumerate(clauses):
                 if i == j or not alive[j]:
                     continue
-                if _subsumes(variant(c), d) and not (
-                        len(c) == len(d) and _subsumes(variant(d), c) and i > j):
-                    if len(c) < len(d) or not _subsumes(variant(d), c) or i < j:
-                        alive[j] = False
-                        log.append(f"subsumption: clause {j + 1} deleted by {i + 1}")
-                        changed = True
+                # of two clauses that subsume each other the earlier stays
+                if _subsumes(variant(c), d) and (
+                        i < j or len(c) < len(d) or not _subsumes(variant(d), c)):
+                    alive[j] = False
+                    log.append(f"subsumption: clause {j + 1} deleted by {i + 1}")
+                    changed = True
     return [c for i, c in enumerate(clauses) if alive[i]], log
 
 
@@ -900,21 +880,6 @@ def _subsumption_resolvent(c: Clause, d: Clause) -> Optional[Clause]:
 
     c must be a variant sharing no variable with d."""
     cvars = set(clause_vars(c))
-
-    def covers(rest: Clause, pool: Clause, used: set[int], sigma: Subst) -> bool:
-        if not rest:
-            return True
-        want = apply_lit(rest[0], sigma)
-        for j, l in enumerate(pool):
-            if j in used:
-                continue
-            m = _match_restricted(want, l, cvars)
-            if m is None:
-                continue
-            if covers(rest[1:], pool, used | {j}, compose(sigma, m)):
-                return True
-        return False
-
     for li in range(len(c)):
         lflip = c[li].negate()
         rest = c[:li] + c[li + 1:]
@@ -923,6 +888,6 @@ def _subsumption_resolvent(c: Clause, d: Clause) -> Optional[Clause]:
             if m is None:
                 continue
             remainder = d[:j] + d[j + 1:]
-            if covers(rest, remainder, set(), m):
+            if _embeds(rest, remainder, cvars, m):
                 return canonical_clause(remainder)
     return None

@@ -44,7 +44,7 @@ def test_unrelated_clause_keeps_initial_tuple():
     tr = Trail(2)
     tr.push(TrailEntry(L(False, "Q", x), TOP, 0, 0, reason=0))
     clause = (L(False, "P", y), L(False, "R", y))
-    leaves = find_candidates(clause, list(tr.entries), keep_limit=None)
+    leaves = find_candidates(clause, list(tr.entries), keep_limit=len(clause))
     assert len(leaves) == 1
     assert leaves[0].remaining == (0, 1)
 
@@ -74,14 +74,14 @@ def test_is_blocked_two_distinct_falsified_instances():
     clause = (L(True, "P", cx), L(True, "P", cy), L(False, "Q", cx, cy))
     pool = [clause]
     dx = var_code(200)
-    wit = is_blocked(tr, L(False, "P", dx), TOP, pool, 3)
+    wit = is_blocked(tr.entries, L(False, "P", dx), TOP, pool, 3)
     assert wit is not None
     ci, inst, l1, l2 = wit
     assert ci == 0
     assert inst == (L(True, "P", a), L(True, "P", b), L(False, "Q", a, b))
     assert {l1, l2} == {L(True, "P", a), L(True, "P", b)}
     # the constrained variant (P(x); x != c) is blocked by the same instance
-    wit2 = is_blocked(tr, L(False, "P", dx), conj([((dx,), (c,))]), pool, 3)
+    wit2 = is_blocked(tr.entries, L(False, "P", dx), conj([((dx,), (c,))]), pool, 3)
     assert wit2 is not None and wit2[1] == inst
 
 
@@ -90,7 +90,7 @@ def test_single_atom_decisions_never_blocked():
     tr.push(TrailEntry(L(True, "Q", x, y), TOP, 1, 0))
     cx, cy = var_code(100), var_code(101)
     pool = [(L(True, "P", cx), L(True, "P", cy), L(False, "Q", cx, cy))]
-    wit = is_blocked(tr, L(False, "P", a), TOP, pool, 3)
+    wit = is_blocked(tr.entries, L(False, "P", a), TOP, pool, 3)
     assert wit is None
 
 
@@ -102,6 +102,6 @@ def test_duplicate_literal_clause_does_not_block():
     cx, cy = var_code(100), var_code(101)
     clause = (L(True, "Q", cx, cy), L(False, "P", cx, cy), L(False, "P", cx, cy))
     dx, dy = var_code(200), var_code(201)
-    wit = is_blocked(tr, L(True, "P", dx, dy),
+    wit = is_blocked(tr.entries, L(True, "P", dx, dy),
                      conj([((dx, dy), (v, v))]), [clause], 3)
     assert wit is None

@@ -6,9 +6,10 @@ enumeration of clause instances) remain as referees; here they check
 `cover_size`, `derive.is_assertive`, `derive.falsifiable` and the witness
 of `derive.is_blocked` on random constraints and on every call a solve
 makes.  A last test forbids grounding outright and solves anyway, and
-another checks that `find_candidates` renames a trail entry only when it
-unifies.  The last ones check that the learning path's shortcuts are exact:
-`_factorize_choice` against the all-pairs scan it replaced, the
+another checks that `constrained`'s lifted steps rename a trail entry
+only when it unifies.  The last ones check that the learning path's
+shortcuts are exact: `_factorize_choice` against the all-pairs scan it
+replaced, the
 newest-entry reachability cut of `find_candidates` against the uncut
 search, and each conflict-resolution precondition decided once per step.
 """
@@ -143,7 +144,7 @@ def _ground_falsifiable(clause, sources, n):
     return search(0, {})
 
 
-def _ground_is_blocked(tr, d_lit, d_pi, pool, n):
+def _ground_is_blocked(entries, d_lit, d_pi, pool, n):
     """The enumerating decision-blocking test the solver used to run."""
     if len(cover(d_lit.atom, d_pi, n)) <= 1:
         return None
@@ -152,7 +153,7 @@ def _ground_is_blocked(tr, d_lit, d_pi, pool, n):
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        for leaf in find_candidates(clause, list(tr.entries), keep_limit=0,
+        for leaf in find_candidates(clause, entries, keep_limit=0,
                                     extra=[(d_lit, d_pi)]):
             d_positions = [p for p, src in leaf.used if src < 0]
             if len(d_positions) < 2:
@@ -193,11 +194,11 @@ class _Referee:
                 self.mismatches.append(("falsifiable", clause, got))
             return got
 
-        def is_blocked(tr, d_lit, d_pi, pool, n):
-            got = derive.is_blocked(tr, d_lit, d_pi, pool, n)
+        def is_blocked(entries, d_lit, d_pi, pool, n):
+            got = derive.is_blocked(entries, d_lit, d_pi, pool, n)
             self.calls["blocked"] += 1
             self.calls["witness"] += got is not None
-            if got != _ground_is_blocked(tr, d_lit, d_pi, pool, n):
+            if got != _ground_is_blocked(entries, d_lit, d_pi, pool, n):
                 self.mismatches.append(("is_blocked", d_lit, got))
             return got
 
@@ -301,22 +302,25 @@ def test_solve_and_render_without_grounding(monkeypatch, make, status, steps):
 ])
 def test_find_candidates_renames_only_sources_that_unify(monkeypatch, make, status,
                                                         steps):
+    """Every rename in `constrained` (`meet`, `diff_apart`) is of a source
+    whose atom then unifies."""
     renamed = []
     failed = []
+    real_rename, real_mgu = constrained.rename_clit_fresh, constrained.mgu_atoms
 
     def rename(lit, pi):
-        out = constrained.rename_clit_fresh(lit, pi)
+        out = real_rename(lit, pi)
         renamed.append(out[0].atom)
         return out
 
     def mgu(a, b, base=None):
-        theta = syntax.mgu_atoms(a, b, base)
+        theta = real_mgu(a, b, base)
         if theta is None and b == renamed[-1]:
             failed.append((a, b))
         return theta
 
-    monkeypatch.setattr(derive, "rename_clit_fresh", rename)
-    monkeypatch.setattr(derive, "mgu_atoms", mgu)
+    monkeypatch.setattr(constrained, "rename_clit_fresh", rename)
+    monkeypatch.setattr(constrained, "mgu_atoms", mgu)
     sig, clauses = make()
     verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
     assert (verdict.status, verdict.steps) == (status, steps)
@@ -373,7 +377,7 @@ def _all_pairs_factorize_choice(s, cs, entry):
                                          apply_constraint(entry_pi, eta)))
             if combined.is_bot:
                 continue
-            if derive.no_instances(apply_clause(cs.clause, cs.sigma), eta,
+            if constrained.no_instances(apply_clause(cs.clause, cs.sigma), eta,
                                    combined, s.n):
                 continue
             return i, j, eta
@@ -384,8 +388,8 @@ def test_factorize_choice_matches_the_all_pairs_scan(monkeypatch):
     real = Solver._factorize_choice
     seen = dict(calls=0, found=0)
 
-    def referee(self, cs, entry):
-        got = real(self, cs, entry)
+    def referee(self, cs, entry, unifiers):
+        got = real(self, cs, entry, unifiers)
         seen["calls"] += 1
         seen["found"] += got is not None
         # fail at once: a wrong choice can send the solve into a long detour
@@ -454,9 +458,9 @@ def test_resolution_step_decides_each_precondition_once(monkeypatch):
         counts["assertive"] += 1
         return derive.is_assertive(*args)
 
-    def choice(self, cs, entry):
+    def choice(self, cs, entry, unifiers):
         counts["choice"] += 1
-        return real_choice(self, cs, entry)
+        return real_choice(self, cs, entry, unifiers)
 
     def factorize(self, *args):
         counts["factorize"] += 1

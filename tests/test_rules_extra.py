@@ -5,7 +5,7 @@ import pytest
 from eprsat.cli import main
 from eprsat.constraints import BOT, TOP
 from eprsat.parser import parse_problem, parse_script
-from eprsat.solver import RuleRejected, RunConfig, Solver
+from eprsat.solver import RunConfig, Solver
 from eprsat.syntax import Lit, var_code
 from eprsat.trail import UNDEF, Trail, TrailEntry, clause_value
 
@@ -30,7 +30,8 @@ def test_conflict_identification_unary_variant():
     assert confl.payload == "(C2) ~P(X) | ~P(Y) | Q(X,Y) ; {X<-a} ; Y != c"
 
 
-def test_skip_refused_when_entry_touches_conflict():
+def test_resolution_step_resolves_when_entry_touches_conflict():
+    # the rightmost entry falsifies the conflict: Resolve, never Skip
     sig, clauses = parse_problem("""
     domain a b .
     P(a) .
@@ -40,8 +41,11 @@ def test_skip_refused_when_entry_touches_conflict():
     s.seed_units()
     assert not s.prop_loop()
     s.rule_conflict(s.conflict)
-    with pytest.raises(RuleRejected):
-        s.rule_skip()
+    length = len(s.trail)
+    s._resolution_step()
+    assert s.trace[-1].rule == "Resolve"
+    assert len(s.trail) == length
+    assert s.conflict.clause == ()
 
 
 def test_clause_value_empty_cover_is_degenerate():

@@ -195,7 +195,7 @@ def test_decision_repair_yields_unblocked_split():
     d = s.select_decision()
     assert d is not None
     from eprsat.derive import is_blocked
-    assert is_blocked(s.trail, d[0], d[1], s.pool, s.n) is None
+    assert is_blocked(s.trail.entries, d[0], d[1], s.pool, s.n) is None
     # the pool was refined; the refinement trail records it
     assert s._refinements
 

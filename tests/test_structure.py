@@ -48,3 +48,48 @@ def test_package_imports_form_no_cycle():
 
     for mod in sorted(graph):
         visit(mod)
+
+
+def test_no_unused_module_level_import():
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        names = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Import):
+                names.update((a.asname or a.name.split(".")[0], node.lineno)
+                             for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        # a package re-exports what it lists in __all__
+        used |= {e.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for e in node.value.elts}
+        found += [f"{path.name}:{line} {name}" for name, line in names.items()
+                  if name not in used]
+    assert found == []
+
+
+def test_renaming_apart_and_diff_pairs_stay_in_constrained():
+    """Outside `constrained`, only `Solver._push` (every trail entry gets
+    fresh variables) uses `rename_clit_fresh`, and nothing uses `diff_pairs`:
+    the lifted steps rename apart in `constrained.meet` and `diff_apart`."""
+    found = []
+    for path in MODULES:
+        if path.stem == "constrained":
+            continue
+        tree = _tree(path)
+        allowed = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Solver":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "_push":
+                        allowed |= {id(n) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if (name in ("rename_clit_fresh", "diff_pairs")
+                    and isinstance(node, (ast.Name, ast.Attribute))
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
