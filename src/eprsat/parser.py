@@ -107,6 +107,7 @@ class _ClauseParser:
         self.domain = sig_domain
         self.arities = arities  # name -> (arity, line, col of first use)
         self.varmap: dict[str, int] = {}
+        self.rhs_at: dict[str, _Tok] = {}  # text -> its first rhs token
 
     def term(self) -> int:
         t = self.s.next()
@@ -173,7 +174,10 @@ class _ClauseParser:
         while True:
             lhs = self.tuple_()
             self.s.expect("!=")
+            start = self.s.i
             rhs = self.tuple_()
+            for tok in self.s.toks[start:self.s.i]:
+                self.rhs_at.setdefault(tok.text, tok)
             if len(lhs) != len(rhs):
                 raise ParseError("disequation tuples differ in length",
                                  t.line if t else 1, t.col if t else 1)
@@ -237,7 +241,8 @@ def parse_problem(text: str) -> tuple[Signature, list[Clause]]:
 def parse_clit_line(text: str, sig: Signature,
                     line: int = 1) -> tuple[Lit, Constraint]:
     """One `literal :: constraint` line (number `line`) over `sig`'s
-    predicates; bare literals mean TOP.  Lhs variables must be the literal's."""
+    predicates; bare literals mean TOP.  Lhs variables must be the literal's
+    and rhs variables must not be."""
     toks = _tokenize(text, line)
     s = _Stream(toks)
     domain = {name: i for i, name in enumerate(sig.domain)}
@@ -258,6 +263,10 @@ def parse_clit_line(text: str, sig: Signature,
         if var in lvars(pi) and var not in lit.args:
             t = next(t for t in toks if t.text == name)
             raise ParseError(f"lhs variable {name!r} is not in the literal",
+                             t.line, t.col)
+        if var in lit.args and name in cp.rhs_at:
+            t = cp.rhs_at[name]
+            raise ParseError(f"rhs variable {name!r} occurs in the literal",
                              t.line, t.col)
     return lit, normalize(pi)
 

@@ -110,15 +110,18 @@ def render_trace(events) -> str:
 # ---------------------------------------------------------------------------
 # model document
 
-def merge_cover(sig: Signature, clits: list[CLit], cap: int = 6000) -> list[CLit]:
+MERGE_ATOM_CAP = 6000
+
+
+def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
     """Greedy consolidation: drop a subconstraint of one literal when the
     widened cover equals the union with another literal's cover.
 
     Checked by counting, not by grounding.  The widened w contains b, so
     w = a | b exactly when a is inside w (|a & w| = |a|) and
-    |w| = |a| + |b| - |a & b|.  `cap` only skips predicates whose universe
-    exceeds that many ground atoms; dropping it would change which model
-    documents get consolidated.
+    |w| = |a| + |b| - |a & b|.  `MERGE_ATOM_CAP` only skips predicates
+    whose universe exceeds that many ground atoms; dropping it would change
+    which model documents get consolidated.
     """
     n = sig.n
 
@@ -136,7 +139,7 @@ def merge_cover(sig: Signature, clits: list[CLit], cap: int = 6000) -> list[CLit
                 a, b = out[i], out[j]
                 if a.lit.pred != b.lit.pred or a.lit.neg != b.lit.neg:
                     continue
-                if n ** len(b.lit.args) > cap:
+                if n ** len(b.lit.args) > MERGE_ATOM_CAP:
                     continue
                 if b.pi.kind != "and":
                     continue

@@ -19,6 +19,13 @@ lifted steps themselves (meet, difference apart, emptiness) live in
 `constrained`; a conflict-resolution step unifies each conflict literal with
 the rightmost entry once (`_entry_unifiers`) and reads both the resolvable
 position and the Factorize pairs from that scan.
+
+Each rule takes what the search that found it established and re-checks
+none of it: `prop_loop` vouches for Propagate, `select_decision` for Decide
+(it checks a script line once), `add_consequences` and `full_scan` for
+Conflict, `_solve` for Success and Failure, `_resolution_step` for the rest.
+Resolve and Factorize share one closure step (`_rewrite_conflict`), and the
+queue clash uses the resolvable position's test, `_meets_entry`.
 """
 from __future__ import annotations
 
@@ -29,7 +36,6 @@ from typing import Optional
 
 from .constrained import (
     CLit,
-    clit_is_empty,
     conjoin_under,
     cover_size,
     diff_apart,
@@ -107,7 +113,6 @@ class ConflictSet:
     sigma: Subst
     pi: Constraint
     origin: Optional[int] = None   # pool index when it is an input/learned clause
-    kind: str = "derived"          # 'pq-clash' | 'derived'
 
 
 @dataclass
@@ -174,16 +179,11 @@ class Solver:
             self._clauses_by_shape.setdefault(key, []).append(ci)
 
     def _init_pool_cands(self) -> list[tuple[Lit, Constraint]]:
-        cands: list[tuple[Lit, Constraint]] = []
-        seen: set[tuple] = set()
+        first: dict[Lit, Lit] = {}   # one literal per variant, the first
         for c in self.pool:
             for l in c:
-                key = _canon_lit(l)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cands.append((l, TOP))
-        return cands
+                first.setdefault(_canon_lit(l), l)
+        return [(l, TOP) for l in first.values()]
 
     def _emit(self, rule: str, payload: str) -> None:
         self.steps += 1
@@ -210,30 +210,17 @@ class Solver:
 
     # -- rules: conflict search ----------------------------------------------
 
-    def rule_propagate(self, cand: PropCand, sigma: Subst, pi: Constraint) -> TrailEntry:
-        clause = self.pool[cand.clause_idx]
-        lit = apply_lit(clause[cand.lit_idx], sigma)
-        if self.level < 0:
-            raise RuleRejected("terminal state")
-        if is_empty(lit, pi, self.n):
-            raise RuleRejected("empty propagation")
-        entry = self._push(lit, pi, reason=cand.clause_idx,
-                           reason_lit=cand.lit_idx, sigma=sigma)
+    def rule_propagate(self, cand: PropCand) -> TrailEntry:
+        """Push the queue piece `cand`.  `prop_loop` vouches that it is
+        undefined (a piece of the trail difference) and non-empty."""
+        entry = self._push(cand.lit(self.pool), cand.pi, reason=cand.clause_idx,
+                           reason_lit=cand.lit_idx, sigma=cand.sigma)
         self._emit("Propagate", render_entry(self.sig, entry))
         return entry
 
     def rule_decide(self, lit: Lit, pi: Constraint) -> TrailEntry:
-        if self.level < 0:
-            raise RuleRejected("terminal state")
-        if clit_is_empty(CLit(lit, pi), self.n):
-            raise RuleRejected("empty decision")
-        if not self._is_undefined(lit, pi):
-            raise RuleRejected("decision covers a defined atom")
-        wit = is_blocked(self.trail.entries, lit, pi, self.pool, self.n)
-        if wit is not None:
-            raise RuleRejected(f"decision blocked by clause C{wit[0] + 1}")
-        if not self._occurs_in_input(lit):
-            raise RuleRejected("decision does not instantiate an input literal")
+        """Push (lit; pi) as a decision.  `select_decision` vouches that it is
+        non-empty, undefined, unblocked and an instance of an input literal."""
         self.level += 1
         entry = self._push(lit, pi, reason=None)
         entry.level = self.level
@@ -241,6 +228,8 @@ class Solver:
         return entry
 
     def rule_conflict(self, cs: ConflictSet) -> None:
+        """Record `cs`, which the search found false under the trail: the
+        queue clash or a derivation in `add_consequences`, or `full_scan`."""
         if self.level < 0:
             raise RuleRejected("terminal state")
         if not cs.clause:
@@ -251,11 +240,13 @@ class Solver:
         self._emit("Conflict", render_conflict(self.sig, cs, self.n_input))
 
     def rule_success(self) -> None:
+        # `_solve` vouches: the queue is empty and `full_scan` found nothing
         self.level = -1
         self.terminal = "sat"
         self._emit("Success", "model found")
 
     def rule_failure(self) -> None:
+        # `_solve` vouches: the pool holds the empty clause
         self.level = 0
         self.terminal = "unsat"
         self._emit("Failure", "empty clause present")
@@ -279,49 +270,47 @@ class Solver:
         entry = self.trail.entries[-1]
         if entry.is_decision:
             raise RuleRejected("cannot resolve against a decision")
-        lit = cs.clause[pos]
         reason = self.pool[entry.reason]
         # rename the reason clause apart when it shares variables
         shared = set(clause_vars(reason)) & set(clause_vars(cs.clause))
         rho = renaming_for(clause_vars(reason)) if shared else {}
         rp = apply_clause(reason, rho)
-        lprime = rp[entry.reason_lit]
-        eta0 = mgu_atoms(lprime.atom, apply_lit(lit, {}).atom)
+        eta0 = mgu_atoms(rp[entry.reason_lit].atom, cs.clause[pos].atom)
         assert eta0 is not None, "eta exists, so eta0 must"
-        rest = cs.clause[:pos] + cs.clause[pos + 1:]
         rest_r = rp[:entry.reason_lit] + rp[entry.reason_lit + 1:]
-        new_clause_raw = apply_clause(rest + rest_r, eta0)
-        new_clause = canonical_clause(new_clause_raw)
         inv_rho = {w: v for v, w in rho.items()}
-        mu: Subst = {}
-        for v in clause_vars(cs.clause):
-            mu[v] = _apply_chain(v, [cs.sigma, eta])
+        mu = {v: apply_term(apply_term(v, cs.sigma), eta)
+              for v in clause_vars(cs.clause)}
         for u in clause_vars(rp):
-            mu[u] = _apply_chain(inv_rho.get(u, u), [entry.sigma, eta])
-        sigma_star = factor_through(eta0, mu,
-                                    clause_vars(cs.clause) + clause_vars(rp))
-        sigma_star = restrict(sigma_star, clause_vars(new_clause))
+            mu[u] = apply_term(apply_term(inv_rho.get(u, u), entry.sigma), eta)
         self._bump_clause(apply_clause(rest_r, eta0))
-        self.conflict = ConflictSet(new_clause, sigma_star, new_pi)
-        self._emit("Resolve", render_conflict(self.sig, self.conflict, self.n_input))
+        self._rewrite_conflict("Resolve", cs.clause[:pos] + cs.clause[pos + 1:]
+                               + rest_r, eta0, mu, new_pi)
 
     def rule_factorize(self, i: int, j: int, eta: Subst) -> None:
         """Merge the conflict clause's literals i < j under `eta`."""
         cs = self.conflict
-        li, lj = cs.clause[i], cs.clause[j]
-        eta0 = mgu_atoms(li.atom, lj.atom)
+        eta0 = mgu_atoms(cs.clause[i].atom, cs.clause[j].atom)
         assert eta0 is not None
-        new_clause_raw = apply_clause(
-            tuple(l for p, l in enumerate(cs.clause) if p != j), eta0)
-        new_clause = canonical_clause(new_clause_raw)
-        mu = {v: _apply_chain(v, [cs.sigma, eta]) for v in clause_vars(cs.clause)}
-        sigma_star = factor_through(eta0, mu, clause_vars(cs.clause))
-        sigma_star = restrict(sigma_star, clause_vars(new_clause))
-        new_pi = normalize(apply_constraint(cs.pi, eta))
-        self.conflict = ConflictSet(new_clause, sigma_star, new_pi)
-        self._emit("Factorize", render_conflict(self.sig, self.conflict, self.n_input))
+        mu = {v: apply_term(apply_term(v, cs.sigma), eta)
+              for v in clause_vars(cs.clause)}
+        self._rewrite_conflict("Factorize", cs.clause[:j] + cs.clause[j + 1:],
+                               eta0, mu, normalize(apply_constraint(cs.pi, eta)))
+
+    def _rewrite_conflict(self, rule: str, lits: Clause, eta0: Subst, mu: Subst,
+                          pi: Constraint) -> None:
+        """The closure step Resolve and Factorize share: the new conflict
+        clause is `lits` under the mgu `eta0`, and its closure substitution
+        is the one that `mu` (defined on every variable before `eta0`)
+        factors into through `eta0`, restricted to the new clause."""
+        clause = canonical_clause(apply_clause(lits, eta0))
+        sigma = restrict(factor_through(eta0, mu, mu), clause_vars(clause))
+        self.conflict = ConflictSet(clause, sigma, pi)
+        self._emit(rule, render_conflict(self.sig, self.conflict, self.n_input))
 
     def rule_backjump(self, case: int, target_len: int, target_level: int) -> int:
+        """Learn the conflict clause and cut the trail to `target_len`;
+        `_resolution_step` vouches for `case` and computes the target."""
         cs = self.conflict
         learned = canonical_variant(cs.clause)
         if self.auditor is not None:
@@ -405,17 +394,18 @@ class Solver:
                 if eta is None:
                     continue
                 eta = mgu_atoms(apply_lit(ai, eta), entry.lit.atom, base=eta)
-                if eta is not None and self._meets_entry(cs, entry, eta) is not None:
+                if eta is not None and self._meets_entry(
+                        apply_clause(cs.clause, cs.sigma), cs.pi, entry, eta) is not None:
                     return i, j, eta
         return None
 
-    def _meets_entry(self, cs: ConflictSet, entry: TrailEntry, eta: Subst,
-                     ) -> Optional[Constraint]:
-        """The conflict's and `entry`'s constraints met under `eta`, when some
-        instance of the conflict under `eta` lies in `entry`'s cover."""
-        met = conjoin_under(cs.pi, rename_rhs_fresh(entry.pi), eta)
-        if met.is_bot or no_instances(apply_clause(cs.clause, cs.sigma), eta,
-                                      met, self.n):
+    def _meets_entry(self, lits: Clause, pi: Constraint, entry: TrailEntry,
+                     eta: Subst) -> Optional[Constraint]:
+        """`pi` and `entry`'s constraint met under `eta`, when (lits; pi) has
+        an instance under `eta` that `entry` falsifies: `lits` is a clause
+        under its sigma and `eta` unifies one of its literals with `entry`."""
+        met = conjoin_under(pi, rename_rhs_fresh(entry.pi), eta)
+        if met.is_bot or no_instances(lits, eta, met, self.n):
             return None
         return met
 
@@ -429,9 +419,8 @@ class Solver:
             for sigma, pi in self._diff_against_trail(base, cand.sigma, cand.pi):
                 if is_empty(apply_lit(base, sigma), pi, self.n):
                     continue
-                entry = self.rule_propagate(
-                    PropCand(cand.clause_idx, cand.lit_idx, sigma, pi), sigma, pi)
-                if not self.add_consequences(entry):
+                piece = PropCand(cand.clause_idx, cand.lit_idx, sigma, pi)
+                if not self.add_consequences(self.rule_propagate(piece)):
                     return False
         return True
 
@@ -466,8 +455,7 @@ class Solver:
             if not leaf.remaining:
                 sigma = restrict(leaf.sigma, clause_vars(clause))
                 if not no_instances(clause, sigma, leaf.pi, self.n):
-                    yield ConflictSet(clause, sigma, leaf.pi, origin=ci,
-                                      kind="derived")
+                    yield ConflictSet(clause, sigma, leaf.pi, origin=ci)
                 continue
             lit_idx = leaf.remaining[0]
             lit = apply_lit(clause[lit_idx], leaf.sigma)
@@ -484,16 +472,14 @@ class Solver:
             delta = mgu_atoms(lit.atom, entry.lit.atom)
             if delta is None:
                 continue
-            combined = conjoin_under(cand.pi, rename_rhs_fresh(entry.pi), delta)
-            if combined.is_bot:
-                continue
             clause = self.pool[cand.clause_idx]
-            sig2 = compose(cand.sigma, delta)
-            if no_instances(clause, sig2, combined, self.n):
+            met = self._meets_entry(apply_clause(clause, cand.sigma), cand.pi,
+                                    entry, delta)
+            if met is None:
                 continue
             self.rule_conflict(ConflictSet(
-                clause, restrict(sig2, clause_vars(clause)), combined,
-                origin=cand.clause_idx, kind="pq-clash"))
+                clause, restrict(compose(cand.sigma, delta), clause_vars(clause)),
+                met, origin=cand.clause_idx))
             return False
         # derived consequences: every clause touching the new entry
         key = (entry.lit.pred, not entry.lit.neg)
@@ -529,29 +515,36 @@ class Solver:
     # -- decisions -------------------------------------------------------------
 
     def select_decision(self) -> Optional[tuple[Lit, Constraint]]:
+        """The next decision, which satisfies every precondition of Decide:
+        a script line once checked, else an undefined piece of a pool
+        literal that `_repair_blocking` found non-empty and unblocked."""
         if self._script:
             lit, pi = self._script.pop(0)
+            self._check_script_decision(lit, pi)
             return lit, pi
-        order = list(range(len(self.pool_cands)))
-        if self.scores:
-            combined = [self._combined_score(self.pool_cands[i][0]) for i in order]
-        else:
-            combined = [0.0] * len(order)
-        if self._rng is not None:
-            jitter = [self._rng.random() for _ in order]
-        else:
-            jitter = [0.0] * len(order)
-        order.sort(key=lambda i: (-combined[i], jitter[i], i))
-        for i in order:
+        jitter = self._rng.random if self._rng is not None else lambda: 0.0
+        ranked = sorted((-self._combined_score(lit), jitter(), i)
+                        for i, (lit, _) in enumerate(self.pool_cands))
+        for _, _, i in ranked:
             lit, pi = self.pool_cands[i]
-            pieces = [
-                (apply_lit(lit, sigma), piece_pi)
-                for sigma, piece_pi in self._diff_against_trail(lit, {}, pi)
-            ]
-            got = self._repair_blocking(i, pieces)
+            got = self._repair_blocking(i, [
+                (apply_lit(lit, s), p) for s, p in self._diff_against_trail(lit, {}, pi)])
             if got is not None:
                 return got
         return None
+
+    def _check_script_decision(self, lit: Lit, pi: Constraint) -> None:
+        # a script line comes from outside the search, so Decide's
+        # preconditions are checked here, once
+        if is_empty(lit, pi, self.n):
+            raise RuleRejected("empty decision")
+        if not self._is_undefined(lit, pi):
+            raise RuleRejected("decision covers a defined atom")
+        wit = is_blocked(self.trail.entries, lit, pi, self.pool, self.n)
+        if wit is not None:
+            raise RuleRejected(f"decision blocked by clause C{wit[0] + 1}")
+        if not self._occurs_in_input(lit):
+            raise RuleRejected("decision does not instantiate an input literal")
 
     def _repair_blocking(self, pool_idx: int,
                          pieces: list[tuple[Lit, Constraint]],
@@ -567,7 +560,7 @@ class Solver:
         split = False
         while work:
             d_lit, d_pi = work[0]
-            if d_pi.is_bot or clit_is_empty(CLit(d_lit, d_pi), self.n):
+            if is_empty(d_lit, d_pi, self.n):
                 work.pop(0)
                 continue
             wit = is_blocked(self.trail.entries, d_lit, d_pi, self.pool, self.n)
@@ -655,9 +648,7 @@ class Solver:
                 continue  # conflict recorded by add_consequences
             d = self.select_decision()
             if d is not None:
-                entry = self.rule_decide(*d)
-                if not self.add_consequences(entry):
-                    continue
+                self.add_consequences(self.rule_decide(*d))
                 continue
             cs = self.full_scan()
             if cs is not None:
@@ -695,9 +686,10 @@ class Solver:
                 return
             self.rule_backjump(3, *self.compute_backjump_level(cs.clause))
             return
+        lits = apply_clause(cs.clause, cs.sigma)
         resolvable = next(((pos, eta, met) for pos, _, eta in unifiers
-                           if (met := self._meets_entry(cs, entry, eta)) is not None),
-                          None)
+                           if (met := self._meets_entry(lits, cs.pi, entry, eta))
+                           is not None), None)
         if resolvable is None:
             self.rule_skip()
             return
@@ -751,13 +743,6 @@ class Solver:
 
 # ---------------------------------------------------------------------------
 # small helpers
-
-def _apply_chain(v: int, chain: list[Subst]) -> int:
-    t = v
-    for s in chain:
-        t = apply_term(t, s)
-    return t
-
 
 def _canon_lit(l: Lit) -> Lit:
     seen: dict[int, int] = {}

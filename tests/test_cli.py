@@ -127,3 +127,37 @@ def test_malformed_script_line_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "error: 1:13: lhs variable 'W' is not in the literal")
+
+
+def test_script_line_with_an_rhs_literal_variable_exits_1(tmp_path, capsys):
+    script = tmp_path / "bad.dec"
+    script.write_text("P(X,Y,Z) :: (X,Y) != (Y,Y)\n")
+    code = main(["--input", os.path.join(DATA, "ex33.p"),
+                 "--script", str(script)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: 1:23: rhs variable 'Y' occurs in the literal\n")
+
+
+def test_outcomes_do_not_depend_on_asserts(tmp_path):
+    # under `python -O` every `assert` is gone; the golden replay and the
+    # rejection of a malformed script line must come out the same
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-O", "-m", "eprsat.cli",
+                               "--input", os.path.join(DATA, "ex33.p"), *args],
+                              capture_output=True, text=True, env=env)
+
+    trace = tmp_path / "t.txt"
+    proc = run("--script", os.path.join(DATA, "ex33.dec"), "--trace", str(trace))
+    assert proc.returncode == 10, proc.stderr
+    golden = open(os.path.join(DATA, "ex33.trace.golden")).read()
+    assert trace.read_text() == golden
+    script = tmp_path / "bad.dec"
+    script.write_text("P(X,Y,Z) :: (X,Y) != (Y,Y)\n")
+    proc = run("--script", str(script))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: 1:23: rhs variable 'Y' occurs in the literal\n"

@@ -140,6 +140,27 @@ def test_clit_line_rejects_a_free_lhs_variable():
     assert pi.kind == "and"
 
 
+def test_clit_line_rejects_an_rhs_variable_of_the_literal():
+    # Y is the literal's own variable, so it cannot range freely on a
+    # right-hand side; such a line used to parse into a non-normal constraint
+    sig = Signature({"P": 3}, ("a", "b", "c"))
+    with pytest.raises(ParseError) as exc:
+        parse_clit_line("P(X,Y,Z) :: (X,Y) != (Y,Y)", sig)
+    assert str(exc.value) == "1:23: rhs variable 'Y' occurs in the literal"
+    # in a script, the error names the script's line
+    with pytest.raises(ParseError) as exc:
+        parse_script("P(X,Y,Z)\nP(X,Y,Z) :: X != a /\\ (Y,Z) != (V,X)\n", sig)
+    assert str(exc.value) == "2:35: rhs variable 'X' occurs in the literal"
+
+
+def test_model_document_rejects_an_rhs_variable_of_the_literal():
+    sig = Signature({"P": 2}, ("a", "b"))
+    doc = "% model\nP(X,Y) :: TOP\n% compact\nP(X,Y) :: X != Y\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(doc, sig)
+    assert str(exc.value) == "4:16: rhs variable 'Y' occurs in the literal"
+
+
 def test_clit_line_rejects_an_undeclared_predicate():
     sig = Signature({"P": 1}, ("a",))
     with pytest.raises(ParseError) as exc:

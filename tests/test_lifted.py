@@ -12,6 +12,8 @@ shortcuts are exact: `_factorize_choice` against the all-pairs scan it
 replaced, the
 newest-entry reachability cut of `find_candidates` against the uncut
 search, and each conflict-resolution precondition decided once per step.
+The very last checks that Decide and Propagate re-run none of the
+preconditions their search established.
 """
 import os
 import random
@@ -476,3 +478,47 @@ def test_resolution_step_decides_each_precondition_once(monkeypatch):
         assert verdict.status == status, name
     assert bad == []
     assert factorized["steps"] > 10, factorized
+
+
+def test_decide_and_propagate_take_what_the_search_found(monkeypatch):
+    """`rule_decide` and `rule_propagate` re-check none of their
+    preconditions: inside them `is_blocked`, `is_empty`, `_is_undefined` and
+    `_occurs_in_input` never run, while the search that vouches for them
+    (`select_decision`, `prop_loop`) calls the first two."""
+    inside = []
+    calls = dict(rule=0, is_blocked=0, is_empty=0, decide=0, propagate=0)
+
+    def count(real):
+        def wrapper(*args):
+            calls["rule" if inside else real.__name__] += 1
+            return real(*args)
+        return wrapper
+
+    def rule(real, name):
+        def wrapper(self, *args):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return real(self, *args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def forbidden(self, *args):
+        raise AssertionError("a script-only check ran without a script")
+
+    monkeypatch.setattr(solver_mod, "is_blocked", count(derive.is_blocked))
+    monkeypatch.setattr(solver_mod, "is_empty", count(constrained.is_empty))
+    monkeypatch.setattr(Solver, "rule_decide", rule(Solver.rule_decide, "decide"))
+    monkeypatch.setattr(Solver, "rule_propagate",
+                        rule(Solver.rule_propagate, "propagate"))
+    monkeypatch.setattr(Solver, "_is_undefined", forbidden)
+    monkeypatch.setattr(Solver, "_occurs_in_input", forbidden)
+    for make, status, steps in [(_c5_2, "unsat", 101),
+                                (lambda: gen_benchmark(7, 3), "sat", 82)]:
+        sig, clauses = make()
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        assert (verdict.status, verdict.steps) == (status, steps)
+    assert calls["rule"] == 0, calls
+    assert calls["decide"] > 0 and min(calls["is_blocked"], calls["is_empty"],
+                                       calls["propagate"]) > 0, calls

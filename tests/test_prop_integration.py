@@ -52,16 +52,23 @@ def test_saturated_trail_prop_loop_true():
     assert s.prop_loop() is True  # empty queue: immediately exhausted
 
 
-def test_conflict_kinds_are_recorded():
+def test_queue_clash_conflict_comes_before_any_derivation(monkeypatch):
+    # P(a) is propagated first and falsifies the queued unit -P(a): the
+    # conflict is read off the queue before any clause is derived against
+    # the trail
     sig, clauses = parse_problem("""
     domain a b .
     P(a) .
     -P(a) .
     """)
     s = Solver(sig, clauses, RunConfig(simplify=False))
+    derived = []
+    monkeypatch.setattr(s, "_derive", lambda *args, **kw: derived.append(args))
     s.seed_units()
     assert s.prop_loop() is False
-    assert s.conflict is not None and s.conflict.kind == "pq-clash"
+    assert derived == []
+    assert s.conflict is not None and s.conflict.origin == 1
+    assert [e.rule for e in s.trace] == ["Propagate", "Conflict"]
 
 
 def test_scores_rank_conflict_predicates_first():

@@ -3,6 +3,7 @@ import pytest
 from eprsat.constraints import TOP
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import (
+    ConflictSet,
     RuleRejected,
     RunConfig,
     Solver,
@@ -152,17 +153,19 @@ def test_step_cap_verdict():
 
 
 def test_decide_rejects_defined_candidate():
+    # a script decision is checked where `select_decision` pops it
     sig, clauses = parse_problem("""
     domain a b .
     P(X) .
     """)
-    s = Solver(sig, clauses, RunConfig(simplify=False))
-    assert s.prop_loop() is True or True
+    script = parse_script("P(X)", sig)
+    s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
     s.seed_units()
-    s.prop_loop()
-    x = var_code(0)
-    with pytest.raises(RuleRejected):
-        s.rule_decide(Lit(False, "P", (x,)), TOP)
+    assert s.prop_loop()
+    with pytest.raises(RuleRejected) as exc:
+        s.select_decision()
+    assert str(exc.value) == "decision covers a defined atom"
+    assert len(s.trail) == 1 and s.level == 0
 
 
 def test_decide_rejects_blocked_candidate_with_witness():
@@ -170,14 +173,31 @@ def test_decide_rejects_blocked_candidate_with_witness():
     domain a b c .
     -P(X) | -P(Y) | Q(X,Y) .
     """)
-    script = parse_script("~Q(X,Y) :: TOP", sig)
+    script = parse_script("~Q(X,Y) :: TOP\nP(X)", sig)
     s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
     entry = s.rule_decide(*s.select_decision())
     assert s.add_consequences(entry)
-    x = var_code(0)
     with pytest.raises(RuleRejected) as exc:
-        s.rule_decide(Lit(False, "P", (x,)), TOP)
-    assert "blocked" in str(exc.value)
+        s.select_decision()
+    assert str(exc.value) == "decision blocked by clause C1"
+    assert len(s.trail) == 1 and s.level == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("P(X) :: X != a /\\ X != b", "empty decision"),
+    ("P(b)", "decision does not instantiate an input literal"),
+])
+def test_script_decision_checks_the_other_preconditions(line, message):
+    sig, clauses = parse_problem("""
+    domain a b .
+    P(a) | Q(X) .
+    """)
+    s = Solver(sig, clauses, RunConfig(script=parse_script(line, sig),
+                                       simplify=False))
+    with pytest.raises(RuleRejected) as exc:
+        s.solve()
+    assert str(exc.value) == message
+    assert s.steps == 0
 
 
 def test_decision_repair_yields_unblocked_split():
@@ -233,6 +253,36 @@ def test_backjump_level_zero_when_false_above():
     cl = canonical_clause((Lit(True, "P", (0,)), Lit(True, "P", (1,))))
     plen, level = s.compute_backjump_level(cl)
     assert level == 0 and plen == 0
+
+
+def test_backjump_inside_level_zero_reseeds_the_whole_pool(monkeypatch):
+    # ~P(a) is already false at level 0, whose only entry is P(a): the
+    # level search breaks at once, the longest prefix of level 0 where the
+    # clause is not false is the empty one, and a backjump that cuts level 0
+    # short reseeds every clause
+    sig, clauses = parse_problem("""
+    domain a .
+    P(a) .
+    Q(a) | R(a) .
+    """)
+    script = parse_script("Q(a)", sig)
+    s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
+    s.seed_units()
+    assert s.prop_loop()
+    s.add_consequences(s.rule_decide(*s.select_decision()))
+    assert s.prop_loop()
+    assert (len(s.trail), s.level) == (2, 1)
+    cl = canonical_clause((Lit(True, "P", (0,)),))
+    assert s.compute_backjump_level(cl) == (0, 0)
+    reseeds = []
+    real = s._reseed_full
+    monkeypatch.setattr(s, "_reseed_full", lambda: reseeds.append(real()))
+    s.conflict = ConflictSet(cl, {}, TOP)
+    ci = s.rule_backjump(3, *s.compute_backjump_level(cl))
+    assert (len(s.trail), s.level, s.conflict) == (0, 0, None)
+    assert s.pool[ci] == cl and len(reseeds) == 1
+    # both unit clauses are queued again, the learned one included
+    assert sorted(c.clause_idx for _, _, c in s._pq) == [0, ci]
 
 
 # ---------------------------------------------------------------------------
