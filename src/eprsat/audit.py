@@ -8,7 +8,8 @@ decrease of the conflict-resolution measure, blocking of removed decisions
 by case-(3) clauses, non-redundancy of every learned clause, and the model
 property at success.  At every backjump it also referees the solver's
 lifted derivations by grounding: assertiveness of the conflict and the
-absence of false learned-clause instances under the chosen prefix.
+absence of false learned-clause instances under the chosen prefix, and at
+success it asks `Solver.full_scan` if propagation left anything undone.
 Violations are collected, not raised, so a test can assert the list is
 empty.
 
@@ -146,6 +147,8 @@ class Auditor:
                 return
 
     def at_success(self, solver) -> None:
+        if (left := solver.full_scan()) is not None:
+            self._flag(f"success but propagation left {left}")
         model = [CLit(e.lit, e.pi) for e in solver.trail.entries]
         ok, witness = verify_model(model, self.sig, self.input_clauses)
         if not ok:

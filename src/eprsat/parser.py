@@ -175,7 +175,9 @@ class _ClauseParser:
             lhs = self.tuple_()
             self.s.expect("!=")
             start = self.s.i
+            outer = dict(self.varmap)
             rhs = self.tuple_()
+            self.varmap = outer   # a new rhs variable is local to its disequation
             for tok in self.s.toks[start:self.s.i]:
                 self.rhs_at.setdefault(tok.text, tok)
             if len(lhs) != len(rhs):

@@ -9,23 +9,25 @@ applies Skip / Factorize / Resolve until a clause can be learned, then
 backjumps to the smallest level where the new clause propagates.
 
 Everything the solver learns about the trail comes from one derivation
-path, `Solver._derive`: resolve a clause's literals against the trail and
-read a leaf with nothing left as a conflict, a leaf with one literal left as
-a propagation candidate.  Its four callers (`add_consequences`,
-`_reseed_from_clause`, `full_scan`, `_propagatable_under_prefix`) differ only
-in what they do with the results; `_diff_against_trail` is the one trail
-difference behind the queue, the decisions and the backjump level.  The
-lifted steps themselves (meet, difference apart, emptiness) live in
-`constrained`; a conflict-resolution step unifies each conflict literal with
-the rightmost entry once (`_entry_unifiers`) and reads both the resolvable
-position and the Factorize pairs from that scan.
+path, `Solver._derive`: a leaf with nothing left is a conflict, one with one
+literal left a propagation candidate.  `add_consequences` and
+`_reseed_from_clause` search with it; `_propagatable_under_prefix` and
+`full_scan` only ask.  `_diff_against_trail` is the one trail difference
+(behind the queue, the decisions and the backjump level), `_undefined_pieces`
+its one non-empty filter.  The lifted steps live in `constrained`; a
+resolution step unifies each conflict literal with the rightmost entry once
+(`_entry_unifiers`) for Resolve and Factorize, which share a closure step.
 
 Each rule takes what the search that found it established and re-checks
 none of it: `prop_loop` vouches for Propagate, `select_decision` for Decide
-(it checks a script line once), `add_consequences` and `full_scan` for
-Conflict, `_solve` for Success and Failure, `_resolution_step` for the rest.
-Resolve and Factorize share one closure step (`_rewrite_conflict`), and the
-queue clash uses the resolvable position's test, `_meets_entry`.
+(it checks a script line once), `add_consequences` for Conflict,
+`_resolution_step` for the rest, and `_solve` for Failure and Success.
+Success rescans nothing: propagation is exhaustive, so no clause is left
+false or propagating, because every derivation is found when its newest
+entry is pushed, the queue is exhausted before each decision, Conflict
+clears only the queue of a level that the backjump removes, a mid-level
+backjump reseeds the whole pool, and a learned clause has no false instance
+under its target prefix.  `full_scan` asks it again, for the audit.
 """
 from __future__ import annotations
 
@@ -229,7 +231,7 @@ class Solver:
 
     def rule_conflict(self, cs: ConflictSet) -> None:
         """Record `cs`, which the search found false under the trail: the
-        queue clash or a derivation in `add_consequences`, or `full_scan`."""
+        queue clash or a derivation in `add_consequences`."""
         if self.level < 0:
             raise RuleRejected("terminal state")
         if not cs.clause:
@@ -240,7 +242,8 @@ class Solver:
         self._emit("Conflict", render_conflict(self.sig, cs, self.n_input))
 
     def rule_success(self) -> None:
-        # `_solve` vouches: the queue is empty and `full_scan` found nothing
+        # `_solve` vouches: the queue is exhausted and no decision is left,
+        # so no clause is false or propagates (see the module docstring)
         self.level = -1
         self.terminal = "sat"
         self._emit("Success", "model found")
@@ -416,9 +419,7 @@ class Solver:
         while self._pq:
             _, _, cand = heapq.heappop(self._pq)
             base = self.pool[cand.clause_idx][cand.lit_idx]
-            for sigma, pi in self._diff_against_trail(base, cand.sigma, cand.pi):
-                if is_empty(apply_lit(base, sigma), pi, self.n):
-                    continue
+            for sigma, pi in self._undefined_pieces(base, cand.sigma, cand.pi):
                 piece = PropCand(cand.clause_idx, cand.lit_idx, sigma, pi)
                 if not self.add_consequences(self.rule_propagate(piece)):
                     return False
@@ -435,10 +436,12 @@ class Solver:
             (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
             if upto is None or e.pos < upto])
 
-    def _has_nonempty_piece(self, lit: Lit, sigma: Subst, pi: Constraint,
-                            upto: Optional[int] = None) -> bool:
-        return any(not is_empty(apply_lit(lit, s), p, self.n)
-                   for s, p in self._diff_against_trail(lit, sigma, pi, upto))
+    def _undefined_pieces(self, lit: Lit, sigma: Subst, pi: Constraint,
+                          upto: Optional[int] = None):
+        """The non-empty pieces of `_diff_against_trail`, lazily: the
+        difference itself is taken once, before the first piece."""
+        return ((s, p) for s, p in self._diff_against_trail(lit, sigma, pi, upto)
+                if not is_empty(apply_lit(lit, s), p, self.n))
 
     def _derive(self, ci: int, clause: Clause, sources: list[TrailEntry],
                 newest_pos: Optional[int] = None):
@@ -502,15 +505,13 @@ class Solver:
         for ci in range(len(self.pool)):
             self._reseed_from_clause(ci)
 
-    def full_scan(self) -> Optional[ConflictSet]:
-        """Exhaustion backstop before Success: find any conflict or candidate."""
-        for ci, clause in enumerate(self.pool):
-            for got in self._derive(ci, clause, self.trail.entries):
-                if isinstance(got, ConflictSet):
-                    return got
-                if self._has_nonempty_piece(clause[got.lit_idx], got.sigma, got.pi):
-                    self._enqueue(got)
-        return None
+    def full_scan(self) -> Optional[ConflictSet | PropCand]:
+        """The first conflict set, or candidate with an undefined piece, of
+        any pool clause against the trail.  A query; it enqueues nothing."""
+        return next((got for ci, clause in enumerate(self.pool)
+                     for got in self._derive(ci, clause, self.trail.entries)
+                     if isinstance(got, ConflictSet) or any(self._undefined_pieces(
+                         clause[got.lit_idx], got.sigma, got.pi))), None)
 
     # -- decisions -------------------------------------------------------------
 
@@ -650,12 +651,6 @@ class Solver:
             if d is not None:
                 self.add_consequences(self.rule_decide(*d))
                 continue
-            cs = self.full_scan()
-            if cs is not None:
-                self.rule_conflict(cs)
-                continue
-            if self._pq:
-                continue
             if self.auditor is not None:
                 self.auditor.at_success(self)
             self.rule_success()
@@ -730,8 +725,8 @@ class Solver:
         # mirrors the Propagate path: subtract what the prefix defines and
         # ask whether a non-empty piece remains
         return any(
-            isinstance(got, PropCand) and self._has_nonempty_piece(
-                clause[got.lit_idx], got.sigma, got.pi, upto=plen)
+            isinstance(got, PropCand) and any(self._undefined_pieces(
+                clause[got.lit_idx], got.sigma, got.pi, upto=plen))
             for got in self._derive(-1, clause, self.trail.prefix_entries(plen)))
 
     def _verdict(self) -> Verdict:

@@ -139,17 +139,34 @@ def test_script_line_with_an_rhs_literal_variable_exits_1(tmp_path, capsys):
         "error: 1:23: rhs variable 'Y' occurs in the literal\n")
 
 
-def test_outcomes_do_not_depend_on_asserts(tmp_path):
-    # under `python -O` every `assert` is gone; the golden replay and the
-    # rejection of a malformed script line must come out the same
+def _run_without_asserts(*args):
+    """`python -O -m eprsat.cli *args`: every `assert` is gone."""
     src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-O", "-m", "eprsat.cli", *args],
+                          capture_output=True, text=True, env=env)
 
+
+def test_rhs_variable_repeated_across_disequations_runs(tmp_path):
+    # right-hand-side variables are local to their disequation, so a shared
+    # name reads like two names, with and without asserts
+    problem = tmp_path / "p.p"
+    problem.write_text("domain a b c . P(X,Y,Z) | Q(X,Y,Z) . -P(X,X,Y) | R(X) .\n")
+    for rhs in ("V", "W"):
+        script = tmp_path / f"{rhs}.dec"
+        script.write_text(f"P(X,Y,Z) :: (X,Y) != (V,V) /\\ (Y,Z) != ({rhs},{rhs})\n")
+        args = ["--input", str(problem), "--script", str(script), "--check"]
+        assert main(args) == 10
+        proc = _run_without_asserts(*args)
+        assert proc.returncode == 10, proc.stderr
+
+
+def test_outcomes_do_not_depend_on_asserts(tmp_path):
+    # under `python -O` every `assert` is gone; the golden replay and the
+    # rejection of a malformed script line must come out the same
     def run(*args):
-        return subprocess.run([sys.executable, "-O", "-m", "eprsat.cli",
-                               "--input", os.path.join(DATA, "ex33.p"), *args],
-                              capture_output=True, text=True, env=env)
+        return _run_without_asserts("--input", os.path.join(DATA, "ex33.p"), *args)
 
     trace = tmp_path / "t.txt"
     proc = run("--script", os.path.join(DATA, "ex33.dec"), "--trace", str(trace))

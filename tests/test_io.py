@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from eprsat.constrained import CLit, clit_cover
-from eprsat.constraints import TOP, conj
+from eprsat.constrained import CLit, clit_cover, cover
+from eprsat.constraints import TOP, conj, is_normal
 from eprsat.oracle import GenParams, gen_random_instance
 from eprsat.parser import (
     ParseError,
@@ -151,6 +151,16 @@ def test_clit_line_rejects_an_rhs_variable_of_the_literal():
     with pytest.raises(ParseError) as exc:
         parse_script("P(X,Y,Z)\nP(X,Y,Z) :: X != a /\\ (Y,Z) != (V,X)\n", sig)
     assert str(exc.value) == "2:35: rhs variable 'X' occurs in the literal"
+
+
+def test_rhs_variables_are_local_to_their_disequation():
+    # the two Vs are unrelated, as if the second were W; sharing one
+    # variable made the constraint non-normal and failed an assertion
+    sig = Signature({"P": 3}, ("a", "b", "c"))
+    shared = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ (Y,Z) != (V,V)", sig)
+    apart = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ (Y,Z) != (W,W)", sig)
+    assert is_normal(shared[1])
+    assert cover(*shared, 3) == cover(*apart, 3)
 
 
 def test_model_document_rejects_an_rhs_variable_of_the_literal():
