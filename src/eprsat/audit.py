@@ -61,6 +61,14 @@ from .trail import (
 _UNSET = object()
 
 
+def _conflict_instances(solver):
+    """The ground instances of the solver's conflict set, or None without
+    one; each resolution step grounds them once for all its checks."""
+    cs = solver.conflict
+    return None if cs is None else clause_instances(cs.clause, cs.sigma, cs.pi,
+                                                    solver.n)
+
+
 class Auditor:
     def __init__(self, sig: Signature, clauses: list[Clause]):
         self.sig = sig
@@ -86,11 +94,13 @@ class Auditor:
             self._check_new_entry(solver, decision=True)
         elif rule == "Conflict":
             self._ordering = InducedOrdering.from_trail(solver.trail)
-            self._check_conflict_set(solver, fresh=True)
-            self._measure = self._measure_of(solver)
+            insts = _conflict_instances(solver)
+            self._check_conflict_set(solver, insts, fresh=True)
+            self._measure = self._measure_of(solver, insts)
         elif rule in ("Skip", "Resolve", "Factorize"):
-            self._check_conflict_set(solver, fresh=False)
-            self._check_measure_decrease(rule, solver)
+            insts = _conflict_instances(solver)
+            self._check_conflict_set(solver, insts, fresh=False)
+            self._check_measure_decrease(rule, solver, insts)
             self._check_immediate_conflict_factorize(rule)
         elif rule == "Backjump":
             self._full_sweep(solver)
@@ -203,12 +213,10 @@ class Auditor:
 
     # -- conflict-set checks ------------------------------------------------------
 
-    def _check_conflict_set(self, solver, fresh: bool) -> None:
-        cs = solver.conflict
-        if cs is None:
+    def _check_conflict_set(self, solver, insts, fresh: bool) -> None:
+        if insts is None:
             return
         trail = solver.trail
-        insts = clause_instances(cs.clause, cs.sigma, cs.pi, solver.n)
         if not insts:
             self._flag("empty conflict set")
             return
@@ -227,21 +235,19 @@ class Auditor:
                         f"needs {need}")
                     break
 
-    def _measure_of(self, solver):
+    def _measure_of(self, solver, insts):
         """(trail length, the instances' clause keys sorted descending).
 
         The induced ordering is total, so the multiset extension over the
         instances is lexicographic order on this list."""
-        cs = solver.conflict
-        if cs is None or self._ordering is None:
+        if insts is None or self._ordering is None:
             return None
-        insts = clause_instances(cs.clause, cs.sigma, cs.pi, solver.n)
         return (len(solver.trail),
                 sorted(map(self._ordering.clause_key, insts), reverse=True))
 
-    def _check_measure_decrease(self, rule: str, solver) -> None:
+    def _check_measure_decrease(self, rule: str, solver, insts) -> None:
         before = self._measure
-        after = self._measure_of(solver)
+        after = self._measure_of(solver, insts)
         self._measure = after
         if before is None or after is None:
             return

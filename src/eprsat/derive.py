@@ -14,12 +14,12 @@ The same machinery answers every other question the solver asks about false
 clause instances, without grounding.  A conflict derivation (no literal
 kept) picks, for every literal, the trail entry that falsifies it; strong
 consistency makes that the literal's defining entry.  So assertiveness is a
-count of top-level entries among a leaf's sources, falsifiability under a
-trail prefix is a derivation against that prefix, and a blocked decision is
-a derivation using the decision as a pseudo-entry at two positions whose
-instances can differ.  Non-emptiness of a leaf is always the least-solution
-test of `constrained.no_instances`.  The grounding versions in `trail` serve
-only as referees.
+count of top-level entries among a leaf's sources, a blocked decision is a
+derivation using the decision as a pseudo-entry at two positions whose
+instances can differ, and a clause is falsifiable under a trail prefix when
+the solver's derivation against it has a conflict leaf.  Non-emptiness of a
+leaf is always the least-solution test of `constrained.no_instances`.  The
+grounding versions in `trail` serve only as referees.
 """
 from __future__ import annotations
 
@@ -137,12 +137,6 @@ def find_candidates(
 
     rec(0, [], {}, TOP, 0, [])
     return out
-
-
-def falsifiable(clause: Clause, sources: list[TrailEntry], n: int) -> bool:
-    """Some ground instance of `clause` is false under `sources`."""
-    return any(not no_instances(clause, leaf.sigma, leaf.pi, n)
-               for leaf in find_candidates(clause, sources, keep_limit=0))
 
 
 def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> bool:

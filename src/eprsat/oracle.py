@@ -3,8 +3,9 @@ verification, the non-redundancy check, and instance generators.
 
 Everything here is deliberately separate from the solver's reasoning paths:
 grounding is exhaustive enumeration, satisfiability is decided by plain
-DPLL (with a full truth-table variant as a second, independent route), and
-redundancy goes straight by its definition over the ground instances.
+DPLL (the tests referee it with a full truth table, a second, independent
+route), and redundancy goes straight by its definition over the ground
+instances.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .syntax import (
 )
 from .trail import InducedOrdering
 
-ENUM_ATOM_CAP = 20      # full truth-table route
 DPLL_ATOM_CAP = 60      # backtracking route
 REDUNDANCY_ATOM_CAP = 36
 
@@ -75,30 +75,6 @@ def ground_problem(sig: Signature, clauses: list[Clause],
 
 # ---------------------------------------------------------------------------
 # SAT oracles
-
-def truth_table_sat(gp: GroundProblem, cap: int = ENUM_ATOM_CAP,
-                    ) -> Optional[set[Lit]]:
-    """Full enumeration; None means unsatisfiable."""
-    m = len(gp.atoms)
-    if m > cap:
-        raise OracleCeiling(f"{m} atoms exceed the enumeration cap {cap}")
-    for bits in range(1 << m):
-        ok = True
-        for cl in gp.clauses:
-            sat = False
-            for lit in cl:
-                i = abs(lit) - 1
-                val = bool(bits >> i & 1)
-                if val == (lit > 0):
-                    sat = True
-                    break
-            if not sat:
-                ok = False
-                break
-        if ok:
-            return {gp.atoms[i] for i in range(m) if bits >> i & 1}
-    return None
-
 
 def brute_sat(gp: GroundProblem) -> Optional[set[Lit]]:
     """DPLL with unit propagation; None means unsatisfiable."""

@@ -107,6 +107,7 @@ class _ClauseParser:
         self.domain = sig_domain
         self.arities = arities  # name -> (arity, line, col of first use)
         self.varmap: dict[str, int] = {}
+        self.lhs_at: dict[str, _Tok] = {}  # text -> its first lhs token
         self.rhs_at: dict[str, _Tok] = {}  # text -> its first rhs token
 
     def term(self) -> int:
@@ -172,7 +173,10 @@ class _ClauseParser:
             return BOT
         subs = []
         while True:
+            start = self.s.i
             lhs = self.tuple_()
+            for tok in self.s.toks[start:self.s.i]:
+                self.lhs_at.setdefault(tok.text, tok)
             self.s.expect("!=")
             start = self.s.i
             outer = dict(self.varmap)
@@ -263,7 +267,7 @@ def parse_clit_line(text: str, sig: Signature,
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
     for name, var in cp.varmap.items():
         if var in lvars(pi) and var not in lit.args:
-            t = next(t for t in toks if t.text == name)
+            t = cp.lhs_at[name]
             raise ParseError(f"lhs variable {name!r} is not in the literal",
                              t.line, t.col)
         if var in lit.args and name in cp.rhs_at:

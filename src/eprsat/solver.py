@@ -10,9 +10,9 @@ backjumps to the smallest level where the new clause propagates.
 
 Everything the solver learns about the trail comes from one derivation
 path, `Solver._derive`: a leaf with nothing left is a conflict, one with one
-literal left a propagation candidate.  `add_consequences` and
-`_reseed_from_clause` search with it; `_propagatable_under_prefix` and
-`full_scan` only ask.  `_diff_against_trail` is the one trail difference
+literal left a propagation candidate.  `add_consequences`, `_reseed_full`
+and, once per trail prefix, `compute_backjump_level` search with it;
+`full_scan` only asks.  `_diff_against_trail` is the one trail difference
 (behind the queue, the decisions and the backjump level), `_undefined_pieces`
 its one non-empty filter.  The lifted steps live in `constrained`; a
 resolution step unifies each conflict literal with the rightmost entry once
@@ -56,7 +56,7 @@ from .constraints import (
     normalize,
     rename_rhs_fresh,
 )
-from .derive import falsifiable, find_candidates, is_assertive, is_blocked
+from .derive import find_candidates, is_assertive, is_blocked
 from .syntax import (
     Clause,
     Lit,
@@ -225,7 +225,6 @@ class Solver:
         non-empty, undefined, unblocked and an instance of an input literal."""
         self.level += 1
         entry = self._push(lit, pi, reason=None)
-        entry.level = self.level
         self._emit("Decide", render_entry(self.sig, entry))
         return entry
 
@@ -311,11 +310,13 @@ class Solver:
         self.conflict = ConflictSet(clause, sigma, pi)
         self._emit(rule, render_conflict(self.sig, self.conflict, self.n_input))
 
-    def rule_backjump(self, case: int, target_len: int, target_level: int) -> int:
-        """Learn the conflict clause and cut the trail to `target_len`;
-        `_resolution_step` vouches for `case` and computes the target."""
-        cs = self.conflict
-        learned = canonical_variant(cs.clause)
+    def rule_backjump(self, case: int) -> int:
+        """Learn the conflict clause, cut the trail to the level search's
+        target and queue its candidates; `_resolution_step` vouches for `case`."""
+        learned = canonical_variant(self.conflict.clause)
+        target_len, target_level, cands = (
+            self.compute_backjump_level(learned) if learned
+            else (len(self.trail), 0, []))
         if self.auditor is not None:
             self.auditor.before_learn(self, learned, case, target_len)
         self.pool.append(learned)
@@ -334,12 +335,11 @@ class Solver:
             f"{render_clause(self.sig, learned)} | to level {target_level}",
         )
         self._pq.clear()
-        if learned == ():
-            return ci
         if mid_level:
             self._reseed_full()
         else:
-            self._reseed_from_clause(ci)
+            for cand in cands:
+                self._enqueue(cand)
         return ci
 
     # -- helpers shared by the rules ------------------------------------------
@@ -451,7 +451,7 @@ class Solver:
         left and a ground instance, and the PropCands (free variables
         eliminated) of every leaf with one literal left.  With `newest_pos`,
         only derivations that use that entry.  `ci` is the clause's pool
-        index (-1 for a learned clause not yet in the pool).
+        index.
         """
         for leaf in find_candidates(clause, sources, newest_pos=newest_pos,
                                     keep_limit=1):
@@ -495,15 +495,12 @@ class Solver:
                 self._enqueue(got)
         return True
 
-    def _reseed_from_clause(self, ci: int) -> None:
-        # after a proper backjump the clause has no false instance
-        for got in self._derive(ci, self.pool[ci], self.trail.entries):
-            if isinstance(got, PropCand):
-                self._enqueue(got)
-
     def _reseed_full(self) -> None:
-        for ci in range(len(self.pool)):
-            self._reseed_from_clause(ci)
+        # queue every clause's candidates; a conflict leaf is not acted on
+        for ci, clause in enumerate(self.pool):
+            for got in self._derive(ci, clause, self.trail.entries):
+                if isinstance(got, PropCand):
+                    self._enqueue(got)
 
     def full_scan(self) -> Optional[ConflictSet | PropCand]:
         """The first conflict set, or candidate with an undefined piece, of
@@ -667,10 +664,10 @@ class Solver:
             # the empty clause was derived (only level 0 can get here):
             # learn it, then Failure follows
             assert self.level == 0
-            self.rule_backjump(1, len(self.trail), 0)
+            self.rule_backjump(1)
             return
         if self.level > 0 and is_assertive(self.trail, cs.clause, cs.sigma, cs.pi):
-            self.rule_backjump(2, *self.compute_backjump_level(cs.clause))
+            self.rule_backjump(2)
             return
         entry = self.trail.entries[-1]
         unifiers = self._entry_unifiers(cs, entry)
@@ -679,7 +676,7 @@ class Solver:
             if found is not None:
                 self.rule_factorize(*found)
                 return
-            self.rule_backjump(3, *self.compute_backjump_level(cs.clause))
+            self.rule_backjump(3)
             return
         lits = apply_clause(cs.clause, cs.sigma)
         resolvable = next(((pos, eta, met) for pos, _, eta in unifiers
@@ -694,40 +691,47 @@ class Solver:
             return
         self.rule_resolve(*resolvable)
 
-    def compute_backjump_level(self, learned: Clause) -> tuple[int, int]:
-        """(trail prefix length, level) for the backjump target.
+    def compute_backjump_level(self, learned: Clause,
+                               ) -> tuple[int, int, list[PropCand]]:
+        """(trail prefix length, level, the candidates the learned clause
+        derives there) for the backjump target, one derivation per prefix.
 
         Preference: the smallest level where the learned clause propagates
         (and has no false instance); fallback: the largest level with no
         false instance; last resort: the longest false-instance-free prefix
-        of level 0.
+        of level 0, whose mid-level cut reseeds the whole pool instead.
         """
+        ci = len(self.pool)
         k = self.trail.level
         assert k >= 1, "backjump level computed only above level 0"
         fallback = None
         for j in range(k):
             plen = self.trail.level_prefix_len(j)
-            if falsifiable(learned, self.trail.prefix_entries(plen), self.n):
+            cands = self._candidates_under_prefix(ci, learned, plen)
+            if cands is None:
                 break
-            if self._propagatable_under_prefix(learned, plen):
-                return plen, j
-            fallback = (plen, j)
+            if any(any(self._undefined_pieces(learned[c.lit_idx], c.sigma, c.pi,
+                                              upto=plen)) for c in cands):
+                return plen, j, cands
+            fallback = (plen, j, cands)
         if fallback is not None:
             return fallback
-        # pathological: false already somewhere inside level 0
-        lvl0 = self.trail.level_prefix_len(0)
-        for m in range(lvl0, -1, -1):
-            if not falsifiable(learned, self.trail.prefix_entries(m), self.n):
-                return m, 0
-        return 0, 0
+        # pathological: false already inside level 0, whose whole prefix
+        # broke the loop above; the empty prefix falsifies nothing
+        m = next((m for m in range(self.trail.level_prefix_len(0) - 1, 0, -1)
+                  if self._candidates_under_prefix(ci, learned, m) is not None), 0)
+        return m, 0, []
 
-    def _propagatable_under_prefix(self, clause: Clause, plen: int) -> bool:
-        # mirrors the Propagate path: subtract what the prefix defines and
-        # ask whether a non-empty piece remains
-        return any(
-            isinstance(got, PropCand) and any(self._undefined_pieces(
-                clause[got.lit_idx], got.sigma, got.pi, upto=plen))
-            for got in self._derive(-1, clause, self.trail.prefix_entries(plen)))
+    def _candidates_under_prefix(self, ci: int, clause: Clause, plen: int,
+                                 ) -> Optional[list[PropCand]]:
+        """The PropCands of `clause` (pool index `ci`) against the first
+        `plen` trail entries, or None when it has a false instance there."""
+        cands = []
+        for got in self._derive(ci, clause, self.trail.prefix_entries(plen)):
+            if isinstance(got, ConflictSet):
+                return None
+            cands.append(got)
+        return cands
 
     def _verdict(self) -> Verdict:
         model = [CLit(e.lit, e.pi) for e in self.trail.entries]

@@ -130,7 +130,7 @@ def test_clit_line_rejects_a_free_lhs_variable():
     # parse and then fail an assertion during the solve
     sig = Signature({"P": 3}, ("a", "b", "c"))
     for line, col, name in [("P(X,Y,Z) :: W != c", 13, "W"),
-                            ("P(X,Y,Z) :: (X,Y) != (V,V) /\\ V != a", 23, "V")]:
+                            ("P(X,Y,Z) :: (X,Y) != (V,V) /\\ V != a", 31, "V")]:
         with pytest.raises(ParseError) as exc:
             parse_clit_line(line, sig)
         assert (exc.value.line, exc.value.col) == (1, col)

@@ -3,17 +3,18 @@ grounding versions they replace.
 
 The grounding versions (`constrained.cover`, `trail.is_assertive`, ground
 enumeration of clause instances) remain as referees; here they check
-`cover_size`, `derive.is_assertive`, `derive.falsifiable` and the witness
-of `derive.is_blocked` on random constraints and on every call a solve
-makes.  A last test forbids grounding outright and solves anyway, and
-another checks that `constrained`'s lifted steps rename a trail entry
-only when it unifies.  The last ones check that the learning path's
-shortcuts are exact: `_factorize_choice` against the all-pairs scan it
-replaced, the
+`cover_size`, `derive.is_assertive`, the falsifiability answer of
+`Solver._candidates_under_prefix` and the witness of `derive.is_blocked` on
+random constraints and on every call a solve makes.  A last test forbids
+grounding outright and solves anyway, and another checks that
+`constrained`'s lifted steps rename a trail entry only when it unifies.
+The last ones check that the learning path's shortcuts are exact:
+`_factorize_choice` against the all-pairs scan it replaced, the
 newest-entry reachability cut of `find_candidates` against the uncut
-search, and each conflict-resolution precondition decided once per step.
-The very last checks that Decide and Propagate re-run none of the
-preconditions their search established.
+search, each conflict-resolution precondition decided once per step, and
+the backjump queuing what its level search derived.  The very last checks
+that Decide and Propagate re-run none of the preconditions their search
+established.
 """
 import os
 import random
@@ -22,6 +23,7 @@ import sys
 import pytest
 
 from eprsat import constrained, derive, solver as solver_mod, syntax, trail
+from eprsat.audit import Auditor
 from eprsat.constrained import cover, cover_size
 from eprsat.constraints import (
     BOT,
@@ -37,8 +39,8 @@ from eprsat.constraints import (
 from eprsat.derive import find_candidates
 from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
 from eprsat.parser import parse_problem, parse_script
-from eprsat.render import render_model
-from eprsat.solver import RunConfig, Solver
+from eprsat.render import render_clit, render_model
+from eprsat.solver import ConflictSet, RunConfig, Solver
 from eprsat.syntax import (
     Lit,
     apply_clause,
@@ -189,10 +191,13 @@ class _Referee:
                 self.mismatches.append(("is_assertive", clause, got))
             return got
 
-        def falsifiable(clause, sources, n):
-            got = derive.falsifiable(clause, sources, n)
+        real_candidates = Solver._candidates_under_prefix
+
+        def candidates(solver, ci, clause, plen):
+            got = real_candidates(solver, ci, clause, plen)
             self.calls["falsifiable"] += 1
-            if got != _ground_falsifiable(clause, sources, n):
+            if (got is None) != _ground_falsifiable(
+                    clause, solver.trail.prefix_entries(plen), solver.n):
                 self.mismatches.append(("falsifiable", clause, got))
             return got
 
@@ -205,7 +210,7 @@ class _Referee:
             return got
 
         monkeypatch.setattr(solver_mod, "is_assertive", assertive)
-        monkeypatch.setattr(solver_mod, "falsifiable", falsifiable)
+        monkeypatch.setattr(Solver, "_candidates_under_prefix", candidates)
         monkeypatch.setattr(solver_mod, "is_blocked", is_blocked)
 
 
@@ -478,6 +483,93 @@ def test_resolution_step_decides_each_precondition_once(monkeypatch):
         assert verdict.status == status, name
     assert bad == []
     assert factorized["steps"] > 10, factorized
+
+
+def _queued_form(s, cands):
+    """(clause, literal, rendered piece) of `cands` in the order the queue
+    pops them: smallest cover first, then as found; empty ones dropped."""
+    sized = sorted(((cover_size(c.lit(s.pool), c.pi, s.n), k, c)
+                    for k, c in enumerate(cands)), key=lambda t: t[:2])
+    return [(c.clause_idx, c.lit_idx, render_clit(s.sig, c.lit(s.pool), c.pi))
+            for size, _, c in sized if size]
+
+
+def _backjump_past_a_false_level():
+    """A solver at level 3 whose conflict ~P(X) | Q(X) has, at level 1, the
+    candidate Q(a), true already, and at level 2 the false instance X = b:
+    the backjump falls back to level 1 and queues that candidate."""
+    sig, clauses = parse_problem("""
+    domain a b .
+    -P(a) | Q(a) .
+    -P(b) | -Q(b) .
+    R(a) | P(X) .
+    """)
+    script = parse_script("P(a)\nP(b)\nR(a)", sig)
+    s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
+    for _ in range(3):
+        s.add_consequences(s.rule_decide(*s.select_decision()))
+        assert s.prop_loop()
+    s.conflict = ConflictSet((Lit(True, "P", (var_code(0),)),
+                              Lit(False, "Q", (var_code(0),))), {}, TOP)
+    return s
+
+
+def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
+    """After each backjump that cuts at a level boundary the queue holds
+    exactly what a fresh derivation of the learned clause against the cut
+    trail yields, and the backjump derived nothing after the cut: the
+    candidates come from the level search."""
+    real_level = Solver.compute_backjump_level
+    real_backjump = Solver.rule_backjump
+    real_derive = Solver._derive
+    cut = {}
+    seen = dict(backjumps=0, queued=0)
+
+    def level(self, learned):
+        got = real_level(self, learned)
+        cut["at_boundary"] = got[0] == self.trail.level_prefix_len(got[1])
+        return got
+
+    def derive_(self, *args, **kwargs):
+        if "before" in cut and len(self.trail) < cut["before"]:
+            cut["derived_after"] = True
+        return real_derive(self, *args, **kwargs)
+
+    def backjump(self, case):
+        cut.clear()
+        cut["before"] = len(self.trail)
+        ci = real_backjump(self, case)
+        del cut["before"]
+        if cut.get("at_boundary"):
+            assert "derived_after" not in cut, "derived after the cut"
+            fresh = list(real_derive(self, ci, self.pool[ci], self.trail.entries))
+            assert not any(isinstance(g, ConflictSet) for g in fresh)
+            queued = [(c.clause_idx, c.lit_idx,
+                       render_clit(self.sig, c.lit(self.pool), c.pi))
+                      for _, _, c in sorted(self._pq)]
+            assert queued == _queued_form(self, fresh)
+            seen["backjumps"] += 1
+            seen["queued"] += len(queued)
+        return ci
+
+    monkeypatch.setattr(Solver, "compute_backjump_level", level)
+    monkeypatch.setattr(Solver, "_derive", derive_)
+    monkeypatch.setattr(Solver, "rule_backjump", backjump)
+    for make, steps in [(_c5_2, 101), (_k4_3, 238)]:
+        verdict = Solver(*make(), RunConfig(max_steps=10_000)).solve()
+        assert (verdict.status, verdict.steps) == ("unsat", steps)
+    # the criterion-1 population, audited
+    for seed in range(500):
+        sig, clauses = gen_random_instance(GenParams(
+            n_preds=3, max_arity=2, domain_size=3, n_clauses=12, max_lits=4,
+            seed=seed))
+        auditor = Auditor(sig, clauses)
+        Solver(sig, clauses, RunConfig(max_steps=10_000), auditor=auditor).solve()
+        assert auditor.violations == [], (seed, auditor.violations[:3])
+    s = _backjump_past_a_false_level()
+    s.rule_backjump(2)
+    assert (len(s.trail), s.level, len(s._pq)) == (2, 1, 1)
+    assert seen["backjumps"] > 40 and seen["queued"] > 40, seen
 
 
 def test_decide_and_propagate_take_what_the_search_found(monkeypatch):

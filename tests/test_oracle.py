@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 
@@ -7,13 +8,13 @@ from eprsat.constrained import CLit
 from eprsat.constraints import TOP, conj
 from eprsat.oracle import (
     GenParams,
+    GroundProblem,
     OracleCeiling,
     brute_sat,
     check_nonredundant,
     gen_benchmark,
     gen_random_instance,
     ground_problem,
-    truth_table_sat,
     verify_model,
 )
 from eprsat.parser import parse_problem
@@ -27,6 +28,8 @@ from eprsat.syntax import (
     var_code,
 )
 from eprsat.trail import InducedOrdering, Trail, TrailEntry
+
+ENUM_ATOM_CAP = 20      # full truth-table route
 
 x, y = var_code(0), var_code(1)
 a, b, c = 0, 1, 2
@@ -88,6 +91,30 @@ def test_worked_example_ground_problem_is_sat():
     sig, clauses = parse_problem(EX33)
     gp = ground_problem(sig, clauses)
     assert brute_sat(gp) is not None
+
+
+def truth_table_sat(gp: GroundProblem, cap: int = ENUM_ATOM_CAP,
+                    ) -> Optional[set[Lit]]:
+    """Full enumeration; None means unsatisfiable."""
+    m = len(gp.atoms)
+    if m > cap:
+        raise OracleCeiling(f"{m} atoms exceed the enumeration cap {cap}")
+    for bits in range(1 << m):
+        ok = True
+        for cl in gp.clauses:
+            sat = False
+            for lit in cl:
+                i = abs(lit) - 1
+                val = bool(bits >> i & 1)
+                if val == (lit > 0):
+                    sat = True
+                    break
+            if not sat:
+                ok = False
+                break
+        if ok:
+            return {gp.atoms[i] for i in range(m) if bits >> i & 1}
+    return None
 
 
 def test_brute_sat_agrees_with_truth_table():

@@ -235,8 +235,10 @@ def test_backjump_level_second_highest_for_ground_clause():
         s.prop_loop()
     # learned-style clause: ~P(a) | ~R(a): false at level 3, propagates at 1
     cl = canonical_clause((Lit(True, "P", (0,)), Lit(True, "R", (0,))))
-    plen, level = s.compute_backjump_level(cl)
+    plen, level, cands = s.compute_backjump_level(cl)
     assert level == 1
+    # what it propagates there is queued by the backjump: ~R(a)
+    assert [(c.clause_idx, c.lit_idx) for c in cands] == [(len(s.pool), 1)]
 
 
 def test_backjump_level_zero_when_false_above():
@@ -251,8 +253,8 @@ def test_backjump_level_zero_when_false_above():
     s.add_consequences(entry)
     s.prop_loop()
     cl = canonical_clause((Lit(True, "P", (0,)), Lit(True, "P", (1,))))
-    plen, level = s.compute_backjump_level(cl)
-    assert level == 0 and plen == 0
+    plen, level, cands = s.compute_backjump_level(cl)
+    assert level == 0 and plen == 0 and cands == []
 
 
 def test_backjump_inside_level_zero_reseeds_the_whole_pool(monkeypatch):
@@ -273,12 +275,12 @@ def test_backjump_inside_level_zero_reseeds_the_whole_pool(monkeypatch):
     assert s.prop_loop()
     assert (len(s.trail), s.level) == (2, 1)
     cl = canonical_clause((Lit(True, "P", (0,)),))
-    assert s.compute_backjump_level(cl) == (0, 0)
+    assert s.compute_backjump_level(cl) == (0, 0, [])
     reseeds = []
     real = s._reseed_full
     monkeypatch.setattr(s, "_reseed_full", lambda: reseeds.append(real()))
     s.conflict = ConflictSet(cl, {}, TOP)
-    ci = s.rule_backjump(3, *s.compute_backjump_level(cl))
+    ci = s.rule_backjump(3)
     assert (len(s.trail), s.level, s.conflict) == (0, 0, None)
     assert s.pool[ci] == cl and len(reseeds) == 1
     # both unit clauses are queued again, the learned one included

@@ -93,3 +93,55 @@ def test_renaming_apart_and_diff_pairs_stay_in_constrained():
                     and id(node) not in allowed):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+# the enumerating helpers, by the module that defines them; only the oracle,
+# the audits and the tests may call them
+GROUNDING = {
+    "syntax": {"ground_assignments", "ground_lits", "ground_clauses"},
+    "constraints": {"solutions", "count_solutions"},
+    "constrained": {"cover", "clit_cover"},
+    "trail": {"clause_instances", "clause_value", "is_assertive",
+              "induced_interpretation"},
+}
+SOLVER_SIDE = ("syntax", "constraints", "constrained", "trail", "derive",
+               "solver", "render")
+
+
+def test_only_the_referee_helpers_ground():
+    """In the solver-side modules only the grounding helpers themselves
+    reference a grounding helper, and the modules that define none
+    (`derive`, `solver`, `render`) import none."""
+    found = []
+    for mod in SOLVER_SIDE:
+        tree = _tree(SRC / f"{mod}.py")
+        own = GROUNDING.get(mod, set())
+        names = set(own)   # the local names that denote a grounding helper
+        modules = {}       # local name -> package module, for `from . import`
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        modules[a.asname or a.name] = a.name
+                    if a.name in GROUNDING.get(node.module, ()):
+                        names.add(a.asname or a.name)
+                        if not own:
+                            found.append(f"{mod}.py:{node.lineno} imports {a.name}")
+        allowed = {id(n) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name in own
+                   for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Name):
+                hit = node.id in names
+            elif isinstance(node, ast.Attribute):
+                hit = (node.attr == "induced_interpretation"
+                       or isinstance(node.value, ast.Name) and node.attr
+                       in GROUNDING.get(modules.get(node.value.id), ()))
+            else:
+                continue
+            if hit:
+                found.append(f"{mod}.py:{node.lineno} "
+                             f"{getattr(node, 'id', None) or node.attr}")
+    assert found == []
