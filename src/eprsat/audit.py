@@ -5,11 +5,13 @@ each rule application was supposed to guarantee: strong consistency of the
 trail, the per-entry propagation/decision conditions, falseness and
 non-emptiness of conflict sets, the top-level-literal counts, the strict
 decrease of the conflict-resolution measure, blocking of removed decisions
-by case-(3) clauses, non-redundancy of every learned clause, and the model
-property at success.  At every backjump it also referees the solver's
-lifted derivations by grounding: assertiveness of the conflict and the
-absence of false learned-clause instances under the chosen prefix, and at
-success it asks `Solver.full_scan` if propagation left anything undone.
+by case-(3) clauses, non-redundancy of every learned clause and its
+entailment by the input (both asked of the one `GroundProblem` encoding),
+and the model property at success.  At every backjump it also referees the
+solver's lifted derivations by grounding: assertiveness of the conflict and
+the absence of false learned-clause instances under the chosen prefix, and
+at success it asks `Solver.full_scan` if propagation left anything undone.
+A learned clause is grounded once, for its three checks.
 Violations are collected, not raised, so a test can assert the list is
 empty.
 
@@ -28,27 +30,21 @@ instances' `clause_key`s, and "strictly decreased" is one list comparison.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from .constrained import CLit, clit_is_empty, overlaps
+from .constraints import TOP
 from .derive import is_blocked
 from .oracle import (
-    DPLL_ATOM_CAP,
+    GroundProblem,
     OracleCeiling,
-    _entails,
     check_nonredundant,
     ground_problem,
     verify_model,
 )
 from .render import render_clause
-from .syntax import (
-    Clause,
-    Signature,
-    apply_clause,
-    apply_lit,
-    clause_vars,
-    ground_assignments,
-)
+from .syntax import Clause, Signature, apply_lit
 from .trail import (
     FALSE,
     InducedOrdering,
@@ -56,9 +52,6 @@ from .trail import (
     clause_value,
     is_assertive,
 )
-
-
-_UNSET = object()
 
 
 def _conflict_instances(solver):
@@ -79,10 +72,18 @@ class Auditor:
         self._measure: Optional[tuple[int, list]] = None
         # the induced ordering of the trail at the last Conflict
         self._ordering: Optional[InducedOrdering] = None
-        self._input_ground = _UNSET
 
     def _flag(self, msg: str) -> None:
         self.violations.append(msg)
+
+    @cached_property
+    def _input_ground(self) -> Optional[GroundProblem]:
+        """The input never changes: ground it once per run (None when its
+        universe is too big)."""
+        try:
+            return ground_problem(self.sig, self.input_clauses)
+        except OracleCeiling:
+            return None
 
     # -- hooks ----------------------------------------------------------------
 
@@ -118,14 +119,16 @@ class Auditor:
         if self._ordering is None:
             self._flag("learning without a conflict snapshot")
             return
-        got = check_nonredundant(learned, solver.pool, self._ordering, self.sig)
+        # the distinct ground instances, in assignment order, for all three
+        insts = clause_instances(learned, {}, TOP, solver.n)
+        got = check_nonredundant(insts, solver.pool, self._ordering, self.sig)
         if got is None:
             self.skipped.append("non-redundancy check skipped (universe too big)")
         elif got is False:
             self._flag(f"learned clause is redundant: "
                        f"{render_clause(self.sig, learned)}")
-        self._check_entailed_by_input(solver, learned)
-        self._check_false_under_prefix(solver, learned, target_len)
+        self._check_entailed_by_input(learned, insts)
+        self._check_false_under_prefix(solver, learned, insts, target_len)
         cs = solver.conflict
         assertive = None
         if case != 1:
@@ -143,13 +146,12 @@ class Auditor:
                 if wit is None:
                     self._flag("case-(3) clause does not block the removed decision")
 
-    def _check_false_under_prefix(self, solver, learned: Clause,
+    def _check_false_under_prefix(self, solver, learned: Clause, insts,
                                   target_len: int) -> None:
         # the solver's lifted falsifiability test chose this prefix
         if learned == ():
             return
-        for d in ground_assignments(clause_vars(learned), solver.n):
-            inst = apply_clause(learned, d)
+        for inst in insts:
             if all(solver.trail.value_of(l, upto=target_len) == FALSE
                    for l in inst):
                 self._flag(f"learned clause has a false instance under the "
@@ -164,22 +166,14 @@ class Auditor:
         if not ok:
             self._flag(f"success but the model misses an instance: {witness}")
 
-    def _check_entailed_by_input(self, solver, learned: Clause) -> None:
+    def _check_entailed_by_input(self, learned: Clause, insts) -> None:
         # sound-state item for the learned set: the inputs entail it
-        if self._input_ground is _UNSET:
-            # the input never changes: ground it once per run
-            try:
-                self._input_ground = ground_problem(
-                    self.sig, self.input_clauses,
-                    ceiling=DPLL_ATOM_CAP).ground_clauses
-            except OracleCeiling:
-                self._input_ground = None
-        if self._input_ground is None:
+        gp = self._input_ground
+        if gp is None:
             self.skipped.append("entailment check skipped (universe too big)")
             return
-        for d in ground_assignments(clause_vars(learned), self.sig.n):
-            inst = apply_clause(learned, d)
-            if not _entails(self._input_ground, inst, self.sig):
+        for inst in insts:
+            if not gp.entails(gp.clauses, inst):
                 self._flag(f"learned clause not entailed by the input: "
                            f"{render_clause(self.sig, learned)}")
                 return

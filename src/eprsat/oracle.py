@@ -5,7 +5,9 @@ Everything here is deliberately separate from the solver's reasoning paths:
 grounding is exhaustive enumeration, satisfiability is decided by plain
 DPLL (the tests referee it with a full truth table, a second, independent
 route), and redundancy goes straight by its definition over the ground
-instances.
+instances.  A `GroundProblem` is the one signed-literal encoding: its
+`encode` builds every DPLL clause, and its `entails` answers each
+entailment question, for the non-redundancy check and for the audits.
 """
 from __future__ import annotations
 
@@ -41,6 +43,18 @@ class GroundProblem:
     clauses: list[frozenset[int]]         # +-(i+1) signed atom indices
     ground_clauses: list[Clause]          # canonical ground clauses, deduped
 
+    def encode(self, clause: Clause) -> frozenset[int]:
+        """The ground clause as signed atom indices, +-(i+1)."""
+        return frozenset(-(self.index[l.atom] + 1) if l.neg
+                         else self.index[l.atom] + 1 for l in clause)
+
+    def entails(self, premises: list[frozenset[int]], conclusion: Clause) -> bool:
+        """The encoded `premises` entail the ground `conclusion`: DPLL finds
+        no model of them plus the units of the negated conclusion."""
+        units = [frozenset([-i]) for i in self.encode(conclusion)]
+        return brute_sat(GroundProblem(self.atoms, self.index,
+                                       premises + units, [])) is None
+
 
 def _atom_universe(sig: Signature) -> list[Lit]:
     atoms = []
@@ -56,32 +70,30 @@ def ground_problem(sig: Signature, clauses: list[Clause],
     if len(atoms) > ceiling:
         raise OracleCeiling(
             f"ground universe has {len(atoms)} atoms, ceiling is {ceiling}")
-    index = {a: i for i, a in enumerate(atoms)}
+    gp = GroundProblem(atoms, {a: i for i, a in enumerate(atoms)}, [], [])
     seen: set[Clause] = set()
-    ground: list[Clause] = []
-    encoded: list[frozenset[int]] = []
     for c in clauses:
         for d in ground_assignments(clause_vars(c), sig.n):
             g = canonical_clause(apply_clause(c, d))
             if g in seen:
                 continue
             seen.add(g)
-            ground.append(g)
-            encoded.append(frozenset(
-                (-(index[l.atom] + 1)) if l.neg else (index[l.atom] + 1)
-                for l in g))
-    return GroundProblem(atoms, index, encoded, ground)
+            gp.ground_clauses.append(g)
+            gp.clauses.append(gp.encode(g))
+    return gp
 
 
 # ---------------------------------------------------------------------------
 # SAT oracles
 
 def brute_sat(gp: GroundProblem) -> Optional[set[Lit]]:
-    """DPLL with unit propagation; None means unsatisfiable."""
+    """DPLL with unit propagation; None means unsatisfiable.  It branches
+    only on the atoms some clause mentions: the rest stay false."""
     if len(gp.atoms) > DPLL_ATOM_CAP:
         raise OracleCeiling(
             f"{len(gp.atoms)} atoms exceed the backtracking cap {DPLL_ATOM_CAP}")
     assign: dict[int, bool] = {}
+    mentioned = sorted({abs(lit) for cl in gp.clauses for lit in cl})
 
     def value(cl):
         undef = None
@@ -115,7 +127,7 @@ def brute_sat(gp: GroundProblem) -> Optional[set[Lit]]:
     def rec() -> bool:
         if not propagate():
             return False
-        for i in range(1, len(gp.atoms) + 1):
+        for i in mentioned:
             if i not in assign:
                 saved = dict(assign)
                 assign[i] = False
@@ -159,9 +171,10 @@ def verify_model(model: list[CLit], sig: Signature, clauses: list[Clause],
 # ---------------------------------------------------------------------------
 # non-redundant learning check
 
-def check_nonredundant(learned: Clause, pool: list[Clause],
+def check_nonredundant(instances: list[Clause], pool: list[Clause],
                        ordering: InducedOrdering, sig: Signature) -> Optional[bool]:
-    """True iff the clause is NOT redundant w.r.t. the pool and ordering.
+    """True iff the clause with these ground `instances` is NOT redundant
+    w.r.t. the pool and ordering.
 
     A ground instance is redundant when it already occurs in the ground pool
     or follows from the strictly smaller ground pool clauses (the "all
@@ -173,36 +186,15 @@ def check_nonredundant(learned: Clause, pool: list[Clause],
     except OracleCeiling:
         return None
     pool_ground = set(gp.ground_clauses)
-    for d in ground_assignments(clause_vars(learned), sig.n):
-        inst = canonical_clause(apply_clause(learned, d))
+    for g in instances:
+        inst = canonical_clause(g)
         if inst in pool_ground:
             continue
-        smaller = [g for g in gp.ground_clauses
-                   if ordering.cmp_clauses(g, inst) < 0]
-        if not _entails(smaller, inst, sig):
+        smaller = [e for c, e in zip(gp.ground_clauses, gp.clauses)
+                   if ordering.cmp_clauses(c, inst) < 0]
+        if not gp.entails(smaller, inst):
             return True  # found a non-redundant instance
     return False
-
-
-def _entails(premises: list[Clause], conclusion: Clause, sig: Signature) -> bool:
-    """premises |= conclusion, via DPLL on premises + negated conclusion."""
-    atoms: list[Lit] = []
-    index: dict[Lit, int] = {}
-
-    def enc(l: Lit) -> int:
-        a = l.atom
-        if a not in index:
-            index[a] = len(atoms)
-            atoms.append(a)
-        i = index[a] + 1
-        return -i if l.neg else i
-
-    clauses = [frozenset(enc(l) for l in c) for c in premises]
-    units = [frozenset([-enc(l)]) for l in conclusion]
-    gp = GroundProblem(atoms, index, clauses + units, [])
-    if len(atoms) > DPLL_ATOM_CAP:
-        raise OracleCeiling("entailment check too large")
-    return brute_sat(gp) is None
 
 
 # ---------------------------------------------------------------------------

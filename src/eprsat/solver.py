@@ -22,6 +22,8 @@ Each rule takes what the search that found it established and re-checks
 none of it: `prop_loop` vouches for Propagate, `select_decision` for Decide
 (it checks a script line once), `add_consequences` for Conflict,
 `_resolution_step` for the rest, and `_solve` for Failure and Success.
+A run of Skips shares one assertiveness answer, since a skipped entry
+defines no literal of the conflict's instances.
 Success rescans nothing: propagation is exhaustive, so no clause is left
 false or propagating, because every derivation is found when its newest
 entry is pushed, the queue is exhausted before each decision, Conflict
@@ -231,10 +233,6 @@ class Solver:
     def rule_conflict(self, cs: ConflictSet) -> None:
         """Record `cs`, which the search found false under the trail: the
         queue clash or a derivation in `add_consequences`."""
-        if self.level < 0:
-            raise RuleRejected("terminal state")
-        if not cs.clause:
-            raise RuleRejected("the empty clause cannot be a conflict set")
         self.conflict = cs
         self._pq.clear()
         self._bump_clause(cs.clause)
@@ -259,8 +257,6 @@ class Solver:
         """Pop the rightmost entry; the caller vouches that it touches no
         instance of the conflict (`_resolution_step` found no position)."""
         entry = self.trail.entries[-1]
-        if entry.is_decision:
-            raise RuleRejected("cannot skip a decision")
         self.trail.pop()
         self._emit("Skip", render_entry(self.sig, entry))
 
@@ -270,8 +266,6 @@ class Solver:
         sigma and `new_pi` is both constraints met under it (`_meets_entry`)."""
         cs = self.conflict
         entry = self.trail.entries[-1]
-        if entry.is_decision:
-            raise RuleRejected("cannot resolve against a decision")
         reason = self.pool[entry.reason]
         # rename the reason clause apart when it shares variables
         shared = set(clause_vars(reason)) & set(clause_vars(cs.clause))
@@ -654,11 +648,14 @@ class Solver:
             return self._verdict()
 
     def _resolution_step(self) -> None:
-        """Apply the conflict-resolution rule that fits.  The preconditions
-        are decided here, each once per step: assertiveness (Backjump), then,
-        from one scan of the conflict literals against the rightmost entry,
-        the Factorize pair and the resolvable position, which `rule_factorize`
-        and `rule_resolve` take as arguments."""
+        """Apply the conflict-resolution rules that fit, up to the first
+        that is not a Skip.  The preconditions are decided here, each once
+        per step: assertiveness (Backjump), then, from one scan of the
+        conflict literals against the rightmost entry, the Factorize pair and
+        the resolvable position, which `rule_factorize` and `rule_resolve`
+        take as arguments.  A run of Skips shares one assertiveness answer:
+        a skipped entry defines no literal of any conflict instance, so
+        those instances and the levels of their literals stay as they were."""
         cs = self.conflict
         if cs.clause == ():
             # the empty clause was derived (only level 0 can get here):
@@ -669,22 +666,24 @@ class Solver:
         if self.level > 0 and is_assertive(self.trail, cs.clause, cs.sigma, cs.pi):
             self.rule_backjump(2)
             return
-        entry = self.trail.entries[-1]
-        unifiers = self._entry_unifiers(cs, entry)
-        if entry.is_decision:
-            found = self._factorize_choice(cs, entry, unifiers)
-            if found is not None:
-                self.rule_factorize(*found)
-                return
-            self.rule_backjump(3)
-            return
         lits = apply_clause(cs.clause, cs.sigma)
-        resolvable = next(((pos, eta, met) for pos, _, eta in unifiers
-                           if (met := self._meets_entry(lits, cs.pi, entry, eta))
-                           is not None), None)
-        if resolvable is None:
+        while True:
+            entry = self.trail.entries[-1]
+            unifiers = self._entry_unifiers(cs, entry)
+            if entry.is_decision:
+                found = self._factorize_choice(cs, entry, unifiers)
+                if found is not None:
+                    self.rule_factorize(*found)
+                    return
+                self.rule_backjump(3)
+                return
+            resolvable = next(
+                ((pos, eta, met) for pos, _, eta in unifiers
+                 if (met := self._meets_entry(lits, cs.pi, entry, eta)) is not None),
+                None)
+            if resolvable is not None:
+                break
             self.rule_skip()
-            return
         found = self._factorize_choice(cs, entry, unifiers)
         if found is not None:
             self.rule_factorize(*found)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsat.constrained import CLit, clit_cover, cover
 from eprsat.constraints import TOP, conj, is_normal
@@ -61,6 +63,46 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_problem("domain a .\nP(X) | $ .")
     assert str(exc.value).startswith("2:")
+
+
+SIG_PQ = Signature({"P": 1, "Q": 2}, ("a", "b"))
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_problem, "domain a . P(X", "1:14: unexpected end of input"),
+    (parse_problem, "domain a . P(a) P(a) .", "1:17: expected '.', found 'P'"),
+    (parse_problem, "domain a . P(|) .", "1:14: expected a term, found '|'"),
+    (parse_problem, "domain a .\n-( .", "2:2: expected a predicate name"),
+    (parse_problem, "domain a B .", "1:10: constants are lowercase identifiers"),
+    (parse_problem, "domain a b\n a .", "2:2: duplicate constant 'a'"),
+    (parse_problem, "domain .", "1:1: domain must be nonempty"),
+    (lambda t: parse_clit_line(t, SIG_PQ), "Q(X,Y) :: (X,Y) != a",
+     "1:11: disequation tuples differ in length"),
+    (lambda t: parse_script(t, SIG_PQ), "P(a)\nP(X) :: TOP TOP",
+     "2:13: trailing input 'TOP'"),
+])
+def test_each_parse_error_names_its_line_and_column(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+_SOUP = st.lists(st.sampled_from([
+    "domain", "clause", "false", "a", "b", "zz", "X", "Y", "P", "Q", "TOP",
+    "BOT", "(", ")", ",", "|", ".", "-", "~", "::", ":", "!=", "/\\", "%",
+    "$", " ", "\n", "% model\n", "% compact\n", "% all other atoms false\n",
+]), max_size=30).map("".join)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_SOUP)
+def test_token_soup_raises_nothing_but_parse_error(text):
+    for parse in (parse_problem, lambda t: parse_script(t, SIG_PQ),
+                  lambda t: parse_model(t, SIG_PQ)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 def test_parse_undeclared_constant():

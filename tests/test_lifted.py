@@ -485,6 +485,27 @@ def test_resolution_step_decides_each_precondition_once(monkeypatch):
     assert factorized["steps"] > 10, factorized
 
 
+def test_a_run_of_skips_shares_one_assertiveness_answer(monkeypatch):
+    """No `is_assertive` call directly follows a Skip: a skipped entry
+    defines no literal of any conflict instance, so the answer before the
+    Skip stands, and the verdicts and step counts are unchanged."""
+    runs = dict(calls=0, after_skip=0)
+    current = []
+
+    def assertive(*args):
+        runs["calls"] += 1
+        runs["after_skip"] += current[-1].trace[-1].rule == "Skip"
+        return derive.is_assertive(*args)
+
+    monkeypatch.setattr(solver_mod, "is_assertive", assertive)
+    for make, steps in ((_c5_2, 101), (_k4_3, 238)):
+        s = Solver(*make(), RunConfig(max_steps=10_000))
+        current.append(s)
+        verdict = s.solve()
+        assert (verdict.status, verdict.steps) == ("unsat", steps)
+    assert runs["after_skip"] == 0 and runs["calls"] > 0, runs
+
+
 def _queued_form(s, cands):
     """(clause, literal, rendered piece) of `cands` in the order the queue
     pops them: smallest cover first, then as found; empty ones dropped."""

@@ -176,21 +176,22 @@ def _tiny_ordering():
 def test_check_nonredundant_fresh_empty_clause():
     sig = Signature({"P": 1}, ("a", "b"))
     pool = [(Lit(False, "P", (x,)),)]
-    assert check_nonredundant((), pool, _tiny_ordering(), sig) is True
+    assert check_nonredundant([()], pool, _tiny_ordering(), sig) is True
 
 
 def test_check_nonredundant_already_present():
+    # the instances of P(x)
     sig = Signature({"P": 1}, ("a", "b"))
     pool = [(Lit(False, "P", (x,)),)]
-    assert check_nonredundant((Lit(False, "P", (x,)),), pool,
-                              _tiny_ordering(), sig) is False
+    insts = [(Lit(False, "P", (a,)),), (Lit(False, "P", (b,)),)]
+    assert check_nonredundant(insts, pool, _tiny_ordering(), sig) is False
 
 
 def test_check_nonredundant_entailed_by_smaller():
     # P(a) is made redundant by the unit P(x) (smaller: defined earlier atoms)
     sig = Signature({"P": 1}, ("a", "b"))
     pool = [(Lit(False, "P", (x,)),)]
-    got = check_nonredundant((Lit(False, "P", (0,)),), pool,
+    got = check_nonredundant([(Lit(False, "P", (a,)),)], pool,
                              _tiny_ordering(), sig)
     assert got is False
 
@@ -198,7 +199,7 @@ def test_check_nonredundant_entailed_by_smaller():
 def test_check_nonredundant_ceiling_skip():
     sig = Signature({"P": 4}, ("a", "b", "c"))
     pool = [(Lit(False, "P", (x, x, x, x)),)]
-    assert check_nonredundant((), pool, _tiny_ordering(), sig) is None
+    assert check_nonredundant([()], pool, _tiny_ordering(), sig) is None
 
 
 # ---------------------------------------------------------------------------

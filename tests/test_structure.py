@@ -145,3 +145,16 @@ def test_only_the_referee_helpers_ground():
                 found.append(f"{mod}.py:{node.lineno} "
                              f"{getattr(node, 'id', None) or node.attr}")
     assert found == []
+
+
+def test_no_private_name_is_imported_from_a_sibling():
+    """An underscore-prefixed name is its module's own: no other module of
+    the package imports it."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1 or (node.module or "").startswith("eprsat")):
+                found += [f"{path.name}:{node.lineno} {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert found == []
