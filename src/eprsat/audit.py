@@ -7,7 +7,10 @@ non-emptiness of conflict sets, the top-level-literal counts, the strict
 decrease of the conflict-resolution measure, blocking of removed decisions
 by case-(3) clauses, non-redundancy of every learned clause and its
 entailment by the input (both asked of the one `GroundProblem` encoding),
-and the model property at success.  At every backjump it also referees the
+and the model property at success.  The input is grounded once per run,
+and so is the clause pool: the pool only grows by appends, so each
+learning check adds to the pool's `GroundProblem` only the clauses appended
+since the last one.  At every backjump it also referees the
 solver's lifted derivations by grounding: assertiveness of the conflict and
 the absence of false learned-clause instances under the chosen prefix, and
 at success it asks `Solver.full_scan` if propagation left anything undone.
@@ -37,6 +40,7 @@ from .constrained import CLit, clit_is_empty, overlaps
 from .constraints import TOP
 from .derive import is_blocked
 from .oracle import (
+    REDUNDANCY_ATOM_CAP,
     GroundProblem,
     OracleCeiling,
     check_nonredundant,
@@ -72,6 +76,7 @@ class Auditor:
         self._measure: Optional[tuple[int, list]] = None
         # the induced ordering of the trail at the last Conflict
         self._ordering: Optional[InducedOrdering] = None
+        self._pool_grounded = 0     # how much of solver.pool is in pool_ground
 
     def _flag(self, msg: str) -> None:
         self.violations.append(msg)
@@ -84,6 +89,25 @@ class Auditor:
             return ground_problem(self.sig, self.input_clauses)
         except OracleCeiling:
             return None
+
+    @cached_property
+    def pool_ground(self) -> Optional[GroundProblem]:
+        """The solver's clause pool, grounded for the non-redundancy check
+        (None when its universe is too big); `_ground_pool` extends it."""
+        try:
+            return ground_problem(self.sig, [], ceiling=REDUNDANCY_ATOM_CAP)
+        except OracleCeiling:
+            return None
+
+    def _ground_pool(self, solver) -> Optional[GroundProblem]:
+        """`pool_ground` over the whole of `solver.pool`: the clauses
+        appended since the last call are the only ones grounded."""
+        gp = self.pool_ground
+        if gp is not None:
+            for clause in solver.pool[self._pool_grounded:]:
+                gp.add(clause)
+            self._pool_grounded = len(solver.pool)
+        return gp
 
     # -- hooks ----------------------------------------------------------------
 
@@ -121,10 +145,10 @@ class Auditor:
             return
         # the distinct ground instances, in assignment order, for all three
         insts = clause_instances(learned, {}, TOP, solver.n)
-        got = check_nonredundant(insts, solver.pool, self._ordering, self.sig)
-        if got is None:
+        pool = self._ground_pool(solver)
+        if pool is None:
             self.skipped.append("non-redundancy check skipped (universe too big)")
-        elif got is False:
+        elif not check_nonredundant(insts, pool, self._ordering):
             self._flag(f"learned clause is redundant: "
                        f"{render_clause(self.sig, learned)}")
         self._check_entailed_by_input(learned, insts)

@@ -5,23 +5,27 @@ Everything here is deliberately separate from the solver's reasoning paths:
 grounding is exhaustive enumeration, satisfiability is decided by plain
 DPLL (the tests referee it with a full truth table, a second, independent
 route), and redundancy goes straight by its definition over the ground
-instances.  A `GroundProblem` is the one signed-literal encoding: its
-`encode` builds every DPLL clause, and its `entails` answers each
-entailment question, for the non-redundancy check and for the audits.
+instances.  A `GroundProblem` is the one grounding path and the one
+signed-literal encoding: `ground_problem` and the audits' pool build it
+with `add`, which grounds a clause by atom-index arithmetic; `verify_model`
+evaluates the same instances; `encode` builds every other DPLL clause; and
+`entails` answers each entailment question, for the non-redundancy check
+and for the audits.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 from .constrained import CLit, clit_cover
 from .syntax import (
     Clause,
     Lit,
     Signature,
-    apply_clause,
     canonical_clause,
     clause_vars,
     ground_assignments,
@@ -36,64 +40,147 @@ class OracleCeiling(ValueError):
     pass
 
 
-@dataclass
 class GroundProblem:
-    atoms: list[Lit]                      # ground atoms, deterministic order
-    index: dict[Lit, int]
-    clauses: list[frozenset[int]]         # +-(i+1) signed atom indices
-    ground_clauses: list[Clause]          # canonical ground clauses, deduped
+    """The deduplicated ground instances of a clause set, as DPLL clauses.
 
-    def encode(self, clause: Clause) -> frozenset[int]:
-        """The ground clause as signed atom indices, +-(i+1)."""
-        return frozenset(-(self.index[l.atom] + 1) if l.neg
-                         else self.index[l.atom] + 1 for l in clause)
+    Atom i of the universe is `offset[p] + sum(arg_j * n**(k-1-j))` for
+    predicate p of arity k (predicates by name, arguments lexicographic), and
+    a ground literal is the signed index +-(i+1).  A clause is compiled once
+    into index arithmetic per literal; each instance is kept as the sorted
+    tuple of its signed literals, the same multiset test as comparing
+    canonical ground clauses.  The `Lit` forms are decoded on demand.
+    """
+
+    def __init__(self, sig: Signature, ceiling: Optional[int] = DPLL_ATOM_CAP):
+        self.size = sig.atom_universe_size()
+        if ceiling is not None and self.size > ceiling:
+            raise OracleCeiling(
+                f"ground universe has {self.size} atoms, ceiling is {ceiling}")
+        self.n = sig.n
+        self._preds = sorted(sig.preds.items())
+        self.offset: dict[str, int] = {}
+        start = 0
+        for pred, arity in self._preds:
+            self.offset[pred] = start
+            start += self.n ** arity
+        self._starts = list(self.offset.values())   # `_atom` bisects them
+        self.clauses: list[frozenset[int]] = []   # +-(i+1) signed atom indices
+        # an insertion-ordered set: each clause's sorted signed literals
+        self._keys: dict[tuple[int, ...], None] = {}
+        self._decoded: list[Clause] = []
+
+    # -- the kernel -----------------------------------------------------------
+
+    def signed(self, lit: Lit) -> int:
+        """The ground literal's signed atom index, +-(i+1)."""
+        i = self.offset[lit.pred] + 1
+        h = 0
+        for t in lit.args:
+            h = h * self.n + t
+        return -(i + h) if lit.neg else i + h
+
+    def _compile(self, clause: Clause) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Each literal as (c, [(v, k)]): c is its signed index with every
+        variable at constant 0, and under a ground assignment d it is
+        c + sum(d[v] * k)."""
+        out = []
+        for l in clause:
+            sign = -1 if l.neg else 1
+            coef: dict[int, int] = {}
+            for j, t in enumerate(reversed(l.args)):
+                if t < 0:
+                    coef[t] = coef.get(t, 0) + sign * self.n ** j
+            c = self.signed(Lit(l.neg, l.pred, tuple(max(t, 0) for t in l.args)))
+            out.append((c, list(coef.items())))
+        return out
+
+    def instances(self, clause: Clause) -> Iterator[tuple[int, ...]]:
+        """The sorted signed literals of each ground instance of `clause`, in
+        `ground_assignments` order, repeats included."""
+        lits = self._compile(clause)
+        for d in ground_assignments(clause_vars(clause), self.n):
+            key = []
+            for c, t in lits:
+                for v, k in t:
+                    c += d[v] * k
+                key.append(c)
+            key.sort()
+            yield tuple(key)
+
+    def add(self, clause: Clause) -> None:
+        """Append the ground instances of `clause` not already present."""
+        keys = self._keys
+        for key in self.instances(clause):
+            if key not in keys:
+                keys[key] = None
+                self.clauses.append(frozenset(key))
+
+    def encode(self, ground: Clause) -> frozenset[int]:
+        """The ground clause as signed atom indices."""
+        return frozenset(map(self.signed, ground))
+
+    def __contains__(self, ground: Clause) -> bool:
+        """The ground clause, as a multiset of literals, is one of `clauses`."""
+        return tuple(sorted(map(self.signed, ground))) in self._keys
+
+    # -- decoding -------------------------------------------------------------
+
+    def _atom(self, i: int) -> Lit:
+        k = bisect_right(self._starts, i) - 1
+        pred, arity = self._preds[k]
+        i -= self._starts[k]
+        args = [0] * arity
+        for j in range(arity - 1, -1, -1):
+            i, args[j] = divmod(i, self.n)
+        return Lit(False, pred, tuple(args))
+
+    def decode(self, key) -> Clause:
+        """The canonical ground clause of signed atom indices."""
+        return canonical_clause(self._atom(s - 1) if s > 0
+                                else self._atom(-s - 1).negate() for s in key)
+
+    @cached_property
+    def atoms(self) -> list[Lit]:
+        """The ground atoms, atom i at position i."""
+        return [self._atom(i) for i in range(self.size)]
+
+    @property
+    def ground_clauses(self) -> list[Clause]:
+        """The canonical ground clauses, in `clauses` order."""
+        for key in itertools.islice(self._keys, len(self._decoded), None):
+            self._decoded.append(self.decode(key))
+        return self._decoded
 
     def entails(self, premises: list[frozenset[int]], conclusion: Clause) -> bool:
         """The encoded `premises` entail the ground `conclusion`: DPLL finds
         no model of them plus the units of the negated conclusion."""
         units = [frozenset([-i]) for i in self.encode(conclusion)]
-        return brute_sat(GroundProblem(self.atoms, self.index,
-                                       premises + units, [])) is None
-
-
-def _atom_universe(sig: Signature) -> list[Lit]:
-    atoms = []
-    for pred in sorted(sig.preds):
-        for args in itertools.product(range(sig.n), repeat=sig.preds[pred]):
-            atoms.append(Lit(False, pred, args))
-    return atoms
+        return brute_sat(self, premises + units) is None
 
 
 def ground_problem(sig: Signature, clauses: list[Clause],
                    ceiling: int = DPLL_ATOM_CAP) -> GroundProblem:
-    atoms = _atom_universe(sig)
-    if len(atoms) > ceiling:
-        raise OracleCeiling(
-            f"ground universe has {len(atoms)} atoms, ceiling is {ceiling}")
-    gp = GroundProblem(atoms, {a: i for i, a in enumerate(atoms)}, [], [])
-    seen: set[Clause] = set()
+    gp = GroundProblem(sig, ceiling)
     for c in clauses:
-        for d in ground_assignments(clause_vars(c), sig.n):
-            g = canonical_clause(apply_clause(c, d))
-            if g in seen:
-                continue
-            seen.add(g)
-            gp.ground_clauses.append(g)
-            gp.clauses.append(gp.encode(g))
+        gp.add(c)
     return gp
 
 
 # ---------------------------------------------------------------------------
 # SAT oracles
 
-def brute_sat(gp: GroundProblem) -> Optional[set[Lit]]:
-    """DPLL with unit propagation; None means unsatisfiable.  It branches
-    only on the atoms some clause mentions: the rest stay false."""
-    if len(gp.atoms) > DPLL_ATOM_CAP:
+def brute_sat(gp: GroundProblem, clauses: Optional[list[frozenset[int]]] = None,
+              ) -> Optional[set[Lit]]:
+    """DPLL with unit propagation on `clauses` (default: `gp.clauses`) over
+    `gp`'s atoms; None means unsatisfiable.  It branches only on the atoms
+    some clause mentions: the rest stay false."""
+    if gp.size > DPLL_ATOM_CAP:
         raise OracleCeiling(
-            f"{len(gp.atoms)} atoms exceed the backtracking cap {DPLL_ATOM_CAP}")
+            f"{gp.size} atoms exceed the backtracking cap {DPLL_ATOM_CAP}")
+    if clauses is None:
+        clauses = gp.clauses
     assign: dict[int, bool] = {}
-    mentioned = sorted({abs(lit) for cl in gp.clauses for lit in cl})
+    mentioned = sorted({abs(lit) for cl in clauses for lit in cl})
 
     def value(cl):
         undef = None
@@ -115,7 +202,7 @@ def brute_sat(gp: GroundProblem) -> Optional[set[Lit]]:
         changed = True
         while changed:
             changed = False
-            for cl in gp.clauses:
+            for cl in clauses:
                 st, unit = value(cl)
                 if st == "conflict":
                     return False
@@ -154,45 +241,38 @@ def brute_sat(gp: GroundProblem) -> Optional[set[Lit]]:
 def verify_model(model: list[CLit], sig: Signature, clauses: list[Clause],
                  ) -> tuple[bool, Optional[Clause]]:
     """Check every ground instance under the induced interpretation
-    (atoms not covered positively are false).  Returns a failing instance."""
-    true_atoms: set[Lit] = set()
+    (atoms not covered positively are false).  Returns the first failing
+    instance, canonical."""
+    gp = GroundProblem(sig, ceiling=None)
+    true: set[int] = set()      # the true atoms' positive literals
     for cl in model:
         if not cl.lit.neg:
-            true_atoms |= clit_cover(cl, sig.n)
-    true_atoms = {l.atom for l in true_atoms}
+            true.update(map(gp.signed, clit_cover(cl, sig.n)))
     for c in clauses:
-        for d in ground_assignments(clause_vars(c), sig.n):
-            g = apply_clause(c, d)
-            if not any((l.atom in true_atoms) != l.neg for l in g):
-                return False, canonical_clause(g)
+        for key in gp.instances(c):
+            if not any((abs(s) in true) == (s > 0) for s in key):
+                return False, gp.decode(key)
     return True, None
 
 
 # ---------------------------------------------------------------------------
 # non-redundant learning check
 
-def check_nonredundant(instances: list[Clause], pool: list[Clause],
-                       ordering: InducedOrdering, sig: Signature) -> Optional[bool]:
+def check_nonredundant(instances: list[Clause], pool: GroundProblem,
+                       ordering: InducedOrdering) -> bool:
     """True iff the clause with these ground `instances` is NOT redundant
-    w.r.t. the pool and ordering.
+    w.r.t. the ground `pool` and the ordering.
 
     A ground instance is redundant when it already occurs in the ground pool
     or follows from the strictly smaller ground pool clauses (the "all
-    smaller clauses" entailment shortcut is exact).  None means the check
-    was skipped because the universe exceeds REDUNDANCY_ATOM_CAP.
+    smaller clauses" entailment shortcut is exact).
     """
-    try:
-        gp = ground_problem(sig, pool, ceiling=REDUNDANCY_ATOM_CAP)
-    except OracleCeiling:
-        return None
-    pool_ground = set(gp.ground_clauses)
     for g in instances:
-        inst = canonical_clause(g)
-        if inst in pool_ground:
+        if g in pool:
             continue
-        smaller = [e for c, e in zip(gp.ground_clauses, gp.clauses)
-                   if ordering.cmp_clauses(c, inst) < 0]
-        if not gp.entails(smaller, inst):
+        smaller = [e for c, e in zip(pool.ground_clauses, pool.clauses)
+                   if ordering.cmp_clauses(c, g) < 0]
+        if not pool.entails(smaller, g):
             return True  # found a non-redundant instance
     return False
 

@@ -173,6 +173,7 @@ class _ClauseParser:
             return BOT
         subs = []
         while True:
+            first = self.s.peek()    # where this disequation starts
             start = self.s.i
             lhs = self.tuple_()
             for tok in self.s.toks[start:self.s.i]:
@@ -186,7 +187,7 @@ class _ClauseParser:
                 self.rhs_at.setdefault(tok.text, tok)
             if len(lhs) != len(rhs):
                 raise ParseError("disequation tuples differ in length",
-                                 t.line if t else 1, t.col if t else 1)
+                                 first.line, first.col)
             subs.append((lhs, rhs))
             nxt = self.s.peek()
             if nxt is not None and nxt.text == "/\\":

@@ -22,7 +22,10 @@ from eprsat.constrained import (
 )
 from eprsat.constraints import conj, is_normal, normalize, solutions
 from eprsat.oracle import (
+    REDUNDANCY_ATOM_CAP,
     GenParams,
+    GroundProblem,
+    OracleCeiling,
     brute_sat,
     gen_benchmark,
     gen_random_instance,
@@ -33,14 +36,11 @@ from eprsat.parser import parse_model, parse_problem, parse_script
 from eprsat.render import render_model, render_trace
 from eprsat.solver import RunConfig, Solver
 from eprsat.syntax import Lit, lit_vars, var_code
+from population import criterion_1_population, criterion_1_verdicts
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 STEP_CAP = 1_000_000
 _observed_steps: list[int] = []
-
-CRITERION_1_PARAMS = GenParams(n_preds=3, max_arity=2, domain_size=3,
-                               n_clauses=12, max_lits=4)
-
 
 def _solve(sig, clauses, audit=False, seed=None, script=None):
     auditor = Auditor(sig, clauses) if audit else None
@@ -54,10 +54,8 @@ def _solve(sig, clauses, audit=False, seed=None, script=None):
 def test_criterion_1_differential_correctness():
     t0 = time.time()
     n_sat = n_unsat = 0
-    for seed in range(500):
-        p = GenParams(**{**CRITERION_1_PARAMS.__dict__, "seed": seed})
-        sig, clauses = gen_random_instance(p)
-        _, verdict, _ = _solve(sig, clauses)
+    for seed, (sig, clauses, verdict) in enumerate(criterion_1_verdicts()):
+        _observed_steps.append(verdict.steps)
         oracle = brute_sat(ground_problem(sig, clauses))
         expect = "sat" if oracle is not None else "unsat"
         assert verdict.status == expect, f"seed {seed}: {verdict.status} vs {expect}"
@@ -245,19 +243,62 @@ def test_criterion_6_nonredundant_learning():
           f"{learned_total} learned clauses all non-redundant")
 
 
-def test_criterion_7_soundness_and_regularity_audits():
+def _check_pool_grounding(monkeypatch):
+    """Make every audited run check the auditor's incremental pool grounding:
+    at each learned clause its pool `GroundProblem` equals the pool grounded
+    afresh.  The returned check, called after a run, asserts that each pool
+    clause up to the last learned clause was added to it once, in order."""
+    added, pools = [], []
+    add, before_learn = GroundProblem.add, Auditor.before_learn
+
+    def spy_add(gp, clause):
+        added.append((gp, clause))
+        add(gp, clause)
+
+    def spy_before_learn(auditor, solver, *args):
+        before_learn(auditor, solver, *args)
+        got = auditor.pool_ground
+        try:
+            want = ground_problem(auditor.sig, solver.pool,
+                                  ceiling=REDUNDANCY_ATOM_CAP)
+        except OracleCeiling:
+            assert got is None
+        else:
+            assert got.clauses == want.clauses
+            assert got.ground_clauses == want.ground_clauses
+        pools.append(len(solver.pool))
+
+    monkeypatch.setattr(GroundProblem, "add", spy_add)
+    monkeypatch.setattr(Auditor, "before_learn", spy_before_learn)
+
+    def check(solver, verdict, auditor) -> None:
+        assert len(pools) == verdict.learned
+        gp = auditor.__dict__.get("pool_ground")
+        assert [c for g, c in added if g is gp] == \
+            (solver.pool[:pools[-1]] if pools and gp is not None else [])
+        added.clear()
+        pools.clear()
+    return check
+
+
+def test_criterion_7_soundness_and_regularity_audits(monkeypatch):
     t0 = time.time()
     violations = []
+    check_pool_grounding = _check_pool_grounding(monkeypatch)
     # criterion-1 population, audited
-    for seed in range(500):
-        p = GenParams(**{**CRITERION_1_PARAMS.__dict__, "seed": seed})
-        sig, clauses = gen_random_instance(p)
-        _, _, auditor = _solve(sig, clauses, audit=True)
-        violations += auditor.violations
+    most_learned = 0
+    for sig, clauses in criterion_1_population():
+        run = _solve(sig, clauses, audit=True)
+        check_pool_grounding(*run)
+        most_learned = max(most_learned, run[1].learned)
+        violations += run[2].violations
+    assert most_learned >= 2
     # the golden derivation, audited
     sig, clauses = parse_problem(open(os.path.join(DATA, "ex33.p")).read())
     script = parse_script(open(os.path.join(DATA, "ex33.dec")).read(), sig)
-    _, _, auditor = _solve(sig, clauses, audit=True, script=script)
+    solver, verdict, auditor = _solve(sig, clauses, audit=True, script=script)
+    check_pool_grounding(solver, verdict, auditor)
+    assert verdict.learned > 0
     violations += auditor.violations
     assert not any("non-redundancy" in s for s in auditor.skipped), \
         auditor.skipped
@@ -265,8 +306,9 @@ def test_criterion_7_soundness_and_regularity_audits():
     for (n, k) in [(3, 3), (3, 4), (4, 3), (5, 4)]:
         for seed in range(1, 6):
             sig, clauses = gen_benchmark(n, k)
-            _, _, auditor = _solve(sig, clauses, audit=True, seed=seed)
-            violations += auditor.violations
+            run = _solve(sig, clauses, audit=True, seed=seed)
+            check_pool_grounding(*run)
+            violations += run[2].violations
     assert violations == [], violations[:5]
     print(f"criterion 7: PASS 0 audit violations across 521 audited runs "
           f"({time.time() - t0:.1f}s)")

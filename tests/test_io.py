@@ -78,6 +78,8 @@ SIG_PQ = Signature({"P": 1, "Q": 2}, ("a", "b"))
     (parse_problem, "domain .", "1:1: domain must be nonempty"),
     (lambda t: parse_clit_line(t, SIG_PQ), "Q(X,Y) :: (X,Y) != a",
      "1:11: disequation tuples differ in length"),
+    (lambda t: parse_clit_line(t, SIG_PQ), "Q(X,Y) :: X != a /\\ (X,Y) != a",
+     "1:21: disequation tuples differ in length"),
     (lambda t: parse_script(t, SIG_PQ), "P(a)\nP(X) :: TOP TOP",
      "2:13: trailing input 'TOP'"),
 ])

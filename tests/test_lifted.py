@@ -52,6 +52,7 @@ from eprsat.syntax import (
     mgu_atoms,
     var_code,
 )
+from population import criterion_1_population
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +581,7 @@ def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
         verdict = Solver(*make(), RunConfig(max_steps=10_000)).solve()
         assert (verdict.status, verdict.steps) == ("unsat", steps)
     # the criterion-1 population, audited
-    for seed in range(500):
-        sig, clauses = gen_random_instance(GenParams(
-            n_preds=3, max_arity=2, domain_size=3, n_clauses=12, max_lits=4,
-            seed=seed))
+    for seed, (sig, clauses) in enumerate(criterion_1_population()):
         auditor = Auditor(sig, clauses)
         Solver(sig, clauses, RunConfig(max_steps=10_000), auditor=auditor).solve()
         assert auditor.violations == [], (seed, auditor.violations[:3])

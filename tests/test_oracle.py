@@ -1,12 +1,14 @@
+import itertools
 import random
 from typing import Optional
 
 import pytest
 
 from eprsat.cli import harness_report, run_differential
-from eprsat.constrained import CLit
+from eprsat.constrained import CLit, clit_cover
 from eprsat.constraints import TOP, conj
 from eprsat.oracle import (
+    REDUNDANCY_ATOM_CAP,
     GenParams,
     GroundProblem,
     OracleCeiling,
@@ -18,6 +20,7 @@ from eprsat.oracle import (
     verify_model,
 )
 from eprsat.parser import parse_problem
+from eprsat.solver import RunConfig, Solver
 from eprsat.syntax import (
     Lit,
     Signature,
@@ -28,6 +31,7 @@ from eprsat.syntax import (
     var_code,
 )
 from eprsat.trail import InducedOrdering, Trail, TrailEntry
+from population import criterion_1_population, criterion_1_verdicts
 
 ENUM_ATOM_CAP = 20      # full truth-table route
 
@@ -165,6 +169,70 @@ def test_verify_model_worked_final_trail():
 
 
 # ---------------------------------------------------------------------------
+# the grounding kernel against grounding by substitution
+
+def _kernel_population():
+    yield from criterion_1_population()
+    yield gen_benchmark(3, 3)
+
+
+def _reference_ground(sig, clauses):
+    """The universe, and the canonical ground clauses deduplicated in first
+    occurrence order, by applying each assignment to the clause."""
+    atoms = [Lit(False, p, args) for p in sorted(sig.preds)
+             for args in itertools.product(range(sig.n), repeat=sig.preds[p])]
+    seen, out = set(), []
+    for c in clauses:
+        for d in ground_assignments(clause_vars(c), sig.n):
+            g = canonical_clause(apply_clause(c, d))
+            if g not in seen:
+                seen.add(g)
+                out.append(g)
+    return atoms, out
+
+
+def _reference_verify(model, sig, clauses):
+    true_atoms = set()
+    for cl in model:
+        if not cl.lit.neg:
+            true_atoms |= clit_cover(cl, sig.n)
+    for c in clauses:
+        for d in ground_assignments(clause_vars(c), sig.n):
+            g = apply_clause(c, d)
+            if not any((l.atom in true_atoms) != l.neg for l in g):
+                return False, canonical_clause(g)
+    return True, None
+
+
+def test_ground_problem_matches_grounding_by_substitution():
+    for sig, clauses in _kernel_population():
+        gp = ground_problem(sig, clauses)
+        atoms, ground = _reference_ground(sig, clauses)
+        index = {atom: i + 1 for i, atom in enumerate(atoms)}
+        assert gp.atoms == atoms
+        assert gp.ground_clauses == ground
+        assert gp.clauses == [frozenset(-index[l.atom] if l.neg else index[l.atom]
+                                        for l in g) for g in ground]
+        assert all(g in gp for g in ground)
+
+
+def test_verify_model_matches_evaluation_by_substitution():
+    witnesses = 0
+    ladder = gen_benchmark(3, 3)
+    for sig, clauses, verdict in [*criterion_1_verdicts(),
+                                  (*ladder, Solver(*ladder, RunConfig()).solve())]:
+        if verdict.status != "sat":
+            continue
+        model = verdict.model
+        # the model, then the model without each entry in turn
+        for m in [model] + [model[:i] + model[i + 1:] for i in range(len(model))]:
+            got = verify_model(m, sig, clauses)
+            assert got == _reference_verify(m, sig, clauses)
+            witnesses += not got[0]
+    assert witnesses > 100
+
+
+# ---------------------------------------------------------------------------
 # non-redundancy
 
 def _tiny_ordering():
@@ -173,33 +241,37 @@ def _tiny_ordering():
     return InducedOrdering.from_trail(tr)
 
 
+def _pool(sig, clauses):
+    return ground_problem(sig, clauses, ceiling=REDUNDANCY_ATOM_CAP)
+
+
 def test_check_nonredundant_fresh_empty_clause():
     sig = Signature({"P": 1}, ("a", "b"))
-    pool = [(Lit(False, "P", (x,)),)]
-    assert check_nonredundant([()], pool, _tiny_ordering(), sig) is True
+    pool = _pool(sig, [(Lit(False, "P", (x,)),)])
+    assert check_nonredundant([()], pool, _tiny_ordering()) is True
 
 
 def test_check_nonredundant_already_present():
     # the instances of P(x)
     sig = Signature({"P": 1}, ("a", "b"))
-    pool = [(Lit(False, "P", (x,)),)]
+    pool = _pool(sig, [(Lit(False, "P", (x,)),)])
     insts = [(Lit(False, "P", (a,)),), (Lit(False, "P", (b,)),)]
-    assert check_nonredundant(insts, pool, _tiny_ordering(), sig) is False
+    assert check_nonredundant(insts, pool, _tiny_ordering()) is False
 
 
 def test_check_nonredundant_entailed_by_smaller():
     # P(a) is made redundant by the unit P(x) (smaller: defined earlier atoms)
     sig = Signature({"P": 1}, ("a", "b"))
-    pool = [(Lit(False, "P", (x,)),)]
-    got = check_nonredundant([(Lit(False, "P", (a,)),)], pool,
-                             _tiny_ordering(), sig)
+    pool = _pool(sig, [(Lit(False, "P", (x,)),)])
+    got = check_nonredundant([(Lit(False, "P", (a,)),)], pool, _tiny_ordering())
     assert got is False
 
 
 def test_check_nonredundant_ceiling_skip():
+    # the check is skipped where the pool is grounded: 81 atoms are over the cap
     sig = Signature({"P": 4}, ("a", "b", "c"))
-    pool = [(Lit(False, "P", (x, x, x, x)),)]
-    assert check_nonredundant([()], pool, _tiny_ordering(), sig) is None
+    with pytest.raises(OracleCeiling):
+        _pool(sig, [(Lit(False, "P", (x, x, x, x)),)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ search missed.
 import os
 
 from eprsat.audit import Auditor
-from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
+from eprsat.oracle import gen_benchmark
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import ConflictSet, RunConfig, Solver
 from eprsat.syntax import apply_lit, ground_assignments, lit_vars
 from eprsat.trail import TRUE, UNDEF
+from population import criterion_1_population
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -60,14 +61,10 @@ def _runs():
     sig, clauses = parse_problem(open(os.path.join(DATA, "ex33.p")).read())
     script = parse_script(open(os.path.join(DATA, "ex33.dec")).read(), sig)
     yield "ex33", sig, clauses, RunConfig(script=script)
-    for seed in range(300):
-        yield f"pop-{seed}", *gen_random_instance(GenParams(
-            n_preds=3, max_arity=2, domain_size=3, n_clauses=12, max_lits=4,
-            seed=seed)), RunConfig()
-    for seed in range(50):
-        yield f"pop-{seed}-seeded", *gen_random_instance(GenParams(
-            n_preds=3, max_arity=2, domain_size=3, n_clauses=12, max_lits=4,
-            seed=seed)), RunConfig(seed=seed)
+    for seed, (sig, clauses) in enumerate(criterion_1_population(300)):
+        yield f"pop-{seed}", sig, clauses, RunConfig()
+    for seed, (sig, clauses) in enumerate(criterion_1_population(50)):
+        yield f"pop-{seed}-seeded", sig, clauses, RunConfig(seed=seed)
 
 
 def test_no_clause_instance_is_false_or_unit_at_success():
