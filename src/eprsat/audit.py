@@ -240,12 +240,13 @@ class Auditor:
             return
         top = trail.level
         for g in insts:
-            vals = [trail.value_of(l) for l in g]
-            if not all(v == FALSE for v in vals):
+            # one lookup per literal gives both its value and its level
+            defs = [trail.defining_entry(l.atom) for l in g]
+            if not all(e is not None and e.lit.neg != l.neg for e, l in zip(defs, g)):
                 self._flag("conflict set holds a non-false instance")
                 break
             if top > 0:
-                at_top = sum(1 for l in g if trail.level_of(l) == top)
+                at_top = sum(1 for e in defs if e.level == top)
                 need = 2 if fresh else 1
                 if at_top < need:
                     self._flag(

@@ -287,14 +287,17 @@ def _and_many(parts: list[Constraint]) -> Constraint:
     return acc
 
 
-def diff_apart(lit: Lit, sigma: Subst, pi: Constraint,
+def diff_apart(lit: Lit, pieces: Iterable[tuple[Subst, Constraint]],
                sources: Iterable[tuple[Lit, Constraint]],
                ) -> list[tuple[Subst, Constraint]]:
-    """(lit*sigma; pi) minus the atoms of every source (src; src_pi), each
-    renamed apart, as disjoint non-BOT pieces (sigma', pi') of `lit`.  A
-    source whose atom does not unify with a piece is not renamed and leaves
-    the piece as it is, its sigma the same object."""
-    pieces = [] if pi.is_bot else [(sigma, pi)]
+    """The disjoint pieces (sigma; pi) of `lit` minus the atoms of every
+    source (src; src_pi), each renamed apart, as disjoint non-BOT pieces
+    (sigma', pi') of `lit`.  A source whose atom does not unify with a piece
+    is not renamed and leaves the piece as it is, its sigma the same object.
+    The sources are folded in one at a time, left to right, so subtracting
+    a list in two parts, the first part's pieces passed on as the starting
+    pieces of the second, gives the same pieces in the same order."""
+    pieces = [(s, p) for s, p in pieces if not p.is_bot]
     for src, src_pi in sources:
         new_pieces: list[tuple[Subst, Constraint]] = []
         for s, p in pieces:
@@ -317,7 +320,7 @@ def difference(a: CLit, b: CLit) -> list[CLit]:
     if a.lit.neg != b.lit.neg:
         return [a]
     return [CLit(apply_lit(a.lit, tau), pi)
-            for tau, pi in diff_apart(a.lit, {}, a.pi, [(b.lit, b.pi)])]
+            for tau, pi in diff_apart(a.lit, [({}, a.pi)], [(b.lit, b.pi)])]
 
 
 # ---------------------------------------------------------------------------

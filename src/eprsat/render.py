@@ -122,44 +122,61 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
     |w| = |a| + |b| - |a & b|.  `MERGE_ATOM_CAP` only skips predicates
     whose universe exceeds that many ground atoms; dropping it would change
     which model documents get consolidated.
+
+    After each merge the scan restarts at the first pair, so one call asks
+    about the same pairs many times.  The answers are memoized for the
+    call: the cover size of each literal, and the widening found (or none)
+    for each pair (a, b), which depends on the two literals and the domain
+    alone.  Only the literals a pair can widen (an `and` constraint, under
+    the cap) are scanned as b.  The scan order is the same, so the first
+    mergeable (i, j) still wins and the result is that of the unmemoized
+    scan.
     """
     n = sig.n
+    sizes: dict[CLit, int] = {}
+    widenings: dict[tuple[CLit, CLit], Optional[CLit]] = {}
 
     def size(cl: CLit) -> int:
-        return cover_size(cl.lit, cl.pi, n)
+        if cl not in sizes:
+            sizes[cl] = cover_size(cl.lit, cl.pi, n)
+        return sizes[cl]
+
+    def meet_size(a: CLit, b: CLit) -> int:
+        # a conjunction is renamed apart afresh each time: counted, not kept
+        c = conjunction(a, b)
+        return cover_size(c.lit, c.pi, n)
+
+    def widening(a: CLit, b: CLit) -> Optional[CLit]:
+        """b with one subconstraint dropped, covering exactly a | b; None
+        when no such subconstraint exists."""
+        if (a, b) not in widenings:
+            size_a = size(a)
+            union = size_a + size(b) - meet_size(a, b)
+            found = None
+            for k in range(len(b.pi.subs)):
+                w = CLit(b.lit, normalize(conj(b.pi.subs[:k] + b.pi.subs[k + 1:])))
+                if size(w) == union and meet_size(a, w) == size_a:
+                    found = w
+                    break
+            widenings[a, b] = found
+        return widenings[a, b]
+
+    def first_merge(out: list[CLit]) -> Optional[tuple[int, int, CLit]]:
+        targets: dict[tuple[str, bool], list[int]] = {}
+        for j, b in enumerate(out):
+            if b.pi.kind == "and" and n ** len(b.lit.args) <= MERGE_ATOM_CAP:
+                targets.setdefault((b.lit.pred, b.lit.neg), []).append(j)
+        for i, a in enumerate(out):
+            for j in targets.get((a.lit.pred, a.lit.neg), ()):
+                if i != j and (w := widening(a, out[j])) is not None:
+                    return i, j, w
+        return None
 
     out = list(clits)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            for j in range(len(out)):
-                if i == j:
-                    continue
-                a, b = out[i], out[j]
-                if a.lit.pred != b.lit.pred or a.lit.neg != b.lit.neg:
-                    continue
-                if n ** len(b.lit.args) > MERGE_ATOM_CAP:
-                    continue
-                if b.pi.kind != "and":
-                    continue
-                size_a = size(a)
-                union = size_a + size(b) - size(conjunction(a, b))
-                merged = None
-                for k in range(len(b.pi.subs)):
-                    widened = normalize(conj(b.pi.subs[:k] + b.pi.subs[k + 1:]))
-                    w = CLit(b.lit, widened)
-                    if size(w) == union and size(conjunction(a, w)) == size_a:
-                        merged = w
-                        break
-                if merged is not None:
-                    keep_low, drop_high = (i, j) if i < j else (j, i)
-                    out[keep_low] = merged
-                    del out[drop_high]
-                    changed = True
-                    break
-            if changed:
-                break
+    while (found := first_merge(out)) is not None:
+        i, j, w = found
+        out[min(i, j)] = w
+        del out[max(i, j)]
     return out
 
 

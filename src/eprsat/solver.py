@@ -12,11 +12,23 @@ Everything the solver learns about the trail comes from one derivation
 path, `Solver._derive`: a leaf with nothing left is a conflict, one with one
 literal left a propagation candidate.  `add_consequences`, `_reseed_full`
 and, once per trail prefix, `compute_backjump_level` search with it;
-`full_scan` only asks.  `_diff_against_trail` is the one trail difference
-(behind the queue, the decisions and the backjump level), `_undefined_pieces`
-its one non-empty filter.  The lifted steps live in `constrained`; a
+`full_scan` only asks.  `constrained.diff_apart` is the one trail
+difference, taken by `_diff_against_trail` (behind the queue and the
+backjump level, with `_undefined_pieces` its one non-empty filter) and by
+`_decision_pieces`.  The lifted steps live in `constrained`; a
 resolution step unifies each conflict literal with the rightmost entry once
 (`_entry_unifiers`) for Resolve and Factorize, which share a closure step.
+
+Between two decisions the trail only grows or is cut back, so the
+decisions carry their trail difference across calls (`_decision_pieces`).
+Each pool literal keeps its undefined pieces, the trail length L they were
+taken at and the entry object at position L-1.  The next call reuses them
+only if that same object is still at position L-1: `_push` makes every
+entry new, so then the first L entries are unchanged, and only the entries
+from position L on are subtracted from the kept pieces.  Otherwise the
+pieces are taken afresh, so a backjump needs no rollback of its own.
+`diff_apart` is a left fold over its sources, so the two parts give the
+pieces, in order, that one difference against the whole trail gives.
 
 Each rule takes what the search that found it established and re-checks
 none of it: `prop_loop` vouches for Propagate, `select_decision` for Decide
@@ -168,6 +180,11 @@ class Solver:
         # decision pool and its refinement trail
         self.pool_cands: list[tuple[Lit, Constraint]] = self._init_pool_cands()
         self._refinements: list[tuple[int, int, tuple[Lit, Constraint], int]] = []
+        # each pool literal's undefined pieces, carried between decisions:
+        # (lit, pi) -> (pieces, trail length L, the entry at position L-1)
+        self._carried: dict[tuple[Lit, Constraint],
+                            tuple[list[tuple[Subst, Constraint]], int,
+                                  Optional[TrailEntry]]] = {}
         # scores: canonical literal -> value
         self.scores: dict[Lit, float] = {}
         self._bump = 1.0
@@ -426,7 +443,7 @@ class Solver:
         pieces (sigma', pi') of `lit`; with `upto`, only the entries before
         that position count.  An entry that does not unify with a piece
         leaves it as it is, without being renamed."""
-        return diff_apart(lit, sigma, pi, [
+        return diff_apart(lit, [(sigma, pi)], [
             (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
             if upto is None or e.pos < upto])
 
@@ -520,10 +537,25 @@ class Solver:
         for _, _, i in ranked:
             lit, pi = self.pool_cands[i]
             got = self._repair_blocking(i, [
-                (apply_lit(lit, s), p) for s, p in self._diff_against_trail(lit, {}, pi)])
+                (apply_lit(lit, s), p) for s, p in self._decision_pieces(lit, pi)])
             if got is not None:
                 return got
         return None
+
+    def _decision_pieces(self, lit: Lit, pi: Constraint,
+                         ) -> list[tuple[Subst, Constraint]]:
+        """`_diff_against_trail(lit, {}, pi)`, carried from the last call
+        for this pool literal when the module docstring's rule allows it."""
+        entries = self.trail.entries
+        pieces, start, anchor = self._carried.get((lit, pi), ([], 0, None))
+        if start == 0 or start > len(entries) or entries[start - 1] is not anchor:
+            pieces, start = [({}, pi)], 0
+        pieces = diff_apart(lit, pieces, [(e.lit, e.pi)
+                                          for e in self.trail.for_pred(lit.pred)
+                                          if e.pos >= start])
+        self._carried[(lit, pi)] = (pieces, len(entries),
+                                    entries[-1] if entries else None)
+        return pieces
 
     def _check_script_decision(self, lit: Lit, pi: Constraint) -> None:
         # a script line comes from outside the search, so Decide's

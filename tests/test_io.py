@@ -1,12 +1,13 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsat.constrained import CLit, clit_cover, cover
-from eprsat.constraints import TOP, conj, is_normal
-from eprsat.oracle import GenParams, gen_random_instance
+from eprsat.constrained import CLit, clit_cover, conjunction, cover, cover_size
+from eprsat.constraints import TOP, conj, is_normal, normalize
+from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
 from eprsat.parser import (
     ParseError,
     parse_clit_line,
@@ -17,6 +18,7 @@ from eprsat.parser import (
     trace_decisions,
 )
 from eprsat.render import (
+    MERGE_ATOM_CAP,
     merge_cover,
     render_clit,
     render_model,
@@ -25,6 +27,7 @@ from eprsat.render import (
 )
 from eprsat.solver import RunConfig, Solver
 from eprsat.syntax import Lit, Signature, var_code
+from population import criterion_1_verdicts
 
 x, y = var_code(0), var_code(1)
 v = var_code(9)
@@ -262,6 +265,73 @@ def test_merge_cover_keeps_unmergeable():
     one = CLit(Lit(False, "P", (a,)), TOP)
     other = CLit(Lit(True, "P", (b,)), TOP)
     assert len(merge_cover(sig, [one, other])) == 2
+
+
+def _merge_cover_unmemoized(sig, clits):
+    """The greedy loop `merge_cover` memoizes: after each merge it rescans
+    every pair (i, j) in order and recounts every cover it asks about."""
+    n = sig.n
+
+    def size(cl):
+        return cover_size(cl.lit, cl.pi, n)
+
+    out = list(clits)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out)):
+            for j in range(len(out)):
+                if i == j:
+                    continue
+                a, b = out[i], out[j]
+                if a.lit.pred != b.lit.pred or a.lit.neg != b.lit.neg:
+                    continue
+                if n ** len(b.lit.args) > MERGE_ATOM_CAP:
+                    continue
+                if b.pi.kind != "and":
+                    continue
+                size_a = size(a)
+                union = size_a + size(b) - size(conjunction(a, b))
+                merged = None
+                for k in range(len(b.pi.subs)):
+                    widened = normalize(conj(b.pi.subs[:k] + b.pi.subs[k + 1:]))
+                    w = CLit(b.lit, widened)
+                    if size(w) == union and size(conjunction(a, w)) == size_a:
+                        merged = w
+                        break
+                if merged is not None:
+                    keep_low, drop_high = (i, j) if i < j else (j, i)
+                    out[keep_low] = merged
+                    del out[drop_high]
+                    changed = True
+                    break
+            if changed:
+                break
+    return out
+
+
+def _sat_models():
+    """(name, sig, model) of two benchmark rungs, the scripted ex33 and the
+    sat criterion-1 population."""
+    for nk in [(5, 4), (7, 3)]:
+        sig, clauses = gen_benchmark(*nk)
+        yield f"rung{nk}", sig, Solver(sig, clauses, RunConfig()).solve().model
+    data = os.path.join(os.path.dirname(__file__), "data")
+    sig, clauses = parse_problem(open(os.path.join(data, "ex33.p")).read())
+    script = parse_script(open(os.path.join(data, "ex33.dec")).read(), sig)
+    yield "ex33", sig, Solver(sig, clauses, RunConfig(script=script)).solve().model
+    for seed, (sig, _, verdict) in enumerate(criterion_1_verdicts()):
+        if verdict.status == "sat":
+            yield f"pop-{seed}", sig, verdict.model
+
+
+def test_merge_cover_matches_the_unmemoized_greedy_loop():
+    merged = 0
+    for name, sig, model in _sat_models():
+        got = merge_cover(sig, model)
+        assert got == _merge_cover_unmemoized(sig, model), name
+        merged += len(model) - len(got)
+    assert merged > 50, merged
 
 
 def test_trace_replay_reproduces_trace():

@@ -12,9 +12,10 @@ The last ones check that the learning path's shortcuts are exact:
 `_factorize_choice` against the all-pairs scan it replaced, the
 newest-entry reachability cut of `find_candidates` against the uncut
 search, each conflict-resolution precondition decided once per step, and
-the backjump queuing what its level search derived.  The very last checks
-that Decide and Propagate re-run none of the preconditions their search
-established.
+the backjump queuing what its level search derived.  Then Decide and
+Propagate are checked to re-run none of the preconditions their search
+established, and the decision pieces carried between `select_decision`
+calls to equal a fresh trail difference.
 """
 import os
 import random
@@ -633,3 +634,47 @@ def test_decide_and_propagate_take_what_the_search_found(monkeypatch):
     assert calls["rule"] == 0, calls
     assert calls["decide"] > 0 and min(calls["is_blocked"], calls["is_empty"],
                                        calls["propagate"]) > 0, calls
+
+
+# ---------------------------------------------------------------------------
+# decision pieces carried between decisions
+
+def _pieces_text(sig, lit, pieces):
+    return [render_clit(sig, apply_lit(lit, s), p) for s, p in pieces]
+
+
+def test_carried_decision_pieces_match_a_fresh_difference(monkeypatch):
+    """At every `select_decision` call, each pool literal's carried pieces
+    are those of a fresh `_diff_against_trail(lit, {}, pi)`, in the same
+    order (compared as renderings, since the variable ids differ), also
+    after the backjumps of the colourings and of the criterion-1 population
+    (the whole of it: the instances that backjump are known only by solving
+    them)."""
+    real = Solver.select_decision
+    seen = dict(carried=0, pieces=0)
+
+    def referee(self):
+        entries = self.trail.entries
+        for lit, pi in list(self.pool_cands):
+            kept = self._carried.get((lit, pi))
+            seen["carried"] += (kept is not None and 0 < kept[1] <= len(entries)
+                                and entries[kept[1] - 1] is kept[2])
+            got = self._decision_pieces(lit, pi)
+            want = self._diff_against_trail(lit, {}, pi)
+            assert _pieces_text(self.sig, lit, got) == _pieces_text(self.sig, lit, want), (
+                render_clit(self.sig, lit, pi), len(entries))
+            seen["pieces"] += len(got)
+        return real(self)
+
+    monkeypatch.setattr(Solver, "select_decision", referee)
+    runs = [(gen_benchmark(5, 4), "sat", 0), (_c5_2(), "unsat", 2),
+            (_k4_3(), "unsat", 7)]
+    runs += [(problem, None, None) for problem in criterion_1_population()]
+    backjumps = 0
+    for (sig, clauses), status, learned in runs:
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        if status is not None:
+            assert (verdict.status, verdict.learned) == (status, learned)
+        backjumps += verdict.backjumps
+    assert backjumps > 20 and seen["carried"] > 1000 and seen["pieces"] > 0, (
+        backjumps, seen)
