@@ -14,14 +14,19 @@ since the last one.  At every backjump it also referees the
 solver's lifted derivations by grounding: assertiveness of the conflict and
 the absence of false learned-clause instances under the chosen prefix, and
 at success it asks `Solver.full_scan` if propagation left anything undone.
-A learned clause is grounded once, for its three checks.
+A learned clause is grounded in full only for the two checks that need its
+instance list, non-redundancy and entailment, and only when one of them
+runs; the check for a false instance under the backjump prefix walks the
+instances lazily and stops at the first false one.
 Violations are collected, not raised, so a test can assert the list is
 empty.
 
-Incremental schedule: pushes check the new entry against its prefix; each
-resolution step checks the conflict set and the measure; Backjump and the
-terminal rules trigger a full-trail sweep (including re-checking decisions
-against the grown learned set).
+Incremental schedule: each push runs the per-entry checks of
+`_check_entry` on the new entry against the entries before it; each
+resolution step checks the conflict set and the measure; Backjump and
+Success sweep the whole trail: the decision levels, `_check_entry` on every
+entry (so decisions are re-checked against the grown learned set) and two
+literals of its level in every reason instance above level 0.
 
 The resolution measure is the multiset of the conflict set's ground
 instances under the induced ordering of the trail at the Conflict, which the
@@ -48,7 +53,14 @@ from .oracle import (
     verify_model,
 )
 from .render import render_clause
-from .syntax import Clause, Signature, apply_lit
+from .syntax import (
+    Clause,
+    Signature,
+    apply_clause,
+    apply_lit,
+    clause_vars,
+    ground_assignments,
+)
 from .trail import (
     FALSE,
     InducedOrdering,
@@ -113,10 +125,8 @@ class Auditor:
 
     def after_rule(self, rule: str, solver) -> None:
         self._last_rules.append(rule)
-        if rule == "Propagate":
-            self._check_new_entry(solver, decision=False)
-        elif rule == "Decide":
-            self._check_new_entry(solver, decision=True)
+        if rule in ("Propagate", "Decide"):
+            self._check_entry(solver, solver.trail.entries[-1])
         elif rule == "Conflict":
             self._ordering = InducedOrdering.from_trail(solver.trail)
             insts = _conflict_instances(solver)
@@ -143,16 +153,23 @@ class Auditor:
         if self._ordering is None:
             self._flag("learning without a conflict snapshot")
             return
-        # the distinct ground instances, in assignment order, for all three
-        insts = clause_instances(learned, {}, TOP, solver.n)
-        pool = self._ground_pool(solver)
+        pool, gp = self._ground_pool(solver), self._input_ground
+        # the distinct ground instances, in assignment order, built only
+        # when a check that needs them runs
+        insts = (clause_instances(learned, {}, TOP, solver.n)
+                 if pool is not None or gp is not None else [])
         if pool is None:
             self.skipped.append("non-redundancy check skipped (universe too big)")
         elif not check_nonredundant(insts, pool, self._ordering):
             self._flag(f"learned clause is redundant: "
                        f"{render_clause(self.sig, learned)}")
-        self._check_entailed_by_input(learned, insts)
-        self._check_false_under_prefix(solver, learned, insts, target_len)
+        # sound-state item for the learned set: the inputs entail it
+        if gp is None:
+            self.skipped.append("entailment check skipped (universe too big)")
+        elif not all(gp.entails(gp.clauses, inst) for inst in insts):
+            self._flag(f"learned clause not entailed by the input: "
+                       f"{render_clause(self.sig, learned)}")
+        self._check_false_under_prefix(solver, learned, target_len)
         cs = solver.conflict
         assertive = None
         if case != 1:
@@ -170,16 +187,19 @@ class Auditor:
                 if wit is None:
                     self._flag("case-(3) clause does not block the removed decision")
 
-    def _check_false_under_prefix(self, solver, learned: Clause, insts,
+    def _check_false_under_prefix(self, solver, learned: Clause,
                                   target_len: int) -> None:
-        # the solver's lifted falsifiability test chose this prefix
+        # the solver's lifted falsifiability test chose this prefix; the
+        # instances are walked one assignment and one literal at a time
         if learned == ():
             return
-        for inst in insts:
-            if all(solver.trail.value_of(l, upto=target_len) == FALSE
-                   for l in inst):
+        trail = solver.trail
+        for d in ground_assignments(clause_vars(learned), solver.n):
+            if all(trail.value_of(apply_lit(l, d), upto=target_len) == FALSE
+                   for l in learned):
                 self._flag(f"learned clause has a false instance under the "
-                           f"backjump prefix: {render_clause(self.sig, inst)}")
+                           f"backjump prefix: "
+                           f"{render_clause(self.sig, apply_clause(learned, d))}")
                 return
 
     def at_success(self, solver) -> None:
@@ -190,44 +210,32 @@ class Auditor:
         if not ok:
             self._flag(f"success but the model misses an instance: {witness}")
 
-    def _check_entailed_by_input(self, learned: Clause, insts) -> None:
-        # sound-state item for the learned set: the inputs entail it
-        gp = self._input_ground
-        if gp is None:
-            self.skipped.append("entailment check skipped (universe too big)")
-            return
-        for inst in insts:
-            if not gp.entails(gp.clauses, inst):
-                self._flag(f"learned clause not entailed by the input: "
-                           f"{render_clause(self.sig, learned)}")
-                return
-
     # -- entry checks -----------------------------------------------------------
 
-    def _check_new_entry(self, solver, decision: bool) -> None:
-        trail = solver.trail
-        e = trail.entries[-1]
-        n = solver.n
+    def _check_entry(self, solver, e) -> None:
+        """The per-entry checks of `e` against the entries before it, at its
+        push and again at every sweep."""
+        trail, n = solver.trail, solver.n
         if clit_is_empty(CLit(e.lit, e.pi), n):
-            self._flag(f"pushed an empty assignment at pos {e.pos}")
+            self._flag(f"entry {e.pos} is empty")
         probe = CLit(e.lit, e.pi).atom
-        for other in trail.entries[:-1]:
+        for other in trail.entries[:e.pos]:
             if overlaps(probe, CLit(other.lit, other.pi).atom, n):
                 self._flag(f"strong consistency broken: entries "
                            f"{other.pos} and {e.pos}")
-        if not decision:
-            clause = solver.pool[e.reason]
-            rest = clause[:e.reason_lit] + clause[e.reason_lit + 1:]
-            if rest and clause_value(trail, rest, e.sigma, e.pi,
-                                     upto=e.pos) != FALSE:
-                self._flag(f"reason remainder not false for entry {e.pos}")
-            got = apply_lit(clause[e.reason_lit], e.sigma)
-            if got != e.lit:
-                self._flag(f"closure substitution does not produce entry {e.pos}")
-        else:
-            wit = is_blocked(trail.entries[:e.pos], e.lit, e.pi, solver.pool, n)
-            if wit is not None:
-                self._flag(f"blocked decision reached the trail at {e.pos}")
+        if e.is_decision:
+            if is_blocked(trail.entries[:e.pos], e.lit, e.pi, solver.pool,
+                          n) is not None:
+                self._flag(f"decision at {e.pos} is blocked w.r.t. the "
+                           f"current clause sets")
+            return
+        clause = solver.pool[e.reason]
+        if apply_lit(clause[e.reason_lit], e.sigma) != e.lit:
+            self._flag(f"closure substitution does not produce entry {e.pos}")
+        rest = clause[:e.reason_lit] + clause[e.reason_lit + 1:]
+        if rest and clause_value(trail, rest, e.sigma, e.pi,
+                                 upto=e.pos) != FALSE:
+            self._flag(f"reason remainder not false for entry {e.pos}")
 
     # -- conflict-set checks ------------------------------------------------------
 
@@ -289,38 +297,18 @@ class Auditor:
     # -- full sweep ----------------------------------------------------------------
 
     def _full_sweep(self, solver) -> None:
-        trail = solver.trail
-        n = solver.n
-        decisions = [e for e in trail.entries if e.is_decision]
+        entries = solver.trail.entries
+        decisions = [e for e in entries if e.is_decision]
         levels = [e.level for e in decisions]
         if levels != sorted(levels) or len(set(levels)) != len(levels):
             self._flag("decision levels out of order or duplicated")
         if solver.level >= 0 and len(decisions) != solver.level:
             self._flag(f"{len(decisions)} decisions but level {solver.level}")
-        for i, e in enumerate(trail.entries):
-            probe = CLit(e.lit, e.pi).atom
-            for other in trail.entries[i + 1:]:
-                if overlaps(probe, CLit(other.lit, other.pi).atom, n):
-                    self._flag(f"strong consistency broken: entries "
-                               f"{e.pos} and {other.pos}")
-        for e in trail.entries:
-            if clit_is_empty(CLit(e.lit, e.pi), n):
-                self._flag(f"entry {e.pos} is empty")
-            if e.is_decision:
-                wit = is_blocked(trail.entries[:e.pos], e.lit, e.pi,
-                                 solver.pool, n)
-                if wit is not None:
-                    self._flag(f"decision at {e.pos} is blocked w.r.t. the "
-                               f"current clause sets")
-            else:
-                clause = solver.pool[e.reason]
-                rest = clause[:e.reason_lit] + clause[e.reason_lit + 1:]
-                if rest and clause_value(trail, rest, e.sigma, e.pi,
-                                         upto=e.pos) != FALSE:
-                    self._flag(f"reason remainder not false for entry {e.pos}")
-                # every reason instance carries two literals of its level
-                if e.level > 0:
-                    self._check_two_per_level(solver, e)
+        for e in entries:
+            self._check_entry(solver, e)
+            # every reason instance carries two literals of its level
+            if not e.is_decision and e.level > 0:
+                self._check_two_per_level(solver, e)
 
     def _check_two_per_level(self, solver, e) -> None:
         clause = solver.pool[e.reason]

@@ -7,12 +7,14 @@ resolves a literal against a trail literal makes one of two steps, each
 implemented here once: `meet` renames the other literal apart, unifies and
 conjoins both constraints under the unifier (the cover intersection), and
 `diff_apart` subtracts its cover as a set of disjoint pieces.  Neither
-renames a literal that cannot unify.  Emptiness (`least_instance`,
-`no_instances`) asks for the least solution and `cover_size` counts the
-cover; neither grounds.  The enumerating `cover` stays as the referee for
-the oracle, the audits and the tests.  Closures arising during solving may
-carry extra "free" lhs variables; those are existential and get eliminated
-by instantiation before a literal is ever placed on the trail.
+renames a literal that cannot unify.  Both conjoin constraints only with
+`constraints.conjoin`, which normalizes the conjunction it builds.
+Emptiness (`least_instance`, `no_instances`) asks for the least solution
+and `cover_size` counts the cover; neither grounds.  The enumerating
+`cover` stays as the referee for the oracle, the audits and the tests.
+Closures arising during solving may carry extra "free" lhs variables; those
+are existential and get eliminated by instantiation before a literal is
+ever placed on the trail.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from typing import Iterable, Optional
 
 from .constraints import (
     BOT,
-    TOP,
     Constraint,
     apply_constraint,
     conj,
@@ -192,11 +193,6 @@ def clit_is_empty(cl: CLit, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # conjunction
 
-def conjoin_under(a: Constraint, b: Constraint, theta: Subst) -> Constraint:
-    """a and b with `theta` applied to both, normalized."""
-    return normalize(conjoin(apply_constraint(a, theta), apply_constraint(b, theta)))
-
-
 def meet(lit: Lit, pi: Constraint, src: Lit, src_pi: Constraint,
          ) -> Optional[tuple[Subst, Constraint]]:
     """(theta, pi and src_pi under theta), theta the mgu of the atom of `lit`
@@ -207,7 +203,7 @@ def meet(lit: Lit, pi: Constraint, src: Lit, src_pi: Constraint,
         return None
     r_lit, r_pi, _ = rename_clit_fresh(src, src_pi)
     theta = mgu_atoms(lit.atom, r_lit.atom)
-    met = conjoin_under(pi, r_pi, theta)
+    met = conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
     return None if met.is_bot else (theta, met)
 
 
@@ -248,7 +244,7 @@ def diff_pairs(lit1: Lit, pi1: Constraint, lit2: Lit, pi2: Constraint,
     args = lit1.args
     ren = renaming_for([t for t in (sigma.get(a, a) for a in args) if t < 0])
     guard = (args, tuple(ren.get(sigma.get(a, a), sigma.get(a, a)) for a in args))
-    keep = normalize(conjoin(pi1, conj([guard])))
+    keep = conjoin(pi1, conj([guard]))
     if not keep.is_bot:
         out.append(({}, keep))
     common_pi1 = normalize(apply_constraint(pi1, sigma))
@@ -269,22 +265,12 @@ def _diff_same(pi1: Constraint, pi2: Constraint) -> list[tuple[Subst, Constraint
     etas = list(pi2.subs)
     for i, (lhs_i, rhs_i) in enumerate(etas):
         tau = dict(zip(lhs_i, rhs_i))
-        parts = [apply_constraint(pi1, tau)]
-        for lhs_j, rhs_j in etas[:i]:
-            parts.append(apply_constraint(Constraint("and", ((lhs_j, rhs_j),)), tau))
-        pi = normalize(_and_many(parts))
+        pi = conjoin(apply_constraint(pi1, tau),
+                     *(apply_constraint(Constraint("and", (sub,)), tau)
+                       for sub in etas[:i]))
         if not pi.is_bot:
             out.append((tau, pi))
     return out
-
-
-def _and_many(parts: list[Constraint]) -> Constraint:
-    acc = TOP
-    for p in parts:
-        acc = conjoin(acc, p)
-        if acc.is_bot:
-            return BOT
-    return acc
 
 
 def diff_apart(lit: Lit, pieces: Iterable[tuple[Subst, Constraint]],

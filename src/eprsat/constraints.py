@@ -50,12 +50,15 @@ def conj(subs: Iterable[Pair]) -> Constraint:
     return Constraint("and", subs) if subs else TOP
 
 
-def conjoin(a: Constraint, b: Constraint) -> Constraint:
-    """a and b, not normalized."""
-    if a.is_bot or b.is_bot:
-        return BOT
-    subs = (a.subs if a.kind == "and" else ()) + (b.subs if b.kind == "and" else ())
-    return conj(subs)
+def conjoin(*cs: Constraint) -> Constraint:
+    """The conjunction of `cs`, normalized; BOT as soon as a part is BOT."""
+    subs: tuple[Pair, ...] = ()
+    for c in cs:
+        if c.kind == "and":
+            subs += c.subs
+        elif c.kind == "bot":
+            return BOT
+    return normalize(conj(subs))
 
 
 def lvars(c: Constraint) -> list[int]:

@@ -33,7 +33,6 @@ from .constraints import (
     apply_constraint,
     conj,
     conjoin,
-    normalize,
     rename_rhs_fresh,
 )
 from .syntax import (
@@ -149,7 +148,7 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
     for leaf in find_candidates(base, entries, keep_limit=0):
         if sum(1 for _, src in leaf.used if entries[src].level == top) != 1:
             continue
-        both = normalize(conjoin(apply_constraint(pi, leaf.sigma), leaf.pi))
+        both = conjoin(apply_constraint(pi, leaf.sigma), leaf.pi)
         if not no_instances(base, leaf.sigma, both, trail.n):
             return True
     return False
@@ -212,4 +211,4 @@ def _split(base: Clause, positions: list[int], pi: Constraint) -> Constraint:
     vs = tuple(args_vars(a for l in lits for a in l.args))
     img = apply_args(vs, eta)
     img = apply_args(img, renaming_for(args_vars(img)))
-    return normalize(conjoin(pi, conj([(vs, img)])))
+    return conjoin(pi, conj([(vs, img)]))

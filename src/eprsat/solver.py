@@ -52,7 +52,6 @@ from typing import Optional
 
 from .constrained import (
     CLit,
-    conjoin_under,
     cover_size,
     diff_apart,
     elim_free_vars,
@@ -374,14 +373,8 @@ class Solver:
 
     def _occurs_in_input(self, lit: Lit) -> bool:
         # optional fourth condition of Decide: |L| instantiates an input atom
-        for c in self.original:
-            for l in c:
-                if l.pred != lit.pred:
-                    continue
-                l2 = apply_lit(l, renaming_for(lit_vars(l)))
-                if match_lit(l2.atom, lit.atom) is not None:
-                    return True
-        return False
+        return any(match_lit(l.atom, lit.atom) is not None
+                   for c in self.original for l in c)
 
     def _entry_unifiers(self, cs: ConflictSet, entry: TrailEntry,
                         ) -> list[tuple[int, Lit, Subst]]:
@@ -418,7 +411,8 @@ class Solver:
         """`pi` and `entry`'s constraint met under `eta`, when (lits; pi) has
         an instance under `eta` that `entry` falsifies: `lits` is a clause
         under its sigma and `eta` unifies one of its literals with `entry`."""
-        met = conjoin_under(pi, rename_rhs_fresh(entry.pi), eta)
+        met = conjoin(apply_constraint(pi, eta),
+                      apply_constraint(rename_rhs_fresh(entry.pi), eta))
         if met.is_bot or no_instances(lits, eta, met, self.n):
             return None
         return met
@@ -606,7 +600,7 @@ class Solver:
             assert c1 is not None and c1 >= 0
             inst = (apply_lit(d_lit, {x: c1}),
                     normalize(apply_constraint(d_pi, {x: c1})))
-            rest = (d_lit, normalize(conjoin(d_pi, conj([((x,), (c1,))]))))
+            rest = (d_lit, conjoin(d_pi, conj([((x,), (c1,))])))
             work[0:1] = [p for p in (inst, rest) if not p[1].is_bot]
             split = True
         if split:

@@ -12,7 +12,7 @@ as a lexicographic comparison of sorted keys, see `InducedOrdering`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .constrained import cover
 from .constraints import Constraint, lvars, violates
@@ -29,7 +29,7 @@ from .syntax import (
 TRUE, FALSE, UNDEF = 1, -1, 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrailEntry:
     lit: Lit                     # the instantiated literal on the trail
     pi: Constraint
@@ -55,9 +55,6 @@ class Trail:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     @property
     def level(self) -> int:
         for e in reversed(self.entries):
@@ -69,7 +66,9 @@ class Trail:
         return self._buckets.get(pred, [])
 
     def push(self, entry: TrailEntry) -> None:
-        entry.pos = len(self.entries)
+        if entry.pos != len(self.entries):
+            raise ValueError(f"entry at pos {entry.pos} pushed onto a trail "
+                             f"of {len(self.entries)} entries")
         self.entries.append(entry)
         self._buckets.setdefault(entry.lit.pred, []).append(entry)
 
@@ -78,11 +77,9 @@ class Trail:
         self._buckets[e.lit.pred].remove(e)
         return e
 
-    def truncate(self, length: int) -> list[TrailEntry]:
-        removed = []
+    def truncate(self, length: int) -> None:
         while len(self.entries) > length:
-            removed.append(self.pop())
-        return removed
+            self.pop()
 
     def prefix_entries(self, length: int) -> list[TrailEntry]:
         return self.entries[:length]
@@ -99,14 +96,8 @@ class Trail:
     def defining_entry(self, atom: Lit, upto: Optional[int] = None) -> Optional[TrailEntry]:
         """The entry covering this ground atom, if any (strong consistency
         makes it unique)."""
-        limit = len(self.entries) if upto is None else upto
-        for e in self.for_pred(atom.pred):
-            if e.pos >= limit:
-                continue
-            d = match_args(e.lit.args, atom.args)
-            if d is not None and not violates(d, e.pi):
-                return e
-        return None
+        return _defining(self.for_pred(atom.pred), atom,
+                         len(self.entries) if upto is None else upto)
 
     def value_of(self, lit: Lit, upto: Optional[int] = None) -> int:
         e = self.defining_entry(lit.atom, upto)
@@ -125,6 +116,21 @@ class Trail:
             if not e.lit.neg:
                 out |= cover(e.lit, e.pi, self.n)
         return out
+
+
+def _defining(entries: Iterable[TrailEntry], atom: Lit, limit: int,
+              ) -> Optional[TrailEntry]:
+    """The first of `entries` (in trail order) before position `limit` whose
+    cover holds the ground atom `atom`: the one lookup of a defining entry."""
+    for e in entries:
+        if e.pos >= limit:
+            break
+        if e.lit.pred != atom.pred:
+            continue
+        d = match_args(e.lit.args, atom.args)
+        if d is not None and not violates(d, e.pi):
+            return e
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +181,11 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
     `derive.is_assertive`, and this form referees it in the audits."""
     top = trail.level
     for g in clause_instances(clause, sigma, pi, trail.n):
-        vals = [trail.value_of(l) for l in g]
-        if any(v != FALSE for v in vals):
-            continue
-        at_top = sum(1 for l in g if trail.level_of(l) == top)
-        if at_top == 1:
+        # one lookup per literal gives both its value and its level
+        defs = [trail.defining_entry(l.atom) for l in g]
+        false = all(e is not None and e.lit.neg != l.neg
+                    for e, l in zip(defs, g))
+        if false and sum(1 for e in defs if e.level == top) == 1:
             return True
     return False
 
@@ -198,31 +204,21 @@ class InducedOrdering:
     Clauses compare by `clause_key`.  The entries are immutable, so `def_pos`
     is memoized per snapshot."""
 
-    entries: tuple[tuple[Lit, Constraint, int], ...]  # (lit, pi, pos)
+    entries: tuple[TrailEntry, ...]
     _pos: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 
     @staticmethod
     def from_trail(trail: Trail) -> "InducedOrdering":
-        return InducedOrdering(tuple((e.lit, e.pi, e.pos) for e in trail.entries))
+        return InducedOrdering(tuple(trail.entries))
 
     def def_pos(self, atom: Lit) -> int:
         """Position of the defining entry; maximal when undefined."""
         pos = self._pos.get(atom)
         if pos is None:
-            pos = self._pos[atom] = self._scan(atom)
+            e = _defining(self.entries, atom, _INF)
+            pos = self._pos[atom] = _INF if e is None else e.pos
         return pos
-
-    def _scan(self, atom: Lit) -> int:
-        for lit, pi, pos in self.entries:
-            if lit.pred != atom.pred:
-                continue
-            d = match_args(lit.args, atom.args)
-            if d is None:
-                continue
-            if not violates(d, pi):
-                return pos
-        return _INF
 
     def atom_key(self, atom: Lit):
         return (self.def_pos(atom), atom.pred, atom.args)

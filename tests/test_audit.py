@@ -1,16 +1,20 @@
-"""The learning audits fail closed: `Auditor.before_learn` flags each kind of
-bad learned clause, and records each check it skips, with its exact message.
+"""The audits fail closed: every check of the `Auditor` flags a state that
+breaks it, with its exact message, and the learning checks record each
+check they skip.
 
-A run of the solver never learns such a clause, so these tests drive the
-hook directly with a stand-in solver that holds only what it reads: the
-clause pool, the domain size, the trail and no conflict set.
+A run of the solver never reaches such a state, so these tests drive the
+hooks directly with a stand-in solver that holds only what they read: the
+clause pool, the domain size, the trail, the level and the conflict set.
+Each per-entry check is shown to flag both at the push and at the sweep,
+which run the same `_check_entry`.
 """
 from types import SimpleNamespace
 
 import pytest
 
 from eprsat.audit import Auditor
-from eprsat.constraints import TOP
+from eprsat.constraints import TOP, conj
+from eprsat.solver import ConflictSet
 from eprsat.syntax import Lit, Signature, var_code
 from eprsat.trail import Trail, TrailEntry
 
@@ -92,3 +96,172 @@ def test_checks_over_a_universe_too_big_are_skipped():
     assert got.violations == []
     assert got.skipped == ["non-redundancy check skipped (universe too big)",
                            "entailment check skipped (universe too big)"]
+
+
+# ---------------------------------------------------------------------------
+# the rule hooks: every other check, one case each
+
+Y = var_code(1)
+b = 1
+
+
+def _solver(entries, pool=(), conflict=None, level=-1):
+    """A stand-in solver: a trail of `entries`, each (lit, pi, level,
+    reason, reason_lit, sigma) with reason None for a decision."""
+    trail = Trail(SIG.n)
+    for pos, (lit, pi, lvl, reason, reason_lit, sigma) in enumerate(entries):
+        trail.push(TrailEntry(lit, pi, lvl, pos, reason, reason_lit, sigma))
+    return SimpleNamespace(pool=list(pool), n=SIG.n, trail=trail,
+                           conflict=conflict, level=level)
+
+
+def _decision(lit, level, pi=TOP):
+    return (lit, pi, level, None, -1, {})
+
+
+def _propagated(lit, level, reason, sigma=None, pi=TOP, reason_lit=0):
+    return (lit, pi, level, reason, reason_lit, sigma or {})
+
+
+def _hooks(solver, *rules):
+    auditor = Auditor(SIG, [])
+    for rule in rules:
+        auditor.after_rule(rule, solver)
+    return auditor.violations
+
+
+NEITHER = conj([((X,), (a,)), ((X,), (b,))])   # X is neither a nor b
+
+
+# (entries, pool, the one violation): each case breaks one per-entry check
+# of the last entry and passes the others
+ENTRY_CASES = {
+    "empty": ([_decision(P(X), 1, NEITHER)], [], "entry 0 is empty"),
+    "strong consistency": (
+        [_decision(P(X), 1), _decision(P(a), 2)], [],
+        "strong consistency broken: entries 0 and 1"),
+    "blocked decision": (
+        # ~P(a) | ~P(b) is false with two literals falsified by P(X) alone
+        [_decision(P(X), 1)], [(P(X, neg=True), P(Y, neg=True))],
+        "decision at 0 is blocked w.r.t. the current clause sets"),
+    "closure substitution": (
+        [_propagated(P(a), 0, reason=0)], [(P(X),)],
+        "closure substitution does not produce entry 0"),
+    "reason remainder": (
+        [_propagated(P(X), 0, reason=0)], [(P(X), Q(X))],
+        "reason remainder not false for entry 0"),
+}
+
+
+@pytest.mark.parametrize("hook", ["push", "sweep"])
+@pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+def test_each_entry_check_flags_at_the_push_and_at_the_sweep(case, hook):
+    entries, pool, msg = ENTRY_CASES[case]
+    solver = _solver(entries, pool)
+    if hook == "push":
+        rule = "Decide" if solver.trail.entries[-1].is_decision else "Propagate"
+    else:
+        rule = "Success"    # level -1: the decision count is not compared
+    assert _hooks(solver, rule) == [msg]
+
+
+def test_the_sweep_rechecks_a_decision_against_the_grown_pool():
+    solver = _solver([_decision(P(X), 1)])
+    auditor = Auditor(SIG, [])
+    auditor.after_rule("Decide", solver)
+    solver.pool.append((P(X, neg=True), P(Y, neg=True)))
+    auditor.after_rule("Backjump", solver)
+    assert auditor.violations == [
+        "decision at 0 is blocked w.r.t. the current clause sets"]
+
+
+@pytest.mark.parametrize("entries, level, msg", [
+    ([_decision(P(a), 2), _decision(Q(a), 1)], 2,
+     "decision levels out of order or duplicated"),
+    ([_decision(P(a), 1)], 2, "1 decisions but level 2"),
+])
+def test_the_sweep_flags_bad_decision_levels(entries, level, msg):
+    assert _hooks(_solver(entries, level=level), "Backjump") == [msg]
+
+
+def test_the_sweep_flags_a_reason_instance_with_one_literal_of_its_level():
+    # P(a) is propagated at level 1 from P(X) | ~Q(X), but Q(a) is defined at
+    # level 0: the reason instance P(a) | ~Q(a) has one literal of level 1
+    solver = _solver([_propagated(Q(a), 0, reason=0), _decision(P(b), 1),
+                      _propagated(P(a), 1, reason=1, sigma={X: a})],
+                     pool=[(Q(a),), (P(X), Q(X, neg=True))], level=1)
+    assert _hooks(solver, "Backjump") == [
+        "reason instance of entry 2 has 1 literals of level 1"]
+
+
+def _conflict(*lits, pi=TOP):
+    return ConflictSet(tuple(lits), {}, pi)
+
+
+# Q(X) decided at level 1 makes both ~Q(a) and ~Q(b) false at the top level
+TOP_TWO = ([_decision(Q(X), 1)], _conflict(Q(a, neg=True), Q(b, neg=True)))
+
+
+@pytest.mark.parametrize("entries, conflict, msg", [
+    ([], _conflict(P(X), pi=NEITHER), "empty conflict set"),
+    ([], _conflict(P(X)), "conflict set holds a non-false instance"),
+    ([_decision(P(a), 1)], _conflict(P(a, neg=True)),
+     "conflict instance has 1 top-level literals, needs 2"),
+])
+def test_the_conflict_set_checks_flag(entries, conflict, msg):
+    assert _hooks(_solver(entries, conflict=conflict), "Conflict") == [msg]
+
+
+def test_a_resolution_step_that_grows_the_trail_is_flagged():
+    solver = _solver(TOP_TWO[0], conflict=TOP_TWO[1])
+    auditor = Auditor(SIG, [])
+    auditor.after_rule("Conflict", solver)
+    solver.trail.push(TrailEntry(P(a), TOP, 1, 1, 0, 0, {}))
+    auditor.after_rule("Resolve", solver)
+    assert auditor.violations == ["Resolve grew the trail during resolution"]
+
+
+def test_a_resolution_step_that_keeps_the_measure_is_flagged():
+    solver = _solver(TOP_TWO[0], conflict=TOP_TWO[1])
+    assert _hooks(solver, "Conflict", "Resolve") == [
+        "Resolve did not decrease the resolution measure"]
+
+
+@pytest.mark.parametrize("rule, flagged", [("Resolve", True),
+                                           ("Factorize", False)])
+def test_an_immediate_conflict_must_be_resolved_by_factorize(rule, flagged):
+    # the conflict after the step is a proper part of the one before, so
+    # the measure decreases and only the rule itself is judged
+    solver = _solver(TOP_TWO[0], conflict=TOP_TWO[1])
+    auditor = Auditor(SIG, [])
+    auditor.after_rule("Decide", solver)
+    auditor.after_rule("Conflict", solver)
+    solver.conflict = _conflict(Q(a, neg=True))
+    auditor.after_rule(rule, solver)
+    assert auditor.violations == (
+        [f"immediate conflict resolved by {rule}, not Factorize"] if flagged
+        else [])
+
+
+def test_failure_without_the_empty_clause_is_flagged():
+    assert _hooks(_solver([]), "Failure") == ["Failure without the empty clause"]
+    assert _hooks(_solver([], pool=[()]), "Failure") == []
+
+
+@pytest.mark.parametrize("case, learned, msg", [
+    # the conflict has two top-level literals in its one instance, so a
+    # case-(2) backjump disagrees with the grounded assertiveness test
+    (2, (Q(a, neg=True), Q(b, neg=True)),
+     "lifted assertiveness disagrees with grounding at a case-(2) backjump"),
+    # ~Q(a) has one literal: it cannot block the decision Q(X)
+    (3, (Q(a, neg=True),),
+     "case-(3) clause does not block the removed decision"),
+])
+def test_a_backjump_that_contradicts_its_case_is_flagged(case, learned, msg):
+    solver = _solver(TOP_TWO[0], conflict=TOP_TWO[1])
+    auditor = Auditor(SIG, [learned])
+    auditor.after_rule("Conflict", solver)
+    auditor.before_learn(solver, learned, case, 0)
+    assert auditor.violations == [msg]
+    assert auditor.skipped == []
+

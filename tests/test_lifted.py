@@ -5,8 +5,9 @@ The grounding versions (`constrained.cover`, `trail.is_assertive`, ground
 enumeration of clause instances) remain as referees; here they check
 `cover_size`, `derive.is_assertive`, the falsifiability answer of
 `Solver._candidates_under_prefix` and the witness of `derive.is_blocked` on
-random constraints and on every call a solve makes.  A last test forbids
-grounding outright and solves anyway, and another checks that
+random constraints and on every call a solve makes, and the audited
+colourings run clean with only the learning checks skipped.  A last test
+forbids grounding outright and solves anyway, and another checks that
 `constrained`'s lifted steps rename a trail entry only when it unifies.
 The last ones check that the learning path's shortcuts are exact:
 `_factorize_choice` against the all-pairs scan it replaced, the
@@ -254,6 +255,21 @@ def test_lifted_matches_ground_on_colourings(monkeypatch, make, status, steps):
     assert min(ref.calls.values()) > 0, ref.calls
 
 
+@pytest.mark.parametrize("make, learned", [(_c5_2, 2), (_k4_3, 7)])
+def test_audited_colourings_skip_only_the_learning_checks(make, learned):
+    # their universes are too big for the two learning checks, which are
+    # skipped without grounding the learned clause; every other audit runs
+    sig, clauses = make()
+    auditor = Auditor(sig, clauses)
+    verdict = Solver(sig, clauses, RunConfig(max_steps=10_000),
+                     auditor=auditor).solve()
+    assert (verdict.status, verdict.learned) == ("unsat", learned)
+    assert auditor.violations == []
+    assert auditor.skipped == learned * [
+        "non-redundancy check skipped (universe too big)",
+        "entailment check skipped (universe too big)"]
+
+
 def test_lifted_matches_ground_on_a_random_population(monkeypatch):
     ref = _Referee(monkeypatch)
     statuses = set()
@@ -382,8 +398,8 @@ def _all_pairs_factorize_choice(s, cs, entry):
             if eta is None:
                 continue
             entry_pi = rename_rhs_fresh(entry.pi)
-            combined = normalize(conjoin(apply_constraint(cs.pi, eta),
-                                         apply_constraint(entry_pi, eta)))
+            combined = conjoin(apply_constraint(cs.pi, eta),
+                               apply_constraint(entry_pi, eta))
             if combined.is_bot:
                 continue
             if constrained.no_instances(apply_clause(cs.clause, cs.sigma), eta,

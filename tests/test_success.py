@@ -14,7 +14,7 @@ from eprsat.audit import Auditor
 from eprsat.oracle import gen_benchmark
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import ConflictSet, RunConfig, Solver
-from eprsat.syntax import apply_lit, ground_assignments, lit_vars
+from eprsat.syntax import Lit, apply_lit, ground_assignments, lit_vars
 from eprsat.trail import TRUE, UNDEF
 from population import criterion_1_population
 
@@ -99,4 +99,8 @@ def test_the_audit_at_success_flags_a_conflict_the_search_missed(monkeypatch):
     assert slv.solve().status == "sat"
     left = slv.full_scan()
     assert isinstance(left, ConflictSet) and left.origin == 1
-    assert f"success but propagation left {left}" in auditor.violations
+    # and the model check at Success sees the false instance ~P(a) | ~P(a)
+    not_pa = Lit(True, "P", (0,))
+    assert auditor.violations == [
+        f"success but propagation left {left}",
+        f"success but the model misses an instance: {(not_pa, not_pa)}"]

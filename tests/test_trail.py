@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import random
+
+import pytest
 
 from eprsat.constraints import TOP, conj, violates
 from eprsat.trail import (
@@ -395,3 +398,13 @@ def test_ordering_snapshot_survives_trail_changes():
     tr.truncate(0)
     assert {atom: warm.def_pos(atom) for atom in atoms} == seen
     assert {atom: cold.def_pos(atom) for atom in atoms} == seen
+
+
+def test_entries_are_frozen_and_pushed_at_their_own_position():
+    tr = _trail_ex33()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.entries[0].pos = 5
+    with pytest.raises(ValueError, match="entry at pos 1 pushed onto a trail "
+                                         "of 2 entries"):
+        tr.push(TrailEntry(Q(a, x), TOP, level=1, pos=1))
+    assert len(tr) == 2
