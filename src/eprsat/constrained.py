@@ -7,8 +7,9 @@ resolves a literal against a trail literal makes one of two steps, each
 implemented here once: `meet` renames the other literal apart, unifies and
 conjoins both constraints under the unifier (the cover intersection), and
 `diff_apart` subtracts its cover as a set of disjoint pieces.  Neither
-renames a literal that cannot unify.  Both conjoin constraints only with
-`constraints.conjoin`, which normalizes the conjunction it builds.
+renames a literal that cannot unify, and `meet` renames no ground literal
+under TOP: it matches the other literal onto it.  Both conjoin constraints
+only with `constraints.conjoin`, which normalizes the conjunction it builds.
 Emptiness (`least_instance`, `no_instances`) asks for the least solution
 and `cover_size` counts the cover; neither grounds.  The enumerating
 `cover` stays as the referee for the oracle, the audits and the tests.
@@ -46,6 +47,7 @@ from .syntax import (
     compose,
     ground_assignments,
     lit_vars,
+    match_args,
     mgu_args,
     mgu_atoms,
     renaming_for,
@@ -198,12 +200,22 @@ def meet(lit: Lit, pi: Constraint, src: Lit, src_pi: Constraint,
     """(theta, pi and src_pi under theta), theta the mgu of the atom of `lit`
     with that of a variant of `src` (same predicate) renamed apart; None when
     the atoms do not unify (then nothing is renamed) or the conjunction is
-    BOT."""
-    if not unifiable_apart(lit.args, src.args):
-        return None
-    r_lit, r_pi, _ = rename_clit_fresh(src, src_pi)
-    theta = mgu_atoms(lit.atom, r_lit.atom)
-    met = conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
+    BOT.
+
+    A ground `src` with constraint TOP has nothing to rename or conjoin: the
+    mgu is the one-way match of `lit` onto it, the same bindings in the same
+    key order as `mgu_atoms` gives."""
+    if src_pi.is_top and min(src.args, default=0) >= 0:
+        theta = match_args(lit.args, src.args)
+        if theta is None:
+            return None
+        met = conjoin(apply_constraint(pi, theta))
+    else:
+        if not unifiable_apart(lit.args, src.args):
+            return None
+        r_lit, r_pi, _ = rename_clit_fresh(src, src_pi)
+        theta = mgu_atoms(lit.atom, r_lit.atom)
+        met = conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
     return None if met.is_bot else (theta, met)
 
 

@@ -10,6 +10,16 @@ right-hand-side disjoint), and it renames nothing that cannot unify.  A
 search that must use the newest entry is cut as soon as no unresolved
 literal can still unify with it.
 
+Each literal is offered only the entries that hold, at each of its constant
+arguments, that constant or a variable: an argument index built lazily per
+call (Sekar, Ramakrishnan & Voronkov, *Term Indexing*).  Any other entry
+fails `meet` before it is renamed, so the renames, the fresh-variable
+numbering and the leaves in their order are those of offering every entry
+of the literal's (predicate, sign).  Positions go in clause order and
+entries in trail order: resolving the most constrained position first
+(fail-first) would reorder the renames and the leaves, and forward checking
+per node was measured slower on the colourings.
+
 The same machinery answers every other question the solver asks about false
 clause instances, without grounding.  A conflict derivation (no literal
 kept) picks, for every literal, the trail entry that falsifies it; strong
@@ -87,13 +97,31 @@ def find_candidates(
     by_pred: dict[tuple[str, bool], list[tuple[int, Lit, Constraint]]] = {}
     for src in pool:
         by_pred.setdefault((src[1].pred, src[1].neg), []).append(src)
+    # (predicate, sign, argument position j, constant c) -> the bucket's
+    # sources holding c or a variable at j, in bucket order; built lazily
+    by_arg: dict[tuple[str, bool, int, int], list[tuple[int, Lit, Constraint]]] = {}
 
-    def compatible(pos: int) -> list[tuple[int, Lit, Constraint]]:
-        l = clause[pos]
+    def bucket(l: Lit) -> list[tuple[int, Lit, Constraint]]:
         return by_pred.get((l.pred, not l.neg), [])
 
+    def compatible(lit: Lit) -> list[tuple[int, Lit, Constraint]]:
+        # `lit` is a clause literal under the node's sigma; a source clashing
+        # with one of its constants would fail `meet` before any renaming
+        whole = best = bucket(lit)
+        for j, c in enumerate(lit.args):
+            if c < 0:
+                continue
+            key = (lit.pred, not lit.neg, j, c)
+            got = by_arg.get(key)
+            if got is None:
+                got = by_arg[key] = [src for src in whole
+                                     if src[1].args[j] == c or src[1].args[j] < 0]
+            if len(got) < len(best):
+                best = got
+        return best
+
     # the newest entry's literal at each position it is compatible with
-    newest = [next((src[1] for src in compatible(p) if src[0] == newest_pos), None)
+    newest = [next((src[1] for src in bucket(clause[p]) if src[0] == newest_pos), None)
               for p in range(len(clause))] if need_newest else []
 
     def reaches_newest(pos: int, sigma: Subst) -> bool:
@@ -108,7 +136,7 @@ def find_candidates(
         for p in kept:
             lit = apply_lit(clause[p], sigma)
             if any(meet(lit, pi, src_lit, src_pi) is not None
-                   for _, src_lit, src_pi in compatible(p)):
+                   for _, src_lit, src_pi in compatible(lit)):
                 return False
         return True
 
@@ -122,7 +150,7 @@ def find_candidates(
             return
         # resolve this position against each compatible source
         lit = apply_lit(clause[pos], sigma)
-        for src_pos, src_lit, src_pi in compatible(pos):
+        for src_pos, src_lit, src_pi in compatible(lit):
             got = meet(lit, pi, src_lit, src_pi)
             if got is None:
                 continue

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -841,6 +842,7 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
     clauses = list(pool)
     changed = True
     alive = [True] * len(clauses)
+    shapes = [_shape(c) for c in clauses]
     variants: dict[Clause, Clause] = {}
 
     def variant(c: Clause) -> Clause:
@@ -862,18 +864,19 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
             if not alive[i] or not c:
                 continue
             for j, d in enumerate(clauses):
-                if i == j or not alive[j]:
+                if i == j or not alive[j] or not _may_resolve(shapes[i], shapes[j]):
                     continue
                 res = _subsumption_resolvent(variant(c), d)
                 if res is not None and res != d:
                     clauses[j] = res
+                    shapes[j] = _shape(res)
                     log.append(f"subsumption resolution: clause {j + 1} reduced")
                     changed = True
         for i, c in enumerate(clauses):
             if not alive[i]:
                 continue
             for j, d in enumerate(clauses):
-                if i == j or not alive[j]:
+                if i == j or not alive[j] or not shapes[i] <= shapes[j]:
                     continue
                 # of two clauses that subsume each other the earlier stays
                 if _subsumes(variant(c), d) and (
@@ -882,6 +885,22 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
                     log.append(f"subsumption: clause {j + 1} deleted by {i + 1}")
                     changed = True
     return [c for i, c in enumerate(clauses) if alive[i]], log
+
+
+def _shape(c: Clause) -> Counter:
+    """The multiset of (predicate, sign) of c's literals.  Subsumption maps
+    literals onto distinct literals of the same predicate and sign, so c can
+    subsume d only when _shape(c) <= _shape(d)."""
+    return Counter((l.pred, l.neg) for l in c)
+
+
+def _may_resolve(sc: Counter, sd: Counter) -> bool:
+    """The shape test for `_subsumption_resolvent`: some literal L of c has a
+    complement ~L in d, and the shape of c minus L fits in that of d minus
+    ~L."""
+    return any(sd[(p, not neg)] > sc[(p, not neg)]
+               and all(m - (k == (p, neg)) <= sd[k] for k, m in sc.items())
+               for p, neg in sc)
 
 
 def _subsumption_resolvent(c: Clause, d: Clause) -> Optional[Clause]:

@@ -202,11 +202,13 @@ class InducedOrdering:
     base order (predicate name, argument indices; negative above positive).
 
     Clauses compare by `clause_key`.  The entries are immutable, so `def_pos`
-    is memoized per snapshot."""
+    and `clause_key` are memoized per snapshot."""
 
     entries: tuple[TrailEntry, ...]
     _pos: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
+    _keys: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     @staticmethod
     def from_trail(trail: Trail) -> "InducedOrdering":
@@ -233,8 +235,12 @@ class InducedOrdering:
         The multiset extension of a total order is lexicographic order on
         descending-sorted lists (a proper prefix is smaller), so comparing
         these keys is the clause ordering."""
-        return (sorted(((self.def_pos(l.atom), l.neg) for l in c), reverse=True),
+        key = self._keys.get(c)
+        if key is None:
+            key = self._keys[c] = (
+                sorted(((self.def_pos(l.atom), l.neg) for l in c), reverse=True),
                 sorted((self.lit_key(l) for l in c), reverse=True))
+        return key
 
     def cmp_atoms(self, p: Lit, q: Lit) -> int:
         return _cmp(self.atom_key(p), self.atom_key(q))

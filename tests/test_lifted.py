@@ -12,12 +12,16 @@ forbids grounding outright and solves anyway, and another checks that
 The last ones check that the learning path's shortcuts are exact:
 `_factorize_choice` against the all-pairs scan it replaced, the
 newest-entry reachability cut of `find_candidates` against the uncut
-search, each conflict-resolution precondition decided once per step, and
-the backjump queuing what its level search derived.  Then Decide and
+search, the argument index of `find_candidates` against the search that
+offers every entry of a literal's (predicate, sign), the ground path of
+`meet` against renaming, the shape test of `simplify_pool` against the loop
+that tries every pair, each conflict-resolution precondition decided once
+per step, and the backjump queuing what its level search derived.  Then Decide and
 Propagate are checked to re-run none of the preconditions their search
 established, and the decision pieces carried between `select_decision`
 calls to equal a fresh trail difference.
 """
+import itertools
 import os
 import random
 import sys
@@ -47,6 +51,7 @@ from eprsat.syntax import (
     Lit,
     apply_clause,
     apply_lit,
+    canonical_variant,
     clause_vars,
     ground_assignments,
     lit_vars,
@@ -236,6 +241,18 @@ def _k4_3():
     return _coloring(4, [(i, j) for i in range(4) for j in range(i + 1, 4)], 3)
 
 
+def _php_4_3():
+    """Pigeonhole with 4 pigeons and 3 holes; its `pig` and `diff` facts are
+    ground trail entries."""
+    ps, hs = ["a1", "a2", "a3", "a4"], ["h1", "h2", "h3"]
+    lines = [f"domain {' '.join(ps + hs)} .",
+             "-pig(X) | " + " | ".join(f"in(X,{h})" for h in hs) + " .",
+             "-in(X,H) | -in(Y,H) | -diff(X,Y) ."]
+    lines += [f"pig({p}) ." for p in ps]
+    lines += [f"diff({p},{q}) ." for p in ps for q in ps if p != q]
+    return parse_problem("\n".join(lines) + "\n")
+
+
 def _probe(n):
     return parse_problem(
         f"domain {' '.join(f'c{i}' for i in range(n))} .\n"
@@ -245,6 +262,7 @@ def _probe(n):
 @pytest.mark.parametrize("make, status, steps", [
     (_c5_2, "unsat", 101),
     (_k4_3, "unsat", 238),
+    (_php_4_3, "unsat", 198),
 ])
 def test_lifted_matches_ground_on_colourings(monkeypatch, make, status, steps):
     ref = _Referee(monkeypatch)
@@ -255,7 +273,7 @@ def test_lifted_matches_ground_on_colourings(monkeypatch, make, status, steps):
     assert min(ref.calls.values()) > 0, ref.calls
 
 
-@pytest.mark.parametrize("make, learned", [(_c5_2, 2), (_k4_3, 7)])
+@pytest.mark.parametrize("make, learned", [(_c5_2, 2), (_k4_3, 7), (_php_4_3, 3)])
 def test_audited_colourings_skip_only_the_learning_checks(make, learned):
     # their universes are too big for the two learning checks, which are
     # skipped without grounding the learned clause; every other audit runs
@@ -367,9 +385,9 @@ def _ex33():
 
 def _learning_runs():
     """(name, sig, clauses, script, status or None): the colourings, the
-    scripted ex33 and a random population."""
+    scripted ex33, pigeonhole and a random population."""
     runs = [("C5/2", *_c5_2(), None, "unsat"), ("K4/3", *_k4_3(), None, "unsat"),
-            ("ex33", *_ex33(), "sat")]
+            ("ex33", *_ex33(), "sat"), ("PHP(4,3)", *_php_4_3(), None, "unsat")]
     for seed in range(150):
         sig, clauses = gen_random_instance(GenParams(
             n_preds=3, max_arity=3, domain_size=4, n_clauses=10, max_lits=4,
@@ -459,6 +477,240 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
         verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
         assert (verdict.status, verdict.steps) == (status, steps)
     assert seen["leaves"] > 100, seen
+
+
+def _bucket_search(clause, sources, newest_pos=None, keep_limit=1, extra=None):
+    """`find_candidates` without its argument index: each position is offered
+    every source of its (predicate, sign) bucket."""
+    pool = [(e.pos, e.lit, e.pi) for e in sources]
+    if extra:
+        pool += [(-1 - i, lit, pi) for i, (lit, pi) in enumerate(extra)]
+    by_pred = {}
+    for src in pool:
+        by_pred.setdefault((src[1].pred, src[1].neg), []).append(src)
+
+    def bucket(pos):
+        return by_pred.get((clause[pos].pred, not clause[pos].neg), [])
+
+    newest = [next((src[1] for src in bucket(p) if src[0] == newest_pos), None)
+              for p in range(len(clause))]
+
+    def reaches_newest(pos, sigma):
+        return any(nl is not None and syntax.unifiable_apart(
+                       syntax.apply_args(clause[p].args, sigma), nl.args)
+                   for p, nl in enumerate(newest[pos:], pos))
+
+    out = []
+
+    def leaf_ok(kept, sigma, pi):
+        return not any(derive.meet(apply_lit(clause[p], sigma), pi, src_lit, src_pi)
+                       for p in kept for _, src_lit, src_pi in bucket(p))
+
+    def rec(pos, kept, sigma, pi, uses, used):
+        if newest_pos is not None and uses == 0 and not reaches_newest(pos, sigma):
+            return
+        if pos == len(clause):
+            if leaf_ok(kept, sigma, pi):
+                out.append(derive.DTuple(tuple(kept), sigma, pi, tuple(used)))
+            return
+        lit = apply_lit(clause[pos], sigma)
+        for src_pos, src_lit, src_pi in bucket(pos):
+            got = derive.meet(lit, pi, src_lit, src_pi)
+            if got is not None:
+                rec(pos + 1, kept, syntax.compose(sigma, got[0]), got[1],
+                    uses + (src_pos == newest_pos), used + [(pos, src_pos)])
+        if len(kept) < keep_limit:
+            rec(pos + 1, kept + [pos], sigma, pi, uses, used)
+
+    rec(0, [], {}, TOP, 0, [])
+    return out
+
+
+def _up_to_renaming(clause, leaves):
+    """(remaining, used, sigma, pi) per leaf, every variable that is not the
+    clause's numbered by its first occurrence in sigma, then in pi."""
+    keep = set(clause_vars(clause))
+    out = []
+    for leaf in leaves:
+        ren = {}
+
+        def name(t):
+            return t if t >= 0 or t in keep else ren.setdefault(t, ("v", len(ren)))
+
+        sigma = [(name(v), name(t)) for v, t in leaf.sigma.items()]
+        pi = [(tuple(map(name, lhs)), tuple(map(name, rhs)))
+              for lhs, rhs in leaf.pi.subs]
+        out.append((leaf.remaining, leaf.used, sigma, leaf.pi.kind, pi))
+    return out
+
+
+def test_argument_index_keeps_every_leaf(monkeypatch):
+    """`find_candidates` offers a position only the sources that hold its
+    literal's constant, or a variable, at each constant argument, yet returns
+    the leaves of the search offered the whole (predicate, sign) bucket, in
+    the same order and equal up to the variables the search made: the
+    sources it leaves out are only those `meet` rejects.  It calls `meet`
+    less often."""
+    real, real_meet = derive.find_candidates, derive.meet
+    seen = dict(calls=0, leaves=0, meets=0, indexed=0, bucket=0)
+
+    def meet(*args):
+        seen["meets"] += 1
+        return real_meet(*args)
+
+    def referee(clause, sources, newest_pos=None, keep_limit=1, extra=None):
+        args = (clause, sources, newest_pos, keep_limit, extra)
+        before = seen["meets"]
+        got = real(*args)
+        middle = seen["meets"]
+        want = _bucket_search(*args)
+        seen["indexed"] += middle - before
+        seen["bucket"] += seen["meets"] - middle
+        seen["calls"] += 1
+        seen["leaves"] += len(got)
+        assert _up_to_renaming(clause, got) == _up_to_renaming(clause, want), (
+            clause, newest_pos, keep_limit)
+        return got
+
+    monkeypatch.setattr(derive, "meet", meet)
+    monkeypatch.setattr(derive, "find_candidates", referee)
+    monkeypatch.setattr(solver_mod, "find_candidates", referee)
+    runs = _learning_runs() + [("ladder-7-3", *gen_benchmark(7, 3), None, "sat")]
+    for name, sig, clauses, script, status in runs:
+        verdict = Solver(sig, clauses,
+                         RunConfig(max_steps=10_000, script=script)).solve()
+        assert status in (None, verdict.status), name
+    assert seen["leaves"] > 1000 and seen["indexed"] < seen["bucket"], seen
+
+
+_rename_clit_fresh = constrained.rename_clit_fresh
+
+
+def _renaming_meet(lit, pi, src, src_pi):
+    """`meet` without its ground path: rename `src` apart, unify, conjoin."""
+    if not syntax.unifiable_apart(lit.args, src.args):
+        return None
+    r_lit, r_pi, _ = _rename_clit_fresh(src, src_pi)
+    theta = mgu_atoms(lit.atom, r_lit.atom)
+    met = conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
+    return None if met.is_bot else (theta, met)
+
+
+
+def test_ground_meet_matches_the_renaming_path(monkeypatch):
+    """A ground source under TOP is met without renaming, and the result is
+    the renaming path's: the same theta, key order included, and the same
+    constraint, for literals that repeat variables and hold constants."""
+    def refuse(*args):
+        raise AssertionError("a ground source was renamed")
+
+    monkeypatch.setattr(constrained, "rename_clit_fresh", refuse)
+    rng = random.Random(15)
+    n = 3
+    seen = dict(met=0, clash=0, repeated_clash=0, bot=0)
+    for args in itertools.product((var_code(0), var_code(1), 0, 1), repeat=3):
+        lit = Lit(False, "P", args)
+        vs = lit_vars(lit)
+        pis = [TOP] + [_random_constraint(rng, vs, n) for _ in range(3) if vs]
+        for pi, src_args in itertools.product(pis, itertools.product(range(n), repeat=3)):
+            src = Lit(True, "P", src_args)
+            got = constrained.meet(lit, pi, src, TOP)
+            want = _renaming_meet(lit, pi, src, TOP)
+            assert (got is None) == (want is None), (lit, pi, src)
+            if got is None:
+                clash = syntax.match_args(args, src_args) is None
+                seen["clash"] += clash
+                seen["repeated_clash"] += clash and all(
+                    a == b for a, b in zip(args, src_args) if a >= 0)
+                seen["bot"] += not clash
+                continue
+            assert list(got[0].items()) == list(want[0].items()), (lit, src)
+            assert got[1] == want[1], (lit, pi, src)
+            seen["met"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def _unfiltered_simplify_pool(pool):
+    """`simplify_pool` without its shape test: every ordered pair of live
+    clauses is tried."""
+    log = []
+    clauses = list(pool)
+    alive = [True] * len(clauses)
+    variants = {}
+
+    def variant(c):
+        if c not in variants:
+            variants[c] = canonical_variant(c)
+        return variants[c]
+
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(clauses):
+            if alive[i] and solver_mod.is_tautology(c):
+                alive[i] = False
+                log.append(f"tautology: deleted clause {i + 1}")
+                changed = True
+        for i, c in enumerate(clauses):
+            if not alive[i] or not c:
+                continue
+            for j, d in enumerate(clauses):
+                if i == j or not alive[j]:
+                    continue
+                res = solver_mod._subsumption_resolvent(variant(c), d)
+                if res is not None and res != d:
+                    clauses[j] = res
+                    log.append(f"subsumption resolution: clause {j + 1} reduced")
+                    changed = True
+        for i, c in enumerate(clauses):
+            if not alive[i]:
+                continue
+            for j, d in enumerate(clauses):
+                if i == j or not alive[j]:
+                    continue
+                if solver_mod._subsumes(variant(c), d) and (
+                        i < j or len(c) < len(d)
+                        or not solver_mod._subsumes(variant(d), c)):
+                    alive[j] = False
+                    log.append(f"subsumption: clause {j + 1} deleted by {i + 1}")
+                    changed = True
+    return [c for i, c in enumerate(clauses) if alive[i]], log
+
+
+def test_simplify_shape_test_keeps_every_deletion(monkeypatch):
+    """`simplify_pool` tries a pair only when the (predicate, sign) multisets
+    of its clauses fit; the pool it leaves, up to variable renaming, and its
+    deletion log are those of the loop that tries every pair, on the
+    criterion-1 population and the learning runs, with fewer calls."""
+    calls = dict(filtered=0, unfiltered=0)
+    side = ["filtered"]
+
+    def counted(real):
+        def wrapper(c, d):
+            calls[side[0]] += 1
+            return real(c, d)
+        return wrapper
+
+    for name in ("_subsumes", "_subsumption_resolvent"):
+        monkeypatch.setattr(solver_mod, name, counted(getattr(solver_mod, name)))
+
+    def renamed(pool):
+        return [apply_clause(c, {v: var_code(k) for k, v in enumerate(clause_vars(c))})
+                for c in pool]
+
+    pools = [clauses for _, clauses in criterion_1_population()]
+    pools += [clauses for _, _, clauses, _, _ in _learning_runs()]
+    deletions = 0
+    for pool in pools:
+        side[0] = "filtered"
+        got, got_log = solver_mod.simplify_pool(pool)
+        side[0] = "unfiltered"
+        want, want_log = _unfiltered_simplify_pool(pool)
+        assert got_log == want_log, pool
+        assert renamed(got) == renamed(want), pool
+        deletions += len(got_log)
+    assert deletions > 100, deletions
+    assert 0 < calls["filtered"] < calls["unfiltered"] / 2, calls
 
 
 def test_resolution_step_decides_each_precondition_once(monkeypatch):

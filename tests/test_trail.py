@@ -311,6 +311,28 @@ def test_clause_key_order_matches_bruteforce():
         assert got == _brute_cmp(entries, n, c1, c2)
 
 
+def test_memoized_clause_keys_stay_those_of_their_snapshot():
+    """`clause_key` is memoized per snapshot: a second call returns the
+    stored key, which equals a fresh ordering's over the same entries, also
+    after the trail the snapshot was taken from has grown."""
+    rng = random.Random(15)
+    n = 2
+    tr = Trail(n)
+    tr.push(TrailEntry(Lit(True, "Q", (x, y)), conj([((x, y), (v, v))]), 0, 0,
+                       reason=0))
+    ordering = InducedOrdering.from_trail(tr)
+    clauses = [_random_ground_clause(rng, n) for _ in range(100)]
+    keys = [ordering.clause_key(c) for c in clauses]
+    tr.push(TrailEntry(Lit(False, "P", (x,)), TOP, 0, 1, reason=0))
+    tr.push(TrailEntry(Lit(False, "Q", (a, a)), TOP, 0, 2, reason=0))
+    fresh = InducedOrdering(ordering.entries)
+    grown = InducedOrdering.from_trail(tr)
+    for c, key in zip(clauses, keys):
+        assert ordering.clause_key(c) is key
+        assert key == fresh.clause_key(c)
+    assert any(grown.clause_key(c) != key for c, key in zip(clauses, keys))
+
+
 def _multiset_strictly_less(after: list, before: list, cmp) -> bool:
     """Dershowitz-Manna by definition, quadratic: the referee for the
     sorted-key reduction the audit uses."""
