@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional
 
-from .constrained import CLit, clit_is_empty, overlaps
+from .constrained import CLit, is_empty, overlaps
 from .constraints import TOP
 from .derive import is_blocked
 from .oracle import (
@@ -216,7 +216,7 @@ class Auditor:
         """The per-entry checks of `e` against the entries before it, at its
         push and again at every sweep."""
         trail, n = solver.trail, solver.n
-        if clit_is_empty(CLit(e.lit, e.pi), n):
+        if is_empty(e.lit, e.pi, n):
             self._flag(f"entry {e.pos} is empty")
         probe = CLit(e.lit, e.pi).atom
         for other in trail.entries[:e.pos]:

@@ -73,10 +73,6 @@ class CLit:
         return CLit(self.lit.atom, self.pi) if self.lit.neg else self
 
 
-def make_clit(lit: Lit, pi: Constraint) -> CLit:
-    return CLit(lit, normalize(pi))
-
-
 def rename_clit_fresh(lit: Lit, pi: Constraint) -> tuple[Lit, Constraint, Subst]:
     """Whole-expression variant with fresh variables; returns the renaming."""
     ren = renaming_for(lit_vars(lit) + lvars(pi) + rvars(pi))
@@ -103,10 +99,6 @@ def cover(lit: Lit, pi: Constraint, n: int) -> set[Lit]:
         if not violates(d, pi):
             out.add(apply_lit(lit, d))
     return out
-
-
-def clit_cover(cl: CLit, n: int) -> set[Lit]:
-    return cover(cl.lit, cl.pi, n)
 
 
 def cover_size(lit: Lit, pi: Constraint, n: int) -> int:
@@ -186,10 +178,6 @@ def no_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int) -> bool:
 def is_empty(lit: Lit, pi: Constraint, n: int) -> bool:
     """True iff the cover is empty."""
     return no_instances((lit,), {}, pi, n)
-
-
-def clit_is_empty(cl: CLit, n: int) -> bool:
-    return is_empty(cl.lit, cl.pi, n)
 
 
 # ---------------------------------------------------------------------------

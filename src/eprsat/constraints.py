@@ -248,16 +248,6 @@ def is_normal(c: Constraint) -> bool:
 # ---------------------------------------------------------------------------
 # semantics
 
-def induced_substitutions(c: Constraint) -> list[Subst]:
-    """One matcher per subconstraint; BOT yields the identity, TOP nothing."""
-    if c.is_top:
-        return []
-    if c.is_bot:
-        return [{}]
-    assert is_normal(c), "induced substitutions need normal form"
-    return [dict(zip(lhs, rhs)) for lhs, rhs in c.subs]
-
-
 def violates(delta: Subst, c: Constraint) -> bool:
     """True iff delta is not a solution: some rhs matches the grounded lhs."""
     if c.is_top:
@@ -298,7 +288,7 @@ def find_solution_enum(c: Constraint, variables: list[int], n: int) -> Optional[
         assert set(lvars(c)) <= set(variables)
         assert not (set(variables) & set(rvars(c)))
     if c.is_top or not variables:
-        return dict.fromkeys(variables, 0) if not c.is_bot else None
+        return dict.fromkeys(variables, 0)
     pos = {v: i for i, v in enumerate(variables)}
     vals = [0] * len(variables)
 
@@ -326,12 +316,3 @@ def find_solution_enum(c: Constraint, variables: list[int], n: int) -> Optional[
         rightmost = max(pos[v] for v in offending if v < 0)
         if not bump(rightmost):
             return None
-
-
-def count_solutions(c: Constraint, variables: list[int], n: int) -> int:
-    if c.is_bot:
-        return 0
-    if c.is_top:
-        return n ** len(variables)
-    return len(solutions(c, variables, n))
-

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .constrained import CLit, clit_cover
+from .constrained import CLit, cover
 from .syntax import (
     Clause,
     Lit,
@@ -247,7 +247,7 @@ def verify_model(model: list[CLit], sig: Signature, clauses: list[Clause],
     true: set[int] = set()      # the true atoms' positive literals
     for cl in model:
         if not cl.lit.neg:
-            true.update(map(gp.signed, clit_cover(cl, sig.n)))
+            true.update(map(gp.signed, cover(cl.lit, cl.pi, sig.n)))
     for c in clauses:
         for key in gp.instances(c):
             if not any((abs(s) in true) == (s > 0) for s in key):

@@ -89,6 +89,14 @@ class _Stream:
         self.i += 1
         return t
 
+    def accept(self, text: str) -> bool:
+        """Take the next token when it reads `text`."""
+        t = self.peek()
+        if t is None or t.text != text:
+            return False
+        self.i += 1
+        return True
+
     def expect(self, text: str) -> _Tok:
         t = self.next()
         if t.text != text:
@@ -122,25 +130,21 @@ class _ClauseParser:
             raise ParseError(f"undeclared constant {t.text!r}", t.line, t.col)
         return self.domain[t.text]
 
+    def args(self) -> tuple[int, ...]:
+        """`t, ..., t)`: an argument list after its opening parenthesis."""
+        out = [self.term()]
+        while self.s.accept(","):
+            out.append(self.term())
+        self.s.expect(")")
+        return tuple(out)
+
     def literal(self) -> Lit:
-        neg = False
-        t = self.s.peek()
-        if t is not None and t.text in ("-", "~"):
-            self.s.next()
-            neg = True
+        neg = self.s.accept("-") or self.s.accept("~")
         t = self.s.next()
         if t.kind != "name":
             raise ParseError("expected a predicate name", t.line, t.col)
         pred = t.text
-        args: list[int] = []
-        nxt = self.s.peek()
-        if nxt is not None and nxt.text == "(":
-            self.s.next()
-            args.append(self.term())
-            while self.s.peek() is not None and self.s.peek().text == ",":
-                self.s.next()
-                args.append(self.term())
-            self.s.expect(")")
+        args = self.args() if self.s.accept("(") else ()
         if pred in self.arities:
             ar, ln, co = self.arities[pred]
             if ar != len(args):
@@ -149,27 +153,15 @@ class _ClauseParser:
                                  f"{seen}", t.line, t.col)
         else:
             self.arities[pred] = (len(args), t.line, t.col)
-        return Lit(neg, pred, tuple(args))
+        return Lit(neg, pred, args)
 
     def tuple_(self) -> tuple[int, ...]:
-        t = self.s.peek()
-        if t is not None and t.text == "(":
-            self.s.next()
-            out = [self.term()]
-            while self.s.peek() is not None and self.s.peek().text == ",":
-                self.s.next()
-                out.append(self.term())
-            self.s.expect(")")
-            return tuple(out)
-        return (self.term(),)
+        return self.args() if self.s.accept("(") else (self.term(),)
 
     def constraint(self) -> Constraint:
-        t = self.s.peek()
-        if t is not None and t.kind == "name" and t.text == "TOP":
-            self.s.next()
+        if self.s.accept("TOP"):
             return TOP
-        if t is not None and t.kind == "name" and t.text == "BOT":
-            self.s.next()
+        if self.s.accept("BOT"):
             return BOT
         subs = []
         while True:
@@ -189,12 +181,8 @@ class _ClauseParser:
                 raise ParseError("disequation tuples differ in length",
                                  first.line, first.col)
             subs.append((lhs, rhs))
-            nxt = self.s.peek()
-            if nxt is not None and nxt.text == "/\\":
-                self.s.next()
-                continue
-            break
-        return conj(subs)
+            if not self.s.accept("/\\"):
+                return conj(subs)
 
 
 def parse_problem(text: str) -> tuple[Signature, list[Clause]]:
@@ -208,7 +196,7 @@ def parse_problem(text: str) -> tuple[Signature, list[Clause]]:
     if t0.text != "domain":
         raise ParseError("problem must start with a domain declaration",
                          t0.line, t0.col)
-    while s.peek() is not None and s.peek().text != ".":
+    while not s.accept("."):
         t = s.next()
         if t.kind != "name" or _is_varname(t.text):
             raise ParseError("constants are lowercase identifiers", t.line, t.col)
@@ -216,7 +204,6 @@ def parse_problem(text: str) -> tuple[Signature, list[Clause]]:
             raise ParseError(f"duplicate constant {t.text!r}", t.line, t.col)
         domain[t.text] = len(names)
         names.append(t.text)
-    s.expect(".")
     if not names:
         t = toks[0]
         raise ParseError("domain must be nonempty", t.line, t.col)
@@ -224,20 +211,15 @@ def parse_problem(text: str) -> tuple[Signature, list[Clause]]:
         t = s.peek()
         if t.text == "domain":
             raise ParseError("duplicate domain declaration", t.line, t.col)
-        if t.text == "clause":
-            s.next()
-            if s.peek() is not None and s.peek().text == ":":
-                s.next()
-            t = s.peek()
-        if t is not None and t.text == "false":
-            s.next()
+        if s.accept("clause"):
+            s.accept(":")
+        if s.accept("false"):
             s.expect(".")
             clauses.append(())
             continue
         cp = _ClauseParser(s, domain, arities)
         lits = [cp.literal()]
-        while s.peek() is not None and s.peek().text == "|":
-            s.next()
+        while s.accept("|"):
             lits.append(cp.literal())
         s.expect(".")
         clauses.append(tuple(lits))
@@ -260,8 +242,7 @@ def parse_clit_line(text: str, sig: Signature,
         _, ln, co = arities[lit.pred]
         raise ParseError(f"undeclared predicate {lit.pred!r}", ln, co)
     pi = TOP
-    if s.peek() is not None and s.peek().text == "::":
-        s.next()
+    if s.accept("::"):
         pi = cp.constraint()
     if s.peek() is not None:
         t = s.peek()

@@ -13,8 +13,8 @@ path, `Solver._derive`: a leaf with nothing left is a conflict, one with one
 literal left a propagation candidate.  `add_consequences`, `_reseed_full`
 and, once per trail prefix, `compute_backjump_level` search with it;
 `full_scan` only asks.  `constrained.diff_apart` is the one trail
-difference, taken by `_diff_against_trail` (behind the queue and the
-backjump level, with `_undefined_pieces` its one non-empty filter) and by
+difference, taken by `_undefined_pieces` (behind the queue and the
+backjump level, which keep only its non-empty pieces) and by
 `_decision_pieces`.  The lifted steps live in `constrained`; a
 resolution step unifies each conflict literal with the rightmost entry once
 (`_entry_unifiers`) for Resolve and Factorize, which share a closure step.
@@ -431,22 +431,18 @@ class Solver:
                     return False
         return True
 
-    def _diff_against_trail(self, lit: Lit, sigma: Subst, pi: Constraint,
-                            upto: Optional[int] = None,
-                            ) -> list[tuple[Subst, Constraint]]:
-        """(lit*sigma; pi) minus the atoms the trail defines, as disjoint
-        pieces (sigma', pi') of `lit`; with `upto`, only the entries before
-        that position count.  An entry that does not unify with a piece
-        leaves it as it is, without being renamed."""
-        return diff_apart(lit, [(sigma, pi)], [
-            (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
-            if upto is None or e.pos < upto])
-
     def _undefined_pieces(self, lit: Lit, sigma: Subst, pi: Constraint,
                           upto: Optional[int] = None):
-        """The non-empty pieces of `_diff_against_trail`, lazily: the
-        difference itself is taken once, before the first piece."""
-        return ((s, p) for s, p in self._diff_against_trail(lit, sigma, pi, upto)
+        """The non-empty pieces of (lit*sigma; pi) minus the atoms the trail
+        defines, as disjoint pieces (sigma', pi') of `lit`; with `upto`,
+        only the entries before that position count.  An entry that does
+        not unify with a piece leaves it as it is, without being renamed.
+        The difference is taken once, at the call; the emptiness tests run
+        lazily, piece by piece."""
+        pieces = diff_apart(lit, [(sigma, pi)], [
+            (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
+            if upto is None or e.pos < upto])
+        return ((s, p) for s, p in pieces
                 if not is_empty(apply_lit(lit, s), p, self.n))
 
     def _derive(self, ci: int, clause: Clause, sources: list[TrailEntry],
@@ -539,8 +535,10 @@ class Solver:
 
     def _decision_pieces(self, lit: Lit, pi: Constraint,
                          ) -> list[tuple[Subst, Constraint]]:
-        """`_diff_against_trail(lit, {}, pi)`, carried from the last call
-        for this pool literal when the module docstring's rule allows it."""
+        """`lit` (constraint `pi`) minus the atoms the trail defines, as
+        `diff_apart` gives it against the whole trail, carried from the last
+        call for this pool literal when the module docstring's rule allows
+        it."""
         entries = self.trail.entries
         pieces, start, anchor = self._carried.get((lit, pi), ([], 0, None))
         if start == 0 or start > len(entries) or entries[start - 1] is not anchor:
@@ -753,7 +751,7 @@ class Solver:
         """The PropCands of `clause` (pool index `ci`) against the first
         `plen` trail entries, or None when it has a false instance there."""
         cands = []
-        for got in self._derive(ci, clause, self.trail.prefix_entries(plen)):
+        for got in self._derive(ci, clause, self.trail.entries[:plen]):
             if isinstance(got, ConflictSet):
                 return None
             cands.append(got)
@@ -812,13 +810,9 @@ def _match_restricted(want: Lit, sub: Lit, bindable: set[int]) -> Optional[Subst
     return s
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
-    """Some instance of c is a submultiset of d."""
-    return _subsumes(canonical_variant(c), d)
-
-
 def _subsumes(c: Clause, d: Clause) -> bool:
-    # c is already a variant sharing no variable with d
+    """Some instance of c is a submultiset of d; c is already a variant
+    sharing no variable with d."""
     return _embeds(c, d, set(clause_vars(c)), {})
 
 

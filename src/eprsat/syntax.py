@@ -125,11 +125,6 @@ def compose(s: Subst, t: Subst) -> Subst:
     return out
 
 
-def apply_to_subst(s: Subst, t: Subst) -> Subst:
-    """Apply t to every term in the range of s."""
-    return {v: apply_term(x, t) for v, x in s.items() if apply_term(x, t) != v}
-
-
 def restrict(s: Subst, vars_: Iterable[int]) -> Subst:
     keep = set(vars_)
     return {v: x for v, x in s.items() if v in keep}
@@ -286,23 +281,8 @@ def ground_assignments(vars_: list[int], n: int) -> Iterator[Subst]:
         yield dict(zip(vars_, combo))
 
 
-def ground_lits(l: Lit, n: int) -> set[Lit]:
-    return {apply_lit(l, d) for d in ground_assignments(lit_vars(l), n)}
-
-
-def ground_clauses(c: Clause, n: int) -> set[Clause]:
-    return {canonical_clause(apply_clause(c, d))
-            for d in ground_assignments(clause_vars(c), n)}
-
-
 def renaming_for(vars_: Iterable[int]) -> Subst:
     return {v: fresh_var() for v in vars_}
-
-
-def rename_fresh(l: Lit, reserved: set[int]) -> Lit:
-    """Variant of l with variables disjoint from `reserved`."""
-    ren = {v: fresh_var() for v in lit_vars(l) if v in reserved}
-    return apply_lit(l, ren)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .constrained import cover
 from .constraints import Constraint, lvars, violates
 from .syntax import (
     Clause,
@@ -74,15 +73,13 @@ class Trail:
 
     def pop(self) -> TrailEntry:
         e = self.entries.pop()
-        self._buckets[e.lit.pred].remove(e)
+        # the trail's last entry is the last of its bucket
+        self._buckets[e.lit.pred].pop()
         return e
 
     def truncate(self, length: int) -> None:
         while len(self.entries) > length:
             self.pop()
-
-    def prefix_entries(self, length: int) -> list[TrailEntry]:
-        return self.entries[:length]
 
     def level_prefix_len(self, lvl: int) -> int:
         """Entries up to (excluding) the first decision above `lvl`."""
@@ -104,18 +101,6 @@ class Trail:
         if e is None:
             return UNDEF
         return TRUE if e.lit.neg == lit.neg else FALSE
-
-    def level_of(self, lit: Lit) -> int:
-        e = self.defining_entry(lit.atom)
-        assert e is not None, "level_of on an undefined literal"
-        return e.level
-
-    def induced_interpretation(self) -> set[Lit]:
-        out: set[Lit] = set()
-        for e in self.entries:
-            if not e.lit.neg:
-                out |= cover(e.lit, e.pi, self.n)
-        return out
 
 
 def _defining(entries: Iterable[TrailEntry], atom: Lit, limit: int,
@@ -222,9 +207,6 @@ class InducedOrdering:
             pos = self._pos[atom] = _INF if e is None else e.pos
         return pos
 
-    def atom_key(self, atom: Lit):
-        return (self.def_pos(atom), atom.pred, atom.args)
-
     def lit_key(self, lit: Lit):
         # same atom: the negative literal is the bigger one
         return (self.def_pos(lit.atom), lit.pred, lit.args, lit.neg)
@@ -241,9 +223,6 @@ class InducedOrdering:
                 sorted(((self.def_pos(l.atom), l.neg) for l in c), reverse=True),
                 sorted((self.lit_key(l) for l in c), reverse=True))
         return key
-
-    def cmp_atoms(self, p: Lit, q: Lit) -> int:
-        return _cmp(self.atom_key(p), self.atom_key(q))
 
     def cmp_clauses(self, c1: Clause, c2: Clause) -> int:
         return _cmp(self.clause_key(c1), self.clause_key(c2))

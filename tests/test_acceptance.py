@@ -12,13 +12,11 @@ import time
 from eprsat.audit import Auditor
 from eprsat.constrained import (
     CLit,
-    clit_cover,
-    clit_is_empty,
     conjunction,
     cover,
     difference,
     elim_free_vars,
-    make_clit,
+    is_empty,
 )
 from eprsat.constraints import conj, is_normal, normalize, solutions
 from eprsat.oracle import (
@@ -85,7 +83,7 @@ def _random_clit(rng, pred, arity, n):
         rhs_vars = [var_code(6000 + 10 * i + k) for k in range(2)]
         rhs = tuple(rng.choice(rhs_vars + list(range(n))) for _ in range(width))
         subs.append((lhs, rhs))
-    return make_clit(lit, conj(subs))
+    return CLit(lit, normalize(conj(subs)))
 
 
 def test_criterion_2_constraint_operation_oracles():
@@ -100,17 +98,17 @@ def test_criterion_2_constraint_operation_oracles():
         if c1.pi.is_bot or c2.pi.is_bot:
             continue
         c2 = CLit(Lit(c1.lit.neg, "P", c2.lit.args), c2.pi)
-        g1, g2 = clit_cover(c1, n), clit_cover(c2, n)
+        g1, g2 = cover(c1.lit, c1.pi, n), cover(c2.lit, c2.pi, n)
         cj = conjunction(c1, c2)
-        assert clit_cover(cj, n) == g1 & g2
+        assert cover(cj.lit, cj.pi, n) == g1 & g2
         pieces = difference(c1, c2)
-        covers = [clit_cover(piece, n) for piece in pieces]
+        covers = [cover(piece.lit, piece.pi, n) for piece in pieces]
         union = set().union(*covers) if covers else set()
         assert union == g1 - g2
         for i in range(len(covers)):
             for j in range(i + 1, len(covers)):
                 assert not (covers[i] & covers[j])
-        assert clit_is_empty(c1, n) == (not g1)
+        assert is_empty(c1.lit, c1.pi, n) == (not g1)
         # a closure with one extra (existential) lhs variable
         free = var_code(7000 + checked % 7)
         if lit_vars(c1.lit):

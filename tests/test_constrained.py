@@ -2,15 +2,13 @@ import random
 
 from eprsat.constrained import (
     CLit,
-    clit_cover,
-    clit_is_empty,
     conjunction,
     cover,
     difference,
     elim_free_vars,
-    make_clit,
+    is_empty,
 )
-from eprsat.constraints import BOT, TOP, conj
+from eprsat.constraints import BOT, TOP, conj, normalize
 from eprsat.syntax import Lit, lit_vars, var_code
 
 x, y, z, u = var_code(0), var_code(1), var_code(2), var_code(3)
@@ -33,26 +31,28 @@ def L3(*args):
 
 def test_cover_grows_with_the_domain():
     # (P(x,y); (x,y)!=(v,v) /\ x!=a /\ y!=b)
-    cl = make_clit(P(x, y), conj([((x, y), (v, v)), ((x,), (a,)), ((y,), (b,))]))
-    assert clit_cover(cl, 2) == {P(b, a)}
-    assert clit_cover(cl, 3) == {P(b, a), P(c, a), P(b, c)}
+    cl = CLit(P(x, y), normalize(conj([((x, y), (v, v)), ((x,), (a,)),
+                                       ((y,), (b,))])))
+    assert cover(cl.lit, cl.pi, 2) == {P(b, a)}
+    assert cover(cl.lit, cl.pi, 3) == {P(b, a), P(c, a), P(b, c)}
 
 
 def test_cover_bot_empty():
-    assert clit_cover(CLit(P(x), BOT), 2) == set()
+    assert cover(P(x), BOT, 2) == set()
 
 
 def test_conjunction_simplifies_to_two_disequations():
-    cl1 = make_clit(P(x, y), conj([((x, y), (v, v)), ((x,), (a,)), ((y,), (b,))]))
-    cl2 = make_clit(P(z, a), conj([((z,), (b,))]))
+    cl1 = CLit(P(x, y), normalize(conj([((x, y), (v, v)), ((x,), (a,)),
+                                        ((y,), (b,))])))
+    cl2 = CLit(P(z, a), normalize(conj([((z,), (b,))])))
     out = conjunction(cl1, cl2)
     # simplifies to (P(z,a); z != a /\ z != b)
     assert out.lit.pred == "P" and out.lit.args[1] == a
     zv = out.lit.args[0]
     assert zv < 0
     assert out.pi == conj([((zv,), (a,)), ((zv,), (b,))])
-    assert clit_is_empty(out, 2)
-    assert clit_cover(out, 3) == {P(c, a)}
+    assert is_empty(out.lit, out.pi, 2)
+    assert cover(out.lit, out.pi, 3) == {P(c, a)}
 
 
 def test_conjunction_clash_is_bot():
@@ -69,7 +69,8 @@ def test_conjunction_variants_idempotent():
 def test_difference_staged_three_pieces():
     # (L(x1,x2,x3); TOP) - (L(x1,x2,x3); /\_i xi != a)
     lhs = CLit(L3(x1, x2, x3), TOP)
-    rhs = make_clit(L3(x1, x2, x3), conj([((x1,), (a,)), ((x2,), (a,)), ((x3,), (a,))]))
+    rhs = CLit(L3(x1, x2, x3),
+               normalize(conj([((x1,), (a,)), ((x2,), (a,)), ((x3,), (a,))])))
     out = difference(lhs, rhs)
     assert len(out) == 3
     lits = [o.lit for o in out]
@@ -81,8 +82,8 @@ def test_difference_staged_three_pieces():
     assert len(out[2].pi.subs) == 2
     # cover equality and disjointness over both domains
     for n in (2, 3):
-        whole = clit_cover(lhs, n) - clit_cover(rhs, n)
-        covers = [clit_cover(o, n) for o in out]
+        whole = cover(lhs.lit, lhs.pi, n) - cover(rhs.lit, rhs.pi, n)
+        covers = [cover(o.lit, o.pi, n) for o in out]
         got = set().union(*covers)
         assert got == whole
         for i in range(len(covers)):
@@ -91,15 +92,15 @@ def test_difference_staged_three_pieces():
 
 
 def test_difference_subtract_everything():
-    cl = make_clit(P(x, y), conj([((x,), (a,))]))
+    cl = CLit(P(x, y), normalize(conj([((x,), (a,))])))
     assert difference(cl, CLit(P(z, u), TOP)) == []
 
 
 def test_difference_subtract_bot_returns_original():
-    cl = make_clit(P(x, y), conj([((x,), (a,))]))
+    cl = CLit(P(x, y), normalize(conj([((x,), (a,))])))
     out = difference(cl, CLit(P(z, u), BOT))
     assert len(out) == 1
-    assert clit_cover(out[0], 3) == clit_cover(cl, 3)
+    assert cover(out[0].lit, out[0].pi, 3) == cover(cl.lit, cl.pi, 3)
 
 
 def test_difference_distinct_literals():
@@ -107,8 +108,8 @@ def test_difference_distinct_literals():
     rhs = CLit(P(z, a), TOP)
     out = difference(lhs, rhs)
     for n in (2, 3):
-        whole = clit_cover(lhs, n) - clit_cover(rhs, n)
-        covers = [clit_cover(o, n) for o in out]
+        whole = cover(lhs.lit, lhs.pi, n) - cover(rhs.lit, rhs.pi, n)
+        covers = [cover(o.lit, o.pi, n) for o in out]
         assert set().union(*covers) if covers else set() == whole
         got = set().union(*covers) if covers else set()
         assert got == whole
@@ -121,14 +122,14 @@ def test_difference_polarity_mismatch_returns_lhs():
 
 
 def test_is_empty_depends_on_domain_size():
-    cl = make_clit(P(z, a), conj([((z,), (a,)), ((z,), (b,))]))
-    assert clit_is_empty(cl, 2)
-    assert not clit_is_empty(cl, 3)
-    assert clit_cover(cl, 3) == {P(c, a)}
+    cl = CLit(P(z, a), normalize(conj([((z,), (a,)), ((z,), (b,))])))
+    assert is_empty(cl.lit, cl.pi, 2)
+    assert not is_empty(cl.lit, cl.pi, 3)
+    assert cover(cl.lit, cl.pi, 3) == {P(c, a)}
 
 
 def test_is_empty_top():
-    assert not clit_is_empty(CLit(P(x), TOP), 2)
+    assert not is_empty(P(x), TOP, 2)
 
 
 def test_elim_free_vars_two_instantiations():
@@ -179,7 +180,7 @@ def _random_clit(rng, pred, arity, var_base, n=3, max_subs=4):
         rhs_vars = [var_code(1000 + var_base + 10 * i + k) for k in range(2)]
         rhs = tuple(rng.choice(rhs_vars + list(range(n))) for _ in range(width))
         subs.append((lhs, rhs))
-    return make_clit(lit, conj(subs))
+    return CLit(lit, normalize(conj(subs)))
 
 
 def test_operation_oracle_equivalence_randomized():
@@ -190,18 +191,18 @@ def test_operation_oracle_equivalence_randomized():
         c2 = _random_clit(rng, "P", len(c1.lit.args), 50, n)
         if c1.pi.is_bot or c2.pi.is_bot:
             continue
-        g1, g2 = clit_cover(c1, n), clit_cover(c2, n)
+        g1, g2 = cover(c1.lit, c1.pi, n), cover(c2.lit, c2.pi, n)
         if c1.lit.neg == c2.lit.neg:
             cj = conjunction(c1, c2)
-            assert clit_cover(cj, n) == g1 & g2
+            assert cover(cj.lit, cj.pi, n) == g1 & g2
         pieces = difference(c1, c2)
-        covers = [clit_cover(p, n) for p in pieces]
+        covers = [cover(p.lit, p.pi, n) for p in pieces]
         got = set().union(*covers) if covers else set()
         assert got == g1 - g2
         for i in range(len(covers)):
             for j in range(i + 1, len(covers)):
                 assert not (covers[i] & covers[j])
-        assert clit_is_empty(c1, n) == (not g1)
+        assert is_empty(c1.lit, c1.pi, n) == (not g1)
 
 
 def test_difference_size_bound_same_literal():

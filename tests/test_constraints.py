@@ -4,9 +4,7 @@ from eprsat.constraints import (
     BOT,
     TOP,
     conj,
-    count_solutions,
     find_solution_enum,
-    induced_substitutions,
     is_normal,
     normalize,
     solutions,
@@ -69,13 +67,6 @@ def test_normalize_duplicate_subconstraints_collapse():
 def test_normalize_rule8_single_occurrence_rhs_var():
     # (x,y) != (a,v): v matches y unconditionally, so position 2 drops
     assert normalize(C(((x, y), (a, v)))) == C(((x,), (a,)))
-
-
-def test_induced_substitutions():
-    pi = C(((x, y), (v, v)), ((y,), (a,)))
-    assert induced_substitutions(pi) == [{x: v, y: v}, {y: a}]
-    assert induced_substitutions(TOP) == []
-    assert induced_substitutions(BOT) == [{}]
 
 
 def test_violates_diagonal():
@@ -180,7 +171,7 @@ def test_enum_agrees_with_oracle_on_emptiness():
 
 
 def test_count_solutions_top():
-    assert count_solutions(TOP, [x, y], 3) == 9
+    assert len(solutions(TOP, [x, y], 3)) == 9
 
 
 def test_normalize_never_widens_subconstraints():

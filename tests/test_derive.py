@@ -105,3 +105,31 @@ def test_duplicate_literal_clause_does_not_block():
     wit = is_blocked(tr.entries, L(True, "P", dx, dy),
                      conj([((dx, dy), (v, v))]), [clause], 3)
     assert wit is None
+
+
+def test_is_blocked_needs_two_distinct_decision_instances():
+    # D = {a,b}, C = ~P(x) | ~P(y) | Q(x,y), decision (P(w); TOP)
+    cx, cy = var_code(100), var_code(101)
+    pool = [(L(True, "P", cx), L(True, "P", cy), L(False, "Q", cx, cy))]
+    dw = var_code(200)
+    # under (~Q(z,z); TOP) the only falsifying leaf has x = y: the two
+    # decision literals are one instance, so nothing blocks
+    tr = Trail(2)
+    tr.push(TrailEntry(L(True, "Q", z, z), TOP, 1, 0))
+    assert is_blocked(tr.entries, L(False, "P", dw), TOP, pool, 2) is None
+    # under (~Q(z,u); TOP) the instance with x = a, y = b blocks
+    tr = Trail(2)
+    tr.push(TrailEntry(L(True, "Q", z, u), TOP, 1, 0))
+    wit = is_blocked(tr.entries, L(False, "P", dw), TOP, pool, 2)
+    assert wit is not None
+    assert wit[1] == (L(True, "P", a), L(True, "P", b), L(False, "Q", a, b))
+    # over {a,b,c} with (P(a); TOP) on the trail, the leaves resolving one
+    # ~P literal against P(a) use the decision (P(w); w != a) once and are
+    # passed over; the leaf using it twice blocks
+    tr = Trail(3)
+    tr.push(TrailEntry(L(False, "P", a), TOP, 0, 0, reason=0))
+    tr.push(TrailEntry(L(True, "Q", z, u), TOP, 0, 1, reason=0))
+    wit = is_blocked(tr.entries, L(False, "P", dw), conj([((dw,), (a,))]),
+                     pool, 3)
+    assert wit is not None
+    assert wit[1] == (L(True, "P", b), L(True, "P", c), L(False, "Q", b, c))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsat.constrained import CLit, clit_cover, conjunction, cover, cover_size
+from eprsat.constrained import CLit, conjunction, cover, cover_size
 from eprsat.constraints import TOP, conj, is_normal, normalize
 from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
 from eprsat.parser import (
@@ -257,7 +257,8 @@ def test_merge_cover_fills_holes():
     rest = CLit(Lit(False, "P", (x,)), conj([((x,), (a,))]))
     merged = merge_cover(sig, [ground, rest])
     assert len(merged) == 1
-    assert clit_cover(merged[0], 3) == {Lit(False, "P", (d,)) for d in range(3)}
+    got = cover(merged[0].lit, merged[0].pi, 3)
+    assert got == {Lit(False, "P", (d,)) for d in range(3)}
 
 
 def test_merge_cover_keeps_unmergeable():

@@ -30,7 +30,7 @@ import pytest
 
 from eprsat import constrained, derive, solver as solver_mod, syntax, trail
 from eprsat.audit import Auditor
-from eprsat.constrained import cover, cover_size
+from eprsat.constrained import cover, cover_size, diff_apart
 from eprsat.constraints import (
     BOT,
     TOP,
@@ -205,7 +205,7 @@ class _Referee:
             got = real_candidates(solver, ci, clause, plen)
             self.calls["falsifiable"] += 1
             if (got is None) != _ground_falsifiable(
-                    clause, solver.trail.prefix_entries(plen), solver.n):
+                    clause, solver.trail.entries[:plen], solver.n):
                 self.mismatches.append(("falsifiable", clause, got))
             return got
 
@@ -913,7 +913,7 @@ def _pieces_text(sig, lit, pieces):
 
 def test_carried_decision_pieces_match_a_fresh_difference(monkeypatch):
     """At every `select_decision` call, each pool literal's carried pieces
-    are those of a fresh `_diff_against_trail(lit, {}, pi)`, in the same
+    are those of a fresh `diff_apart` against the whole trail, in the same
     order (compared as renderings, since the variable ids differ), also
     after the backjumps of the colourings and of the criterion-1 population
     (the whole of it: the instances that backjump are known only by solving
@@ -928,7 +928,8 @@ def test_carried_decision_pieces_match_a_fresh_difference(monkeypatch):
             seen["carried"] += (kept is not None and 0 < kept[1] <= len(entries)
                                 and entries[kept[1] - 1] is kept[2])
             got = self._decision_pieces(lit, pi)
-            want = self._diff_against_trail(lit, {}, pi)
+            want = diff_apart(lit, [({}, pi)], [
+                (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)])
             assert _pieces_text(self.sig, lit, got) == _pieces_text(self.sig, lit, want), (
                 render_clit(self.sig, lit, pi), len(entries))
             seen["pieces"] += len(got)

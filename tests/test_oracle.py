@@ -1,11 +1,10 @@
 import itertools
-import random
 from typing import Optional
 
 import pytest
 
 from eprsat.cli import harness_report, run_differential
-from eprsat.constrained import CLit, clit_cover
+from eprsat.constrained import CLit, cover
 from eprsat.constraints import TOP, conj
 from eprsat.oracle import (
     REDUNDANCY_ATOM_CAP,
@@ -122,11 +121,18 @@ def truth_table_sat(gp: GroundProblem, cap: int = ENUM_ATOM_CAP,
 
 
 def test_brute_sat_agrees_with_truth_table():
-    rng = random.Random(17)
-    for seed in range(80):
-        p = GenParams(n_preds=2, max_arity=2, domain_size=2, n_clauses=8,
-                      max_lits=3, seed=seed)
-        sig, clauses = gen_random_instance(p)
+    problems = [gen_random_instance(GenParams(
+        n_preds=2, max_arity=2, domain_size=2, n_clauses=8, max_lits=3,
+        seed=seed)) for seed in range(80)]
+    # unsat with no unit clause at the root: DPLL must backtrack out of both
+    # branches of a decision (the two-atom XOR, then all eight sign
+    # patterns over three atoms)
+    problems.append(parse_problem(
+        "domain a .\nP | Q . P | -Q . -P | Q . -P | -Q ."))
+    problems.append(parse_problem("domain a .\n" + "\n".join(
+        " | ".join(s + atom for s, atom in zip(signs, "PQR")) + " ."
+        for signs in itertools.product(("", "-"), repeat=3))))
+    for sig, clauses in problems:
         gp = ground_problem(sig, clauses)
         if len(gp.atoms) > 12:
             continue
@@ -195,7 +201,7 @@ def _reference_verify(model, sig, clauses):
     true_atoms = set()
     for cl in model:
         if not cl.lit.neg:
-            true_atoms |= clit_cover(cl, sig.n)
+            true_atoms |= cover(cl.lit, cl.pi, sig.n)
     for c in clauses:
         for d in ground_assignments(clause_vars(c), sig.n):
             g = apply_clause(c, d)
@@ -350,8 +356,7 @@ def test_benchmark_intended_model_verifies():
             p_lit = [l for l in inst if l.pred == "p"][0]
             if all(inst[i + 1].args[0] != inst[i + 1].args[1]
                    for i in range(k - 1)):
-                from eprsat.constrained import clit_cover
-                assert p_lit.atom in clit_cover(model[0], sig.n)
+                assert p_lit.atom in cover(model[0].lit, model[0].pi, sig.n)
 
 
 def test_run_differential_record_shape():

@@ -95,10 +95,9 @@ def test_combined_score_sum_vs_max():
 
 
 def test_apply_subst_to_substitution_matches_composition():
-    from eprsat.syntax import apply_lit, apply_to_subst, compose
+    from eprsat.syntax import apply_lit, compose
     x, y = var_code(0), var_code(1)
     s = {x: y}
     t = {y: 0}
-    assert apply_to_subst(s, t) == {x: 0}
     lit = Lit(False, "P", (x, y))
     assert apply_lit(lit, compose(s, t)) == apply_lit(apply_lit(lit, s), t)

@@ -2,6 +2,8 @@
 import ast
 import pathlib
 
+import eprsat
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "eprsat"
 MODULES = sorted(SRC.glob("*.py"))
 
@@ -98,11 +100,10 @@ def test_renaming_apart_and_diff_pairs_stay_in_constrained():
 # the enumerating helpers, by the module that defines them; only the oracle,
 # the audits and the tests may call them
 GROUNDING = {
-    "syntax": {"ground_assignments", "ground_lits", "ground_clauses"},
-    "constraints": {"solutions", "count_solutions"},
-    "constrained": {"cover", "clit_cover"},
-    "trail": {"clause_instances", "clause_value", "is_assertive",
-              "induced_interpretation"},
+    "syntax": {"ground_assignments"},
+    "constraints": {"solutions"},
+    "constrained": {"cover"},
+    "trail": {"clause_instances", "clause_value", "is_assertive"},
 }
 SOLVER_SIDE = ("syntax", "constraints", "constrained", "trail", "derive",
                "solver", "render")
@@ -136,8 +137,7 @@ def test_only_the_referee_helpers_ground():
             if isinstance(node, ast.Name):
                 hit = node.id in names
             elif isinstance(node, ast.Attribute):
-                hit = (node.attr == "induced_interpretation"
-                       or isinstance(node.value, ast.Name) and node.attr
+                hit = (isinstance(node.value, ast.Name) and node.attr
                        in GROUNDING.get(modules.get(node.value.id), ()))
             else:
                 continue
@@ -158,3 +158,46 @@ def test_no_private_name_is_imported_from_a_sibling():
                 found += [f"{path.name}:{node.lineno} {a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+# definitions nothing in `src/` calls, kept on purpose: each is a referee,
+# a round-trip check or a hook that something outside `src/` needs
+REFEREES = {
+    "var_code": "hand-built variables in the tests (66 uses)",
+    "solutions": "test oracle for the constraint semantics",
+    "is_normal": "test oracle for the constraint normal form",
+    "parse_model": "reads a model document back: the round-trip check",
+    "trace_decisions": "reads a trace back: the round-trip check",
+    "render_problem": "writes a problem back: the round-trip check",
+    "run_differential": "the differential harness",
+    "harness_report": "the differential harness",
+    "error": "argparse hook (`_ArgumentParser.error`)",
+}
+
+
+def test_every_definition_has_a_caller_in_src():
+    """Every module-level function and class of `src/`, and every method of
+    such a class, is used by name (an `ast.Name` or `ast.Attribute`)
+    somewhere in `src/`, is exported in `eprsat.__all__`, is a dunder, or is
+    a kept referee named in `REFEREES`.  The scan goes by name alone, so
+    same-named definitions count as one name: one use keeps them all."""
+    trees = [_tree(path) for path in MODULES]
+    used = {getattr(n, "id", None) or n.attr for tree in trees
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    defs = []
+    for path, tree in zip(MODULES, trees):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{path.stem}.{node.name}.{d.name}", d.name)
+                         for d in node.body if isinstance(d, ast.FunctionDef)]
+    assert defs
+    dead = sorted(q for q, name in defs
+                  if name not in used and name not in eprsat.__all__
+                  and not (name.startswith("__") and name.endswith("__"))
+                  and name not in REFEREES)
+    assert not dead, "no caller in src/: " + ", ".join(dead)
+    kept = {name for _, name in defs if name in REFEREES and name not in used}
+    assert kept == set(REFEREES)

@@ -1,19 +1,21 @@
 import random
 
+from eprsat.constrained import cover
+from eprsat.constraints import TOP
+from eprsat.oracle import ground_problem
 from eprsat.syntax import (
     Lit,
+    Signature,
     apply_lit,
     apply_term,
     canonical_clause,
     compose,
-    ground_clauses,
-    ground_lits,
     lit_vars,
     match_args,
     match_lit,
     mgu_atoms,
     mgu_many,
-    rename_fresh,
+    renaming_for,
     unifiable_apart,
     var_code,
 )
@@ -109,16 +111,17 @@ def test_mgu_soundness_minimality_bruteforce():
         args2 = tuple(rng.choice([a, c, u, w]) for _ in range(3))
         l1, l2 = P(*args1), P(*args2)
         s = mgu_atoms(l1, l2)
-        common = ground_lits(l1, n) & ground_lits(l2, n)
+        common = cover(l1, TOP, n) & cover(l2, TOP, n)
         if s is None:
             assert not common
         else:
-            assert ground_lits(apply_lit(l1, s), n) == common
+            assert cover(apply_lit(l1, s), TOP, n) == common
 
 
 def _unifies_renamed(args1, args2):
+    l2 = Lit(False, "p", args2)
     return mgu_atoms(Lit(False, "p", args1),
-                     rename_fresh(Lit(False, "p", args2), set(args2))) is not None
+                     apply_lit(l2, renaming_for(lit_vars(l2)))) is not None
 
 
 def test_unifiable_apart_examples():
@@ -206,9 +209,9 @@ def test_match_exactness():
 
 
 def test_ground_instances_counts():
-    assert ground_lits(P(x), 2) == {P(a), P(b)}
-    assert ground_lits(P(a), 2) == {P(a)}
-    assert len(ground_lits(Lit(True, "Q", (x, y)), 2)) == 4
+    assert cover(P(x), TOP, 2) == {P(a), P(b)}
+    assert cover(P(a), TOP, 2) == {P(a)}
+    assert len(cover(Lit(True, "Q", (x, y)), TOP, 2)) == 4
 
 
 def test_ground_cardinality_is_power():
@@ -216,16 +219,7 @@ def test_ground_cardinality_is_power():
     for _ in range(100):
         args = tuple(rng.choice([a, b, x, y, z]) for _ in range(rng.randrange(1, 4)))
         l = P(*args)
-        assert len(ground_lits(l, 3)) == 3 ** len(lit_vars(l))
-
-
-def test_rename_fresh_collision():
-    out = rename_fresh(P(x), {x})
-    assert out.pred == "P" and out.args[0] != x and out.args[0] < 0
-
-
-def test_rename_fresh_ground_unchanged():
-    assert rename_fresh(P(a), {x}) == P(a)
+        assert len(cover(l, TOP, 3)) == 3 ** len(lit_vars(l))
 
 
 def test_canonical_clause_order_is_stable():
@@ -236,7 +230,7 @@ def test_canonical_clause_order_is_stable():
 
 def test_ground_clauses_dedupe():
     cl = (nP(x), nP(y))
-    gs = ground_clauses(cl, 2)
-    # (a,a) and (b,b) collapse to singletons after canonical sorting
+    gs = ground_problem(Signature({"P": 1}, ("a", "b")), [cl]).ground_clauses
+    # (a,b) and (b,a) collapse to one clause after canonical sorting
     assert (nP(a), nP(a)) in gs and (nP(a), nP(b)) in gs
     assert len(gs) == 3

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from eprsat.constrained import cover
 from eprsat.constraints import TOP, conj, violates
 from eprsat.trail import (
     FALSE,
@@ -55,16 +56,35 @@ def test_value_of_worked_trail():
 
 def test_level_of_worked_trail():
     tr = _trail_ex33()
-    assert tr.level_of(P3(a, b, c)) == 1
-    assert tr.level_of(P3(c, a, a)) == 0
+    assert tr.defining_entry(P3(a, b, c)).level == 1
+    assert tr.defining_entry(P3(c, a, a)).level == 0
 
 
 def test_level_of_propagation_after_decision():
     tr = _trail_ex33()
     tr.push(TrailEntry(nQ(a, x), conj([((x,), (c,))]), level=1, pos=2,
                        reason=2, reason_lit=1))
-    assert tr.level_of(Q(a, a)) == 1
+    assert tr.defining_entry(Q(a, a)).level == 1
     assert tr.level == 1
+
+
+def test_buckets_follow_push_pop_and_truncate():
+    rng = random.Random(7)
+    for _ in range(50):
+        tr = Trail(2)
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.6 or not tr.entries:
+                lit = Lit(rng.random() < 0.5, rng.choice("PQR"),
+                          (rng.choice([a, b, x]),))
+                tr.push(TrailEntry(lit, TOP, 0, len(tr), reason=0))
+            elif op < 0.85:
+                tr.pop()
+            else:
+                tr.truncate(rng.randrange(len(tr) + 1))
+            for pred in "PQR":
+                assert tr.for_pred(pred) == [e for e in tr.entries
+                                             if e.lit.pred == pred]
 
 
 def test_clause_value_conflict_example():
@@ -100,15 +120,21 @@ def test_not_assertive_with_two_top_level_literals():
     assert not is_assertive(tr, clause2, {x: a}, conj([((u,), (c,))]))
 
 
+def _induced_interpretation(tr):
+    """The true ground atoms: the covers of the positive entries."""
+    return set().union(*(cover(e.lit, e.pi, tr.n)
+                         for e in tr.entries if not e.lit.neg))
+
+
 def test_induced_interpretation_direct_cover():
     tr = Trail(3)
     tr.push(TrailEntry(P3(x), conj([((x,), (c,))]), level=0, pos=0, reason=0))
     # arity-1 P here
-    assert tr.induced_interpretation() == {P3(a), P3(b)}
+    assert _induced_interpretation(tr) == {P3(a), P3(b)}
 
 
 def test_induced_interpretation_empty_trail():
-    assert Trail(3).induced_interpretation() == set()
+    assert _induced_interpretation(Trail(3)) == set()
 
 
 def test_induced_interpretation_final_worked_trail():
@@ -118,7 +144,7 @@ def test_induced_interpretation_final_worked_trail():
     tr.push(TrailEntry(nP3(b, y, z), TOP, 0, 2, reason=5))
     tr.push(TrailEntry(nP3(c, y, z), conj([((y, z), (v, v))]), 1, 3))
     tr.push(TrailEntry(Q(x, y), TOP, 2, 4))
-    interp = tr.induced_interpretation()
+    interp = _induced_interpretation(tr)
     assert interp == {Q(d1, d2) for d1 in range(3) for d2 in range(3)}
 
 
@@ -265,9 +291,12 @@ def test_atoms_by_entry_position():
     tr.push(TrailEntry(Lit(False, "Q", (a, a)), TOP, 0, 0, reason=0))
     tr.push(TrailEntry(Lit(False, "P", (x,)), TOP, 0, 1, reason=0))
     ordering = InducedOrdering.from_trail(tr)
-    assert ordering.cmp_atoms(Lit(False, "Q", (a, a)), Lit(False, "P", (a,))) == -1
+    # positive atoms compare as their unit clauses
+    assert ordering.cmp_clauses((Lit(False, "Q", (a, a)),),
+                                (Lit(False, "P", (a,)),)) == -1
     # undefined atoms compare by base order
-    assert ordering.cmp_atoms(Lit(False, "Q", (a, b)), Lit(False, "Q", (b, a))) == -1
+    assert ordering.cmp_clauses((Lit(False, "Q", (a, b)),),
+                                (Lit(False, "Q", (b, a)),)) == -1
 
 
 def test_subsumption_embeds_in_ordering():
