@@ -283,22 +283,23 @@ def diff_apart(lit: Lit, pieces: Iterable[tuple[Subst, Constraint]],
     The sources are folded in one at a time, left to right, so subtracting
     a list in two parts, the first part's pieces passed on as the starting
     pieces of the second, gives the same pieces in the same order."""
-    pieces = [(s, p) for s, p in pieces if not p.is_bot]
+    # each piece carries its instance lit*sigma, made once per piece
+    work = [(s, p, apply_lit(lit, s)) for s, p in pieces if not p.is_bot]
     for src, src_pi in sources:
-        new_pieces: list[tuple[Subst, Constraint]] = []
-        for s, p in pieces:
-            cur = apply_lit(lit, s)
+        new_work: list[tuple[Subst, Constraint, Lit]] = []
+        for piece in work:
+            s, p, cur = piece
             if not unifiable_apart(cur.args, src.args):
-                new_pieces.append((s, p))
+                new_work.append(piece)
                 continue
             r_lit, r_pi, _ = rename_clit_fresh(src, src_pi)
-            new_pieces += [(compose(s, tau), p2)
-                           for tau, p2 in diff_pairs(cur, p, r_lit, r_pi)
-                           if not p2.is_bot]
-        pieces = new_pieces
-        if not pieces:
+            new_work += [(compose(s, tau), p2, apply_lit(cur, tau))
+                         for tau, p2 in diff_pairs(cur, p, r_lit, r_pi)
+                         if not p2.is_bot]
+        work = new_work
+        if not work:
             break
-    return pieces
+    return [(s, p) for s, p, _ in work]
 
 
 def difference(a: CLit, b: CLit) -> list[CLit]:

@@ -6,19 +6,27 @@ Tuples whose remainder is empty are conflict candidates; single-literal
 remainders are propagation candidates.  Each resolution step is
 `constrained.meet`: it renames the entry fresh, so one entry can justify
 several independent instances in a single derivation (constraints stay
-right-hand-side disjoint), and it renames nothing that cannot unify.  A
-search that must use the newest entry is cut as soon as no unresolved
-literal can still unify with it.
+right-hand-side disjoint), and it renames nothing that cannot unify.
 
 Each literal is offered only the entries that hold, at each of its constant
 arguments, that constant or a variable: an argument index built lazily per
 call (Sekar, Ramakrishnan & Voronkov, *Term Indexing*).  Any other entry
-fails `meet` before it is renamed, so the renames, the fresh-variable
-numbering and the leaves in their order are those of offering every entry
-of the literal's (predicate, sign).  Positions go in clause order and
-entries in trail order: resolving the most constrained position first
-(fail-first) would reorder the renames and the leaves, and forward checking
-per node was measured slower on the colourings.
+fails `meet` before it is renamed, so the leaves are those of offering
+every entry of the literal's (predicate, sign).
+
+The search is a planned join.  A derivation that must use the newest entry
+is found as the semi-naive delta (Bancilhon & Ramakrishnan, SIGMOD 1986):
+one search per position that resolves against that entry, starting there.
+The other positions follow greedily, fewest unbound variables first, ties
+in clause order (Selinger et al., SIGMOD 1979), so a selective literal
+prunes before the others are enumerated.  The plan is made per call: a
+cache would grow with every clause made of fresh variables.  The leaves are
+sorted back into the order of the clause-order search (entries in trail
+order, keeping a position last), and a leaf whose constraint is not TOP is
+resolved again in clause order, so its conjuncts come in that order too;
+only the fresh-variable numbering and the key order of sigma move.  A plan
+sized by the entries each position is offered, and forward checking per
+node, were measured slower on the colourings.
 
 The same machinery answers every other question the solver asks about false
 clause instances, without grounding.  A conflict derivation (no literal
@@ -78,16 +86,18 @@ def find_candidates(
     keep_limit: int = 1,
     extra: Optional[list[tuple[Lit, Constraint]]] = None,
 ) -> list[DTuple]:
-    """All maximal derivation tuples for `clause` against `sources`.
+    """All maximal derivation tuples for `clause` against `sources`, in the
+    order of the search that visits positions in clause order and sources
+    in pool order, keeping a position last.
 
     keep_limit bounds the remainder size of reported tuples.
-    With `newest_pos`, only derivations touching that entry at least once
-    are explored: a node that has not used it yet is cut when no later
-    position's literal, under the node's sigma, unifies with it.  Sigma only
-    grows along a branch, so the cut loses no leaf and keeps leaf order.
+    With `newest_pos`, only derivations that use that entry are returned:
+    one search per position p whose literal can unify with it, which
+    resolves p against it alone and first, lets no position before p use it,
+    and lets the positions after p use any source.  So each such derivation
+    is found once, by the search of the first position that uses the entry.
     Extra pseudo-entries get pseudo-positions -1, -2, ...
     """
-    need_newest = newest_pos is not None
     pool: list[tuple[int, Lit, Constraint]] = [
         (e.pos, e.lit, e.pi) for e in sources
     ]
@@ -101,13 +111,10 @@ def find_candidates(
     # sources holding c or a variable at j, in bucket order; built lazily
     by_arg: dict[tuple[str, bool, int, int], list[tuple[int, Lit, Constraint]]] = {}
 
-    def bucket(l: Lit) -> list[tuple[int, Lit, Constraint]]:
-        return by_pred.get((l.pred, not l.neg), [])
-
     def compatible(lit: Lit) -> list[tuple[int, Lit, Constraint]]:
         # `lit` is a clause literal under the node's sigma; a source clashing
         # with one of its constants would fail `meet` before any renaming
-        whole = best = bucket(lit)
+        whole = best = by_pred.get((lit.pred, not lit.neg), [])
         for j, c in enumerate(lit.args):
             if c < 0:
                 continue
@@ -120,16 +127,25 @@ def find_candidates(
                 best = got
         return best
 
-    # the newest entry's literal at each position it is compatible with
-    newest = [next((src[1] for src in bucket(clause[p]) if src[0] == newest_pos), None)
-              for p in range(len(clause))] if need_newest else []
+    width = len(clause)
+    lit_vs = [{t for t in lit.args if t < 0} for lit in clause]
 
-    def reaches_newest(pos: int, sigma: Subst) -> bool:
-        return any(nl is not None
-                   and unifiable_apart(apply_args(clause[p].args, sigma), nl.args)
-                   for p, nl in enumerate(newest[pos:], pos))
+    def join_order(first: Optional[int]) -> list[int]:
+        # `first`, if any, then greedily the position with the fewest
+        # variables not yet bound, ties in clause order
+        order = [] if first is None else [first]
+        bound = set() if first is None else set(lit_vs[first])
+        rest = [p for p in range(width) if p != first]
+        while rest:
+            p = min(rest, key=lambda q: len(lit_vs[q] - bound))
+            rest.remove(p)
+            order.append(p)
+            bound |= lit_vs[p]
+        return order
 
-    out: list[DTuple] = []
+    rank = {src[0]: i for i, src in enumerate(pool)}
+    keep_rank = len(pool)
+    found: list[tuple[list[int], DTuple]] = []
 
     def leaf_ok(kept: list[int], sigma: Subst, pi: Constraint) -> bool:
         # maximality: no kept literal still resolves against any source
@@ -140,30 +156,63 @@ def find_candidates(
                 return False
         return True
 
-    def rec(pos: int, kept: list[int], sigma: Subst, pi: Constraint,
-            uses: int, used: list[tuple[int, int]]) -> None:
-        if need_newest and uses == 0 and not reaches_newest(pos, sigma):
-            return
-        if pos == len(clause):
+    def replay(used: list[tuple[int, int]]) -> tuple[Subst, Constraint]:
+        # a leaf's resolutions in clause order, as the clause-order search
+        # makes them: the conjuncts of pi, and their normal forms, follow
+        # the order of resolution
+        sigma, pi = {}, TOP
+        for p, src_pos in used:
+            _, src_lit, src_pi = pool[rank[src_pos]]
+            got = meet(apply_lit(clause[p], sigma), pi, src_lit, src_pi)
+            assert got is not None, "a leaf's resolutions fail in clause order"
+            sigma, pi = compose(sigma, got[0]), got[1]
+        return sigma, pi
+
+    def rec(order: list[int], i: int, barred: int, kept: list[int],
+            sigma: Subst, pi: Constraint, used: list[tuple[int, int]]) -> None:
+        if i == width:
             if leaf_ok(kept, sigma, pi):
-                out.append(DTuple(tuple(kept), sigma, pi, tuple(used)))
+                # each position's choice, "keep" last: sorting on it gives
+                # the leaf order of the clause-order search
+                choice = [keep_rank] * width
+                for p, src_pos in used:
+                    choice[p] = rank[src_pos]
+                in_order = sorted(used)
+                if not pi.is_top and used != in_order:
+                    sigma, pi = replay(in_order)
+                found.append((choice, DTuple(tuple(sorted(kept)), sigma, pi,
+                                             tuple(in_order))))
             return
-        # resolve this position against each compatible source
+        pos = order[i]
+        # resolve this position against each compatible source, but not
+        # against the newest entry before the position that uses it first
         lit = apply_lit(clause[pos], sigma)
         for src_pos, src_lit, src_pi in compatible(lit):
+            if src_pos == newest_pos and pos < barred:
+                continue
             got = meet(lit, pi, src_lit, src_pi)
             if got is None:
                 continue
             theta, combined = got
-            rec(pos + 1, kept, compose(sigma, theta), combined,
-                uses + (1 if src_pos == newest_pos else 0),
+            rec(order, i + 1, barred, kept, compose(sigma, theta), combined,
                 used + [(pos, src_pos)])
         # or keep it (keep_limit bounds the remainder size)
         if len(kept) < keep_limit:
-            rec(pos + 1, kept + [pos], sigma, pi, uses, used)
+            rec(order, i + 1, barred, kept + [pos], sigma, pi, used)
 
-    rec(0, [], {}, TOP, 0, [])
-    return out
+    if newest_pos is None:
+        rec(join_order(None), 0, 0, [], {}, TOP, [])
+    else:
+        _, n_lit, n_pi = pool[rank[newest_pos]]
+        for p, lit in enumerate(clause):
+            if (lit.pred != n_lit.pred or lit.neg == n_lit.neg
+                    or not unifiable_apart(lit.args, n_lit.args)):
+                continue
+            got = meet(lit, TOP, n_lit, n_pi)
+            if got is not None:
+                rec(join_order(p), 1, p, [], got[0], got[1], [(p, newest_pos)])
+    found.sort(key=lambda leaf: leaf[0])
+    return [leaf for _, leaf in found]
 
 
 def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> bool:

@@ -37,11 +37,12 @@ none of it: `prop_loop` vouches for Propagate, `select_decision` for Decide
 A run of Skips shares one assertiveness answer, since a skipped entry
 defines no literal of the conflict's instances.
 Success rescans nothing: propagation is exhaustive, so no clause is left
-false or propagating, because every derivation is found when its newest
-entry is pushed, the queue is exhausted before each decision, Conflict
-clears only the queue of a level that the backjump removes, a mid-level
-backjump reseeds the whole pool, and a learned clause has no false instance
-under its target prefix.  `full_scan` asks it again, for the audit.
+false or propagating.  Every derivation is found when its newest entry is
+pushed, by the search that starts at the first position resolving against
+that entry; the queue is exhausted before each decision; Conflict clears
+only the queue of a level that the backjump removes; a mid-level backjump
+reseeds the whole pool; and a learned clause has no false instance under
+its target prefix.  `full_scan` asks it again, for the audit.
 """
 from __future__ import annotations
 

@@ -1,0 +1,75 @@
+"""The hard learning families, solved once each against their recorded runs.
+
+K5/4 (the complete graph on 5 nodes with 4 colours) and PHP(5,4) (5 pigeons,
+4 holes) are too slow for tier-1, so pytest does not collect this script.
+Each must be unsat in its recorded step count with its recorded trace
+SHA-256, which pins every rule application of the run.  Run from the
+repository root:
+
+    PYTHONPATH=src python3 tests/hard_families.py
+
+It prints each family's solve time and exits non-zero on a mismatch.
+"""
+import hashlib
+import sys
+import time
+
+from eprsat.parser import parse_problem
+from eprsat.render import render_trace
+from eprsat.solver import RunConfig, Solver
+
+
+def _problem(domain, clauses):
+    return "".join([f"domain {' '.join(domain)} .\n"]
+                   + [f"{c} .\n" for c in clauses])
+
+
+def complete_colouring_text(nodes, colours):
+    ks = [f"k{j}" for j in range(1, colours + 1)]
+    vs = [f"n{i}" for i in range(1, nodes + 1)]
+    clauses = ["-node(X) | " + " | ".join(f"col(X,{k})" for k in ks),
+               "-edge(X,Y) | -col(X,C) | -col(Y,C)"]
+    clauses += [f"node({v})" for v in vs]
+    clauses += [f"edge({vs[a]},{vs[b]})"
+                for a in range(nodes) for b in range(a + 1, nodes)]
+    return _problem(vs + ks, clauses)
+
+
+def pigeonhole_text(pigeons, holes):
+    ps = [f"a{i}" for i in range(1, pigeons + 1)]
+    hs = [f"h{j}" for j in range(1, holes + 1)]
+    clauses = ["-pig(X) | " + " | ".join(f"in(X,{h})" for h in hs),
+               "-in(X,H) | -in(Y,H) | -diff(X,Y)"]
+    clauses += [f"pig({p})" for p in ps]
+    clauses += [f"diff({p},{q})" for p in ps for q in ps if p != q]
+    return _problem(ps + hs, clauses)
+
+
+FAMILIES = [
+    ("K5/4", complete_colouring_text(5, 4), 824,
+     "85188b05b147b9879ff3fbb6534260965f7cce08c400d97ce752453c20b1c829"),
+    ("PHP(5,4)", pigeonhole_text(5, 4), 769,
+     "c8250669c4711ab6475c213c0a8f3ee0a4578dfeae23ed684e324ef7c88fce93"),
+]
+
+
+def main():
+    failed = 0
+    for name, text, steps, sha in FAMILIES:
+        sig, clauses = parse_problem(text)
+        start = time.perf_counter()
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        took = time.perf_counter() - start
+        got_sha = hashlib.sha256(render_trace(verdict.trace).encode()).hexdigest()
+        got = (verdict.status, verdict.steps, got_sha)
+        ok = got == ("unsat", steps, sha)
+        failed += not ok
+        print(f"{name}: {verdict.status} in {verdict.steps} steps, "
+              f"{took:.2f} s, trace {got_sha[:8]}… {'ok' if ok else 'MISMATCH'}")
+        if not ok:
+            print(f"  expected unsat in {steps} steps, trace {sha}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,9 +11,10 @@ forbids grounding outright and solves anyway, and another checks that
 `constrained`'s lifted steps rename a trail entry only when it unifies.
 The last ones check that the learning path's shortcuts are exact:
 `_factorize_choice` against the all-pairs scan it replaced, the
-newest-entry reachability cut of `find_candidates` against the uncut
-search, the argument index of `find_candidates` against the search that
-offers every entry of a literal's (predicate, sign), the ground path of
+newest-entry searches of `find_candidates` against the search without a
+newest entry, the planned join with its argument index against the
+clause-order search that offers every entry of a literal's (predicate,
+sign), the join order on a hand-built clause, the ground path of
 `meet` against renaming, the shape test of `simplify_pool` against the loop
 that tries every pair, each conflict-resolution precondition decided once
 per step, and the backjump queuing what its level search derived.  Then Decide and
@@ -450,8 +451,7 @@ def test_factorize_choice_matches_the_all_pairs_scan(monkeypatch):
 
 def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
     """With `newest_pos`, `find_candidates` returns exactly the leaves of the
-    uncut search that use the newest entry, in the same order: the cut only
-    drops subtrees that cannot reach it."""
+    search without it that use the newest entry, in the same order."""
     real = derive.find_candidates
     seen = dict(calls=0, leaves=0)
 
@@ -480,8 +480,10 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
 
 
 def _bucket_search(clause, sources, newest_pos=None, keep_limit=1, extra=None):
-    """`find_candidates` without its argument index: each position is offered
-    every source of its (predicate, sign) bucket."""
+    """The search `find_candidates` plans, made in clause order without the
+    argument index: each position is offered every source of its
+    (predicate, sign) bucket, and a search that must use the newest entry
+    is cut once no unresolved literal can unify with it."""
     pool = [(e.pos, e.lit, e.pi) for e in sources]
     if extra:
         pool += [(-1 - i, lit, pi) for i, (lit, pi) in enumerate(extra)]
@@ -527,9 +529,13 @@ def _bucket_search(clause, sources, newest_pos=None, keep_limit=1, extra=None):
 
 
 def _up_to_renaming(clause, leaves):
-    """(remaining, used, sigma, pi) per leaf, every variable that is not the
-    clause's numbered by its first occurrence in sigma, then in pi."""
-    keep = set(clause_vars(clause))
+    """(remaining, used, sigma, pi) per leaf, sigma as the images of the
+    clause's variables in clause order, and every variable that is not the
+    clause's numbered by its first occurrence in those images, then in pi.
+    So the key order of sigma, which follows the order of resolution, does
+    not count."""
+    vs = clause_vars(clause)
+    keep = set(vs)
     out = []
     for leaf in leaves:
         ren = {}
@@ -537,7 +543,7 @@ def _up_to_renaming(clause, leaves):
         def name(t):
             return t if t >= 0 or t in keep else ren.setdefault(t, ("v", len(ren)))
 
-        sigma = [(name(v), name(t)) for v, t in leaf.sigma.items()]
+        sigma = [name(leaf.sigma.get(v, v)) for v in vs]
         pi = [(tuple(map(name, lhs)), tuple(map(name, rhs)))
               for lhs, rhs in leaf.pi.subs]
         out.append((leaf.remaining, leaf.used, sigma, leaf.pi.kind, pi))
@@ -546,11 +552,12 @@ def _up_to_renaming(clause, leaves):
 
 def test_argument_index_keeps_every_leaf(monkeypatch):
     """`find_candidates` offers a position only the sources that hold its
-    literal's constant, or a variable, at each constant argument, yet returns
-    the leaves of the search offered the whole (predicate, sign) bucket, in
-    the same order and equal up to the variables the search made: the
-    sources it leaves out are only those `meet` rejects.  It calls `meet`
-    less often."""
+    literal's constant, or a variable, at each constant argument, and
+    visits the positions in its join order, yet returns the leaves of the
+    clause-order search offered the whole (predicate, sign) bucket, in the
+    same order and equal up to the variables the search made: the sources
+    it leaves out are only those `meet` rejects.  It calls `meet` less than
+    a quarter as often."""
     real, real_meet = derive.find_candidates, derive.meet
     seen = dict(calls=0, leaves=0, meets=0, indexed=0, bucket=0)
 
@@ -580,7 +587,62 @@ def test_argument_index_keeps_every_leaf(monkeypatch):
         verdict = Solver(sig, clauses,
                          RunConfig(max_steps=10_000, script=script)).solve()
         assert status in (None, verdict.status), name
-    assert seen["leaves"] > 1000 and seen["indexed"] < seen["bucket"], seen
+    assert seen["leaves"] > 1000 and seen["indexed"] * 4 < seen["bucket"], seen
+
+
+def test_newest_entry_split_finds_each_leaf_once(monkeypatch):
+    """The newest entry resolves at two positions of the pigeonhole clause,
+    so `find_candidates` runs a search from each; a position before the one
+    it starts from may not use the entry, so each leaf comes out once, and
+    the leaves are those of the clause-order search, in its order, with the
+    conjuncts of each constraint in that search's order.  The join starts at
+    the newest entry's position and goes on with the literal with the fewest
+    unbound variables."""
+    a1, a2, a3, h1 = 0, 1, 2, 3
+    x, y, h = var_code(100), var_code(101), var_code(102)
+    w, u, t, z, v = (var_code(i) for i in range(110, 115))
+
+    def entry(pos, pred, args, pi=TOP):
+        return trail.TrailEntry(Lit(False, pred, args), pi, 0, pos)
+
+    clause = (Lit(True, "in", (x, h)), Lit(True, "in", (y, h)),
+              Lit(True, "diff", (x, y)))
+    entries = [entry(0, "diff", (a1, a2)), entry(1, "diff", (a2, a1)),
+               entry(2, "diff", (w, u), conj([((w, u), (t, t))])),
+               entry(3, "in", (z, h1), conj([((z,), (a1,)), ((z,), (a2,))])),
+               entry(4, "in", (a2, h1)),
+               entry(5, "in", (v, h1), conj([((v,), (a3,))]))]
+    got = find_candidates(clause, entries, newest_pos=5, keep_limit=1)
+    shapes = [(leaf.remaining, leaf.used) for leaf in got]
+    assert len(set(shapes)) == len(shapes)
+    assert {0, 1} <= {p for leaf in got for p, src in leaf.used if src == 5}
+    # found from position 1, then position 0: resolved again in clause order
+    assert any(leaf.used == ((0, 3), (1, 5), (2, 2)) and len(leaf.pi.subs) == 4
+               for leaf in got)
+    want = _bucket_search(clause, entries, newest_pos=5, keep_limit=1)
+    assert _up_to_renaming(clause, got) == _up_to_renaming(clause, want)
+
+    real_meet = derive.meet
+    met = []
+
+    def meet(lit, *args):
+        met.append(lit)
+        return real_meet(lit, *args)
+
+    monkeypatch.setattr(derive, "meet", meet)
+    sources = [entry(0, "in", (a1, h1)), entry(1, "in", (a2, h1)),
+               entry(2, "hole", (h1,)), entry(3, "diff", (a1, a2))]
+    assert find_candidates(clause, sources, newest_pos=3, keep_limit=0)
+    assert met[:2] == [clause[2], Lit(True, "in", (a1, h))]
+    # the hole literal has the fewest unbound variables: it binds H first
+    # without a newest entry, and comes right after in(X,H) with one
+    holed = clause + (Lit(True, "hole", (h,)),)
+    met.clear()
+    assert find_candidates(holed, sources, keep_limit=0)
+    assert met[:2] == [holed[3], Lit(True, "in", (x, h1))]
+    met.clear()
+    assert find_candidates(holed, sources, newest_pos=0, keep_limit=0)
+    assert met[:2] == [holed[0], Lit(True, "hole", (h1,))]
 
 
 _rename_clit_fresh = constrained.rename_clit_fresh
