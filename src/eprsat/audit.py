@@ -89,6 +89,8 @@ class Auditor:
         # the induced ordering of the trail at the last Conflict
         self._ordering: Optional[InducedOrdering] = None
         self._pool_grounded = 0     # how much of solver.pool is in pool_ground
+        # verify_model's (ok, witness) for the model at Success
+        self.model_check: Optional[tuple[bool, Optional[Clause]]] = None
 
     def _flag(self, msg: str) -> None:
         self.violations.append(msg)
@@ -206,7 +208,8 @@ class Auditor:
         if (left := solver.full_scan()) is not None:
             self._flag(f"success but propagation left {left}")
         model = [CLit(e.lit, e.pi) for e in solver.trail.entries]
-        ok, witness = verify_model(model, self.sig, self.input_clauses)
+        self.model_check = verify_model(model, self.sig, self.input_clauses)
+        ok, witness = self.model_check
         if not ok:
             self._flag(f"success but the model misses an instance: {witness}")
 

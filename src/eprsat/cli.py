@@ -148,7 +148,9 @@ def _check_record(sig, clauses, verdict, auditor, seed) -> tuple[dict, list[str]
     if oracle != verdict.status:
         notes.append(f"check: verdict {verdict.status} but oracle says {oracle}")
     if verdict.status == "sat":
-        ok, witness = verify_model(verdict.model, sig, clauses)
+        # the audit verified this model at Success; verify it once
+        checked = auditor.model_check if auditor is not None else None
+        ok, witness = checked or verify_model(verdict.model, sig, clauses)
         record["model_verified"] = ok
         if not ok:
             notes.append(f"check: model fails on {witness}")

@@ -8,8 +8,10 @@ implemented here once: `meet` renames the other literal apart, unifies and
 conjoins both constraints under the unifier (the cover intersection), and
 `diff_apart` subtracts its cover as a set of disjoint pieces.  Neither
 renames a literal that cannot unify, and `meet` renames no ground literal
-under TOP: it matches the other literal onto it.  Both conjoin constraints
-only with `constraints.conjoin`, which normalizes the conjunction it builds.
+under TOP: it matches the other literal onto it.  Both put a constraint
+under a substitution only with `constraints.instantiate` and conjoin
+constraints only with `constraints.conjoin`; both keep normal form, and on
+normal operands renormalize only the subconstraints the substitution binds.
 Emptiness (`least_instance`, `no_instances`) asks for the least solution
 and `cover_size` counts the cover; neither grounds.  The enumerating
 `cover` stays as the referee for the oracle, the audits and the tests.
@@ -25,14 +27,15 @@ from typing import Iterable, Optional
 from .constraints import (
     BOT,
     Constraint,
-    apply_constraint,
     conj,
     conjoin,
     find_solution_enum,
+    instantiate,
     lvars,
     normalize,
     rename_constraint,
     rvars,
+    subset,
     violates,
 )
 from .syntax import (
@@ -197,13 +200,13 @@ def meet(lit: Lit, pi: Constraint, src: Lit, src_pi: Constraint,
         theta = match_args(lit.args, src.args)
         if theta is None:
             return None
-        met = conjoin(apply_constraint(pi, theta))
+        met = instantiate(pi, theta)
     else:
         if not unifiable_apart(lit.args, src.args):
             return None
         r_lit, r_pi, _ = rename_clit_fresh(src, src_pi)
         theta = mgu_atoms(lit.atom, r_lit.atom)
-        met = conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
+        met = conjoin(instantiate(pi, theta), instantiate(r_pi, theta))
     return None if met.is_bot else (theta, met)
 
 
@@ -247,8 +250,8 @@ def diff_pairs(lit1: Lit, pi1: Constraint, lit2: Lit, pi2: Constraint,
     keep = conjoin(pi1, conj([guard]))
     if not keep.is_bot:
         out.append(({}, keep))
-    common_pi1 = normalize(apply_constraint(pi1, sigma))
-    common_pi2 = normalize(apply_constraint(pi2, sigma))
+    common_pi1 = instantiate(pi1, sigma)
+    common_pi2 = instantiate(pi2, sigma)
     if not common_pi1.is_bot:
         for tau, pi in _diff_same(common_pi1, common_pi2):
             out.append((compose(sigma, tau), pi))
@@ -265,9 +268,8 @@ def _diff_same(pi1: Constraint, pi2: Constraint) -> list[tuple[Subst, Constraint
     etas = list(pi2.subs)
     for i, (lhs_i, rhs_i) in enumerate(etas):
         tau = dict(zip(lhs_i, rhs_i))
-        pi = conjoin(apply_constraint(pi1, tau),
-                     *(apply_constraint(Constraint("and", (sub,)), tau)
-                       for sub in etas[:i]))
+        pi = conjoin(instantiate(pi1, tau),
+                     *(instantiate(subset(pi2, (sub,)), tau) for sub in etas[:i]))
         if not pi.is_bot:
             out.append((tau, pi))
     return out
@@ -334,7 +336,7 @@ def elim_free_vars(lit: Lit, pi: Constraint, sigma: Subst, n: int,
             continue
         x = min(free, key=lambda v: -v - 1)  # lowest variable id first
         for d in range(n):
-            p2 = normalize(apply_constraint(p, {x: d}))
+            p2 = instantiate(p, {x: d})
             if not p2.is_bot:
                 work.append((apply_lit(l, {x: d}), p2, compose(s, {x: d})))
     return done

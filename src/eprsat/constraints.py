@@ -5,11 +5,20 @@ A constraint is TOP, BOT, or a conjunction of atomic subconstraints
 every lhs holds only variables (C1), none repeated (C2).  A grounding of
 the lhs variables violates the constraint when some rhs tuple matches the
 instantiated lhs tuple.
+
+Normal form is kept, not recomputed.  The `normal` mark, outside equality
+and hashing, says a constraint is what `normalize` returns.  `normalize`,
+`conjoin` and `instantiate` set it on what they compute; the renamings and
+`subset` keep it, since a bijective renaming and a subset keep normal form.
+Nothing else may set it: these trust a marked constraint's subconstraints
+as they are (`instantiate` renormalizes only those its substitution binds,
+`conjoin` only dedups), and a hand-built, unmarked constraint is
+normalized in full.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -27,6 +36,7 @@ Pair = tuple[tuple[int, ...], tuple[int, ...]]
 class Constraint:
     kind: str  # 'top' | 'bot' | 'and'
     subs: tuple[Pair, ...] = ()
+    normal: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "and" and not self.subs:
@@ -51,14 +61,14 @@ def conj(subs: Iterable[Pair]) -> Constraint:
 
 
 def conjoin(*cs: Constraint) -> Constraint:
-    """The conjunction of `cs`, normalized; BOT as soon as a part is BOT."""
-    subs: tuple[Pair, ...] = ()
-    for c in cs:
-        if c.kind == "and":
-            subs += c.subs
-        elif c.kind == "bot":
-            return BOT
-    return normalize(conj(subs))
+    """The conjunction of `cs`, normalized: each part alone (a marked one
+    as it is), then their subconstraints deduplicated in order."""
+    parts = [c if c.normal else normalize(c) for c in cs if not c.is_top]
+    if any(c.is_bot for c in parts):
+        return BOT
+    if len(parts) == 1:
+        return parts[0]
+    return _dedup([sub for c in parts for sub in c.subs])
 
 
 def lvars(c: Constraint) -> list[int]:
@@ -81,35 +91,30 @@ def rvars(c: Constraint) -> list[int]:
     return out
 
 
-def apply_constraint(c: Constraint, s: Subst) -> Constraint:
-    """Apply a substitution to the left-hand sides.
-
-    Standing assumption: the substitution never touches right-hand-side
-    variables (their namespaces are kept disjoint by construction).
-    """
-    if c.kind != "and":
-        return c
-    if __debug__:
-        rv = set(rvars(c))
-        assert not (set(s) & rv), "substitution binds rhs variables"
-    return Constraint("and", tuple((apply_args(lhs, s), rhs) for lhs, rhs in c.subs))
-
-
 def rename_rhs_fresh(c: Constraint) -> Constraint:
     if c.kind != "and":
         return c
     ren = {v: fresh_var() for v in rvars(c)}
-    return Constraint("and", tuple((lhs, apply_args(rhs, ren)) for lhs, rhs in c.subs))
+    return Constraint("and", tuple((lhs, apply_args(rhs, ren)) for lhs, rhs in c.subs),
+                      c.normal)
 
 
 def rename_constraint(c: Constraint, ren: Subst) -> Constraint:
-    """Rename on both sides (used when renaming a whole constrained literal)."""
+    """Rename on both sides (used when renaming a whole constrained literal);
+    `ren` maps c's variables one-to-one onto variables."""
     if c.kind != "and":
         return c
     return Constraint(
         "and",
         tuple((apply_args(lhs, ren), apply_args(rhs, ren)) for lhs, rhs in c.subs),
+        c.normal,
     )
+
+
+def subset(c: Constraint, subs: tuple[Pair, ...]) -> Constraint:
+    """The conjunction of `subs`, some of c's subconstraints in c's order;
+    marked normal when c is."""
+    return Constraint("and", subs, c.normal) if subs else TOP
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +206,63 @@ class _Bot(Exception):
 
 
 def normalize(c: Constraint) -> Constraint:
-    """Rewrite into normal form (C1, C2), collapsing TOP/BOT members."""
+    """Rewrite into normal form (C1, C2), collapsing TOP/BOT members; a
+    marked constraint is returned as it is."""
+    if c.kind != "and" or c.normal:
+        return c
+    return _renormalize(c, {})
+
+
+def instantiate(c: Constraint, s: Subst) -> Constraint:
+    """The normal form of `c` with `s` (which binds no rhs variable) applied
+    to every lhs.  On a marked `c` only the subconstraints whose lhs `s`
+    binds are renormalized; one that `s` grounds is decided by a match."""
     if c.kind != "and":
         return c
+    if __debug__:
+        assert not (set(s) & set(rvars(c))), "substitution binds rhs variables"
+    return _renormalize(c, s)
+
+
+def _renormalize(c: Constraint, s: Subst) -> Constraint:
     out: list[Pair] = []
-    seen: set[tuple] = set()
-    for lhs, rhs in c.subs:
+    touched = False
+    for sub in c.subs:
+        lhs, rhs = sub
+        if c.normal:
+            # a normal lhs holds variables only
+            new = tuple(map(s.get, lhs, lhs))
+            if new == lhs:
+                out.append(sub)
+                continue
+        else:
+            new = apply_args(lhs, s)
+        touched = True
+        if new and min(new) >= 0:
+            # ground: rules 1 to 4 strip it to () != () exactly on a match
+            if rhs == new or (min(rhs) < 0 and match_args(rhs, new) is not None):
+                return BOT
+            continue
         try:
-            nf = _normalize_sub(lhs, rhs)
+            nf = _normalize_sub(new, rhs)
         except _Bot:
             return BOT
-        if nf is None:
-            continue
-        key = _rhs_canon(*nf)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(nf)
-    return conj(out)
+        if nf is not None:
+            out.append(nf)
+    return _dedup(out) if touched else c
+
+
+def _dedup(subs: list[Pair]) -> Constraint:
+    """Normal subconstraints, each at its first occurrence up to renaming
+    its rhs, as a marked conjunction."""
+    out: list[Pair] = []
+    seen: set[tuple] = set()
+    for sub in subs:
+        key = _rhs_canon(*sub)
+        if key not in seen:
+            seen.add(key)
+            out.append(sub)
+    return Constraint("and", tuple(out), True) if out else TOP
 
 
 def is_normal(c: Constraint) -> bool:

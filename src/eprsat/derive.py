@@ -48,9 +48,9 @@ from .constrained import cover_size, least_instance, meet, no_instances
 from .constraints import (
     TOP,
     Constraint,
-    apply_constraint,
     conj,
     conjoin,
+    instantiate,
     rename_rhs_fresh,
 )
 from .syntax import (
@@ -225,7 +225,7 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
     for leaf in find_candidates(base, entries, keep_limit=0):
         if sum(1 for _, src in leaf.used if entries[src].level == top) != 1:
             continue
-        both = conjoin(apply_constraint(pi, leaf.sigma), leaf.pi)
+        both = conjoin(instantiate(pi, leaf.sigma), leaf.pi)
         if not no_instances(base, leaf.sigma, both, trail.n):
             return True
     return False

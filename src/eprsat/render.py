@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .constrained import CLit, conjunction, cover_size
-from .constraints import Constraint, conj, normalize
+from .constraints import Constraint, normalize, subset
 from .syntax import Clause, Lit, Signature, Subst
 
 _BASE_NAMES = ("X", "Y", "Z", "U", "V", "W", "S", "T")
@@ -154,7 +154,8 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
             union = size_a + size(b) - meet_size(a, b)
             found = None
             for k in range(len(b.pi.subs)):
-                w = CLit(b.lit, normalize(conj(b.pi.subs[:k] + b.pi.subs[k + 1:])))
+                rest = b.pi.subs[:k] + b.pi.subs[k + 1:]
+                w = CLit(b.lit, normalize(subset(b.pi, rest)))
                 if size(w) == union and meet_size(a, w) == size_a:
                     found = w
                     break

@@ -65,10 +65,9 @@ from .constrained import (
 from .constraints import (
     TOP,
     Constraint,
-    apply_constraint,
     conj,
     conjoin,
-    normalize,
+    instantiate,
     rename_rhs_fresh,
 )
 from .derive import find_candidates, is_assertive, is_blocked
@@ -309,7 +308,7 @@ class Solver:
         mu = {v: apply_term(apply_term(v, cs.sigma), eta)
               for v in clause_vars(cs.clause)}
         self._rewrite_conflict("Factorize", cs.clause[:j] + cs.clause[j + 1:],
-                               eta0, mu, normalize(apply_constraint(cs.pi, eta)))
+                               eta0, mu, instantiate(cs.pi, eta))
 
     def _rewrite_conflict(self, rule: str, lits: Clause, eta0: Subst, mu: Subst,
                           pi: Constraint) -> None:
@@ -378,22 +377,21 @@ class Solver:
         return any(match_lit(l.atom, lit.atom) is not None
                    for c in self.original for l in c)
 
-    def _entry_unifiers(self, cs: ConflictSet, entry: TrailEntry,
+    def _entry_unifiers(self, lits: Clause, entry: TrailEntry,
                         ) -> list[tuple[int, Lit, Subst]]:
-        """(position, atom under the conflict's sigma, its mgu with the
-        entry's atom) for each conflict literal the entry can falsify."""
+        """(position, atom, its mgu with the entry's atom) for each literal of
+        `lits` (the conflict clause under its sigma) the entry can falsify."""
         target = entry.lit.atom
         out = []
-        for i, l in enumerate(cs.clause):
+        for i, l in enumerate(lits):
             if l.neg == entry.lit.neg or l.pred != target.pred:
                 continue
-            a = apply_lit(l, cs.sigma).atom
-            eta = mgu_atoms(target, a)
+            eta = mgu_atoms(target, l.atom)
             if eta is not None:
-                out.append((i, a, eta))
+                out.append((i, l.atom, eta))
         return out
 
-    def _factorize_choice(self, cs: ConflictSet, entry: TrailEntry,
+    def _factorize_choice(self, cs: ConflictSet, lits: Clause, entry: TrailEntry,
                           unifiers: list[tuple[int, Lit, Subst]]):
         # a pair's joint unifier unifies each of its literals with the entry,
         # so only the literals that unify with it alone can pair
@@ -404,7 +402,7 @@ class Solver:
                     continue
                 eta = mgu_atoms(apply_lit(ai, eta), entry.lit.atom, base=eta)
                 if eta is not None and self._meets_entry(
-                        apply_clause(cs.clause, cs.sigma), cs.pi, entry, eta) is not None:
+                        lits, cs.pi, entry, eta) is not None:
                     return i, j, eta
         return None
 
@@ -413,8 +411,8 @@ class Solver:
         """`pi` and `entry`'s constraint met under `eta`, when (lits; pi) has
         an instance under `eta` that `entry` falsifies: `lits` is a clause
         under its sigma and `eta` unifies one of its literals with `entry`."""
-        met = conjoin(apply_constraint(pi, eta),
-                      apply_constraint(rename_rhs_fresh(entry.pi), eta))
+        met = conjoin(instantiate(pi, eta),
+                      instantiate(rename_rhs_fresh(entry.pi), eta))
         if met.is_bot or no_instances(lits, eta, met, self.n):
             return None
         return met
@@ -598,8 +596,7 @@ class Solver:
             assert x is not None, "distinct instances must differ on a variable"
             c1 = d1.get(x)
             assert c1 is not None and c1 >= 0
-            inst = (apply_lit(d_lit, {x: c1}),
-                    normalize(apply_constraint(d_pi, {x: c1})))
+            inst = (apply_lit(d_lit, {x: c1}), instantiate(d_pi, {x: c1}))
             rest = (d_lit, conjoin(d_pi, conj([((x,), (c1,))])))
             work[0:1] = [p for p in (inst, rest) if not p[1].is_bot]
             split = True
@@ -695,9 +692,9 @@ class Solver:
         lits = apply_clause(cs.clause, cs.sigma)
         while True:
             entry = self.trail.entries[-1]
-            unifiers = self._entry_unifiers(cs, entry)
+            unifiers = self._entry_unifiers(lits, entry)
             if entry.is_decision:
-                found = self._factorize_choice(cs, entry, unifiers)
+                found = self._factorize_choice(cs, lits, entry, unifiers)
                 if found is not None:
                     self.rule_factorize(*found)
                     return
@@ -710,7 +707,7 @@ class Solver:
             if resolvable is not None:
                 break
             self.rule_skip()
-        found = self._factorize_choice(cs, entry, unifiers)
+        found = self._factorize_choice(cs, lits, entry, unifiers)
         if found is not None:
             self.rule_factorize(*found)
             return

@@ -2,8 +2,11 @@ import os
 import subprocess
 import sys
 
+import json
+
 import pytest
 
+from eprsat import audit, cli
 from eprsat.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -60,6 +63,37 @@ def test_check_mode_unsat(tmp_path):
     p = tmp_path / "p.p"
     p.write_text("domain a .\nP(a) .\n-P(a) .\n")
     assert main(["--input", str(p), "--check"]) == 20
+
+
+def test_check_mode_verifies_a_sat_model_once(monkeypatch, capsys):
+    """The audit's verification at Success is the one the check reports: a
+    sat `--check` run calls `verify_model` once, and a model it rejects
+    still fails the check."""
+    calls = []
+    real = cli.verify_model
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(audit, "verify_model", counted)
+    monkeypatch.setattr(cli, "verify_model", counted)
+    assert main(["--input", os.path.join(DATA, "ex33.p"), "--check"]) == 10
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["model_verified"] is True
+
+    def rejecting(model, sig, clauses):
+        calls.append(model)
+        return False, clauses[0]
+
+    calls.clear()
+    monkeypatch.setattr(audit, "verify_model", rejecting)
+    monkeypatch.setattr(cli, "verify_model", rejecting)
+    assert main(["--input", os.path.join(DATA, "ex33.p"), "--check"]) == 2
+    assert len(calls) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["model_verified"] is False
+    assert "check: model fails on" in captured.err
 
 
 def test_bench_flag_with_check():

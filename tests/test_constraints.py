@@ -1,16 +1,25 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eprsat.constraints import (
     BOT,
     TOP,
+    Constraint,
     conj,
+    conjoin,
     find_solution_enum,
+    instantiate,
     is_normal,
     normalize,
+    rename_constraint,
+    rename_rhs_fresh,
     solutions,
+    subset,
     violates,
 )
-from eprsat.syntax import var_code
+from eprsat.syntax import apply_args, renaming_for, var_code
 
 x, y, z = var_code(0), var_code(1), var_code(2)
 v, w, v0, w0, t0 = (var_code(i) for i in range(10, 15))
@@ -185,3 +194,87 @@ def test_normalize_never_widens_subconstraints():
         if out.kind == "and":
             assert max(len(lhs) for lhs, _ in out.subs) <= widest_in
             assert len(out.subs) <= len(pi.subs)
+
+
+# ---------------------------------------------------------------------------
+# the kernel referee: kept normal form against normalizing from scratch
+
+_LHS = [x, y, z, var_code(3)]
+
+
+@st.composite
+def _raw_constraints(draw):
+    """A hand-built (unmarked) conjunction: lhs and rhs mix variables and
+    constants, lhs variables repeat, each rhs has variables of its own."""
+    subs = []
+    for i in range(draw(st.integers(1, 5))):
+        width = draw(st.integers(1, 3))
+        rhs_pool = [var_code(100 + 10 * i + k) for k in range(2)] + [a, b]
+        lhs = draw(st.lists(st.sampled_from(_LHS + [a, b]),
+                            min_size=width, max_size=width))
+        rhs = draw(st.lists(st.sampled_from(rhs_pool),
+                            min_size=width, max_size=width))
+        subs.append((tuple(lhs), tuple(rhs)))
+    return conj(subs)
+
+
+_CONSTRAINTS = st.one_of(_raw_constraints(), _raw_constraints().map(normalize))
+# substitutions on lhs variables: grounding, var-var (onto another lhs
+# variable or a new one) and identity bindings
+_SUBSTS = st.dictionaries(st.sampled_from(_LHS),
+                          st.sampled_from(_LHS + [var_code(4), a, b]), max_size=4)
+_PARTS = st.lists(st.one_of(_CONSTRAINTS, st.sampled_from([TOP, BOT])), max_size=4)
+
+
+def _applied(c, s):
+    """c with `s` applied to every lhs, unnormalized: the reference."""
+    if c.kind != "and":
+        return c
+    return Constraint("and", tuple((apply_args(lhs, s), rhs) for lhs, rhs in c.subs))
+
+
+def _check_marked(c):
+    """A marked constraint is what normalizing its subconstraints gives,
+    and normalize returns it as it is."""
+    assert c.kind != "and" or c.normal, c
+    if c.normal:
+        assert c == normalize(Constraint(c.kind, c.subs))
+        assert normalize(c) is c
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_CONSTRAINTS, _SUBSTS)
+def test_instantiate_is_normalize_after_substitution(c, s):
+    got = instantiate(c, s)
+    assert got == normalize(_applied(c, s)), (c, s)
+    _check_marked(got)
+    if c.kind == "and" and c.normal and not set(s) & {t for l, _ in c.subs for t in l}:
+        assert got is c
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_PARTS)
+def test_conjoin_is_normalize_of_the_joined_parts(parts):
+    got = conjoin(*parts)
+    if any(p.is_bot for p in parts):
+        assert got is BOT
+    else:
+        assert got == normalize(conj([sub for p in parts for sub in p.subs])), parts
+    _check_marked(got)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_raw_constraints(), st.data())
+def test_renamings_and_subsets_keep_the_mark(raw, data):
+    c = normalize(raw)
+    if c.kind != "and":
+        return
+    _check_marked(c)
+    _check_marked(rename_rhs_fresh(c))
+    vs = sorted({t for sub in c.subs for side in sub for t in side if t < 0})
+    _check_marked(rename_constraint(c, renaming_for(vs)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(c.subs),
+                              max_size=len(c.subs)))
+    _check_marked(subset(c, tuple(sub for sub, k in zip(c.subs, keep) if k)))
+    # an unmarked operand stays unmarked
+    assert not subset(raw, raw.subs[:1]).normal

@@ -35,9 +35,9 @@ from eprsat.constrained import cover, cover_size, diff_apart
 from eprsat.constraints import (
     BOT,
     TOP,
-    apply_constraint,
     conj,
     conjoin,
+    instantiate,
     lvars,
     normalize,
     rename_rhs_fresh,
@@ -417,8 +417,8 @@ def _all_pairs_factorize_choice(s, cs, entry):
             if eta is None:
                 continue
             entry_pi = rename_rhs_fresh(entry.pi)
-            combined = conjoin(apply_constraint(cs.pi, eta),
-                               apply_constraint(entry_pi, eta))
+            combined = conjoin(instantiate(cs.pi, eta),
+                               instantiate(entry_pi, eta))
             if combined.is_bot:
                 continue
             if constrained.no_instances(apply_clause(cs.clause, cs.sigma), eta,
@@ -432,8 +432,8 @@ def test_factorize_choice_matches_the_all_pairs_scan(monkeypatch):
     real = Solver._factorize_choice
     seen = dict(calls=0, found=0)
 
-    def referee(self, cs, entry, unifiers):
-        got = real(self, cs, entry, unifiers)
+    def referee(self, cs, lits, entry, unifiers):
+        got = real(self, cs, lits, entry, unifiers)
         seen["calls"] += 1
         seen["found"] += got is not None
         # fail at once: a wrong choice can send the solve into a long detour
@@ -654,7 +654,7 @@ def _renaming_meet(lit, pi, src, src_pi):
         return None
     r_lit, r_pi, _ = _rename_clit_fresh(src, src_pi)
     theta = mgu_atoms(lit.atom, r_lit.atom)
-    met = conjoin(apply_constraint(pi, theta), apply_constraint(r_pi, theta))
+    met = conjoin(instantiate(pi, theta), instantiate(r_pi, theta))
     return None if met.is_bot else (theta, met)
 
 
@@ -797,9 +797,9 @@ def test_resolution_step_decides_each_precondition_once(monkeypatch):
         counts["assertive"] += 1
         return derive.is_assertive(*args)
 
-    def choice(self, cs, entry, unifiers):
+    def choice(self, *args):
         counts["choice"] += 1
-        return real_choice(self, cs, entry, unifiers)
+        return real_choice(self, *args)
 
     def factorize(self, *args):
         counts["factorize"] += 1
