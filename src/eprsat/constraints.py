@@ -135,74 +135,33 @@ def _rhs_canon(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> tuple:
 
 
 def _normalize_sub(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Optional[Pair]:
-    """Normalize one subconstraint.  None means TOP (drop); BOT raises _Bot."""
-    lhs = tuple(lhs)
-    rhs = tuple(rhs)
+    """Normalize one subconstraint in one left-to-right pass.  None means
+    TOP (drop it); ``((), ())`` is BOT (rule 4's ``() != ()``)."""
     assert len(lhs) == len(rhs)
-    changed = True
-    while changed:
-        changed = False
-        # rule 1: identical constants at a position
-        # rule 2: distinct constants -> TOP
-        # rule 3: lhs constant against rhs variable -> drop, instantiate rhs
-        for i, (s, t) in enumerate(zip(lhs, rhs)):
-            if s >= 0:
-                if t >= 0:
-                    if s == t:
-                        lhs = lhs[:i] + lhs[i + 1:]
-                        rhs = rhs[:i] + rhs[i + 1:]
-                    else:
-                        return None
-                else:
-                    sub = {t: s}
-                    lhs = lhs[:i] + lhs[i + 1:]
-                    rhs = apply_args(rhs[:i] + rhs[i + 1:], sub)
-                changed = True
-                break
-        if changed:
-            continue
-        # rule 4: () != ()
-        if not lhs:
-            raise _Bot
-        # rules 5/6: repeated lhs variable
-        for i in range(len(lhs)):
-            dup = None
-            for j in range(i + 1, len(lhs)):
-                if lhs[j] == lhs[i]:
-                    dup = j
-                    break
-            if dup is not None:
-                u = mgu_args([(rhs[i], rhs[dup])])
-                if u is None:
-                    return None  # rule 6
-                lhs = lhs[:dup] + lhs[dup + 1:]
-                rhs = apply_args(rhs[:dup] + rhs[dup + 1:], u)
-                changed = True
-                break
-        if changed:
-            continue
-        # rule 7: rhs matches lhs entirely
-        if match_args(rhs, lhs) is not None:
-            raise _Bot
-        # rule 8: drop positions whose rhs variable occurs nowhere else
-        counts: dict[int, int] = {}
-        for t in rhs:
-            if t < 0:
-                counts[t] = counts.get(t, 0) + 1
-        droppable = [i for i, t in enumerate(rhs) if t < 0 and counts[t] == 1]
-        if droppable and len(droppable) < len(lhs):
-            keep = [i for i in range(len(lhs)) if i not in droppable]
-            lhs = tuple(lhs[i] for i in keep)
-            rhs = tuple(rhs[i] for i in keep)
-            changed = True
-        elif droppable:
-            # every position droppable: the rhs matches outright
-            raise _Bot
-    return lhs, rhs
-
-
-class _Bot(Exception):
-    pass
+    # rules 1-3: an lhs constant drops its position; it binds an rhs
+    # variable against it (3) and is TOP against another constant (2)
+    bound: Subst = {}
+    for s, t in zip(lhs, rhs):
+        if s >= 0 and (t if t >= 0 else bound.setdefault(t, s)) != s:
+            return None
+    # rules 5/6: unify the rhs terms under each repeated lhs variable, first
+    # variable first, and keep its first position
+    at: dict[int, list[int]] = {}
+    for s, t in zip(lhs, rhs):
+        if s < 0:
+            at.setdefault(s, []).append(bound.get(t, t))
+    lv = tuple(at)
+    rv = tuple(ts[0] for ts in at.values())
+    dups = [(ts[0], t) for ts in at.values() for t in ts[1:]]
+    if dups:
+        u = mgu_args(dups)
+        if u is None:
+            return None
+        rv = apply_args(rv, u)
+    # rules 4, 7 and 8: keep the positions whose rhs term is a constant or
+    # a repeated variable; with none kept the rhs matches outright (BOT)
+    keep = [i for i, t in enumerate(rv) if t >= 0 or rv.count(t) > 1]
+    return tuple(lv[i] for i in keep), tuple(rv[i] for i in keep)
 
 
 def normalize(c: Constraint) -> Constraint:
@@ -243,11 +202,10 @@ def _renormalize(c: Constraint, s: Subst) -> Constraint:
             if rhs == new or (min(rhs) < 0 and match_args(rhs, new) is not None):
                 return BOT
             continue
-        try:
-            nf = _normalize_sub(new, rhs)
-        except _Bot:
-            return BOT
+        nf = _normalize_sub(new, rhs)
         if nf is not None:
+            if not nf[0]:
+                return BOT
             out.append(nf)
     return _dedup(out) if touched else c
 

@@ -64,7 +64,6 @@ from .syntax import (
     compose,
     mgu_many,
     renaming_for,
-    unifiable_apart,
 )
 from .trail import Trail, TrailEntry
 
@@ -205,8 +204,7 @@ def find_candidates(
     else:
         _, n_lit, n_pi = pool[rank[newest_pos]]
         for p, lit in enumerate(clause):
-            if (lit.pred != n_lit.pred or lit.neg == n_lit.neg
-                    or not unifiable_apart(lit.args, n_lit.args)):
+            if lit.pred != n_lit.pred or lit.neg == n_lit.neg:
                 continue
             got = meet(lit, TOP, n_lit, n_pi)
             if got is not None:

@@ -10,14 +10,17 @@ backjumps to the smallest level where the new clause propagates.
 
 Everything the solver learns about the trail comes from one derivation
 path, `Solver._derive`: a leaf with nothing left is a conflict, one with one
-literal left a propagation candidate.  `add_consequences`, `_reseed_full`
-and, once per trail prefix, `compute_backjump_level` search with it;
-`full_scan` only asks.  `constrained.diff_apart` is the one trail
-difference, taken by `_undefined_pieces` (behind the queue and the
-backjump level, which keep only its non-empty pieces) and by
-`_decision_pieces`.  The lifted steps live in `constrained`; a
-resolution step unifies each conflict literal with the rightmost entry once
-(`_entry_unifiers`) for Resolve and Factorize, which share a closure step.
+literal left a propagation candidate.  `_reseed_full` (which on the empty
+trail queues each unit clause), `add_consequences` and, once per trail
+prefix, `compute_backjump_level` search with it; `full_scan` only asks.
+The one exception is the queue clash: before it derives, `add_consequences`
+reads a conflict off a queued candidate that the new entry falsifies.
+`constrained.diff_apart` is the one trail difference, taken by
+`_undefined_pieces` (behind the queue and the backjump level, which keep
+only its non-empty pieces) and by `_decision_pieces`.  The lifted steps
+live in `constrained`; a resolution step unifies each conflict literal with
+the rightmost entry once (`_entry_unifiers`) for Resolve and Factorize,
+which share a closure step.
 
 Between two decisions the trail only grows or is cut back, so the
 decisions carry their trail difference across calls (`_decision_pieces`).
@@ -90,6 +93,7 @@ from .syntax import (
     renaming_for,
     restrict,
     unifiable_apart,
+    var_code,
 )
 from .render import render_clause, render_conflict, render_entry
 from .trail import Trail, TrailEntry
@@ -224,11 +228,6 @@ class Solver:
         heapq.heappush(self._pq, (size, self._seq, cand))
         self._seq += 1
 
-    def seed_units(self) -> None:
-        for ci, c in enumerate(self.pool):
-            if len(c) == 1:
-                self._enqueue(PropCand(ci, 0, {}, TOP))
-
     # -- rules: conflict search ----------------------------------------------
 
     def rule_propagate(self, cand: PropCand) -> TrailEntry:
@@ -292,30 +291,31 @@ class Solver:
         assert eta0 is not None, "eta exists, so eta0 must"
         rest_r = rp[:entry.reason_lit] + rp[entry.reason_lit + 1:]
         inv_rho = {w: v for v, w in rho.items()}
-        mu = {v: apply_term(apply_term(v, cs.sigma), eta)
-              for v in clause_vars(cs.clause)}
-        for u in clause_vars(rp):
-            mu[u] = apply_term(apply_term(inv_rho.get(u, u), entry.sigma), eta)
         self._bump_clause(apply_clause(rest_r, eta0))
-        self._rewrite_conflict("Resolve", cs.clause[:pos] + cs.clause[pos + 1:]
-                               + rest_r, eta0, mu, new_pi)
+        self._rewrite_conflict(
+            "Resolve", cs.clause[:pos] + cs.clause[pos + 1:] + rest_r, eta0, eta,
+            {u: apply_term(apply_term(inv_rho.get(u, u), entry.sigma), eta)
+             for u in clause_vars(rp)}, new_pi)
 
     def rule_factorize(self, i: int, j: int, eta: Subst) -> None:
         """Merge the conflict clause's literals i < j under `eta`."""
         cs = self.conflict
         eta0 = mgu_atoms(cs.clause[i].atom, cs.clause[j].atom)
         assert eta0 is not None
-        mu = {v: apply_term(apply_term(v, cs.sigma), eta)
-              for v in clause_vars(cs.clause)}
         self._rewrite_conflict("Factorize", cs.clause[:j] + cs.clause[j + 1:],
-                               eta0, mu, instantiate(cs.pi, eta))
+                               eta0, eta, {}, instantiate(cs.pi, eta))
 
-    def _rewrite_conflict(self, rule: str, lits: Clause, eta0: Subst, mu: Subst,
-                          pi: Constraint) -> None:
+    def _rewrite_conflict(self, rule: str, lits: Clause, eta0: Subst, eta: Subst,
+                          reason_mu: Subst, pi: Constraint) -> None:
         """The closure step Resolve and Factorize share: the new conflict
         clause is `lits` under the mgu `eta0`, and its closure substitution
-        is the one that `mu` (defined on every variable before `eta0`)
-        factors into through `eta0`, restricted to the new clause."""
+        is the one that `mu` factors into through `eta0`, restricted to the
+        new clause.  `mu` is the conflict's sigma then `eta` on the conflict
+        clause and `reason_mu` on the reason clause (Resolve only)."""
+        cs = self.conflict
+        mu = {v: apply_term(apply_term(v, cs.sigma), eta)
+              for v in clause_vars(cs.clause)}
+        mu.update(reason_mu)
         clause = canonical_clause(apply_clause(lits, eta0))
         sigma = restrict(factor_through(eta0, mu, mu), clause_vars(clause))
         self.conflict = ConflictSet(clause, sigma, pi)
@@ -651,7 +651,7 @@ class Solver:
                            backjumps=self.backjumps)
 
     def _solve(self) -> Verdict:
-        self.seed_units()
+        self._reseed_full()
         while True:
             if self.conflict is not None:
                 self._resolution_step()
@@ -693,25 +693,20 @@ class Solver:
         while True:
             entry = self.trail.entries[-1]
             unifiers = self._entry_unifiers(lits, entry)
-            if entry.is_decision:
-                found = self._factorize_choice(cs, lits, entry, unifiers)
-                if found is not None:
-                    self.rule_factorize(*found)
-                    return
-                self.rule_backjump(3)
-                return
-            resolvable = next(
+            resolvable = None if entry.is_decision else next(
                 ((pos, eta, met) for pos, _, eta in unifiers
                  if (met := self._meets_entry(lits, cs.pi, entry, eta)) is not None),
                 None)
-            if resolvable is not None:
+            if entry.is_decision or resolvable is not None:
                 break
             self.rule_skip()
         found = self._factorize_choice(cs, lits, entry, unifiers)
         if found is not None:
             self.rule_factorize(*found)
-            return
-        self.rule_resolve(*resolvable)
+        elif resolvable is None:
+            self.rule_backjump(3)
+        else:
+            self.rule_resolve(*resolvable)
 
     def compute_backjump_level(self, learned: Clause,
                                ) -> tuple[int, int, list[PropCand]]:
@@ -766,16 +761,8 @@ class Solver:
 # small helpers
 
 def _canon_lit(l: Lit) -> Lit:
-    seen: dict[int, int] = {}
-    args = []
-    for a in l.args:
-        if a >= 0:
-            args.append(a)
-        else:
-            if a not in seen:
-                seen[a] = -len(seen) - 1
-            args.append(seen[a])
-    return Lit(l.neg, l.pred, tuple(args))
+    # the variant whose variables are numbered 0, 1, ... in order of occurrence
+    return apply_lit(l, {v: var_code(i) for i, v in enumerate(lit_vars(l))})
 
 
 # ---------------------------------------------------------------------------
@@ -793,19 +780,8 @@ def _match_restricted(want: Lit, sub: Lit, bindable: set[int]) -> Optional[Subst
     exactly; binding those would fabricate substitutions the subsumee never
     made.
     """
-    if want.neg != sub.neg or want.pred != sub.pred:
-        return None
-    s: Subst = {}
-    for p, q in zip(want.args, sub.args):
-        if p < 0 and p in bindable:
-            if p in s:
-                if s[p] != q:
-                    return None
-            else:
-                s[p] = q
-        elif p != q:
-            return None
-    return s
+    s = match_lit(want, sub)
+    return s if s is not None and s.keys() <= bindable else None
 
 
 def _subsumes(c: Clause, d: Clause) -> bool:

@@ -96,6 +96,26 @@ def test_check_mode_verifies_a_sat_model_once(monkeypatch, capsys):
     assert "check: model fails on" in captured.err
 
 
+def test_check_mode_over_the_oracle_ceiling_skips_the_oracle(tmp_path, capsys):
+    # 8 constants: P/2 and Q/1 have 72 ground atoms, over the oracle's 60
+    p = tmp_path / "p.p"
+    p.write_text("domain a b c d e f g h .\nP(X,Y) | Q(X) .\n")
+    assert main(["--input", str(p), "--check"]) == 10
+    captured = capsys.readouterr()
+    assert "check: oracle skipped (ground universe has 72 atoms" in captured.err
+    assert json.loads(captured.out)["verdict_oracle"] is None
+
+
+def test_check_mode_fails_when_the_oracle_disagrees(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "p.p"
+    p.write_text("domain a b .\nP(X) | Q(X) .\n-P(a) .\n")
+    monkeypatch.setattr(cli, "brute_sat", lambda gp: None)
+    assert main(["--input", str(p), "--check"]) == 2
+    captured = capsys.readouterr()
+    assert "check: verdict sat but oracle says unsat" in captured.err
+    assert json.loads(captured.out)["verdict_oracle"] == "unsat"
+
+
 def test_bench_flag_with_check():
     assert main(["--bench", "3,3", "--check"]) == 10
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eprsat.constraints import (
     BOT,
+    _normalize_sub,
     TOP,
     Constraint,
     conj,
@@ -19,7 +20,7 @@ from eprsat.constraints import (
     subset,
     violates,
 )
-from eprsat.syntax import apply_args, renaming_for, var_code
+from eprsat.syntax import apply_args, match_args, mgu_args, renaming_for, var_code
 
 x, y, z = var_code(0), var_code(1), var_code(2)
 v, w, v0, w0, t0 = (var_code(i) for i in range(10, 15))
@@ -278,3 +279,81 @@ def test_renamings_and_subsets_keep_the_mark(raw, data):
     _check_marked(subset(c, tuple(sub for sub, k in zip(c.subs, keep) if k)))
     # an unmarked operand stays unmarked
     assert not subset(raw, raw.subs[:1]).normal
+
+
+# ---------------------------------------------------------------------------
+# the one-pass subconstraint normal form against the rule-by-rule rewriting
+
+
+class _Bot(Exception):
+    pass
+
+
+def _rule_by_rule(lhs, rhs):
+    """The rewriting rules one at a time, restarting after each rewrite:
+    the referee.  None means TOP; BOT raises _Bot."""
+    lhs, rhs = tuple(lhs), tuple(rhs)
+    changed = True
+    while changed:
+        changed = False
+        # rule 1: identical constants at a position
+        # rule 2: distinct constants -> TOP
+        # rule 3: lhs constant against rhs variable -> drop, instantiate rhs
+        for i, (s, t) in enumerate(zip(lhs, rhs)):
+            if s >= 0:
+                if t >= 0:
+                    if s != t:
+                        return None
+                    lhs, rhs = lhs[:i] + lhs[i + 1:], rhs[:i] + rhs[i + 1:]
+                else:
+                    lhs = lhs[:i] + lhs[i + 1:]
+                    rhs = apply_args(rhs[:i] + rhs[i + 1:], {t: s})
+                changed = True
+                break
+        if changed:
+            continue
+        # rule 4: () != ()
+        if not lhs:
+            raise _Bot
+        # rules 5/6: repeated lhs variable
+        for i in range(len(lhs)):
+            dup = next((j for j in range(i + 1, len(lhs)) if lhs[j] == lhs[i]), None)
+            if dup is not None:
+                u = mgu_args([(rhs[i], rhs[dup])])
+                if u is None:
+                    return None  # rule 6
+                lhs = lhs[:dup] + lhs[dup + 1:]
+                rhs = apply_args(rhs[:dup] + rhs[dup + 1:], u)
+                changed = True
+                break
+        if changed:
+            continue
+        # rule 7: rhs matches lhs entirely
+        if match_args(rhs, lhs) is not None:
+            raise _Bot
+        # rule 8: drop positions whose rhs variable occurs nowhere else
+        droppable = [i for i, t in enumerate(rhs) if t < 0 and rhs.count(t) == 1]
+        if droppable and len(droppable) < len(lhs):
+            lhs = tuple(t for i, t in enumerate(lhs) if i not in droppable)
+            rhs = tuple(t for i, t in enumerate(rhs) if i not in droppable)
+            changed = True
+        elif droppable:
+            raise _Bot
+    return lhs, rhs
+
+
+_TERMS = st.sampled_from(_LHS + [var_code(200 + k) for k in range(4)] + [a, b, c])
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.tuples(st.lists(_TERMS, min_size=k, max_size=k),
+                        st.lists(_TERMS, min_size=k, max_size=k))))
+def test_one_pass_normal_form_is_the_rule_by_rule_rewriting(pair):
+    # lhs and rhs each mix lhs variables, rhs variables and constants
+    lhs, rhs = (tuple(side) for side in pair)
+    try:
+        want = _rule_by_rule(lhs, rhs)
+    except _Bot:
+        want = ((), ())
+    assert _normalize_sub(lhs, rhs) == want, (lhs, rhs)

@@ -47,7 +47,7 @@ def test_unit_contradiction_found_while_seeding():
 def test_saturated_trail_prop_loop_true():
     sig, clauses = parse_problem("domain a .\nP(a) .\n")
     s = Solver(sig, clauses, RunConfig(simplify=False))
-    s.seed_units()
+    s._reseed_full()
     assert s.prop_loop() is True
     assert s.prop_loop() is True  # empty queue: immediately exhausted
 
@@ -62,9 +62,9 @@ def test_queue_clash_conflict_comes_before_any_derivation(monkeypatch):
     -P(a) .
     """)
     s = Solver(sig, clauses, RunConfig(simplify=False))
+    s._reseed_full()
     derived = []
     monkeypatch.setattr(s, "_derive", lambda *args, **kw: derived.append(args))
-    s.seed_units()
     assert s.prop_loop() is False
     assert derived == []
     assert s.conflict is not None and s.conflict.origin == 1
@@ -101,3 +101,24 @@ def test_apply_subst_to_substitution_matches_composition():
     t = {y: 0}
     lit = Lit(False, "P", (x, y))
     assert apply_lit(lit, compose(s, t)) == apply_lit(apply_lit(lit, s), t)
+
+
+def test_queue_clash_skips_a_candidate_the_new_entry_cannot_falsify():
+    # deciding Q(X) :: X != a queues P(a) and ~P(X) :: X != a; pushing P(a)
+    # unifies with the queued ~P(X), but X != a leaves no common instance:
+    # no conflict, and ~P(X) :: X != a is propagated in its turn
+    sig, clauses = parse_problem("""
+    domain a b c .
+    -Q(X) | -P(X) .
+    -Q(X) | P(a) .
+    """)
+    script = parse_script("Q(X) :: X != a", sig)
+    s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
+    met = []
+    real = s._meets_entry
+    s._meets_entry = lambda *args: met.append(real(*args)) or met[-1]
+    assert s.solve().status == "sat"
+    assert met == [None]
+    assert [e.rule for e in s.trace] == [
+        "Decide", "Propagate", "Propagate", "Propagate", "Success"]
+    assert s.trace[3].payload == "[reason C1] ~P(X) :: X != a"

@@ -38,7 +38,7 @@ def test_resolution_step_resolves_when_entry_touches_conflict():
     -P(a) .
     """)
     s = Solver(sig, clauses, RunConfig(simplify=False))
-    s.seed_units()
+    s._reseed_full()
     assert not s.prop_loop()
     s.rule_conflict(s.conflict)
     length = len(s.trail)

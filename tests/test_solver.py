@@ -160,7 +160,7 @@ def test_decide_rejects_defined_candidate():
     """)
     script = parse_script("P(X)", sig)
     s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
-    s.seed_units()
+    s._reseed_full()
     assert s.prop_loop()
     with pytest.raises(RuleRejected) as exc:
         s.select_decision()
@@ -269,7 +269,7 @@ def test_backjump_inside_level_zero_reseeds_the_whole_pool(monkeypatch):
     """)
     script = parse_script("Q(a)", sig)
     s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
-    s.seed_units()
+    s._reseed_full()
     assert s.prop_loop()
     s.add_consequences(s.rule_decide(*s.select_decision()))
     assert s.prop_loop()

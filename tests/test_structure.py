@@ -163,7 +163,6 @@ def test_no_private_name_is_imported_from_a_sibling():
 # definitions nothing in `src/` calls, kept on purpose: each is a referee,
 # a round-trip check or a hook that something outside `src/` needs
 REFEREES = {
-    "var_code": "hand-built variables in the tests (66 uses)",
     "solutions": "test oracle for the constraint semantics",
     "is_normal": "test oracle for the constraint normal form",
     "parse_model": "reads a model document back: the round-trip check",
