@@ -38,6 +38,7 @@ instances' `clause_key`s, and "strictly decreased" is one list comparison.
 """
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from typing import Optional
 
@@ -65,7 +66,7 @@ from .trail import (
     FALSE,
     InducedOrdering,
     clause_instances,
-    clause_value,
+    ground_walk,
     is_assertive,
 )
 
@@ -84,7 +85,7 @@ class Auditor:
         self.input_clauses = list(clauses)
         self.violations: list[str] = []
         self.skipped: list[str] = []
-        self._last_rules: list[str] = []
+        self._last_rules: deque[str] = deque(maxlen=3)  # all the Factorize check reads
         self._measure: Optional[tuple[int, list]] = None
         # the induced ordering of the trail at the last Conflict
         self._ordering: Optional[InducedOrdering] = None
@@ -221,9 +222,8 @@ class Auditor:
         trail, n = solver.trail, solver.n
         if is_empty(e.lit, e.pi, n):
             self._flag(f"entry {e.pos} is empty")
-        probe = CLit(e.lit, e.pi).atom
         for other in trail.entries[:e.pos]:
-            if overlaps(probe, CLit(other.lit, other.pi).atom, n):
+            if overlaps(e.lit, e.pi, other.lit, other.pi, n):
                 self._flag(f"strong consistency broken: entries "
                            f"{other.pos} and {e.pos}")
         if e.is_decision:
@@ -236,9 +236,12 @@ class Auditor:
         if apply_lit(clause[e.reason_lit], e.sigma) != e.lit:
             self._flag(f"closure substitution does not produce entry {e.pos}")
         rest = clause[:e.reason_lit] + clause[e.reason_lit + 1:]
-        if rest and clause_value(trail, rest, e.sigma, e.pi,
-                                 upto=e.pos) != FALSE:
-            self._flag(f"reason remainder not false for entry {e.pos}")
+        if rest:
+            # a remainder with no ground instance is flagged too
+            falses = [false for _, _, false in
+                      ground_walk(trail, rest, e.sigma, e.pi, upto=e.pos)]
+            if not falses or not all(falses):
+                self._flag(f"reason remainder not false for entry {e.pos}")
 
     # -- conflict-set checks ------------------------------------------------------
 
@@ -315,12 +318,8 @@ class Auditor:
 
     def _check_two_per_level(self, solver, e) -> None:
         clause = solver.pool[e.reason]
-        for g in clause_instances(clause, e.sigma, e.pi, solver.n):
-            count = 0
-            for l in g:
-                ent = solver.trail.defining_entry(l.atom)
-                if ent is not None and ent.level == e.level:
-                    count += 1
+        for _, defs, _ in ground_walk(solver.trail, clause, e.sigma, e.pi):
+            count = sum(1 for ent in defs if ent is not None and ent.level == e.level)
             if count < 2:
                 self._flag(
                     f"reason instance of entry {e.pos} has {count} literals "

@@ -71,10 +71,6 @@ class CLit:
             assert lv <= set(lit_vars(self.lit)), "free lhs variable in CLit"
             assert not (set(rvars(self.pi)) & set(lit_vars(self.lit)))
 
-    @property
-    def atom(self) -> "CLit":
-        return CLit(self.lit.atom, self.pi) if self.lit.neg else self
-
 
 def rename_clit_fresh(lit: Lit, pi: Constraint) -> tuple[Lit, Constraint, Subst]:
     """Whole-expression variant with fresh variables; returns the renaming."""
@@ -219,10 +215,12 @@ def conjunction(a: CLit, b: CLit) -> CLit:
     return CLit(apply_lit(a.lit, got[0]), got[1])
 
 
-def overlaps(a: CLit, b: CLit, n: int) -> bool:
-    """Do the atom covers of a and b share a ground atom?"""
-    got = meet(a.lit, a.pi, b.lit, b.pi) if a.lit.pred == b.lit.pred else None
-    return got is not None and not is_empty(apply_lit(a.lit, got[0]), got[1], n)
+def overlaps(lit: Lit, pi: Constraint, other: Lit, other_pi: Constraint,
+             n: int) -> bool:
+    """Do the atom covers of (lit; pi) and (other; other_pi) share a ground
+    atom?  Polarity plays no part."""
+    got = meet(lit, pi, other, other_pi) if lit.pred == other.pred else None
+    return got is not None and not is_empty(apply_lit(lit, got[0]), got[1], n)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def normalize(c: Constraint) -> Constraint:
 def instantiate(c: Constraint, s: Subst) -> Constraint:
     """The normal form of `c` with `s` (which binds no rhs variable) applied
     to every lhs.  On a marked `c` only the subconstraints whose lhs `s`
-    binds are renormalized; one that `s` grounds is decided by a match."""
+    binds are renormalized."""
     if c.kind != "and":
         return c
     if __debug__:
@@ -197,11 +197,6 @@ def _renormalize(c: Constraint, s: Subst) -> Constraint:
         else:
             new = apply_args(lhs, s)
         touched = True
-        if new and min(new) >= 0:
-            # ground: rules 1 to 4 strip it to () != () exactly on a match
-            if rhs == new or (min(rhs) < 0 and match_args(rhs, new) is not None):
-                return BOT
-            continue
         nf = _normalize_sub(new, rhs)
         if nf is not None:
             if not nf[0]:

@@ -2,10 +2,10 @@
 verification, the non-redundancy check, and instance generators.
 
 Everything here is deliberately separate from the solver's reasoning paths:
-grounding is exhaustive enumeration, satisfiability is decided by plain
-DPLL (the tests referee it with a full truth table, a second, independent
-route), and redundancy goes straight by its definition over the ground
-instances.  A `GroundProblem` is the one grounding path and the one
+grounding is exhaustive enumeration, satisfiability is decided by DPLL over
+clause sets (the tests referee it with a full truth table, a second,
+independent route), and redundancy goes straight by its definition over the
+ground instances.  A `GroundProblem` is the one grounding path and the one
 signed-literal encoding: `ground_problem` and the audits' pool build it
 with `add`, which grounds a clause by atom-index arithmetic; `verify_model`
 evaluates the same instances; `encode` builds every other DPLL clause; and
@@ -171,68 +171,36 @@ def ground_problem(sig: Signature, clauses: list[Clause],
 
 def brute_sat(gp: GroundProblem, clauses: Optional[list[frozenset[int]]] = None,
               ) -> Optional[set[Lit]]:
-    """DPLL with unit propagation on `clauses` (default: `gp.clauses`) over
-    `gp`'s atoms; None means unsatisfiable.  It branches only on the atoms
-    some clause mentions: the rest stay false."""
+    """A model of `clauses` (default: `gp.clauses`) over `gp`'s atoms, or
+    None when there is none: DPLL over clause sets (Davis, Logemann &
+    Loveland, CACM 1962).  An atom no remaining clause mentions stays false."""
     if gp.size > DPLL_ATOM_CAP:
         raise OracleCeiling(
             f"{gp.size} atoms exceed the backtracking cap {DPLL_ATOM_CAP}")
-    if clauses is None:
-        clauses = gp.clauses
-    assign: dict[int, bool] = {}
-    mentioned = sorted({abs(lit) for cl in clauses for lit in cl})
+    assumed = _dpll(gp.clauses if clauses is None else clauses, [])
+    return None if assumed is None else {gp.atoms[s - 1] for s in assumed if s > 0}
 
-    def value(cl):
-        undef = None
-        n_undef = 0
-        for lit in cl:
-            v = assign.get(abs(lit))
-            if v is None:
-                undef = lit
-                n_undef += 1
-            elif v == (lit > 0):
-                return "sat", None
-        if n_undef == 0:
-            return "conflict", None
-        if n_undef == 1:
-            return "unit", undef
-        return "open", None
 
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for cl in clauses:
-                st, unit = value(cl)
-                if st == "conflict":
-                    return False
-                if st == "unit":
-                    assign[abs(unit)] = unit > 0
-                    changed = True
-        return True
-
-    def rec() -> bool:
-        if not propagate():
-            return False
-        for i in mentioned:
-            if i not in assign:
-                saved = dict(assign)
-                assign[i] = False
-                if rec():
-                    return True
-                assign.clear()
-                assign.update(saved)
-                assign[i] = True
-                if rec():
-                    return True
-                assign.clear()
-                assign.update(saved)
-                return False
-        return True
-
-    if not rec():
+def _dpll(clauses: list[frozenset[int]], assumed: list[int],
+          ) -> Optional[list[int]]:
+    """`assumed` plus the literals assumed on the way to a model of
+    `clauses`, or None.  Assuming a literal drops the clauses it satisfies
+    and removes its negation from the rest.  A unit clause is assumed
+    first; otherwise the least atom left branches, false first."""
+    if not all(clauses):
         return None
-    return {gp.atoms[i - 1] for i, v in assign.items() if v}
+    if not clauses:
+        return assumed
+    branches = next((c for c in clauses if len(c) == 1), None)
+    if branches is None:
+        atom = min(abs(s) for c in clauses for s in c)
+        branches = (-atom, atom)
+    for s in branches:
+        model = _dpll([c - {-s} if -s in c else c for c in clauses if s not in c],
+                      assumed + [s])
+        if model is not None:
+            return model
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +256,6 @@ class GenParams:
     n_clauses: int = 8
     max_lits: int = 4
     seed: int = 0
-    share_prob: float = 0.5
-    allow_empty: bool = False
 
     def __post_init__(self) -> None:
         if min(self.n_preds, self.domain_size, self.n_clauses,
@@ -307,7 +273,7 @@ def gen_random_instance(p: GenParams) -> tuple[Signature, list[Clause]]:
     clauses: list[Clause] = []
     names = sorted(preds)
     for _ in range(rng.randrange(1, p.n_clauses + 1)):
-        n_lits = rng.randrange(0 if p.allow_empty else 1, p.max_lits + 1)
+        n_lits = rng.randrange(1, p.max_lits + 1)
         lits = []
         varpool: list[int] = []  # clause-scoped codes keep output seed-stable
         for _ in range(n_lits):
@@ -317,19 +283,14 @@ def gen_random_instance(p: GenParams) -> tuple[Signature, list[Clause]]:
                 r = rng.random()
                 if r < 0.35:
                     args.append(rng.randrange(p.domain_size))
-                elif varpool and r < 0.35 + p.share_prob * 0.65:
+                elif varpool and r < 0.35 + 0.5 * 0.65:
                     args.append(rng.choice(varpool))
                 else:
                     v = -len(varpool) - 1
                     varpool.append(v)
                     args.append(v)
             lits.append(Lit(rng.random() < 0.5, pred, tuple(args)))
-        if not lits and not p.allow_empty:
-            continue
         clauses.append(tuple(lits))
-    if not clauses:
-        clauses.append((Lit(False, names[0],
-                            tuple(0 for _ in range(preds[names[0]]))),))
     return sig, clauses
 
 

@@ -9,11 +9,11 @@ uppercase-initial, constants and predicates lowercase.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .constrained import CLit, conjunction, cover_size
 from .constraints import Constraint, normalize, subset
-from .syntax import Clause, Lit, Signature, Subst
+from .syntax import Clause, Lit, Signature
 
 _BASE_NAMES = ("X", "Y", "Z", "U", "V", "W", "S", "T")
 
@@ -70,20 +70,6 @@ def render_clause(sig: Signature, clause: Clause, namer: Optional[Namer] = None)
     return " | ".join(render_lit(sig, l, namer) for l in clause)
 
 
-def render_subst(sig: Signature, sigma: Subst, namer: Namer,
-                 order: Iterable[int]) -> str:
-    items = []
-    seen = set()
-    for v in order:
-        if v in sigma and v not in seen:
-            seen.add(v)
-            items.append(f"{namer.term(v)}<-{namer.term(sigma[v])}")
-    for v in sigma:
-        if v not in seen:
-            items.append(f"{namer.term(v)}<-{namer.term(sigma[v])}")
-    return "{" + ", ".join(items) + "}"
-
-
 def render_entry(sig: Signature, entry) -> str:
     namer = Namer(sig)
     body = f"{render_lit(sig, entry.lit, namer)} :: {render_pi(sig, entry.pi, namer)}"
@@ -95,11 +81,13 @@ def render_entry(sig: Signature, entry) -> str:
 def render_conflict(sig: Signature, cs, n_input: int) -> str:
     namer = Namer(sig)
     clause_txt = render_clause(sig, cs.clause, namer)
-    order = [a for l in cs.clause for a in l.args if a < 0]
-    sub_txt = render_subst(sig, cs.sigma, namer, order)
+    # sigma binds clause variables only; list them in first-occurrence order
+    order = dict.fromkeys(a for l in cs.clause for a in l.args if a < 0)
+    sub_txt = ", ".join(f"{namer.term(v)}<-{namer.term(cs.sigma[v])}"
+                        for v in order if v in cs.sigma)
     pi_txt = render_pi(sig, cs.pi, namer)
     head = f"(C{cs.origin + 1}) " if cs.origin is not None else ""
-    return f"{head}{clause_txt} ; {sub_txt} ; {pi_txt}"
+    return f"{head}{clause_txt} ; {{{sub_txt}}} ; {pi_txt}"
 
 
 def render_trace(events) -> str:

@@ -366,11 +366,8 @@ class Solver:
         return entry
 
     def _is_undefined(self, lit: Lit, pi: Constraint) -> bool:
-        probe = CLit(lit, pi).atom
-        for e in self.trail.for_pred(lit.pred):
-            if overlaps(probe, CLit(e.lit, e.pi).atom, self.n):
-                return False
-        return True
+        return not any(overlaps(lit, pi, e.lit, e.pi, self.n)
+                       for e in self.trail.for_pred(lit.pred))
 
     def _occurs_in_input(self, lit: Lit) -> bool:
         # optional fourth condition of Decide: |L| instantiates an input atom
@@ -600,9 +597,7 @@ class Solver:
             rest = (d_lit, conjoin(d_pi, conj([((x,), (c1,))])))
             work[0:1] = [p for p in (inst, rest) if not p[1].is_bot]
             split = True
-        if split:
-            # everything split away as empty: drop the entry's pieces
-            self._record_refinement(pool_idx, [])
+        # only without a split: a split's first part covers l1's atom
         return None
 
     def _record_refinement(self, pool_idx: int,

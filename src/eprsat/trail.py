@@ -12,7 +12,7 @@ as a lexicographic comparison of sorted keys, see `InducedOrdering`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .constraints import Constraint, lvars, violates
 from .syntax import (
@@ -119,7 +119,7 @@ def _defining(entries: Iterable[TrailEntry], atom: Lit, limit: int,
 
 
 # ---------------------------------------------------------------------------
-# constrained-clause truth value, assertiveness
+# ground walks, assertiveness
 
 def clause_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
                      ) -> list[Clause]:
@@ -141,22 +141,16 @@ def clause_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
     return out
 
 
-def clause_value(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint,
-                 upto: Optional[int] = None) -> int:
-    """FALSE iff every covered instance is false; TRUE iff every one true."""
-    insts = clause_instances(clause, sigma, pi, trail.n)
-    if not insts:
-        return UNDEF
-    all_false = all_true = True
-    for g in insts:
-        vals = [trail.value_of(l, upto) for l in g]
-        if not any(v == TRUE for v in vals):
-            all_true = False
-        if not all(v == FALSE for v in vals):
-            all_false = False
-        if not all_true and not all_false:
-            return UNDEF
-    return FALSE if all_false else TRUE
+def ground_walk(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint,
+                upto: Optional[int] = None,
+                ) -> Iterator[tuple[Clause, list[Optional[TrailEntry]], bool]]:
+    """Each ground instance of (clause*sigma; pi), lazily, with the defining
+    entry of each of its literals among the first `upto` entries and
+    whether those entries falsify every literal."""
+    for g in clause_instances(clause, sigma, pi, trail.n):
+        defs = [trail.defining_entry(l.atom, upto) for l in g]
+        yield g, defs, all(e is not None and e.lit.neg != l.neg
+                           for e, l in zip(defs, g))
 
 
 def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> bool:
@@ -165,14 +159,8 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
     Enumerates the instances; the solver runs the lifted
     `derive.is_assertive`, and this form referees it in the audits."""
     top = trail.level
-    for g in clause_instances(clause, sigma, pi, trail.n):
-        # one lookup per literal gives both its value and its level
-        defs = [trail.defining_entry(l.atom) for l in g]
-        false = all(e is not None and e.lit.neg != l.neg
-                    for e, l in zip(defs, g))
-        if false and sum(1 for e in defs if e.level == top) == 1:
-            return True
-    return False
+    return any(false and sum(e.level == top for e in defs) == 1
+               for _, defs, false in ground_walk(trail, clause, sigma, pi))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,15 @@ def test_each_entry_check_flags_at_the_push_and_at_the_sweep(case, hook):
     assert _hooks(solver, rule) == [msg]
 
 
+def test_a_reason_remainder_with_no_ground_instance_is_flagged():
+    # an empty entry's remainder Q(X) :: X is neither a nor b has no ground
+    # instance, so none of its instances is false
+    solver = _solver([_propagated(P(X), 0, reason=0, pi=NEITHER)],
+                     [(P(X), Q(X))])
+    assert _hooks(solver, "Propagate") == [
+        "entry 0 is empty", "reason remainder not false for entry 0"]
+
+
 def test_the_sweep_rechecks_a_decision_against_the_grown_pool():
     solver = _solver([_decision(P(X), 1)])
     auditor = Auditor(SIG, [])

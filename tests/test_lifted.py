@@ -289,6 +289,30 @@ def test_audited_colourings_skip_only_the_learning_checks(make, learned):
         "entailment check skipped (universe too big)"]
 
 
+def test_audited_c5_2_shrinks_the_trail_at_every_skip():
+    """Skip pops the trail, so at each of C5/2's 30 Skips the resolution
+    measure's trail length drops, which is a decrease without comparing
+    the instance multisets, and no audit flags it."""
+    sig, clauses = _c5_2()
+    auditor = Auditor(sig, clauses)
+    check = auditor._check_measure_decrease
+    lengths = []
+
+    def spy(rule, solver, insts):
+        before = auditor._measure[0]
+        check(rule, solver, insts)
+        if rule == "Skip":
+            lengths.append((before, auditor._measure[0]))
+
+    auditor._check_measure_decrease = spy
+    verdict = Solver(sig, clauses, RunConfig(max_steps=10_000),
+                     auditor=auditor).solve()
+    assert (verdict.status, verdict.steps) == ("unsat", 101)
+    assert len(lengths) == 30
+    assert all(after == before - 1 for before, after in lengths)
+    assert auditor.violations == []
+
+
 def test_lifted_matches_ground_on_a_random_population(monkeypatch):
     ref = _Referee(monkeypatch)
     statuses = set()

@@ -90,6 +90,27 @@ def test_brute_sat_trivial():
     assert brute_sat(gp2) == set()  # minimal witness: everything false
 
 
+@pytest.mark.parametrize("clauses, model", [
+    # the least atom left branches false first
+    ([("P", "Q")], {"Q"}),
+    ([("~P", "Q"), ("P", "R")], {"R"}),
+    # a unit is assumed first, and what it leaves unit after it
+    ([("P",), ("~P", "Q")], {"P", "Q"}),
+    ([("P",), ("~P", "Q"), ("~Q",)], None),
+    # R is in no clause and stays false; so is Q once P | Q is satisfied
+    ([("P",), ("P", "Q")], {"P"}),
+    ([], set()),
+])
+def test_brute_sat_takes_the_documented_order(clauses, model):
+    sig = Signature({"P": 0, "Q": 0, "R": 0}, ("a",))
+    gp = ground_problem(sig, [tuple(Lit(s.startswith("~"), s.lstrip("~"), ())
+                                    for s in c) for c in clauses])
+    got = brute_sat(gp)
+    assert (None if got is None else {l.pred for l in got}) == model
+    # a clause list of its own replaces gp.clauses
+    assert brute_sat(gp, [frozenset([3])]) == {Lit(False, "R", ())}
+
+
 def test_worked_example_ground_problem_is_sat():
     sig, clauses = parse_problem(EX33)
     gp = ground_problem(sig, clauses)

@@ -7,7 +7,7 @@ from eprsat.constraints import BOT, TOP
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import RunConfig, Solver
 from eprsat.syntax import Lit, var_code
-from eprsat.trail import UNDEF, Trail, TrailEntry, clause_value
+from eprsat.trail import Trail, TrailEntry, ground_walk
 
 x, y = var_code(0), var_code(1)
 a, b, c = 0, 1, 2
@@ -48,10 +48,10 @@ def test_resolution_step_resolves_when_entry_touches_conflict():
     assert s.conflict.clause == ()
 
 
-def test_clause_value_empty_cover_is_degenerate():
+def test_ground_walk_empty_cover_has_no_instance():
     tr = Trail(2)
     tr.push(TrailEntry(Lit(False, "P", (x,)), TOP, 0, 0, reason=0))
-    assert clause_value(tr, (Lit(True, "P", (x,)),), {}, BOT) == UNDEF
+    assert list(ground_walk(tr, (Lit(True, "P", (x,)),), {}, BOT)) == []
 
 
 def test_levels_monotone_along_trail():

@@ -103,7 +103,7 @@ GROUNDING = {
     "syntax": {"ground_assignments"},
     "constraints": {"solutions"},
     "constrained": {"cover"},
-    "trail": {"clause_instances", "clause_value", "is_assertive"},
+    "trail": {"clause_instances", "ground_walk", "is_assertive"},
 }
 SOLVER_SIDE = ("syntax", "constraints", "constrained", "trail", "derive",
                "solver", "render")

@@ -13,7 +13,7 @@ from eprsat.trail import (
     InducedOrdering,
     Trail,
     TrailEntry,
-    clause_value,
+    ground_walk,
     is_assertive,
 )
 from eprsat.syntax import Lit, match_args, var_code
@@ -87,7 +87,7 @@ def test_buckets_follow_push_pop_and_truncate():
                                              if e.lit.pred == pred]
 
 
-def test_clause_value_conflict_example():
+def test_ground_walk_conflict_example():
     # clause 2 of the worked derivation is false under the extended trail
     tr = _trail_ex33()
     tr.push(TrailEntry(nQ(a, x), conj([((x,), (c,))]), level=1, pos=2,
@@ -95,13 +95,22 @@ def test_clause_value_conflict_example():
     clause2 = (nP3(x, y, z), nP3(u, w, t), Q(x, u))
     sigma = {x: a}
     pi = conj([((u,), (c,))])
-    assert clause_value(tr, clause2, sigma, pi) == FALSE
+    walk = list(ground_walk(tr, clause2, sigma, pi))
+    assert walk and all(false for _, _, false in walk)
+    for g, defs, _ in walk:
+        assert [tr.value_of(l) for l in g] == [FALSE] * len(g)
+        assert defs == [tr.defining_entry(l.atom) for l in g]
+    # under the first two entries the Q literal is undefined
+    assert not any(false for _, _, false in
+                   ground_walk(tr, clause2, sigma, pi, upto=2))
 
 
-def test_clause_value_undefined_literal_gives_undef():
+def test_ground_walk_undefined_literal_is_not_false():
     tr = _trail_ex33()
     clause = (Q(x, y),)
-    assert clause_value(tr, clause, {}, TOP) == UNDEF
+    walk = list(ground_walk(tr, clause, {}, TOP))
+    assert len(walk) == 9
+    assert all(defs == [None] and not false for _, defs, false in walk)
 
 
 def test_is_assertive_unit_learned_clause():
