@@ -12,9 +12,14 @@ under TOP: it matches the other literal onto it.  Both put a constraint
 under a substitution only with `constraints.instantiate` and conjoin
 constraints only with `constraints.conjoin`; both keep normal form, and on
 normal operands renormalize only the subconstraints the substitution binds.
-Emptiness (`least_instance`, `no_instances`) asks for the least solution
-and `cover_size` counts the cover; neither grounds.  The enumerating
-`cover` stays as the referee for the oracle, the audits and the tests.
+Every step here relies on normal operands; the public `is_empty` and
+`difference`, which take a caller's constraint, normalize it first.
+Emptiness (`no_instances`) is asked of the constraint alone: (C*sigma; pi)
+has an instance exactly when pi has a solution over its own lhs variables,
+so no instance is built to ask it.  `least_instance` finds the least
+grounding of a clause's variables for `is_blocked`'s witness, and
+`cover_size` counts the cover; neither grounds.  The enumerating `cover`
+stays as the referee for the oracle, the audits and the tests.
 Closures arising during solving may carry extra "free" lhs variables; those
 are existential and get eliminated by instantiation before a literal is
 ever placed on the trail.
@@ -43,7 +48,6 @@ from .syntax import (
     Lit,
     Subst,
     apply_args,
-    apply_clause,
     apply_lit,
     args_vars,
     clause_vars,
@@ -55,6 +59,7 @@ from .syntax import (
     mgu_atoms,
     renaming_for,
     unifiable_apart,
+    var_code,
 )
 
 
@@ -79,8 +84,7 @@ def rename_clit_fresh(lit: Lit, pi: Constraint) -> tuple[Lit, Constraint, Subst]
 
 
 def free_lvars(lit: Lit, pi: Constraint) -> list[int]:
-    lv = lit_vars(lit)
-    return [v for v in lvars(pi) if v not in lv]
+    return [v for v in lvars(pi) if v not in lit.args]
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +95,8 @@ def cover(lit: Lit, pi: Constraint, n: int) -> set[Lit]:
 
     Extra lhs variables of `pi` are treated existentially.
     """
-    vs = lit_vars(lit)
-    extra = [v for v in lvars(pi) if v not in vs]
     out: set[Lit] = set()
-    for d in ground_assignments(vs + extra, n):
+    for d in ground_assignments(args_vars(lit_vars(lit) + lvars(pi)), n):
         if not violates(d, pi):
             out.add(apply_lit(lit, d))
     return out
@@ -124,12 +126,9 @@ def cover_size(lit: Lit, pi: Constraint, n: int) -> int:
     code = min(vs + rvars(pi) + [0])
     groups: list[tuple[set[int], list[list[tuple[int, int]]]]] = []
     for lhs, rhs in pi.subs:
-        ren: Subst = {}
-        for t in rhs:
-            if t < 0 and t not in ren:
-                code -= 1
-                ren[t] = code
-        scope = {t for t in lhs if t < 0}
+        ren = {v: code - 1 - i for i, v in enumerate(args_vars(rhs))}
+        code -= len(ren)
+        scope = set(args_vars(lhs))
         matchers = [list(zip(lhs, apply_args(rhs, ren)))]
         for g in [g for g in groups if g[0] & scope]:
             groups.remove(g)
@@ -158,25 +157,23 @@ def _count_solutions(vs: tuple[int, ...], matchers: list[list[tuple[int, int]]],
     return total
 
 
-def least_instance(clause: Clause, sigma: Subst, pi: Constraint, n: int,
-                   ) -> Optional[Subst]:
-    """Least grounding (enumeration order) of the variables of clause*sigma,
-    then of pi's other lhs variables, that solves pi; None when the
-    instance set of (clause*sigma; pi) is empty."""
-    if pi.is_bot:
-        return None
-    vs = clause_vars(apply_clause(clause, sigma))
-    extra = [v for v in lvars(pi) if v not in vs]
-    return find_solution_enum(pi, vs + extra, n)
+def least_instance(clause: Clause, pi: Constraint, n: int) -> Optional[Subst]:
+    """Least grounding (enumeration order) of the variables of `clause`,
+    then of pi's other lhs variables, that solves pi; None when
+    (clause; pi) has no instance."""
+    return find_solution_enum(pi, args_vars(clause_vars(clause) + lvars(pi)), n)
 
 
-def no_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int) -> bool:
-    return least_instance(clause, sigma, pi, n) is None
+def no_instances(pi: Constraint, n: int) -> bool:
+    """Does no grounding of pi's lhs variables solve pi?  Then no
+    expression constrained by pi has an instance."""
+    return find_solution_enum(pi, lvars(pi), n) is None
 
 
 def is_empty(lit: Lit, pi: Constraint, n: int) -> bool:
-    """True iff the cover is empty."""
-    return no_instances((lit,), {}, pi, n)
+    """True iff the cover is empty: a question about pi alone, asked of its
+    normal form."""
+    return no_instances(normalize(pi), n)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +217,7 @@ def overlaps(lit: Lit, pi: Constraint, other: Lit, other_pi: Constraint,
     """Do the atom covers of (lit; pi) and (other; other_pi) share a ground
     atom?  Polarity plays no part."""
     got = meet(lit, pi, other, other_pi) if lit.pred == other.pred else None
-    return got is not None and not is_empty(apply_lit(lit, got[0]), got[1], n)
+    return got is not None and not no_instances(got[1], n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +239,8 @@ def diff_pairs(lit1: Lit, pi1: Constraint, lit2: Lit, pi2: Constraint,
         return _diff_same(pi1, pi2)
     # distinct unifiable literals: keep the non-instances, recurse on common
     out: list[tuple[Subst, Constraint]] = []
-    args = lit1.args
-    ren = renaming_for([t for t in (sigma.get(a, a) for a in args) if t < 0])
-    guard = (args, tuple(ren.get(sigma.get(a, a), sigma.get(a, a)) for a in args))
+    img = apply_args(lit1.args, sigma)
+    guard = (lit1.args, apply_args(img, renaming_for(args_vars(img))))
     keep = conjoin(pi1, conj([guard]))
     if not keep.is_bot:
         out.append(({}, keep))
@@ -303,11 +299,13 @@ def diff_apart(lit: Lit, pieces: Iterable[tuple[Subst, Constraint]],
 
 
 def difference(a: CLit, b: CLit) -> list[CLit]:
-    """Cover difference of two constrained literals, as disjoint pieces."""
+    """Cover difference of two constrained literals, as disjoint pieces; the
+    constraints are normalized first (a marked one is kept as it is)."""
     if a.lit.neg != b.lit.neg:
         return [a]
     return [CLit(apply_lit(a.lit, tau), pi)
-            for tau, pi in diff_apart(a.lit, [({}, a.pi)], [(b.lit, b.pi)])]
+            for tau, pi in diff_apart(a.lit, [({}, normalize(a.pi))],
+                                      [(b.lit, normalize(b.pi))])]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ def elim_free_vars(lit: Lit, pi: Constraint, sigma: Subst, n: int,
         if not free:
             done.append((l, p, s))
             continue
-        x = min(free, key=lambda v: -v - 1)  # lowest variable id first
+        x = min(free, key=var_code)  # lowest variable id first
         for d in range(n):
             p2 = instantiate(p, {x: d})
             if not p2.is_bot:

@@ -14,6 +14,11 @@ Nothing else may set it: these trust a marked constraint's subconstraints
 as they are (`instantiate` renormalizes only those its substitution binds,
 `conjoin` only dedups), and a hand-built, unmarked constraint is
 normalized in full.
+
+Every constraint a lifted step or `find_solution_enum` sees is normal: the
+search bumps lhs variables, and a ground lhs has none.  A caller's own
+constraint is normalized where it comes in: `conjoin`, `instantiate`, and
+`constrained`'s public `is_empty` and `difference`.
 """
 from __future__ import annotations
 
@@ -24,9 +29,11 @@ from typing import Iterable, Optional
 from .syntax import (
     Subst,
     apply_args,
-    fresh_var,
+    args_vars,
     match_args,
     mgu_args,
+    renaming_for,
+    var_code,
 )
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -72,29 +79,17 @@ def conjoin(*cs: Constraint) -> Constraint:
 
 
 def lvars(c: Constraint) -> list[int]:
-    out: list[int] = []
-    if c.kind == "and":
-        for lhs, _ in c.subs:
-            for t in lhs:
-                if t < 0 and t not in out:
-                    out.append(t)
-    return out
+    return args_vars(t for lhs, _ in c.subs for t in lhs)
 
 
 def rvars(c: Constraint) -> list[int]:
-    out: list[int] = []
-    if c.kind == "and":
-        for _, rhs in c.subs:
-            for t in rhs:
-                if t < 0 and t not in out:
-                    out.append(t)
-    return out
+    return args_vars(t for _, rhs in c.subs for t in rhs)
 
 
 def rename_rhs_fresh(c: Constraint) -> Constraint:
     if c.kind != "and":
         return c
-    ren = {v: fresh_var() for v in rvars(c)}
+    ren = renaming_for(rvars(c))
     return Constraint("and", tuple((lhs, apply_args(rhs, ren)) for lhs, rhs in c.subs),
                       c.normal)
 
@@ -121,17 +116,11 @@ def subset(c: Constraint, subs: tuple[Pair, ...]) -> Constraint:
 # normal form transformation
 
 def _rhs_canon(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> tuple:
-    # key identifying a subconstraint up to renaming of its rhs variables
-    seen: dict[int, int] = {}
-    canon = []
-    for t in rhs:
-        if t < 0:
-            if t not in seen:
-                seen[t] = len(seen)
-            canon.append((1, seen[t]))
-        else:
-            canon.append((0, t))
-    return (lhs, tuple(canon))
+    # key up to rhs renaming: the i-th rhs variable becomes var_code(i)
+    vs = args_vars(rhs)
+    if vs:
+        rhs = apply_args(rhs, {v: var_code(i) for i, v in enumerate(vs)})
+    return lhs, rhs
 
 
 def _normalize_sub(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Optional[Pair]:
@@ -147,9 +136,9 @@ def _normalize_sub(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Optional[Pair]
     # rules 5/6: unify the rhs terms under each repeated lhs variable, first
     # variable first, and keep its first position
     at: dict[int, list[int]] = {}
-    for s, t in zip(lhs, rhs):
+    for s, t in zip(lhs, apply_args(rhs, bound)):
         if s < 0:
-            at.setdefault(s, []).append(bound.get(t, t))
+            at.setdefault(s, []).append(t)
     lv = tuple(at)
     rv = tuple(ts[0] for ts in at.values())
     dups = [(ts[0], t) for ts in at.values() for t in ts[1:]]
@@ -188,14 +177,10 @@ def _renormalize(c: Constraint, s: Subst) -> Constraint:
     touched = False
     for sub in c.subs:
         lhs, rhs = sub
-        if c.normal:
-            # a normal lhs holds variables only
-            new = tuple(map(s.get, lhs, lhs))
-            if new == lhs:
-                out.append(sub)
-                continue
-        else:
-            new = apply_args(lhs, s)
+        new = apply_args(lhs, s)
+        if c.normal and new == lhs:
+            out.append(sub)
+            continue
         touched = True
         nf = _normalize_sub(new, rhs)
         if nf is not None:
@@ -232,7 +217,7 @@ def is_normal(c: Constraint) -> bool:
         if len(set(lhs)) != len(lhs):
             return False  # C2
         lv.update(lhs)
-        rhs_var_sets.append({t for t in rhs if t < 0})
+        rhs_var_sets.append(set(args_vars(rhs)))
     for i, a in enumerate(rhs_var_sets):
         if a & lv:
             return False
@@ -247,8 +232,6 @@ def is_normal(c: Constraint) -> bool:
 
 def violates(delta: Subst, c: Constraint) -> bool:
     """True iff delta is not a solution: some rhs matches the grounded lhs."""
-    if c.is_top:
-        return False
     if c.is_bot:
         return True
     for lhs, rhs in c.subs:
@@ -281,11 +264,11 @@ def find_solution_enum(c: Constraint, variables: list[int], n: int) -> Optional[
     """
     if c.is_bot:
         return None
+    if c.is_top:
+        return dict.fromkeys(variables, 0)
     if __debug__:
         assert set(lvars(c)) <= set(variables)
         assert not (set(variables) & set(rvars(c)))
-    if c.is_top or not variables:
-        return dict.fromkeys(variables, 0)
     pos = {v: i for i, v in enumerate(variables)}
     vals = [0] * len(variables)
 
@@ -310,6 +293,6 @@ def find_solution_enum(c: Constraint, variables: list[int], n: int) -> Optional[
                 break
         if offending is None:
             return delta
-        rightmost = max(pos[v] for v in offending if v < 0)
+        rightmost = max(map(pos.get, offending))
         if not bump(rightmost):
             return None

@@ -36,7 +36,8 @@ count of top-level entries among a leaf's sources, a blocked decision is a
 derivation using the decision as a pseudo-entry at two positions whose
 instances can differ, and a clause is falsifiable under a trail prefix when
 the solver's derivation against it has a conflict leaf.  Non-emptiness of a
-leaf is always the least-solution test of `constrained.no_instances`.  The
+leaf is asked of its constraint alone, by `constrained.no_instances`; only
+a blocked decision's witness asks for the least instance itself.  The
 grounding versions in `trail` serve only as referees.
 """
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .syntax import (
     apply_clause,
     apply_lit,
     args_vars,
+    clause_vars,
     compose,
     mgu_many,
     renaming_for,
@@ -127,7 +129,7 @@ def find_candidates(
         return best
 
     width = len(clause)
-    lit_vs = [{t for t in lit.args if t < 0} for lit in clause]
+    lit_vs = [set(args_vars(lit.args)) for lit in clause]
 
     def join_order(first: Optional[int]) -> list[int]:
         # `first`, if any, then greedily the position with the fewest
@@ -217,14 +219,12 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
     """Some instance of (clause*sigma; pi) is false with exactly one literal
     defined at the top level (the lifted `trail.is_assertive`)."""
     top = trail.level
-    base = apply_clause(clause, sigma)
     entries = trail.entries
     pi = rename_rhs_fresh(pi)
-    for leaf in find_candidates(base, entries, keep_limit=0):
+    for leaf in find_candidates(apply_clause(clause, sigma), entries, keep_limit=0):
         if sum(1 for _, src in leaf.used if entries[src].level == top) != 1:
             continue
-        both = conjoin(instantiate(pi, leaf.sigma), leaf.pi)
-        if not no_instances(base, leaf.sigma, both, trail.n):
+        if not no_instances(conjoin(instantiate(pi, leaf.sigma), leaf.pi), trail.n):
             return True
     return False
 
@@ -262,8 +262,7 @@ def is_blocked(
             if len(d_positions) < 2:
                 continue
             base = apply_clause(clause, leaf.sigma)
-            delta = least_instance(
-                base, {}, _split(base, d_positions, leaf.pi), n)
+            delta = least_instance(base, _split(base, d_positions, leaf.pi), n)
             if delta is None:
                 continue
             inst = apply_clause(base, delta)
@@ -283,7 +282,7 @@ def _split(base: Clause, positions: list[int], pi: Constraint) -> Constraint:
     eta = mgu_many(lits)
     if eta is None:
         return pi
-    vs = tuple(args_vars(a for l in lits for a in l.args))
+    vs = tuple(clause_vars(lits))
     img = apply_args(vs, eta)
     img = apply_args(img, renaming_for(args_vars(img)))
     return conjoin(pi, conj([(vs, img)]))

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .constrained import CLit, conjunction, cover_size
 from .constraints import Constraint, normalize, subset
-from .syntax import Clause, Lit, Signature
+from .syntax import Clause, Lit, Signature, clause_vars
 
 _BASE_NAMES = ("X", "Y", "Z", "U", "V", "W", "S", "T")
 
@@ -71,20 +71,18 @@ def render_clause(sig: Signature, clause: Clause, namer: Optional[Namer] = None)
 
 
 def render_entry(sig: Signature, entry) -> str:
-    namer = Namer(sig)
-    body = f"{render_lit(sig, entry.lit, namer)} :: {render_pi(sig, entry.pi, namer)}"
+    body = render_clit(sig, entry.lit, entry.pi)
     if entry.is_decision:
         return f"[lvl {entry.level} DECIDE] {body}"
     return f"[reason C{entry.reason + 1}] {body}"
 
 
-def render_conflict(sig: Signature, cs, n_input: int) -> str:
+def render_conflict(sig: Signature, cs) -> str:
     namer = Namer(sig)
     clause_txt = render_clause(sig, cs.clause, namer)
     # sigma binds clause variables only; list them in first-occurrence order
-    order = dict.fromkeys(a for l in cs.clause for a in l.args if a < 0)
     sub_txt = ", ".join(f"{namer.term(v)}<-{namer.term(cs.sigma[v])}"
-                        for v in order if v in cs.sigma)
+                        for v in clause_vars(cs.clause) if v in cs.sigma)
     pi_txt = render_pi(sig, cs.pi, namer)
     head = f"(C{cs.origin + 1}) " if cs.origin is not None else ""
     return f"{head}{clause_txt} ; {{{sub_txt}}} ; {pi_txt}"

@@ -252,7 +252,7 @@ class Solver:
         self.conflict = cs
         self._pq.clear()
         self._bump_clause(cs.clause)
-        self._emit("Conflict", render_conflict(self.sig, cs, self.n_input))
+        self._emit("Conflict", render_conflict(self.sig, cs))
 
     def rule_success(self) -> None:
         # `_solve` vouches: the queue is exhausted and no decision is left,
@@ -290,12 +290,11 @@ class Solver:
         eta0 = mgu_atoms(rp[entry.reason_lit].atom, cs.clause[pos].atom)
         assert eta0 is not None, "eta exists, so eta0 must"
         rest_r = rp[:entry.reason_lit] + rp[entry.reason_lit + 1:]
-        inv_rho = {w: v for v, w in rho.items()}
         self._bump_clause(apply_clause(rest_r, eta0))
         self._rewrite_conflict(
             "Resolve", cs.clause[:pos] + cs.clause[pos + 1:] + rest_r, eta0, eta,
-            {u: apply_term(apply_term(inv_rho.get(u, u), entry.sigma), eta)
-             for u in clause_vars(rp)}, new_pi)
+            {apply_term(v, rho): apply_term(apply_term(v, entry.sigma), eta)
+             for v in clause_vars(reason)}, new_pi)
 
     def rule_factorize(self, i: int, j: int, eta: Subst) -> None:
         """Merge the conflict clause's literals i < j under `eta`."""
@@ -319,7 +318,7 @@ class Solver:
         clause = canonical_clause(apply_clause(lits, eta0))
         sigma = restrict(factor_through(eta0, mu, mu), clause_vars(clause))
         self.conflict = ConflictSet(clause, sigma, pi)
-        self._emit(rule, render_conflict(self.sig, self.conflict, self.n_input))
+        self._emit(rule, render_conflict(self.sig, self.conflict))
 
     def rule_backjump(self, case: int) -> int:
         """Learn the conflict clause, cut the trail to the level search's
@@ -388,7 +387,7 @@ class Solver:
                 out.append((i, l.atom, eta))
         return out
 
-    def _factorize_choice(self, cs: ConflictSet, lits: Clause, entry: TrailEntry,
+    def _factorize_choice(self, cs: ConflictSet, entry: TrailEntry,
                           unifiers: list[tuple[int, Lit, Subst]]):
         # a pair's joint unifier unifies each of its literals with the entry,
         # so only the literals that unify with it alone can pair
@@ -399,20 +398,18 @@ class Solver:
                     continue
                 eta = mgu_atoms(apply_lit(ai, eta), entry.lit.atom, base=eta)
                 if eta is not None and self._meets_entry(
-                        lits, cs.pi, entry, eta) is not None:
+                        cs.pi, entry, eta) is not None:
                     return i, j, eta
         return None
 
-    def _meets_entry(self, lits: Clause, pi: Constraint, entry: TrailEntry,
+    def _meets_entry(self, pi: Constraint, entry: TrailEntry,
                      eta: Subst) -> Optional[Constraint]:
-        """`pi` and `entry`'s constraint met under `eta`, when (lits; pi) has
-        an instance under `eta` that `entry` falsifies: `lits` is a clause
-        under its sigma and `eta` unifies one of its literals with `entry`."""
+        """`pi` and `entry`'s constraint met under `eta`, when a clause
+        constrained by `pi` has an instance under `eta` that `entry`
+        falsifies: `eta` unifies one of its literals with `entry`."""
         met = conjoin(instantiate(pi, eta),
                       instantiate(rename_rhs_fresh(entry.pi), eta))
-        if met.is_bot or no_instances(lits, eta, met, self.n):
-            return None
-        return met
+        return None if no_instances(met, self.n) else met
 
     # -- propagation ----------------------------------------------------------
 
@@ -438,8 +435,7 @@ class Solver:
         pieces = diff_apart(lit, [(sigma, pi)], [
             (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
             if upto is None or e.pos < upto])
-        return ((s, p) for s, p in pieces
-                if not is_empty(apply_lit(lit, s), p, self.n))
+        return ((s, p) for s, p in pieces if not no_instances(p, self.n))
 
     def _derive(self, ci: int, clause: Clause, sources: list[TrailEntry],
                 newest_pos: Optional[int] = None):
@@ -454,9 +450,9 @@ class Solver:
         for leaf in find_candidates(clause, sources, newest_pos=newest_pos,
                                     keep_limit=1):
             if not leaf.remaining:
-                sigma = restrict(leaf.sigma, clause_vars(clause))
-                if not no_instances(clause, sigma, leaf.pi, self.n):
-                    yield ConflictSet(clause, sigma, leaf.pi, origin=ci)
+                if not no_instances(leaf.pi, self.n):
+                    yield ConflictSet(clause, restrict(leaf.sigma, clause_vars(clause)),
+                                      leaf.pi, origin=ci)
                 continue
             lit_idx = leaf.remaining[0]
             lit = apply_lit(clause[lit_idx], leaf.sigma)
@@ -473,11 +469,10 @@ class Solver:
             delta = mgu_atoms(lit.atom, entry.lit.atom)
             if delta is None:
                 continue
-            clause = self.pool[cand.clause_idx]
-            met = self._meets_entry(apply_clause(clause, cand.sigma), cand.pi,
-                                    entry, delta)
+            met = self._meets_entry(cand.pi, entry, delta)
             if met is None:
                 continue
+            clause = self.pool[cand.clause_idx]
             self.rule_conflict(ConflictSet(
                 clause, restrict(compose(cand.sigma, delta), clause_vars(clause)),
                 met, origin=cand.clause_idx))
@@ -582,17 +577,12 @@ class Solver:
                     self._record_refinement(pool_idx, work)
                 return d_lit, d_pi
             _, _, l1, l2 = wit
+            # l1 and l2 are distinct ground instances of d_lit: they bind
+            # some variable x apart, and the split puts x at l1's constant
             d1 = match_lit(d_lit.atom, l1.atom)
             d2 = match_lit(d_lit.atom, l2.atom)
-            assert d1 is not None and d2 is not None
-            x = None
-            for v in lit_vars(d_lit):
-                if d1.get(v, v) != d2.get(v, v):
-                    x = v
-                    break
-            assert x is not None, "distinct instances must differ on a variable"
-            c1 = d1.get(x)
-            assert c1 is not None and c1 >= 0
+            x = next(v for v in lit_vars(d_lit) if d1[v] != d2[v])
+            c1 = d1[x]
             inst = (apply_lit(d_lit, {x: c1}), instantiate(d_pi, {x: c1}))
             rest = (d_lit, conjoin(d_pi, conj([((x,), (c1,))])))
             work[0:1] = [p for p in (inst, rest) if not p[1].is_bot]
@@ -690,12 +680,12 @@ class Solver:
             unifiers = self._entry_unifiers(lits, entry)
             resolvable = None if entry.is_decision else next(
                 ((pos, eta, met) for pos, _, eta in unifiers
-                 if (met := self._meets_entry(lits, cs.pi, entry, eta)) is not None),
+                 if (met := self._meets_entry(cs.pi, entry, eta)) is not None),
                 None)
             if entry.is_decision or resolvable is not None:
                 break
             self.rule_skip()
-        found = self._factorize_choice(cs, lits, entry, unifiers)
+        found = self._factorize_choice(cs, entry, unifiers)
         if found is not None:
             self.rule_factorize(*found)
         elif resolvable is None:
@@ -813,15 +803,14 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
             variants[c] = canonical_variant(c)
         return variants[c]
 
+    # the later passes only drop literals of a non-tautology or delete
+    # clauses, so no tautology appears after this one pass
+    for i, c in enumerate(clauses):
+        if is_tautology(c):
+            alive[i] = False
+            log.append(f"tautology: deleted clause {i + 1}")
     while changed:
         changed = False
-        for i, c in enumerate(clauses):
-            if not alive[i]:
-                continue
-            if is_tautology(c):
-                alive[i] = False
-                log.append(f"tautology: deleted clause {i + 1}")
-                changed = True
         # subsumption resolution: C or L with C*s subset of D deletes ~L*s from D
         for i, c in enumerate(clauses):
             if not alive[i] or not c:

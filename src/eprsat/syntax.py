@@ -1,9 +1,13 @@
 """Function-free first-order syntax: terms, literals, clauses, substitutions.
 
 Terms are plain ints.  A constant is its index into the signature's domain
-(>= 0); a variable with id i is encoded as -i - 1.  Substitutions are dicts
-from variable codes to term codes.  This keeps unification and grounding in
-tight loops over small tuples.
+(>= 0); a variable with id i is encoded as -i - 1 (`var_code`, its own
+inverse).  A substitution (`Subst`) is a dict whose domain is a set of
+variables (Baader & Snyder, *Unification Theory*, Handbook of Automated
+Reasoning 2001): no constant is a key, so `apply_term` and `apply_args`, the
+one way to apply one, make one `dict.get` per term.  `args_vars` is the one
+variable collector.  This keeps unification and grounding in tight loops
+over small tuples.
 """
 from __future__ import annotations
 
@@ -21,10 +25,6 @@ _counter = itertools.count(_FRESH_BASE)
 def fresh_var() -> int:
     """Allocate a globally fresh variable (monotone id counter)."""
     return -next(_counter) - 1
-
-
-def var_id(t: int) -> int:
-    return -t - 1
 
 
 def var_code(i: int) -> int:
@@ -84,24 +84,19 @@ def lit_vars(l: Lit) -> list[int]:
     return args_vars(l.args)
 
 
-def clause_vars(c: Clause) -> list[int]:
-    out: list[int] = []
-    for l in c:
-        for v in l.args:
-            if v < 0 and v not in out:
-                out.append(v)
-    return out
+def clause_vars(c: Iterable[Lit]) -> list[int]:
+    return args_vars(a for l in c for a in l.args)
 
 
 # ---------------------------------------------------------------------------
 # substitution application and composition
 
 def apply_term(t: int, s: Subst) -> int:
-    return s.get(t, t) if t < 0 else t
+    return s.get(t, t)
 
 
 def apply_args(args: tuple[int, ...], s: Subst) -> tuple[int, ...]:
-    return tuple(s.get(a, a) if a < 0 else a for a in args)
+    return tuple(map(s.get, args, args))
 
 
 def apply_lit(l: Lit, s: Subst) -> Lit:
@@ -134,7 +129,7 @@ def restrict(s: Subst, vars_: Iterable[int]) -> Subst:
 # unification and matching
 
 def _resolve(t: int, s: Subst) -> int:
-    while t < 0 and t in s:
+    while t in s:
         t = s[t]
     return t
 
@@ -152,7 +147,7 @@ def mgu_args(pairs: Iterable[tuple[int, int]], base: Optional[Subst] = None) -> 
         if a == b:
             continue
         if a < 0 and b < 0:
-            if var_id(a) < var_id(b):
+            if var_code(a) < var_code(b):
                 a, b = b, a
             s[a] = b
         elif a < 0:
@@ -289,7 +284,7 @@ def renaming_for(vars_: Iterable[int]) -> Subst:
 # canonical ordering of literals inside clauses
 
 def term_key(t: int) -> tuple[int, int]:
-    return (0, t) if t >= 0 else (1, var_id(t))
+    return (0, t) if t >= 0 else (1, var_code(t))
 
 
 def lit_key(l: Lit) -> tuple:

@@ -20,6 +20,7 @@ from .syntax import (
     Lit,
     Subst,
     apply_clause,
+    args_vars,
     clause_vars,
     ground_assignments,
     match_args,
@@ -127,11 +128,9 @@ def clause_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
 
     For the audits and tests only: no solver path grounds."""
     base = apply_clause(clause, sigma)
-    vs = clause_vars(base)
-    extra = [v for v in lvars(pi) if v not in vs]
     out: list[Clause] = []
     seen = set()
-    for d in ground_assignments(vs + extra, n):
+    for d in ground_assignments(args_vars(clause_vars(base) + lvars(pi)), n):
         if violates(d, pi):
             continue
         g = apply_clause(base, d)

@@ -215,3 +215,70 @@ def test_difference_size_bound_same_literal():
         out = difference(c1, c2)
         # same-literal staged construction plus at most one guard piece
         assert len(out) <= len(c2.pi.subs) + 1
+
+
+# ---------------------------------------------------------------------------
+# the public entries on a constraint built with `conj`, not in normal form
+
+def test_is_empty_of_a_ground_false_subconstraint():
+    # a != a has no solution: the cover is empty
+    assert cover(P(a), conj([((a,), (a,))]), 3) == set()
+    assert is_empty(P(a), conj([((a,), (a,))]), 3)
+
+
+def test_is_empty_with_no_lhs_variable():
+    # a != b is TOP and c != V is BOT (V matches c): the cover is empty
+    pi = conj([((a,), (b,)), ((c,), (v,))])
+    assert cover(P(y, x), pi, 3) == set()
+    assert is_empty(P(y, x), pi, 3)
+
+
+def test_difference_with_a_constant_lhs():
+    # b != c is TOP, so P(a,a) :: b != c covers P(a,a) and nothing is left
+    assert difference(CLit(P(a, a), TOP), CLit(P(a, a), conj([((b,), (c,))]))) == []
+
+
+def _raw_clit(rng, arity, base, n):
+    """A positive P literal over variables base.. and constants, under up to
+    three subconstraints whose lhs mixes its variables and constants, built
+    with `conj` and left as built."""
+    vs = [var_code(base + i) for i in range(arity)]
+    args = tuple(rng.choice(vs + list(range(n))) for _ in range(arity))
+    lv = lit_vars(P(*args))
+    subs = []
+    for i in range(rng.randrange(0, 4)):
+        width = rng.randrange(1, 4)
+        rv = [var_code(base + 100 + 10 * i + k) for k in range(2)]
+        subs.append((tuple(rng.choice(lv + list(range(n))) for _ in range(width)),
+                     tuple(rng.choice(rv + list(range(n))) for _ in range(width))))
+    return CLit(P(*args), conj(subs))
+
+
+def _pieces_cover(pieces, n):
+    return set().union(*(cover(p.lit, p.pi, n) for p in pieces))
+
+
+def test_public_entries_on_raw_constraints_match_the_cover():
+    """`is_empty`, `difference` and `conjunction` against `cover` on 20,000
+    random pairs of constraints not in normal form; a raise counts as a
+    mismatch."""
+    rng = random.Random(2021)
+    n = 3
+    bad = dict(is_empty=[], difference=[], conjunction=[])
+    for _ in range(20_000):
+        arity = rng.randrange(1, 4)
+        c1, c2 = _raw_clit(rng, arity, 0, n), _raw_clit(rng, arity, 50, n)
+        g1, g2 = cover(c1.lit, c1.pi, n), cover(c2.lit, c2.pi, n)
+        checks = dict(
+            is_empty=lambda: is_empty(c1.lit, c1.pi, n) == (not g1),
+            difference=lambda: _pieces_cover(difference(c1, c2), n) == g1 - g2,
+            conjunction=lambda: _pieces_cover([conjunction(c1, c2)], n) == g1 & g2)
+        for name, holds in checks.items():
+            try:
+                ok = holds()
+            except Exception:
+                ok = False
+            if not ok:
+                bad[name].append((c1, c2))
+    assert {k: len(v) for k, v in bad.items()} == dict.fromkeys(bad, 0), \
+        {k: v[:2] for k, v in bad.items()}

@@ -445,8 +445,7 @@ def _all_pairs_factorize_choice(s, cs, entry):
                                instantiate(entry_pi, eta))
             if combined.is_bot:
                 continue
-            if constrained.no_instances(apply_clause(cs.clause, cs.sigma), eta,
-                                   combined, s.n):
+            if constrained.no_instances(combined, s.n):
                 continue
             return i, j, eta
     return None
@@ -456,8 +455,8 @@ def test_factorize_choice_matches_the_all_pairs_scan(monkeypatch):
     real = Solver._factorize_choice
     seen = dict(calls=0, found=0)
 
-    def referee(self, cs, lits, entry, unifiers):
-        got = real(self, cs, lits, entry, unifiers)
+    def referee(self, cs, entry, unifiers):
+        got = real(self, cs, entry, unifiers)
         seen["calls"] += 1
         seen["found"] += got is not None
         # fail at once: a wrong choice can send the solve into a long detour

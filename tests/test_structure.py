@@ -200,3 +200,30 @@ def test_every_definition_has_a_caller_in_src():
     assert not dead, "no caller in src/: " + ", ".join(dead)
     kept = {name for _, name in defs if name in REFEREES and name not in used}
     assert kept == set(REFEREES)
+
+
+# parameters their function's body never reads, kept on purpose: each is
+# part of a public signature
+UNREAD = {
+    "constrained.is_empty(lit)": "public signature; the constraint alone "
+                                 "decides emptiness",
+}
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a `src/` function or method (nested ones too),
+    a method's `self` aside, is read somewhere in its body, or is listed in
+    `UNREAD` with its reason."""
+    unread = []
+    for path in MODULES:
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg] if p is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}({p})" for p in params
+                       if p not in read and p != "self"]
+    assert sorted(unread) == sorted(UNREAD)
