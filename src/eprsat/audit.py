@@ -18,6 +18,10 @@ A learned clause is grounded in full only for the two checks that need its
 instance list, non-redundancy and entailment, and only when one of them
 runs; the check for a false instance under the backjump prefix walks the
 instances lazily and stops at the first false one.
+Each defining-entry lookup is answered once per ground atom per trail
+state: the entry checks, the conflict-set checks, the two-per-level check,
+the ground `is_assertive` and the false-under-prefix check all ask
+`Trail.defining_entry`, whose memo lives until the next push or pop.
 Violations are collected, not raised, so a test can assert the list is
 empty.
 

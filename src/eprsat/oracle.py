@@ -14,7 +14,6 @@ and for the audits.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -67,7 +66,6 @@ class GroundProblem:
         self.clauses: list[frozenset[int]] = []   # +-(i+1) signed atom indices
         # an insertion-ordered set: each clause's sorted signed literals
         self._keys: dict[tuple[int, ...], None] = {}
-        self._decoded: list[Clause] = []
 
     # -- the kernel -----------------------------------------------------------
 
@@ -143,13 +141,6 @@ class GroundProblem:
     def atoms(self) -> list[Lit]:
         """The ground atoms, atom i at position i."""
         return [self._atom(i) for i in range(self.size)]
-
-    @property
-    def ground_clauses(self) -> list[Clause]:
-        """The canonical ground clauses, in `clauses` order."""
-        for key in itertools.islice(self._keys, len(self._decoded), None):
-            self._decoded.append(self.decode(key))
-        return self._decoded
 
     def entails(self, premises: list[frozenset[int]], conclusion: Clause) -> bool:
         """The encoded `premises` entail the ground `conclusion`: DPLL finds
@@ -234,12 +225,25 @@ def check_nonredundant(instances: list[Clause], pool: GroundProblem,
     A ground instance is redundant when it already occurs in the ground pool
     or follows from the strictly smaller ground pool clauses (the "all
     smaller clauses" entailment shortcut is exact).
+
+    The pool clauses are sorted out by their greatest literal first, read
+    off their signed atom indices as `2 * def_pos + neg` (one `def_pos` per
+    pool atom per call).  `clause_key` compares the descending list of
+    `(def_pos, neg)` pairs first, so a clause whose greatest pair is below
+    the instance's is smaller and one whose greatest pair is above is not.
+    Only the ties are decoded and compared in full, from their multiset
+    key: a repeated literal is part of the key, not of the frozenset.
     """
+    rank = [0] + [2 * ordering.def_pos(atom) for atom in pool.atoms]
+    tops = [max((rank[s] if s > 0 else rank[-s] + 1 for s in key), default=-1)
+            for key in pool._keys]
     for g in instances:
         if g in pool:
             continue
-        smaller = [e for c, e in zip(pool.ground_clauses, pool.clauses)
-                   if ordering.cmp_clauses(c, g) < 0]
+        top = max((2 * ordering.def_pos(l.atom) + l.neg for l in g), default=-1)
+        smaller = [e for key, t, e in zip(pool._keys, tops, pool.clauses)
+                   if t < top or t == top
+                   and ordering.cmp_clauses(pool.decode(key), g) < 0]
         if not pool.entails(smaller, g):
             return True  # found a non-redundant instance
     return False

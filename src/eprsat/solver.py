@@ -71,6 +71,7 @@ from .constraints import (
     conj,
     conjoin,
     instantiate,
+    normalize,
     rename_rhs_fresh,
 )
 from .derive import find_candidates, is_assertive, is_blocked
@@ -177,7 +178,8 @@ class Solver:
         self.terminal: Optional[str] = None
         self.auditor = auditor
         self._rng = random.Random(cfg.seed) if cfg.seed is not None else None
-        self._script = list(cfg.script) if cfg.script else []
+        # a script line's constraint, in normal form as the lifted steps expect
+        self._script = [(lit, normalize(pi)) for lit, pi in cfg.script or ()]
         # propagation queue: (cover size, seq, candidate)
         self._pq: list[tuple[int, int, PropCand]] = []
         self._seq = 0

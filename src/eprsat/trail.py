@@ -8,6 +8,15 @@ induces the ordering used for redundancy: atoms compare by the position of
 their defining entry (undefined atoms maximal), ties broken by a fixed base
 order, lifted to literals and, by multiset extension, to clauses (computed
 as a lexicographic comparison of sorted keys, see `InducedOrdering`).
+
+`Trail.defining_entry` is memoized per ground atom: the memo holds the first
+covering entry of the whole trail, and `push` and `pop` (so `truncate` too)
+clear it.  A query over the first `upto` entries reads the same answer when
+its position is below `upto` and None otherwise, which is exact because the
+memo keeps the first covering entry, even on a trail that breaks strong
+consistency.  Only the referees ask (`value_of`, `ground_walk`, the audit's
+conflict-set check); on a solve with no audit the memo stays empty and
+each clear is one truth test.
 """
 from __future__ import annotations
 
@@ -51,6 +60,8 @@ class Trail:
         self.n = n                    # domain size
         self.entries: list[TrailEntry] = []
         self._buckets: dict[str, list[TrailEntry]] = {}
+        # ground atom -> its first covering entry on the whole trail
+        self._defs: dict[Lit, Optional[TrailEntry]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -71,11 +82,15 @@ class Trail:
                              f"of {len(self.entries)} entries")
         self.entries.append(entry)
         self._buckets.setdefault(entry.lit.pred, []).append(entry)
+        if self._defs:
+            self._defs.clear()
 
     def pop(self) -> TrailEntry:
         e = self.entries.pop()
         # the trail's last entry is the last of its bucket
         self._buckets[e.lit.pred].pop()
+        if self._defs:
+            self._defs.clear()
         return e
 
     def truncate(self, length: int) -> None:
@@ -92,10 +107,13 @@ class Trail:
     # -- truth values -------------------------------------------------------
 
     def defining_entry(self, atom: Lit, upto: Optional[int] = None) -> Optional[TrailEntry]:
-        """The entry covering this ground atom, if any (strong consistency
-        makes it unique)."""
-        return _defining(self.for_pred(atom.pred), atom,
-                         len(self.entries) if upto is None else upto)
+        """The first of the first `upto` entries (default: all) covering this
+        ground atom, if any; memoized (see the module docstring)."""
+        try:
+            e = self._defs[atom]
+        except KeyError:
+            e = self._defs[atom] = _defining(self.for_pred(atom.pred), atom)
+        return e if upto is None or e is None or e.pos < upto else None
 
     def value_of(self, lit: Lit, upto: Optional[int] = None) -> int:
         e = self.defining_entry(lit.atom, upto)
@@ -104,13 +122,10 @@ class Trail:
         return TRUE if e.lit.neg == lit.neg else FALSE
 
 
-def _defining(entries: Iterable[TrailEntry], atom: Lit, limit: int,
-              ) -> Optional[TrailEntry]:
-    """The first of `entries` (in trail order) before position `limit` whose
-    cover holds the ground atom `atom`: the one lookup of a defining entry."""
+def _defining(entries: Iterable[TrailEntry], atom: Lit) -> Optional[TrailEntry]:
+    """The first of `entries` (in trail order) whose cover holds the ground
+    atom `atom`: the one scan for a defining entry."""
     for e in entries:
-        if e.pos >= limit:
-            break
         if e.lit.pred != atom.pred:
             continue
         d = match_args(e.lit.args, atom.args)
@@ -190,7 +205,7 @@ class InducedOrdering:
         """Position of the defining entry; maximal when undefined."""
         pos = self._pos.get(atom)
         if pos is None:
-            e = _defining(self.entries, atom, _INF)
+            e = _defining(self.entries, atom)
             pos = self._pos[atom] = _INF if e is None else e.pos
         return pos
 

@@ -3,17 +3,22 @@
 K5/4 (the complete graph on 5 nodes with 4 colours) and PHP(5,4) (5 pigeons,
 4 holes) are too slow for tier-1, so pytest does not collect this script.
 Each must be unsat in its recorded step count with its recorded trace
-SHA-256, which pins every rule application of the run.  Run from the
-repository root:
+SHA-256, which pins every rule application of the run.  Then PHP(4,3), K4/3
+and PHP(5,4) are solved again under the runtime audit, which must find no
+violation; their universes are over the atom caps of the two learning
+checks, so each learned clause skips those two.  Run from the repository
+root:
 
     PYTHONPATH=src python3 tests/hard_families.py
 
-It prints each family's solve time and exits non-zero on a mismatch.
+It prints each run's solve time (and for an audited run its count of skipped
+checks) and exits non-zero on a mismatch or an audit violation.
 """
 import hashlib
 import sys
 import time
 
+from eprsat.audit import Auditor
 from eprsat.parser import parse_problem
 from eprsat.render import render_trace
 from eprsat.solver import RunConfig, Solver
@@ -53,6 +58,14 @@ FAMILIES = [
 ]
 
 
+# (name, problem text, steps), solved with the audit on
+AUDITED = [
+    ("PHP(4,3)", pigeonhole_text(4, 3), 198),
+    ("K4/3", complete_colouring_text(4, 3), 238),
+    ("PHP(5,4)", pigeonhole_text(5, 4), 769),
+]
+
+
 def main():
     failed = 0
     for name, text, steps, sha in FAMILIES:
@@ -68,6 +81,22 @@ def main():
               f"{took:.2f} s, trace {got_sha[:8]}… {'ok' if ok else 'MISMATCH'}")
         if not ok:
             print(f"  expected unsat in {steps} steps, trace {sha}")
+    for name, text, steps in AUDITED:
+        sig, clauses = parse_problem(text)
+        auditor = Auditor(sig, clauses)
+        start = time.perf_counter()
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000),
+                         auditor=auditor).solve()
+        took = time.perf_counter() - start
+        ok = ((verdict.status, verdict.steps) == ("unsat", steps)
+              and not auditor.violations)
+        failed += not ok
+        print(f"{name} audited: {verdict.status} in {verdict.steps} steps, "
+              f"{took:.2f} s, {len(auditor.violations)} violations, "
+              f"{len(auditor.skipped)} skipped {'ok' if ok else 'MISMATCH'}")
+        if not ok:
+            print(f"  expected unsat in {steps} steps with no violation; "
+                  f"first violations: {auditor.violations[:3]}")
     return 1 if failed else 0
 
 

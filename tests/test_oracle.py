@@ -1,8 +1,11 @@
 import itertools
+import os
+import random
 from typing import Optional
 
 import pytest
 
+from eprsat.audit import Auditor
 from eprsat.cli import harness_report, run_differential
 from eprsat.constrained import CLit, cover
 from eprsat.constraints import TOP, conj
@@ -18,7 +21,7 @@ from eprsat.oracle import (
     ground_problem,
     verify_model,
 )
-from eprsat.parser import parse_problem
+from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import RunConfig, Solver
 from eprsat.syntax import (
     Lit,
@@ -49,8 +52,8 @@ domain a b c .
 def test_ground_problem_simple():
     sig = Signature({"P": 1}, ("a", "b"))
     gp = ground_problem(sig, [(Lit(False, "P", (x,)),)])
-    assert set(gp.ground_clauses) == {(Lit(False, "P", (0,)),),
-                                      (Lit(False, "P", (1,)),)}
+    assert set(map(gp.decode, gp._keys)) == {(Lit(False, "P", (0,)),),
+                                             (Lit(False, "P", (1,)),)}
 
 
 def test_ground_problem_worked_example_counts():
@@ -66,14 +69,14 @@ def test_ground_problem_worked_example_counts():
         for d in ground_assignments(clause_vars(cl), 3):
             expect.add(canonical_clause(apply_clause(cl, d)))
     assert len(expect) == 678
-    assert len(gp.ground_clauses) == len(expect)
-    assert set(gp.ground_clauses) == expect
+    assert len(gp._keys) == len(expect)
+    assert set(map(gp.decode, gp._keys)) == expect
 
 
 def test_ground_problem_empty():
     sig = Signature({"P": 1}, ("a",))
     gp = ground_problem(sig, [])
-    assert gp.ground_clauses == []
+    assert list(map(gp.decode, gp._keys)) == []
 
 
 def test_ground_problem_ceiling():
@@ -163,7 +166,7 @@ def test_brute_sat_agrees_with_truth_table():
         for model in (dpll, table):
             if model is None:
                 continue
-            for g in gp.ground_clauses:
+            for g in map(gp.decode, gp._keys):
                 assert any((l.atom in model) != l.neg for l in g)
 
 
@@ -237,7 +240,7 @@ def test_ground_problem_matches_grounding_by_substitution():
         atoms, ground = _reference_ground(sig, clauses)
         index = {atom: i + 1 for i, atom in enumerate(atoms)}
         assert gp.atoms == atoms
-        assert gp.ground_clauses == ground
+        assert list(map(gp.decode, gp._keys)) == ground
         assert gp.clauses == [frozenset(-index[l.atom] if l.neg else index[l.atom]
                                         for l in g) for g in ground]
         assert all(g in gp for g in ground)
@@ -299,6 +302,89 @@ def test_check_nonredundant_ceiling_skip():
     sig = Signature({"P": 4}, ("a", "b", "c"))
     with pytest.raises(OracleCeiling):
         _pool(sig, [(Lit(False, "P", (x, x, x, x)),)])
+
+
+def _all_pairs_nonredundant(instances, pool, ordering):
+    """The check by its definition: every pool clause, decoded from its
+    multiset key, compared with every instance by `cmp_clauses`."""
+    for g in instances:
+        if g in pool:
+            continue
+        smaller = [e for key, e in zip(pool._keys, pool.clauses)
+                   if ordering.cmp_clauses(pool.decode(key), g) < 0]
+        if not pool.entails(smaller, g):
+            return True
+    return False
+
+
+def test_check_nonredundant_with_a_repeated_literal_in_the_pool():
+    # Q(a) is defined before P(a), so the pool clause P(a) | P(a) and the
+    # instance P(a) | Q(a) tie on their greatest literal, and the second
+    # literals decide: P(a) > Q(a), so the pool clause is the bigger one
+    # and nothing smaller entails the instance.  Read off the frozenset,
+    # the pool clause would be the unit P(a), smaller and entailing it.
+    sig = Signature({"P": 1, "Q": 1}, ("a", "b"))
+    pa, qa = Lit(False, "P", (a,)), Lit(False, "Q", (a,))
+    pool = _pool(sig, [(pa, pa)])
+    tr = Trail(2)
+    tr.push(TrailEntry(qa, TOP, 0, 0, reason=0))
+    tr.push(TrailEntry(pa, TOP, 0, 1, reason=0))
+    ordering = InducedOrdering.from_trail(tr)
+    insts = [(pa, qa)]
+    assert _all_pairs_nonredundant(insts, pool, ordering) is True
+    assert check_nonredundant(insts, pool, ordering) is True
+
+
+def test_check_nonredundant_matches_the_referee_on_random_pools():
+    # P/1 and Q/2 over two constants: pools of random ground clauses, whose
+    # literals repeat often, against random induced orderings
+    rng = random.Random(2206)
+    sig = Signature({"P": 1, "Q": 2}, ("a", "b"))
+    atoms = [Lit(False, "P", (d,)) for d in range(2)] + [
+        Lit(False, "Q", (d, e)) for d in range(2) for e in range(2)]
+
+    def clause(k):
+        return tuple(rng.choice(atoms[:3]) if rng.random() < 0.5
+                     else rng.choice(atoms).negate() for _ in range(k))
+
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        pool = _pool(sig, [clause(rng.randrange(4)) for _ in range(4)])
+        tr = Trail(2)
+        for pos, atom in enumerate(rng.sample(atoms, rng.randrange(len(atoms)))):
+            tr.push(TrailEntry(atom.negate() if rng.random() < 0.5 else atom,
+                               TOP, 0, pos, reason=0))
+        ordering = InducedOrdering.from_trail(tr)
+        insts = [clause(rng.randrange(1, 4)) for _ in range(rng.randrange(1, 3))]
+        want = _all_pairs_nonredundant(insts, pool, ordering)
+        assert check_nonredundant(insts, pool, ordering) is want
+        answers[want] += 1
+    assert min(answers.values()) > 50, answers
+
+
+def test_check_nonredundant_matches_the_all_pairs_referee(monkeypatch):
+    """Every learned clause of the audited golden `ex33` run and of the
+    audited criterion-1 population gets the referee's answer."""
+    import eprsat.audit
+    calls = {True: 0, False: 0}
+
+    def spy(instances, pool, ordering):
+        got = check_nonredundant(instances, pool, ordering)
+        assert got == _all_pairs_nonredundant(instances, pool, ordering)
+        calls[got] += 1
+        return got
+
+    monkeypatch.setattr(eprsat.audit, "check_nonredundant", spy)
+    data = os.path.join(os.path.dirname(__file__), "data")
+    sig, clauses = parse_problem(open(os.path.join(data, "ex33.p")).read())
+    script = parse_script(open(os.path.join(data, "ex33.dec")).read(), sig)
+    runs = [(sig, clauses, script), *((sig, clauses, None) for sig, clauses
+                                      in criterion_1_population())]
+    for sig, clauses, script in runs:
+        auditor = Auditor(sig, clauses)
+        Solver(sig, clauses, RunConfig(script=script), auditor=auditor).solve()
+        assert auditor.violations == []
+    assert calls[True] > 50, calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from eprsat.constraints import TOP
+from eprsat.constraints import TOP, conj
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import (
     ConflictSet,
@@ -416,6 +416,27 @@ def test_scripted_decisions_are_used_verbatim():
     v = s.solve()
     decides = [e.payload for e in v.trace if e.rule == "Decide"]
     assert decides[0].endswith("P(X,Y,Z) :: X != c")
+
+
+def _hand_built_script_solver(pi):
+    # a script built in code, not parsed: its constraint is not yet normal
+    sig, clauses = parse_problem("domain a b .\nP(X) | Q(X) .\n")
+    return Solver(sig, clauses, RunConfig(script=[(Lit(False, "P", (x,)), pi)],
+                                          simplify=False))
+
+
+def test_hand_built_script_decision_is_normalized():
+    v = _hand_built_script_solver(conj([((a, x), (a, b))])).solve()
+    decides = [e.payload for e in v.trace if e.rule == "Decide"]
+    assert decides[0] == "[lvl 1 DECIDE] P(X) :: X != b"
+
+
+def test_hand_built_script_decision_with_a_false_subconstraint_is_empty():
+    s = _hand_built_script_solver(conj([((x,), (b,)), ((a,), (a,))]))
+    with pytest.raises(RuleRejected) as exc:
+        s.solve()
+    assert str(exc.value) == "empty decision"
+    assert s.steps == 0
 
 
 def test_deterministic_trace_same_seed():

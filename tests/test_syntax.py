@@ -230,7 +230,8 @@ def test_canonical_clause_order_is_stable():
 
 def test_ground_clauses_dedupe():
     cl = (nP(x), nP(y))
-    gs = ground_problem(Signature({"P": 1}, ("a", "b")), [cl]).ground_clauses
+    gp = ground_problem(Signature({"P": 1}, ("a", "b")), [cl])
+    gs = list(map(gp.decode, gp._keys))
     # (a,b) and (b,a) collapse to one clause after canonical sorting
     assert (nP(a), nP(a)) in gs and (nP(a), nP(b)) in gs
     assert len(gs) == 3

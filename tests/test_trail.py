@@ -13,6 +13,7 @@ from eprsat.trail import (
     InducedOrdering,
     Trail,
     TrailEntry,
+    _defining,
     ground_walk,
     is_assertive,
 )
@@ -468,3 +469,64 @@ def test_entries_are_frozen_and_pushed_at_their_own_position():
                                          "of 2 entries"):
         tr.push(TrailEntry(Q(a, x), TOP, level=1, pos=1))
     assert len(tr) == 2
+
+
+def _ground_atoms(n):
+    return ([Lit(False, "P", (d,)) for d in range(n)]
+            + [Lit(False, "Q", (d1, d2)) for d1 in range(n) for d2 in range(n)])
+
+
+def _assert_memo_matches_the_scan(tr, rng, atoms):
+    """Every (atom, upto) query, in a random order so that answers are
+    memoized before others are read, against the unmemoized prefix scan."""
+    queries = [(atom, upto) for atom in atoms
+               for upto in [None, *range(len(tr) + 1)]]
+    rng.shuffle(queries)
+    for atom, upto in queries:
+        want = _defining(tr.entries[:upto], atom)
+        assert tr.defining_entry(atom, upto) is want, (atom, upto)
+        want_value = UNDEF if want is None else (
+            TRUE if not want.lit.neg else FALSE)
+        assert tr.value_of(atom, upto) == want_value
+        assert tr.value_of(atom.negate(), upto) == -want_value
+
+
+def test_memoized_defining_entry_matches_the_scan():
+    """The memo of `Trail.defining_entry` answers as the unmemoized scan of
+    the prefix, for every ground atom and every `upto`, through random
+    push, pop and truncate sequences; the random entries often overlap, so
+    strong consistency is broken on many of these trails."""
+    rng = random.Random(2022)
+    n = 2
+    atoms = _ground_atoms(n)
+    for _ in range(40):
+        tr = Trail(n)
+        for _ in range(12):
+            op = rng.random()
+            if op < 0.6 or not tr.entries:
+                for lit, pi in _random_trail_entries(rng, n):
+                    tr.push(TrailEntry(lit, pi, 0, len(tr), reason=0))
+            elif op < 0.85:
+                tr.pop()
+            else:
+                tr.truncate(rng.randrange(len(tr) + 1))
+            _assert_memo_matches_the_scan(tr, rng, atoms)
+
+
+def test_memo_keeps_the_first_of_two_covering_entries():
+    # P(a) is covered at 0 (negatively) and again at 1: strong consistency
+    # is broken, and every prefix still reads the first entry
+    rng = random.Random(3)
+    tr = Trail(2)
+    tr.push(TrailEntry(Lit(True, "P", (a,)), TOP, 0, 0, reason=0))
+    tr.push(TrailEntry(Lit(False, "P", (x,)), TOP, 0, 1, reason=0))
+    atoms = _ground_atoms(2)
+    _assert_memo_matches_the_scan(tr, rng, atoms)
+    assert tr.defining_entry(P3(a)).pos == 0
+    assert tr.defining_entry(P3(b)).pos == 1
+    assert tr.defining_entry(P3(b), upto=1) is None
+    tr.pop()
+    assert tr.defining_entry(P3(b)) is None
+    _assert_memo_matches_the_scan(tr, rng, atoms)
+    tr.truncate(0)
+    assert tr.defining_entry(P3(a)) is None
