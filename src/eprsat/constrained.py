@@ -79,7 +79,7 @@ class CLit:
 
 def rename_clit_fresh(lit: Lit, pi: Constraint) -> tuple[Lit, Constraint, Subst]:
     """Whole-expression variant with fresh variables; returns the renaming."""
-    ren = renaming_for(lit_vars(lit) + lvars(pi) + rvars(pi))
+    ren = renaming_for(lit_vars(lit) + rvars(pi))  # lhs variables are the literal's
     return apply_lit(lit, ren), rename_constraint(pi, ren), ren
 
 

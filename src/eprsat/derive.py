@@ -83,8 +83,8 @@ class DTuple:
 def find_candidates(
     clause: Clause,
     sources: list[TrailEntry],
+    keep_limit: int,
     newest_pos: Optional[int] = None,
-    keep_limit: int = 1,
     extra: Optional[list[tuple[Lit, Constraint]]] = None,
 ) -> list[DTuple]:
     """All maximal derivation tuples for `clause` against `sources`, in the

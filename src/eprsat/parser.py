@@ -1,19 +1,21 @@
-"""Problem-file parser and the shared literal/constraint grammar.
+"""Readers for the text forms: problems, decision scripts, model documents.
 
 Problem files: a `domain a b c .` declaration followed by clause statements
-terminated by `.`, e.g. `P(X,a) | -Q(X,Y) .`  Uppercase-initial identifiers
-are variables (clause-scoped), lowercase are constants and predicates,
-`%` starts a comment, `false .` is the empty clause.  Negation is `-` or
-`~`.  Constrained-literal lines (decision scripts, model documents) read
-`P(X,Y) :: (X,Y) != (V,V) /\\ X != a`.
+terminated by `.`, e.g. `P(X,a) | -Q(X,Y) .`  Uppercase-initial names are
+variables (clause-scoped), lowercase are constants and predicates, `%`
+starts a comment.  `clause` is an optional prefix only before `:`, and
+`false` is the empty clause only before `.`; elsewhere both are predicates.
+Negation is `-` or `~`.  Constrained-literal lines (decision scripts, model
+documents) read `P(X,Y) :: (X,Y) != (V,V) /\\ X != a`.  The writers are in
+`render`.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .constraints import BOT, TOP, Constraint, conj, lvars, normalize
-from .render import render_clause
 from .syntax import Clause, Lit, Signature, fresh_var
 
 
@@ -32,51 +34,47 @@ class _Tok:
     col: int
 
 
-_PUNCT = ("::", "!=", "/\\", "(", ")", ",", "|", ".", "-", "~", ":")
+# blanks and comments (skipped), a newline, a name, punctuation, anything else
+_TOKEN = re.compile(r"[ \t\r]+|%[^\n]*|(\n)|(\w[\w']*)|(::|!=|/\\|[(),|.~:-])|(.)")
 
 
-def _tokenize(text: str, line: int = 1) -> list[_Tok]:
+def _tokenize(text: str, line: int) -> list[_Tok]:
     toks: list[_Tok] = []
-    col = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    start = 0   # where the current line starts
+    for m in _TOKEN.finditer(text):
+        newline, name, punct, other = m.groups()
+        col = m.start() - start + 1
+        if newline:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+            start = m.end()
+        # `\w` also matches digits, which may not start a name
+        elif name and (name[0].isalpha() or name[0] == "_"):
+            toks.append(_Tok("name", name, line, col))
+        elif punct:
+            toks.append(_Tok("punct", punct, line, col))
+        elif name or other:
+            raise ParseError(f"unexpected character {(name or other)[0]!r}", line, col)
     return toks
 
 
-class _Stream:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
+def _is_varname(name: str) -> bool:
+    return name[0].isupper()
+
+
+class _Cursor:
+    """A position in one text's tokens, and the variables of the clause or
+    constrained literal being read."""
+
+    def __init__(self, text: str, line: int, domain: dict[str, int],
+                 arities: dict[str, tuple[int, int, int]]):
+        self.toks = _tokenize(text, line)
+        self.texts = [t.text for t in self.toks]   # what `accept` compares
         self.i = 0
+        self.domain = domain      # constant -> its number
+        self.arities = arities    # name -> (arity, line, col of first use)
+        self.varmap: dict[str, int] = {}
+        self.lhs_at: dict[str, _Tok] = {}  # text -> its first lhs token
+        self.rhs_at: dict[str, _Tok] = {}  # text -> its first rhs token
 
     def peek(self) -> Optional[_Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -89,12 +87,12 @@ class _Stream:
         self.i += 1
         return t
 
-    def accept(self, text: str) -> bool:
-        """Take the next token when it reads `text`."""
-        t = self.peek()
-        if t is None or t.text != text:
+    def accept(self, *texts: str) -> bool:
+        """Take the next tokens when they read `texts`."""
+        j = self.i + len(texts)
+        if tuple(self.texts[self.i:j]) != texts:
             return False
-        self.i += 1
+        self.i = j
         return True
 
     def expect(self, text: str) -> _Tok:
@@ -103,23 +101,8 @@ class _Stream:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
         return t
 
-
-def _is_varname(name: str) -> bool:
-    return name[0].isupper()
-
-
-class _ClauseParser:
-    def __init__(self, stream: _Stream, sig_domain: dict[str, int],
-                 arities: dict[str, tuple[int, int, int]]):
-        self.s = stream
-        self.domain = sig_domain
-        self.arities = arities  # name -> (arity, line, col of first use)
-        self.varmap: dict[str, int] = {}
-        self.lhs_at: dict[str, _Tok] = {}  # text -> its first lhs token
-        self.rhs_at: dict[str, _Tok] = {}  # text -> its first rhs token
-
     def term(self) -> int:
-        t = self.s.next()
+        t = self.next()
         if t.kind != "name":
             raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
         if _is_varname(t.text):
@@ -133,18 +116,18 @@ class _ClauseParser:
     def args(self) -> tuple[int, ...]:
         """`t, ..., t)`: an argument list after its opening parenthesis."""
         out = [self.term()]
-        while self.s.accept(","):
+        while self.accept(","):
             out.append(self.term())
-        self.s.expect(")")
+        self.expect(")")
         return tuple(out)
 
     def literal(self) -> Lit:
-        neg = self.s.accept("-") or self.s.accept("~")
-        t = self.s.next()
+        neg = self.accept("-") or self.accept("~")
+        t = self.next()
         if t.kind != "name":
             raise ParseError("expected a predicate name", t.line, t.col)
         pred = t.text
-        args = self.args() if self.s.accept("(") else ()
+        args = self.args() if self.accept("(") else ()
         if pred in self.arities:
             ar, ln, co = self.arities[pred]
             if ar != len(args):
@@ -156,104 +139,90 @@ class _ClauseParser:
         return Lit(neg, pred, args)
 
     def tuple_(self) -> tuple[int, ...]:
-        return self.args() if self.s.accept("(") else (self.term(),)
+        return self.args() if self.accept("(") else (self.term(),)
 
     def constraint(self) -> Constraint:
-        if self.s.accept("TOP"):
+        if self.accept("TOP"):
             return TOP
-        if self.s.accept("BOT"):
+        if self.accept("BOT"):
             return BOT
         subs = []
         while True:
-            first = self.s.peek()    # where this disequation starts
-            start = self.s.i
+            first = self.peek()    # where this disequation starts
+            start = self.i
             lhs = self.tuple_()
-            for tok in self.s.toks[start:self.s.i]:
+            for tok in self.toks[start:self.i]:
                 self.lhs_at.setdefault(tok.text, tok)
-            self.s.expect("!=")
-            start = self.s.i
+            self.expect("!=")
+            start = self.i
             outer = dict(self.varmap)
             rhs = self.tuple_()
             self.varmap = outer   # a new rhs variable is local to its disequation
-            for tok in self.s.toks[start:self.s.i]:
+            for tok in self.toks[start:self.i]:
                 self.rhs_at.setdefault(tok.text, tok)
             if len(lhs) != len(rhs):
                 raise ParseError("disequation tuples differ in length",
                                  first.line, first.col)
             subs.append((lhs, rhs))
-            if not self.s.accept("/\\"):
+            if not self.accept("/\\"):
                 return conj(subs)
 
 
 def parse_problem(text: str) -> tuple[Signature, list[Clause]]:
-    toks = _tokenize(text)
-    s = _Stream(toks)
     domain: dict[str, int] = {}
-    names: list[str] = []
     arities: dict[str, tuple[int, int, int]] = {}
+    cur = _Cursor(text, 1, domain, arities)
     clauses: list[Clause] = []
-    t0 = s.next()
+    t0 = cur.next()
     if t0.text != "domain":
         raise ParseError("problem must start with a domain declaration",
                          t0.line, t0.col)
-    while not s.accept("."):
-        t = s.next()
+    while not cur.accept("."):
+        t = cur.next()
         if t.kind != "name" or _is_varname(t.text):
             raise ParseError("constants are lowercase identifiers", t.line, t.col)
         if t.text in domain:
             raise ParseError(f"duplicate constant {t.text!r}", t.line, t.col)
-        domain[t.text] = len(names)
-        names.append(t.text)
-    if not names:
-        t = toks[0]
-        raise ParseError("domain must be nonempty", t.line, t.col)
-    while s.peek() is not None:
-        t = s.peek()
+        domain[t.text] = len(domain)
+    if not domain:
+        raise ParseError("domain must be nonempty", t0.line, t0.col)
+    while (t := cur.peek()) is not None:
         if t.text == "domain":
             raise ParseError("duplicate domain declaration", t.line, t.col)
-        if s.accept("clause"):
-            s.accept(":")
-        if s.accept("false"):
-            s.expect(".")
+        cur.accept("clause", ":")
+        if cur.accept("false", "."):
             clauses.append(())
             continue
-        cp = _ClauseParser(s, domain, arities)
-        lits = [cp.literal()]
-        while s.accept("|"):
-            lits.append(cp.literal())
-        s.expect(".")
+        cur.varmap = {}
+        lits = [cur.literal()]
+        while cur.accept("|"):
+            lits.append(cur.literal())
+        cur.expect(".")
         clauses.append(tuple(lits))
-    sig = Signature({p: a for p, (a, _, _) in arities.items()}, tuple(names))
+    sig = Signature({p: a for p, (a, _, _) in arities.items()}, tuple(domain))
     return sig, clauses
 
 
-def parse_clit_line(text: str, sig: Signature,
-                    line: int = 1) -> tuple[Lit, Constraint]:
+def parse_clit_line(text: str, sig: Signature, line: int) -> tuple[Lit, Constraint]:
     """One `literal :: constraint` line (number `line`) over `sig`'s
     predicates; bare literals mean TOP.  Lhs variables must be the literal's
     and rhs variables must not be."""
-    toks = _tokenize(text, line)
-    s = _Stream(toks)
-    domain = {name: i for i, name in enumerate(sig.domain)}
-    arities = {p: (a, 0, 0) for p, a in sig.preds.items()}
-    cp = _ClauseParser(s, domain, arities)
-    lit = cp.literal()
+    cur = _Cursor(text, line, {name: i for i, name in enumerate(sig.domain)},
+                  {p: (a, 0, 0) for p, a in sig.preds.items()})
+    lit = cur.literal()
     if lit.pred not in sig.preds:
-        _, ln, co = arities[lit.pred]
+        _, ln, co = cur.arities[lit.pred]
         raise ParseError(f"undeclared predicate {lit.pred!r}", ln, co)
-    pi = TOP
-    if s.accept("::"):
-        pi = cp.constraint()
-    if s.peek() is not None:
-        t = s.peek()
+    pi = cur.constraint() if cur.accept("::") else TOP
+    if (t := cur.peek()) is not None:
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    for name, var in cp.varmap.items():
+    for name, var in cur.varmap.items():
         if var in lvars(pi) and var not in lit.args:
-            t = cp.lhs_at[name]
+            t = cur.lhs_at[name]
             raise ParseError(f"lhs variable {name!r} is not in the literal",
                              t.line, t.col)
-        if var in lit.args and name in cp.rhs_at:
-            t = cp.rhs_at[name]
+        if var in lit.args and name in cur.rhs_at:
+            t = cur.rhs_at[name]
             raise ParseError(f"rhs variable {name!r} occurs in the literal",
                              t.line, t.col)
     return lit, normalize(pi)
@@ -297,10 +266,3 @@ def trace_decisions(trace_text: str) -> str:
         if line.startswith("RULE Decide |"):
             out.append(line.split("DECIDE] ", 1)[1])
     return "\n".join(out) + ("\n" if out else "")
-
-
-def render_problem(sig: Signature, clauses: list[Clause]) -> str:
-    lines = ["domain " + " ".join(sig.domain) + " ."]
-    for c in clauses:
-        lines.append(render_clause(sig, c).replace("~", "-") + " .")
-    return "\n".join(lines) + "\n"

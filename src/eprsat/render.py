@@ -1,11 +1,12 @@
-"""Deterministic text forms: literals, constraints, trail entries, traces,
-and the model document.
+"""Writers for the text forms: literals, constraints, clauses, problems,
+trail entries, conflict sets, traces, and the model document.
 
-Rendering canonicalizes variables per expression (first occurrence gets X,
-then Y, Z, U, V, W, S, T, then X1, X2, ...), so output is stable across
-processes even though internal variable ids are allocation-dependent.  All
-rendered forms parse back through the problem grammar: variables are
-uppercase-initial, constants and predicates lowercase.
+Each form is rendered under one `Namer`, which canonicalizes variables per
+expression (first occurrence gets X, then Y, Z, U, V, W, S, T, then X1, X2,
+...), so output is stable across processes even though internal variable
+ids are allocation-dependent.  All rendered forms parse back through the
+grammar of `parser`, the readers: variables are uppercase-initial,
+constants and predicates lowercase.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ _BASE_NAMES = ("X", "Y", "Z", "U", "V", "W", "S", "T")
 
 
 class Namer:
-    """Stable display names for variables, in first-use order."""
+    """Text under one naming: constants by their signature names, variables
+    by display names in first-use order."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -34,40 +36,40 @@ class Namer:
                              else f"X{i - len(_BASE_NAMES) + 1}")
         return self.names[t]
 
+    def lit_text(self, lit: Lit) -> str:
+        args = "(" + ",".join(map(self.term, lit.args)) + ")" if lit.args else ""
+        return ("~" if lit.neg else "") + lit.pred + args
 
-def render_lit(sig: Signature, lit: Lit, namer: Optional[Namer] = None) -> str:
-    namer = namer or Namer(sig)
-    body = lit.pred
-    if lit.args:
-        body += "(" + ",".join(namer.term(a) for a in lit.args) + ")"
-    return ("~" if lit.neg else "") + body
+    def pi_text(self, pi: Constraint) -> str:
+        if pi.is_top:
+            return "TOP"
+        if pi.is_bot:
+            return "BOT"
 
+        def tup(ts):
+            inner = ",".join(map(self.term, ts))
+            return inner if len(ts) == 1 else f"({inner})"
 
-def render_pi(sig: Signature, pi: Constraint, namer: Optional[Namer] = None) -> str:
-    namer = namer or Namer(sig)
-    if pi.is_top:
-        return "TOP"
-    if pi.is_bot:
-        return "BOT"
+        return " /\\ ".join(f"{tup(l)} != {tup(r)}" for l, r in pi.subs)
 
-    def tup(ts):
-        if len(ts) == 1:
-            return namer.term(ts[0])
-        return "(" + ",".join(namer.term(t) for t in ts) + ")"
-
-    return " /\\ ".join(f"{tup(l)} != {tup(r)}" for l, r in pi.subs)
+    def clause_text(self, clause: Clause) -> str:
+        return " | ".join(map(self.lit_text, clause)) if clause else "false"
 
 
 def render_clit(sig: Signature, lit: Lit, pi: Constraint) -> str:
     namer = Namer(sig)
-    return f"{render_lit(sig, lit, namer)} :: {render_pi(sig, pi, namer)}"
+    return f"{namer.lit_text(lit)} :: {namer.pi_text(pi)}"
 
 
-def render_clause(sig: Signature, clause: Clause, namer: Optional[Namer] = None) -> str:
-    if not clause:
-        return "false"
-    namer = namer or Namer(sig)
-    return " | ".join(render_lit(sig, l, namer) for l in clause)
+def render_clause(sig: Signature, clause: Clause) -> str:
+    return Namer(sig).clause_text(clause)
+
+
+def render_problem(sig: Signature, clauses: list[Clause]) -> str:
+    lines = ["domain " + " ".join(sig.domain) + " ."]
+    for c in clauses:
+        lines.append(render_clause(sig, c).replace("~", "-") + " .")
+    return "\n".join(lines) + "\n"
 
 
 def render_entry(sig: Signature, entry) -> str:
@@ -79,11 +81,11 @@ def render_entry(sig: Signature, entry) -> str:
 
 def render_conflict(sig: Signature, cs) -> str:
     namer = Namer(sig)
-    clause_txt = render_clause(sig, cs.clause, namer)
+    clause_txt = namer.clause_text(cs.clause)
     # sigma binds clause variables only; list them in first-occurrence order
     sub_txt = ", ".join(f"{namer.term(v)}<-{namer.term(cs.sigma[v])}"
                         for v in clause_vars(cs.clause) if v in cs.sigma)
-    pi_txt = render_pi(sig, cs.pi, namer)
+    pi_txt = namer.pi_text(cs.pi)
     head = f"(C{cs.origin + 1}) " if cs.origin is not None else ""
     return f"{head}{clause_txt} ; {{{sub_txt}}} ; {pi_txt}"
 

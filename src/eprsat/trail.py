@@ -115,7 +115,7 @@ class Trail:
             e = self._defs[atom] = _defining(self.for_pred(atom.pred), atom)
         return e if upto is None or e is None or e.pos < upto else None
 
-    def value_of(self, lit: Lit, upto: Optional[int] = None) -> int:
+    def value_of(self, lit: Lit, upto: Optional[int]) -> int:
         e = self.defining_entry(lit.atom, upto)
         if e is None:
             return UNDEF

@@ -7,9 +7,10 @@ from eprsat.constrained import (
     difference,
     elim_free_vars,
     is_empty,
+    rename_clit_fresh,
 )
 from eprsat.constraints import BOT, TOP, conj, normalize
-from eprsat.syntax import Lit, lit_vars, var_code
+from eprsat.syntax import Lit, fresh_var, lit_vars, var_code
 
 x, y, z, u = var_code(0), var_code(1), var_code(2), var_code(3)
 x1, x2, x3 = var_code(4), var_code(5), var_code(6)
@@ -35,6 +36,15 @@ def test_cover_grows_with_the_domain():
                                        ((y,), (b,))])))
     assert cover(cl.lit, cl.pi, 2) == {P(b, a)}
     assert cover(cl.lit, cl.pi, 3) == {P(b, a), P(c, a), P(b, c)}
+
+
+def test_renaming_apart_draws_one_fresh_id_per_variable():
+    # X is both a literal variable and an lhs variable of the constraint
+    before = fresh_var()
+    lit, pi, ren = rename_clit_fresh(P(x, y), normalize(conj([((x,), (a,))])))
+    assert before - fresh_var() - 1 == 2
+    assert ren[x] > ren[y]   # ids count down: X's is the older
+    assert (lit, pi) == (P(ren[x], ren[y]), conj([((ren[x],), (a,))]))
 
 
 def test_cover_bot_empty():

@@ -10,19 +10,21 @@ from eprsat.constraints import TOP, conj, is_normal, normalize
 from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
 from eprsat.parser import (
     ParseError,
+    _Tok,
+    _tokenize,
     parse_clit_line,
     parse_model,
     parse_problem,
     parse_script,
-    render_problem,
     trace_decisions,
 )
 from eprsat.render import (
     MERGE_ATOM_CAP,
+    Namer,
     merge_cover,
     render_clit,
     render_model,
-    render_pi,
+    render_problem,
     render_trace,
 )
 from eprsat.solver import RunConfig, Solver
@@ -79,9 +81,9 @@ SIG_PQ = Signature({"P": 1, "Q": 2}, ("a", "b"))
     (parse_problem, "domain a B .", "1:10: constants are lowercase identifiers"),
     (parse_problem, "domain a b\n a .", "2:2: duplicate constant 'a'"),
     (parse_problem, "domain .", "1:1: domain must be nonempty"),
-    (lambda t: parse_clit_line(t, SIG_PQ), "Q(X,Y) :: (X,Y) != a",
+    (lambda t: parse_clit_line(t, SIG_PQ, 1), "Q(X,Y) :: (X,Y) != a",
      "1:11: disequation tuples differ in length"),
-    (lambda t: parse_clit_line(t, SIG_PQ), "Q(X,Y) :: X != a /\\ (X,Y) != a",
+    (lambda t: parse_clit_line(t, SIG_PQ, 1), "Q(X,Y) :: X != a /\\ (X,Y) != a",
      "1:21: disequation tuples differ in length"),
     (lambda t: parse_script(t, SIG_PQ), "P(a)\nP(X) :: TOP TOP",
      "2:13: trailing input 'TOP'"),
@@ -96,6 +98,7 @@ _SOUP = st.lists(st.sampled_from([
     "domain", "clause", "false", "a", "b", "zz", "X", "Y", "P", "Q", "TOP",
     "BOT", "(", ")", ",", "|", ".", "-", "~", "::", ":", "!=", "/\\", "%",
     "$", " ", "\n", "% model\n", "% compact\n", "% all other atoms false\n",
+    "é", "²", "\f",
 ]), max_size=30).map("".join)
 
 
@@ -108,6 +111,72 @@ def test_token_soup_raises_nothing_but_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+_PUNCT = ("::", "!=", "/\\", "(", ")", ",", "|", ".", "-", "~", ":")
+
+
+def _scan_by_hand(text, line):
+    """The tokenizer's referee: a character-by-character scanner."""
+    toks = []
+    col = 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(_Tok("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(_Tok("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    return toks
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None, database=None)
+@given(st.text("aXb_Z9' \t\r\n%:!=/\\(),|.-~é²½\f#", max_size=40),
+       st.integers(1, 3))
+def test_tokenizer_matches_the_hand_scanner(text, line):
+    def scan(tokenize):
+        try:
+            return tokenize(text, line)
+        except ParseError as exc:
+            return str(exc)
+
+    assert scan(_tokenize) == scan(_scan_by_hand)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("clause(a) .", [(Lit(False, "clause", (0,)),)]),
+    ("clause .", [(Lit(False, "clause", ()),)]),
+    ("false(a) .", [(Lit(False, "false", (0,)),)]),
+    ("false | p .", [(Lit(False, "false", ()), Lit(False, "p", ()))]),
+    ("clause: false .", [()]),
+])
+def test_clause_and_false_are_keywords_only_before_their_punctuation(text, want):
+    assert parse_problem("domain a . " + text)[1] == want
 
 
 def test_parse_undeclared_constant():
@@ -150,19 +219,18 @@ def test_clit_line_roundtrip():
                  "~P(a,X) :: TOP",
                  "P(a,b) :: BOT",
                  "P(X,X) :: TOP"]:
-        lit, pi = parse_clit_line(line, sig)
+        lit, pi = parse_clit_line(line, sig, 1)
         again = render_clit(sig, lit, pi)
-        lit2, pi2 = parse_clit_line(again, sig)
+        lit2, pi2 = parse_clit_line(again, sig, 1)
         assert render_clit(sig, lit2, pi2) == again
 
 
 def test_constraint_surface_syntax():
     sig = Signature({"P": 2}, ("a", "b"))
     pi = conj([((x, y), (v, v)), ((y,), (a,))])
-    from eprsat.render import Namer
     namer = Namer(sig)
     namer.term(x), namer.term(y)
-    assert render_pi(sig, pi, namer) == "(X,Y) != (Z,Z) /\\ Y != a"
+    assert namer.pi_text(pi) == "(X,Y) != (Z,Z) /\\ Y != a"
 
 
 def test_script_parsing_skips_blank_and_comment_lines():
@@ -179,11 +247,11 @@ def test_clit_line_rejects_a_free_lhs_variable():
     for line, col, name in [("P(X,Y,Z) :: W != c", 13, "W"),
                             ("P(X,Y,Z) :: (X,Y) != (V,V) /\\ V != a", 31, "V")]:
         with pytest.raises(ParseError) as exc:
-            parse_clit_line(line, sig)
+            parse_clit_line(line, sig, 1)
         assert (exc.value.line, exc.value.col) == (1, col)
         assert f"lhs variable {name!r}" in str(exc.value)
     # rhs-only variables and literal variables stay fine
-    lit, pi = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ Z != a", sig)
+    lit, pi = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ Z != a", sig, 1)
     assert pi.kind == "and"
 
 
@@ -192,7 +260,7 @@ def test_clit_line_rejects_an_rhs_variable_of_the_literal():
     # right-hand side; such a line used to parse into a non-normal constraint
     sig = Signature({"P": 3}, ("a", "b", "c"))
     with pytest.raises(ParseError) as exc:
-        parse_clit_line("P(X,Y,Z) :: (X,Y) != (Y,Y)", sig)
+        parse_clit_line("P(X,Y,Z) :: (X,Y) != (Y,Y)", sig, 1)
     assert str(exc.value) == "1:23: rhs variable 'Y' occurs in the literal"
     # in a script, the error names the script's line
     with pytest.raises(ParseError) as exc:
@@ -204,8 +272,8 @@ def test_rhs_variables_are_local_to_their_disequation():
     # the two Vs are unrelated, as if the second were W; sharing one
     # variable made the constraint non-normal and failed an assertion
     sig = Signature({"P": 3}, ("a", "b", "c"))
-    shared = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ (Y,Z) != (V,V)", sig)
-    apart = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ (Y,Z) != (W,W)", sig)
+    shared = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ (Y,Z) != (V,V)", sig, 1)
+    apart = parse_clit_line("P(X,Y,Z) :: (X,Y) != (V,V) /\\ (Y,Z) != (W,W)", sig, 1)
     assert is_normal(shared[1])
     assert cover(*shared, 3) == cover(*apart, 3)
 
@@ -221,7 +289,7 @@ def test_model_document_rejects_an_rhs_variable_of_the_literal():
 def test_clit_line_rejects_an_undeclared_predicate():
     sig = Signature({"P": 1}, ("a",))
     with pytest.raises(ParseError) as exc:
-        parse_clit_line("R(X) :: TOP", sig)
+        parse_clit_line("R(X) :: TOP", sig, 1)
     assert str(exc.value) == "1:1: undeclared predicate 'R'"
     # a script error names the script's own line and column
     with pytest.raises(ParseError) as exc:
@@ -232,7 +300,7 @@ def test_clit_line_rejects_an_undeclared_predicate():
 def test_clit_line_arity_mismatch_names_the_declared_arity():
     sig = Signature({"P": 3}, ("a",))
     with pytest.raises(ParseError) as exc:
-        parse_clit_line("P(X,Y) :: TOP", sig)
+        parse_clit_line("P(X,Y) :: TOP", sig, 1)
     assert str(exc.value) == "1:1: arity mismatch for 'P': 2 here, declared arity 3"
 
 

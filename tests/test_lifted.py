@@ -481,9 +481,8 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
     def shape(leaves):
         return [(leaf.remaining, leaf.used) for leaf in leaves]
 
-    def referee(clause, sources, newest_pos=None, keep_limit=1, extra=None):
-        got = real(clause, sources, newest_pos=newest_pos, keep_limit=keep_limit,
-                   extra=extra)
+    def referee(clause, sources, keep_limit, newest_pos=None, extra=None):
+        got = real(clause, sources, keep_limit, newest_pos=newest_pos, extra=extra)
         if newest_pos is not None:
             want = [leaf for leaf in real(clause, sources, keep_limit=keep_limit,
                                           extra=extra)
@@ -502,7 +501,7 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
     assert seen["leaves"] > 100, seen
 
 
-def _bucket_search(clause, sources, newest_pos=None, keep_limit=1, extra=None):
+def _bucket_search(clause, sources, keep_limit, newest_pos=None, extra=None):
     """The search `find_candidates` plans, made in clause order without the
     argument index: each position is offered every source of its
     (predicate, sign) bucket, and a search that must use the newest entry
@@ -588,8 +587,8 @@ def test_argument_index_keeps_every_leaf(monkeypatch):
         seen["meets"] += 1
         return real_meet(*args)
 
-    def referee(clause, sources, newest_pos=None, keep_limit=1, extra=None):
-        args = (clause, sources, newest_pos, keep_limit, extra)
+    def referee(clause, sources, keep_limit, newest_pos=None, extra=None):
+        args = (clause, sources, keep_limit, newest_pos, extra)
         before = seen["meets"]
         got = real(*args)
         middle = seen["meets"]

@@ -227,3 +227,50 @@ def test_every_parameter_is_read():
             unread += [f"{path.stem}.{fn.name}({p})" for p in params
                        if p not in read and p != "self"]
     assert sorted(unread) == sorted(UNREAD)
+
+
+# parameter defaults that every `src/` call site overrides, kept on purpose
+OVERRIDDEN = {}
+
+
+def test_every_default_is_used():
+    """Every parameter default of a `src/` function or method is used: some
+    call in `src/` that names the function (by name alone, as the caller
+    gate matches) omits the parameter, or it is listed in `OVERRIDDEN` with
+    its reason.  Calls from tests do not count.  A dunder, and a definition
+    that no `src/` call names (a kept referee or an export, which the caller
+    gate vouches for), serve callers outside `src/` and are not scanned."""
+    trees = [_tree(path) for path in MODULES]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls.setdefault(getattr(f, "id", None) or getattr(f, "attr", None),
+                                 []).append(node)
+
+    def omits(call, i, param):
+        return (len(call.args) <= i
+                and not any(isinstance(a, ast.Starred) for a in call.args)
+                and all(k.arg not in (param, None) for k in call.keywords))
+
+    unused = []
+    for path, tree in zip(MODULES, trees):
+        # functions whose first parameter is bound at the call (`self`)
+        bound = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and "staticmethod" not in {getattr(d, "id", None)
+                                            for d in fn.decorator_list}}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args][id(fn) in bound:]
+            defaulted = [(i, p.arg) for i, p in enumerate(params)
+                         if i >= len(params) - len(a.defaults)]
+            defaulted += [(len(params), p.arg) for p, d
+                          in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            sites = calls.get(fn.name, [])
+            unused += [f"{path.stem}.{fn.name}({p})" for i, p in defaulted
+                       if sites and not any(omits(c, i, p) for c in sites)]
+    assert sorted(unused) == sorted(OVERRIDDEN)

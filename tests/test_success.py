@@ -29,7 +29,7 @@ def _false_or_unit(lits, sigma, undefined, value, n):
         return sigma
     lit = apply_lit(lits[0], sigma)
     for d in ground_assignments(lit_vars(lit), n):
-        v = value(apply_lit(lit, d))
+        v = value(apply_lit(lit, d), None)
         if v == TRUE or (v == UNDEF and undefined):
             continue
         got = _false_or_unit(lits[1:], {**sigma, **d}, undefined + (v == UNDEF),

@@ -50,9 +50,9 @@ def _trail_ex33() -> Trail:
 
 def test_value_of_worked_trail():
     tr = _trail_ex33()
-    assert tr.value_of(P3(a, b, c)) == TRUE
-    assert tr.value_of(P3(c, a, a)) == FALSE
-    assert tr.value_of(P3(c, a, b)) == UNDEF
+    assert tr.value_of(P3(a, b, c), None) == TRUE
+    assert tr.value_of(P3(c, a, a), None) == FALSE
+    assert tr.value_of(P3(c, a, b), None) == UNDEF
 
 
 def test_level_of_worked_trail():
@@ -99,7 +99,7 @@ def test_ground_walk_conflict_example():
     walk = list(ground_walk(tr, clause2, sigma, pi))
     assert walk and all(false for _, _, false in walk)
     for g, defs, _ in walk:
-        assert [tr.value_of(l) for l in g] == [FALSE] * len(g)
+        assert [tr.value_of(l, None) for l in g] == [FALSE] * len(g)
         assert defs == [tr.defining_entry(l.atom) for l in g]
     # under the first two entries the Q literal is undefined
     assert not any(false for _, _, false in
