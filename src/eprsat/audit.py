@@ -27,10 +27,11 @@ empty.
 
 Incremental schedule: each push runs the per-entry checks of
 `_check_entry` on the new entry against the entries before it; each
-resolution step checks the conflict set and the measure; Backjump and
-Success sweep the whole trail: the decision levels, `_check_entry` on every
-entry (so decisions are re-checked against the grown learned set) and two
-literals of its level in every reason instance above level 0.
+resolution step checks the conflict set and the measure, over instances
+grounded once per conflict set (a Skip keeps the set); Backjump and
+Success sweep the whole trail: the decisions' levels 1..k, `_check_entry`
+on every entry (so decisions are re-checked against the grown learned set)
+and two literals of its level in every reason instance above level 0.
 
 The resolution measure is the multiset of the conflict set's ground
 instances under the induced ordering of the trail at the Conflict, which the
@@ -75,14 +76,6 @@ from .trail import (
 )
 
 
-def _conflict_instances(solver):
-    """The ground instances of the solver's conflict set, or None without
-    one; each resolution step grounds them once for all its checks."""
-    cs = solver.conflict
-    return None if cs is None else clause_instances(cs.clause, cs.sigma, cs.pi,
-                                                    solver.n)
-
-
 class Auditor:
     def __init__(self, sig: Signature, clauses: list[Clause]):
         self.sig = sig
@@ -93,6 +86,8 @@ class Auditor:
         self._measure: Optional[tuple[int, list]] = None
         # the induced ordering of the trail at the last Conflict
         self._ordering: Optional[InducedOrdering] = None
+        # the last conflict set grounded, and its ground instances
+        self._grounded: Optional[tuple[object, list[Clause]]] = None
         self._pool_grounded = 0     # how much of solver.pool is in pool_ground
         # verify_model's (ok, witness) for the model at Success
         self.model_check: Optional[tuple[bool, Optional[Clause]]] = None
@@ -136,22 +131,34 @@ class Auditor:
             self._check_entry(solver, solver.trail.entries[-1])
         elif rule == "Conflict":
             self._ordering = InducedOrdering.from_trail(solver.trail)
-            insts = _conflict_instances(solver)
+            insts = self._conflict_instances(solver)
             self._check_conflict_set(solver, insts, fresh=True)
             self._measure = self._measure_of(solver, insts)
         elif rule in ("Skip", "Resolve", "Factorize"):
-            insts = _conflict_instances(solver)
+            insts = self._conflict_instances(solver)
             self._check_conflict_set(solver, insts, fresh=False)
             self._check_measure_decrease(rule, solver, insts)
             self._check_immediate_conflict_factorize(rule)
         elif rule == "Backjump":
             self._full_sweep(solver)
-            self._measure = self._ordering = None
+            self._measure = self._ordering = self._grounded = None
         elif rule == "Success":
             self._full_sweep(solver)
         elif rule == "Failure":
             if not any(c == () for c in solver.pool):
                 self._flag("Failure without the empty clause")
+
+    def _conflict_instances(self, solver):
+        """The ground instances of the solver's conflict set, or None without
+        one, grounded once per conflict set: a Skip keeps the same object,
+        and each resolution step reads them for all its checks."""
+        cs = solver.conflict
+        if cs is None:
+            return None
+        if self._grounded is None or self._grounded[0] is not cs:
+            self._grounded = (cs, clause_instances(cs.clause, cs.sigma, cs.pi,
+                                                   solver.n))
+        return self._grounded[1]
 
     def before_learn(self, solver, learned: Clause, case: int,
                      target_len: int) -> None:
@@ -308,12 +315,9 @@ class Auditor:
 
     def _full_sweep(self, solver) -> None:
         entries = solver.trail.entries
-        decisions = [e for e in entries if e.is_decision]
-        levels = [e.level for e in decisions]
-        if levels != sorted(levels) or len(set(levels)) != len(levels):
-            self._flag("decision levels out of order or duplicated")
-        if solver.level >= 0 and len(decisions) != solver.level:
-            self._flag(f"{len(decisions)} decisions but level {solver.level}")
+        levels = [e.level for e in entries if e.is_decision]
+        if levels != list(range(1, len(levels) + 1)):
+            self._flag("decision levels are not 1..k in trail order")
         for e in entries:
             self._check_entry(solver, e)
             # every reason instance carries two literals of its level

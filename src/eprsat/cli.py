@@ -2,8 +2,8 @@
 
 Exit codes follow the SAT-solver convention: 10 satisfiable, 20
 unsatisfiable, 1 error (including usage errors, parse failures, a rejected
-script decision and the step cap), 2 check-mode disagreement or audit
-violation.
+script decision, the step cap and a trace or model file that cannot be
+written), 2 check-mode disagreement or audit violation.
 """
 from __future__ import annotations
 
@@ -91,12 +91,16 @@ def main(argv=None) -> int:
         print(f"error: decision script rejected: {exc}", file=sys.stderr)
         return 1
 
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write(render_trace(verdict.trace))
-    if args.model and verdict.status == "sat":
-        with open(args.model, "w", encoding="utf-8") as f:
-            f.write(render_model(sig, verdict.model))
+    try:
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as f:
+                f.write(render_trace(verdict.trace))
+        if args.model and verdict.status == "sat":
+            with open(args.model, "w", encoding="utf-8") as f:
+                f.write(render_model(sig, verdict.model))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if verdict.status == "stepcap":
         print("error: step cap exceeded", file=sys.stderr)

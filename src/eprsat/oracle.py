@@ -50,7 +50,7 @@ class GroundProblem:
     canonical ground clauses.  The `Lit` forms are decoded on demand.
     """
 
-    def __init__(self, sig: Signature, ceiling: Optional[int] = DPLL_ATOM_CAP):
+    def __init__(self, sig: Signature, ceiling: Optional[int]):
         self.size = sig.atom_universe_size()
         if ceiling is not None and self.size > ceiling:
             raise OracleCeiling(

@@ -1,12 +1,13 @@
 """The transition system: conflict search, conflict resolution, learning.
 
 State is the five-tuple (trail; input clauses; learned clauses; level;
-indicator).  Conflict search runs exhaustive propagation through a priority
-queue of candidates (smallest ground cover first), detecting conflicts
-eagerly; decisions are drawn from a pool seeded with the input literals and
-repaired by splitting whenever a candidate is blocked.  Conflict resolution
-applies Skip / Factorize / Resolve until a clause can be learned, then
-backjumps to the smallest level where the new clause propagates.
+indicator), and the trail keeps the level (`Trail.level`).  Conflict search
+runs exhaustive propagation through a priority queue of candidates
+(smallest ground cover first), detecting conflicts eagerly; decisions are
+drawn from a pool seeded with the input literals and repaired by splitting
+whenever a candidate is blocked.  Conflict resolution applies Skip /
+Factorize / Resolve until a clause can be learned, then backjumps to the
+smallest level where the new clause propagates.
 
 Everything the solver learns about the trail comes from one derivation
 path, `Solver._derive`: a leaf with nothing left is a conflict, one with one
@@ -170,11 +171,9 @@ class Solver:
             self.pool, self.deletion_log = simplify_pool(self.pool)
         self.n_input = len(self.pool)
         self.trail = Trail(self.n)
-        self.level = 0
         self.conflict: Optional[ConflictSet] = None
         self.trace: list[TraceEvent] = []
         self.steps = 0
-        self.backjumps = 0
         self.terminal: Optional[str] = None
         self.auditor = auditor
         self._rng = random.Random(cfg.seed) if cfg.seed is not None else None
@@ -216,7 +215,8 @@ class Solver:
         self.steps += 1
         if self.steps > self.cfg.max_steps:
             raise StepCap
-        self.trace.append(TraceEvent(self.steps, rule, self.level, payload))
+        level = -1 if rule == "Success" else self.trail.level
+        self.trace.append(TraceEvent(self.steps, rule, level, payload))
         if self.auditor is not None:
             self.auditor.after_rule(rule, self)
 
@@ -243,7 +243,6 @@ class Solver:
     def rule_decide(self, lit: Lit, pi: Constraint) -> TrailEntry:
         """Push (lit; pi) as a decision.  `select_decision` vouches that it is
         non-empty, undefined, unblocked and an instance of an input literal."""
-        self.level += 1
         entry = self._push(lit, pi, reason=None)
         self._emit("Decide", render_entry(self.sig, entry))
         return entry
@@ -259,13 +258,11 @@ class Solver:
     def rule_success(self) -> None:
         # `_solve` vouches: the queue is exhausted and no decision is left,
         # so no clause is false or propagates (see the module docstring)
-        self.level = -1
         self.terminal = "sat"
         self._emit("Success", "model found")
 
     def rule_failure(self) -> None:
         # `_solve` vouches: the pool holds the empty clause
-        self.level = 0
         self.terminal = "unsat"
         self._emit("Failure", "empty clause present")
 
@@ -336,9 +333,7 @@ class Solver:
         self._index_new_clause(ci)
         mid_level = target_len != self.trail.level_prefix_len(target_level)
         self.trail.truncate(target_len)
-        self.level = target_level
         self.conflict = None
-        self.backjumps += 1
         self._decay_scores()
         self._reroll_refinements(target_len)
         self._emit(
@@ -361,7 +356,8 @@ class Solver:
         # every trail entry gets its own fresh variables
         lit2, pi2, ren = rename_clit_fresh(lit, pi)
         sigma2 = compose(sigma or {}, ren) if reason is not None else {}
-        entry = TrailEntry(lit2, pi2, level=self.level, pos=len(self.trail),
+        level = self.trail.level + (reason is None)   # a decision opens one
+        entry = TrailEntry(lit2, pi2, level=level, pos=len(self.trail),
                            reason=reason, reason_lit=reason_lit, sigma=sigma2)
         self.trail.push(entry)
         return entry
@@ -631,13 +627,13 @@ class Solver:
 
     def solve(self) -> Verdict:
         try:
-            return self._solve()
+            self._solve()
         except StepCap:
-            return Verdict("stepcap", steps=self.steps, trace=self.trace,
-                           learned=len(self.pool) - self.n_input,
-                           backjumps=self.backjumps)
+            return self._verdict("stepcap", [])
+        return self._verdict(self.terminal, [CLit(e.lit, e.pi)
+                                             for e in self.trail.entries])
 
-    def _solve(self) -> Verdict:
+    def _solve(self) -> None:
         self._reseed_full()
         while True:
             if self.conflict is not None:
@@ -645,7 +641,7 @@ class Solver:
                 continue
             if any(c == () for c in self.pool):
                 self.rule_failure()
-                return self._verdict()
+                return
             if not self.prop_loop():
                 continue  # conflict recorded by add_consequences
             d = self.select_decision()
@@ -655,7 +651,7 @@ class Solver:
             if self.auditor is not None:
                 self.auditor.at_success(self)
             self.rule_success()
-            return self._verdict()
+            return
 
     def _resolution_step(self) -> None:
         """Apply the conflict-resolution rules that fit, up to the first
@@ -670,10 +666,11 @@ class Solver:
         if cs.clause == ():
             # the empty clause was derived (only level 0 can get here):
             # learn it, then Failure follows
-            assert self.level == 0
+            assert self.trail.level == 0
             self.rule_backjump(1)
             return
-        if self.level > 0 and is_assertive(self.trail, cs.clause, cs.sigma, cs.pi):
+        if self.trail.level > 0 and is_assertive(
+                self.trail, cs.clause, cs.sigma, cs.pi):
             self.rule_backjump(2)
             return
         lits = apply_clause(cs.clause, cs.sigma)
@@ -737,11 +734,11 @@ class Solver:
             cands.append(got)
         return cands
 
-    def _verdict(self) -> Verdict:
-        model = [CLit(e.lit, e.pi) for e in self.trail.entries]
-        return Verdict(self.terminal, model=model, steps=self.steps,
-                       learned=len(self.pool) - self.n_input,
-                       trace=self.trace, backjumps=self.backjumps)
+    def _verdict(self, status: str, model: list[CLit]) -> Verdict:
+        # each Backjump learns one clause, and nothing else adds one
+        learned = len(self.pool) - self.n_input
+        return Verdict(status, model=model, steps=self.steps, learned=learned,
+                       trace=self.trace, backjumps=learned)
 
 
 # ---------------------------------------------------------------------------
@@ -760,35 +757,29 @@ def is_tautology(c: Clause) -> bool:
     return any((l.pred, l.args) in atoms for l in c if l.neg)
 
 
-def _match_restricted(want: Lit, sub: Lit, bindable: set[int]) -> Optional[Subst]:
-    """Match `want` onto `sub`, binding only variables from `bindable`.
-
-    Positions already instantiated to the subsumee's variables must agree
-    exactly; binding those would fabricate substitutions the subsumee never
-    made.
-    """
-    s = match_lit(want, sub)
-    return s if s is not None and s.keys() <= bindable else None
+def _embedding(lits: Clause, target: Clause, bindable: set[int],
+               sigma: Subst) -> Optional[int]:
+    """Where `lits[0]` goes: the first position in `target` that starts a
+    map of `lits` onto distinct literals of `target` by an extension of
+    `sigma` binding only `bindable` (0 when `lits` is empty), or None when
+    there is none.  Binding the target's own variables would fabricate
+    substitutions it never made."""
+    if not lits:
+        return 0
+    want = apply_lit(lits[0], sigma) if sigma else lits[0]
+    for j, l in enumerate(target):
+        m = match_lit(want, l)
+        if (m is not None and m.keys() <= bindable
+                and _embedding(lits[1:], target[:j] + target[j + 1:],
+                               bindable, compose(sigma, m)) is not None):
+            return j
+    return None
 
 
 def _subsumes(c: Clause, d: Clause) -> bool:
     """Some instance of c is a submultiset of d; c is already a variant
     sharing no variable with d."""
-    return _embeds(c, d, set(clause_vars(c)), {})
-
-
-def _embeds(lits: Clause, target: Clause, bindable: set[int], sigma: Subst) -> bool:
-    """Some extension of `sigma`, binding only `bindable`, maps `lits` onto
-    distinct literals of `target`."""
-    if not lits:
-        return True
-    want = apply_lit(lits[0], sigma)
-    for j, l in enumerate(target):
-        m = _match_restricted(want, l, bindable)
-        if m is not None and _embeds(lits[1:], target[:j] + target[j + 1:],
-                                     bindable, compose(sigma, m)):
-            return True
-    return False
+    return _embedding(c, d, set(clause_vars(c)), {}) is not None
 
 
 def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
@@ -821,7 +812,7 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
                 if i == j or not alive[j] or not _may_resolve(shapes[i], shapes[j]):
                     continue
                 res = _subsumption_resolvent(variant(c), d)
-                if res is not None and res != d:
+                if res is not None:
                     clauses[j] = res
                     shapes[j] = _shape(res)
                     log.append(f"subsumption resolution: clause {j + 1} reduced")
@@ -858,18 +849,13 @@ def _may_resolve(sc: Counter, sd: Counter) -> bool:
 
 
 def _subsumption_resolvent(c: Clause, d: Clause) -> Optional[Clause]:
-    """If c == C or L with C*s a subset of d minus ~L*s, drop that literal.
+    """If c == C or L with C*s a subset of d minus ~L*s, drop that literal;
+    the resolvent is one literal shorter than d.
 
     c must be a variant sharing no variable with d."""
     cvars = set(clause_vars(c))
     for li in range(len(c)):
-        lflip = c[li].negate()
-        rest = c[:li] + c[li + 1:]
-        for j, dl in enumerate(d):
-            m = _match_restricted(lflip, dl, cvars)
-            if m is None:
-                continue
-            remainder = d[:j] + d[j + 1:]
-            if _embeds(rest, remainder, cvars, m):
-                return canonical_clause(remainder)
+        j = _embedding((c[li].negate(),) + c[:li] + c[li + 1:], d, cvars, {})
+        if j is not None:
+            return canonical_clause(d[:j] + d[j + 1:])
     return None

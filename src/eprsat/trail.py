@@ -9,14 +9,19 @@ their defining entry (undefined atoms maximal), ties broken by a fixed base
 order, lifted to literals and, by multiset extension, to clauses (computed
 as a lexicographic comparison of sorted keys, see `InducedOrdering`).
 
+The trail owns its decision levels: `push` and `pop` keep the decisions'
+positions, so `level` is their count and `level_prefix_len(j)` the position
+of decision j+1.  The solver gives the k-th decision level k, which the
+audit re-checks.
+
 `Trail.defining_entry` is memoized per ground atom: the memo holds the first
 covering entry of the whole trail, and `push` and `pop` (so `truncate` too)
 clear it.  A query over the first `upto` entries reads the same answer when
 its position is below `upto` and None otherwise, which is exact because the
 memo keeps the first covering entry, even on a trail that breaks strong
 consistency.  Only the referees ask (`value_of`, `ground_walk`, the audit's
-conflict-set check); on a solve with no audit the memo stays empty and
-each clear is one truth test.
+conflict-set check, and `InducedOrdering.def_pos` of its snapshot trail); on
+a solve with no audit the memo stays empty and each clear is one truth test.
 """
 from __future__ import annotations
 
@@ -60,6 +65,7 @@ class Trail:
         self.n = n                    # domain size
         self.entries: list[TrailEntry] = []
         self._buckets: dict[str, list[TrailEntry]] = {}
+        self._decisions: list[int] = []   # the decisions' positions, in order
         # ground atom -> its first covering entry on the whole trail
         self._defs: dict[Lit, Optional[TrailEntry]] = {}
 
@@ -68,10 +74,7 @@ class Trail:
 
     @property
     def level(self) -> int:
-        for e in reversed(self.entries):
-            if e.is_decision:
-                return e.level
-        return 0
+        return len(self._decisions)
 
     def for_pred(self, pred: str) -> list[TrailEntry]:
         return self._buckets.get(pred, [])
@@ -82,6 +85,8 @@ class Trail:
                              f"of {len(self.entries)} entries")
         self.entries.append(entry)
         self._buckets.setdefault(entry.lit.pred, []).append(entry)
+        if entry.is_decision:
+            self._decisions.append(entry.pos)
         if self._defs:
             self._defs.clear()
 
@@ -89,6 +94,8 @@ class Trail:
         e = self.entries.pop()
         # the trail's last entry is the last of its bucket
         self._buckets[e.lit.pred].pop()
+        if e.is_decision:
+            self._decisions.pop()
         if self._defs:
             self._defs.clear()
         return e
@@ -99,10 +106,8 @@ class Trail:
 
     def level_prefix_len(self, lvl: int) -> int:
         """Entries up to (excluding) the first decision above `lvl`."""
-        for i, e in enumerate(self.entries):
-            if e.is_decision and e.level > lvl:
-                return i
-        return len(self.entries)
+        return (self._decisions[lvl] if lvl < len(self._decisions)
+                else len(self.entries))
 
     # -- truth values -------------------------------------------------------
 
@@ -123,11 +128,10 @@ class Trail:
 
 
 def _defining(entries: Iterable[TrailEntry], atom: Lit) -> Optional[TrailEntry]:
-    """The first of `entries` (in trail order) whose cover holds the ground
-    atom `atom`: the one scan for a defining entry."""
+    """The first of `entries` (in trail order, all of `atom`'s predicate)
+    whose cover holds the ground atom `atom`: the one scan for a defining
+    entry."""
     for e in entries:
-        if e.lit.pred != atom.pred:
-            continue
         d = match_args(e.lit.args, atom.args)
         if d is not None and not violates(d, e.pi):
             return e
@@ -188,26 +192,25 @@ class InducedOrdering:
     """Snapshot ordering: trail position of the defining entry, then a fixed
     base order (predicate name, argument indices; negative above positive).
 
-    Clauses compare by `clause_key`.  The entries are immutable, so `def_pos`
-    and `clause_key` are memoized per snapshot."""
+    The snapshot is a `Trail` of the entries at `from_trail`, which no one
+    pushes onto or pops, so its `defining_entry` memo answers `def_pos` for
+    the snapshot's life.  Clauses compare by `clause_key`, memoized too."""
 
-    entries: tuple[TrailEntry, ...]
-    _pos: dict = field(default_factory=dict, init=False, compare=False,
-                       repr=False)
+    snapshot: Trail
     _keys: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
     @staticmethod
     def from_trail(trail: Trail) -> "InducedOrdering":
-        return InducedOrdering(tuple(trail.entries))
+        snapshot = Trail(trail.n)
+        for e in trail.entries:
+            snapshot.push(e)
+        return InducedOrdering(snapshot)
 
     def def_pos(self, atom: Lit) -> int:
         """Position of the defining entry; maximal when undefined."""
-        pos = self._pos.get(atom)
-        if pos is None:
-            e = _defining(self.entries, atom)
-            pos = self._pos[atom] = _INF if e is None else e.pos
-        return pos
+        e = self.snapshot.defining_entry(atom)
+        return _INF if e is None else e.pos
 
     def lit_key(self, lit: Lit):
         # same atom: the negative literal is the bigger one

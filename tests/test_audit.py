@@ -4,7 +4,8 @@ check they skip.
 
 A run of the solver never reaches such a state, so these tests drive the
 hooks directly with a stand-in solver that holds only what they read: the
-clause pool, the domain size, the trail, the level and the conflict set.
+clause pool, the domain size, the trail (which keeps the level) and the
+conflict set.
 Each per-entry check is shown to flag both at the push and at the sweep,
 which run the same `_check_entry`.
 """
@@ -105,14 +106,14 @@ Y = var_code(1)
 b = 1
 
 
-def _solver(entries, pool=(), conflict=None, level=-1):
+def _solver(entries, pool=(), conflict=None):
     """A stand-in solver: a trail of `entries`, each (lit, pi, level,
     reason, reason_lit, sigma) with reason None for a decision."""
     trail = Trail(SIG.n)
     for pos, (lit, pi, lvl, reason, reason_lit, sigma) in enumerate(entries):
         trail.push(TrailEntry(lit, pi, lvl, pos, reason, reason_lit, sigma))
     return SimpleNamespace(pool=list(pool), n=SIG.n, trail=trail,
-                           conflict=conflict, level=level)
+                           conflict=conflict)
 
 
 def _decision(lit, level, pi=TOP):
@@ -161,7 +162,7 @@ def test_each_entry_check_flags_at_the_push_and_at_the_sweep(case, hook):
     if hook == "push":
         rule = "Decide" if solver.trail.entries[-1].is_decision else "Propagate"
     else:
-        rule = "Success"    # level -1: the decision count is not compared
+        rule = "Success"
     assert _hooks(solver, rule) == [msg]
 
 
@@ -184,13 +185,13 @@ def test_the_sweep_rechecks_a_decision_against_the_grown_pool():
         "decision at 0 is blocked w.r.t. the current clause sets"]
 
 
-@pytest.mark.parametrize("entries, level, msg", [
-    ([_decision(P(a), 2), _decision(Q(a), 1)], 2,
-     "decision levels out of order or duplicated"),
-    ([_decision(P(a), 1)], 2, "1 decisions but level 2"),
-])
-def test_the_sweep_flags_bad_decision_levels(entries, level, msg):
-    assert _hooks(_solver(entries, level=level), "Backjump") == [msg]
+@pytest.mark.parametrize("entries", [
+    [_decision(P(a), 2), _decision(Q(a), 1)],
+    [_decision(P(a), 2)],
+], ids=["out of order", "one decision at level 2"])
+def test_the_sweep_flags_bad_decision_levels(entries):
+    assert _hooks(_solver(entries), "Backjump") == [
+        "decision levels are not 1..k in trail order"]
 
 
 def test_the_sweep_flags_a_reason_instance_with_one_literal_of_its_level():
@@ -198,7 +199,7 @@ def test_the_sweep_flags_a_reason_instance_with_one_literal_of_its_level():
     # level 0: the reason instance P(a) | ~Q(a) has one literal of level 1
     solver = _solver([_propagated(Q(a), 0, reason=0), _decision(P(b), 1),
                       _propagated(P(a), 1, reason=1, sigma={X: a})],
-                     pool=[(Q(a),), (P(X), Q(X, neg=True))], level=1)
+                     pool=[(Q(a),), (P(X), Q(X, neg=True))])
     assert _hooks(solver, "Backjump") == [
         "reason instance of entry 2 has 1 literals of level 1"]
 

@@ -53,6 +53,19 @@ def test_trace_and_model_files(tmp_path):
     assert model.read_text().startswith("% model\n")
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--model"])
+def test_an_unwritable_output_file_exits_1(tmp_path, capsys, flag):
+    # the write comes after the solve (a sat one, so a model is written):
+    # one error line naming the file, and no traceback
+    out = tmp_path / "missing" / "out.txt"
+    code = main(["--input", os.path.join(DATA, "ex33.p"),
+                 "--script", os.path.join(DATA, "ex33.dec"), flag, str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
 def test_check_mode_agrees(tmp_path):
     p = tmp_path / "p.p"
     p.write_text("domain a b .\nP(X) | Q(X) .\n-P(a) .\n")

@@ -29,7 +29,7 @@ import sys
 
 import pytest
 
-from eprsat import constrained, derive, solver as solver_mod, syntax, trail
+from eprsat import audit, constrained, derive, solver as solver_mod, syntax, trail
 from eprsat.audit import Auditor
 from eprsat.constrained import cover, cover_size, diff_apart
 from eprsat.constraints import (
@@ -310,6 +310,37 @@ def test_audited_c5_2_shrinks_the_trail_at_every_skip():
     assert (verdict.status, verdict.steps) == ("unsat", 101)
     assert len(lengths) == 30
     assert all(after == before - 1 for before, after in lengths)
+    assert auditor.violations == []
+
+
+def test_audited_c5_2_grounds_each_conflict_set_once(monkeypatch):
+    """A Skip only pops the trail and keeps the conflict set, so the audit
+    grounds each distinct conflict set once, not once per resolution step:
+    on C5/2, whose 30 Skips would each ground it again."""
+    sig, clauses = _c5_2()
+    auditor = Auditor(sig, clauses)
+    grounded, conflicts, skips = [], [], []
+    real_instances, real_after_rule = audit.clause_instances, auditor.after_rule
+
+    def instances(clause, sigma, pi, n):
+        grounded.append(clause)
+        return real_instances(clause, sigma, pi, n)
+
+    def after_rule(rule, solver):
+        if rule == "Skip":
+            skips.append(solver.conflict)
+        cs = solver.conflict
+        if cs is not None and not any(seen is cs for seen in conflicts):
+            conflicts.append(cs)
+        real_after_rule(rule, solver)
+
+    monkeypatch.setattr(audit, "clause_instances", instances)
+    auditor.after_rule = after_rule
+    verdict = Solver(sig, clauses, RunConfig(max_steps=10_000),
+                     auditor=auditor).solve()
+    assert (verdict.status, verdict.steps) == ("unsat", 101)
+    assert len(skips) == 30
+    assert grounded == [cs.clause for cs in conflicts]
     assert auditor.violations == []
 
 
@@ -940,7 +971,7 @@ def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
         assert auditor.violations == [], (seed, auditor.violations[:3])
     s = _backjump_past_a_false_level()
     s.rule_backjump(2)
-    assert (len(s.trail), s.level, len(s._pq)) == (2, 1, 1)
+    assert (len(s.trail), s.trail.level, len(s._pq)) == (2, 1, 1)
     assert seen["backjumps"] > 40 and seen["queued"] > 40, seen
 
 

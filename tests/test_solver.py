@@ -165,7 +165,7 @@ def test_decide_rejects_defined_candidate():
     with pytest.raises(RuleRejected) as exc:
         s.select_decision()
     assert str(exc.value) == "decision covers a defined atom"
-    assert len(s.trail) == 1 and s.level == 0
+    assert len(s.trail) == 1 and s.trail.level == 0
 
 
 def test_decide_rejects_blocked_candidate_with_witness():
@@ -180,7 +180,7 @@ def test_decide_rejects_blocked_candidate_with_witness():
     with pytest.raises(RuleRejected) as exc:
         s.select_decision()
     assert str(exc.value) == "decision blocked by clause C1"
-    assert len(s.trail) == 1 and s.level == 1
+    assert len(s.trail) == 1 and s.trail.level == 1
 
 
 @pytest.mark.parametrize("line, message", [
@@ -273,7 +273,7 @@ def test_backjump_inside_level_zero_reseeds_the_whole_pool(monkeypatch):
     assert s.prop_loop()
     s.add_consequences(s.rule_decide(*s.select_decision()))
     assert s.prop_loop()
-    assert (len(s.trail), s.level) == (2, 1)
+    assert (len(s.trail), s.trail.level) == (2, 1)
     cl = canonical_clause((Lit(True, "P", (0,)),))
     assert s.compute_backjump_level(cl) == (0, 0, [])
     reseeds = []
@@ -281,7 +281,7 @@ def test_backjump_inside_level_zero_reseeds_the_whole_pool(monkeypatch):
     monkeypatch.setattr(s, "_reseed_full", lambda: reseeds.append(real()))
     s.conflict = ConflictSet(cl, {}, TOP)
     ci = s.rule_backjump(3)
-    assert (len(s.trail), s.level, s.conflict) == (0, 0, None)
+    assert (len(s.trail), s.trail.level, s.conflict) == (0, 0, None)
     assert s.pool[ci] == cl and len(reseeds) == 1
     # both unit clauses are queued again, the learned one included
     assert sorted(c.clause_idx for _, _, c in s._pq) == [0, ci]

@@ -230,16 +230,19 @@ def test_every_parameter_is_read():
 
 
 # parameter defaults that every `src/` call site overrides, kept on purpose
-OVERRIDDEN = {}
+OVERRIDDEN = {
+    "solver.Solver.__init__(auditor)": "tests build unaudited solvers",
+}
 
 
 def test_every_default_is_used():
     """Every parameter default of a `src/` function or method is used: some
     call in `src/` that names the function (by name alone, as the caller
-    gate matches) omits the parameter, or it is listed in `OVERRIDDEN` with
-    its reason.  Calls from tests do not count.  A dunder, and a definition
-    that no `src/` call names (a kept referee or an export, which the caller
-    gate vouches for), serve callers outside `src/` and are not scanned."""
+    gate matches; a `Cls(...)` call names `Cls.__init__`) omits the
+    parameter, or it is listed in `OVERRIDDEN` with its reason.  Calls from
+    tests do not count.  Another dunder, and a definition that no `src/`
+    call names (a kept referee or an export, which the caller gate vouches
+    for), serve callers outside `src/` and are not scanned."""
     trees = [_tree(path) for path in MODULES]
     calls = {}
     for tree in trees:
@@ -261,16 +264,23 @@ def test_every_default_is_used():
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
                  and "staticmethod" not in {getattr(d, "id", None)
                                             for d in fn.decorator_list}}
+        # constructors, by the class name their calls use
+        inits = {id(fn): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"}
         for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+            if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("__") and id(fn) not in inits):
                 continue
+            called = inits.get(id(fn), fn.name)
+            name = f"{called}.__init__" if id(fn) in inits else fn.name
             a = fn.args
             params = [*a.posonlyargs, *a.args][id(fn) in bound:]
             defaulted = [(i, p.arg) for i, p in enumerate(params)
                          if i >= len(params) - len(a.defaults)]
             defaulted += [(len(params), p.arg) for p, d
                           in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            sites = calls.get(fn.name, [])
-            unused += [f"{path.stem}.{fn.name}({p})" for i, p in defaulted
+            sites = calls.get(called, [])
+            unused += [f"{path.stem}.{name}({p})" for i, p in defaulted
                        if sites and not any(omits(c, i, p) for c in sites)]
     assert sorted(unused) == sorted(OVERRIDDEN)

@@ -364,7 +364,7 @@ def test_memoized_clause_keys_stay_those_of_their_snapshot():
     keys = [ordering.clause_key(c) for c in clauses]
     tr.push(TrailEntry(Lit(False, "P", (x,)), TOP, 0, 1, reason=0))
     tr.push(TrailEntry(Lit(False, "Q", (a, a)), TOP, 0, 2, reason=0))
-    fresh = InducedOrdering(ordering.entries)
+    fresh = InducedOrdering.from_trail(ordering.snapshot)
     grown = InducedOrdering.from_trail(tr)
     for c, key in zip(clauses, keys):
         assert ordering.clause_key(c) is key
@@ -483,7 +483,8 @@ def _assert_memo_matches_the_scan(tr, rng, atoms):
                for upto in [None, *range(len(tr) + 1)]]
     rng.shuffle(queries)
     for atom, upto in queries:
-        want = _defining(tr.entries[:upto], atom)
+        want = _defining([e for e in tr.entries[:upto] if e.lit.pred == atom.pred],
+                         atom)
         assert tr.defining_entry(atom, upto) is want, (atom, upto)
         want_value = UNDEF if want is None else (
             TRUE if not want.lit.neg else FALSE)
@@ -491,26 +492,51 @@ def _assert_memo_matches_the_scan(tr, rng, atoms):
         assert tr.value_of(atom.negate(), upto) == -want_value
 
 
+def _scan_level(entries):
+    """The level by its definition: the last decision's level, else 0."""
+    return next((e.level for e in reversed(entries) if e.is_decision), 0)
+
+
+def _scan_prefix_len(entries, lvl):
+    """The entries before the first decision above `lvl`, by a scan."""
+    return next((i for i, e in enumerate(entries)
+                 if e.is_decision and e.level > lvl), len(entries))
+
+
 def test_memoized_defining_entry_matches_the_scan():
     """The memo of `Trail.defining_entry` answers as the unmemoized scan of
     the prefix, for every ground atom and every `upto`, through random
     push, pop and truncate sequences; the random entries often overlap, so
-    strong consistency is broken on many of these trails."""
+    strong consistency is broken on many of these trails.  A quarter of the
+    entries are decisions, each one level above the last, as the solver
+    pushes them, and `level` and every `level_prefix_len` read as their
+    scans."""
     rng = random.Random(2022)
+    kinds = random.Random(2023)
     n = 2
     atoms = _ground_atoms(n)
+    decided = 0
     for _ in range(40):
         tr = Trail(n)
         for _ in range(12):
             op = rng.random()
             if op < 0.6 or not tr.entries:
                 for lit, pi in _random_trail_entries(rng, n):
-                    tr.push(TrailEntry(lit, pi, 0, len(tr), reason=0))
+                    level = _scan_level(tr.entries)
+                    if kinds.random() < 0.25:
+                        tr.push(TrailEntry(lit, pi, level + 1, len(tr)))
+                        decided += 1
+                    else:
+                        tr.push(TrailEntry(lit, pi, level, len(tr), reason=0))
             elif op < 0.85:
                 tr.pop()
             else:
                 tr.truncate(rng.randrange(len(tr) + 1))
             _assert_memo_matches_the_scan(tr, rng, atoms)
+            assert tr.level == _scan_level(tr.entries)
+            assert [tr.level_prefix_len(j) for j in range(tr.level + 2)] == [
+                _scan_prefix_len(tr.entries, j) for j in range(tr.level + 2)]
+    assert decided > 50, decided
 
 
 def test_memo_keeps_the_first_of_two_covering_entries():
