@@ -1,4 +1,7 @@
-"""Command-line entry point and the differential harness.
+"""Command-line entry point.
+
+`--check` audits every rule application and compares the verdict, and a
+sat model, with the ground oracle; it prints one JSON record.
 
 Exit codes follow the SAT-solver convention: 10 satisfiable, 20
 unsatisfiable, 1 error (including usage errors, parse failures, a rejected
@@ -10,15 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .audit import Auditor
 from .oracle import (
-    GenParams,
     OracleCeiling,
     brute_sat,
     gen_benchmark,
-    gen_random_instance,
     ground_problem,
     verify_model,
 )
@@ -39,9 +39,10 @@ def build_argparser() -> argparse.ArgumentParser:
         prog="eprsat",
         description="Model-building satisfiability for function-free clauses",
     )
-    ap.add_argument("--input", metavar="FILE", help="problem file")
-    ap.add_argument("--bench", metavar="N,K",
-                    help="solve the built-in benchmark family instead")
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", metavar="FILE", help="problem file")
+    source.add_argument("--bench", metavar="N,K",
+                        help="solve the built-in benchmark family instead")
     ap.add_argument("--trace", metavar="FILE", help="write the rule trace here")
     ap.add_argument("--model", metavar="FILE", help="write the model document here")
     ap.add_argument("--script", metavar="FILE", help="decision script to replay")
@@ -61,12 +62,9 @@ def main(argv=None) -> int:
         if args.bench:
             n, k = (int(x) for x in args.bench.split(","))
             sig, clauses = gen_benchmark(n, k)
-        elif args.input:
+        else:
             with open(args.input, encoding="utf-8") as f:
                 sig, clauses = parse_problem(f.read())
-        else:
-            print("error: need --input or --bench", file=sys.stderr)
-            return 1
         script = None
         if args.script:
             with open(args.script, encoding="utf-8") as f:
@@ -115,24 +113,12 @@ def main(argv=None) -> int:
 
 
 def _run_checks(sig, clauses, verdict, auditor, seed) -> int:
-    record, notes = _check_record(sig, clauses, verdict, auditor, seed)
-    for note in notes:
-        print(note, file=sys.stderr)
-    print(json.dumps(record, sort_keys=True))
-    failed = (not record["audits_passed"]
-              or record["verdict_oracle"] not in (None, verdict.status)
-              or record.get("model_verified") is False)
-    return 2 if failed else 0
-
-
-def _check_record(sig, clauses, verdict, auditor, seed) -> tuple[dict, list[str]]:
-    """One solve against its audits and the ground oracle.
-
-    Returns the JSON-ready record and the messages explaining every failed
-    check.  `verdict_oracle` stays None, with a message, when the ground
+    """The solve against its audits and the ground oracle: prints a message
+    for every failed check, then the JSON record, and returns 2 if any check
+    failed.  `verdict_oracle` stays None, with a message, when the ground
     universe is over the oracle's ceiling.
     """
-    violations = auditor.violations if auditor is not None else []
+    violations = auditor.violations
     record = {
         "seed": seed,
         "verdict_nrcl": verdict.status,
@@ -146,41 +132,25 @@ def _check_record(sig, clauses, verdict, auditor, seed) -> tuple[dict, list[str]
         gp = ground_problem(sig, clauses)
     except OracleCeiling as exc:
         notes.append(f"check: oracle skipped ({exc})")
-        return record, notes
-    oracle = "sat" if brute_sat(gp) is not None else "unsat"
-    record["verdict_oracle"] = oracle
-    if oracle != verdict.status:
-        notes.append(f"check: verdict {verdict.status} but oracle says {oracle}")
-    if verdict.status == "sat":
-        # the audit verified this model at Success; verify it once
-        checked = auditor.model_check if auditor is not None else None
-        ok, witness = checked or verify_model(verdict.model, sig, clauses)
-        record["model_verified"] = ok
-        if not ok:
-            notes.append(f"check: model fails on {witness}")
-    return record, notes
-
-
-# ---------------------------------------------------------------------------
-# differential harness
-
-def run_differential(seed: int, params: Optional[GenParams] = None,
-                     audit: bool = False, max_steps: int = 1_000_000) -> dict:
-    """Solve one random instance both ways; one JSON-ready record."""
-    p = params or GenParams()
-    p = GenParams(**{**p.__dict__, "seed": seed})
-    sig, clauses = gen_random_instance(p)
-    auditor = Auditor(sig, clauses) if audit else None
-    solver = Solver(sig, clauses, RunConfig(max_steps=max_steps),
-                    auditor=auditor)
-    record, _ = _check_record(sig, clauses, solver.solve(), auditor, seed)
-    if auditor is not None and auditor.violations:
-        record["violations"] = auditor.violations[:5]
-    return record
-
-
-def harness_report(records: list[dict]) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    else:
+        oracle = "sat" if brute_sat(gp) is not None else "unsat"
+        record["verdict_oracle"] = oracle
+        if oracle != verdict.status:
+            notes.append(f"check: verdict {verdict.status} but oracle says {oracle}")
+        if verdict.status == "sat":
+            # the audit verified this model at Success; verify it once
+            ok, witness = auditor.model_check or verify_model(
+                verdict.model, sig, clauses)
+            record["model_verified"] = ok
+            if not ok:
+                notes.append(f"check: model fails on {witness}")
+    for note in notes:
+        print(note, file=sys.stderr)
+    print(json.dumps(record, sort_keys=True))
+    failed = (not record["audits_passed"]
+              or record["verdict_oracle"] not in (None, verdict.status)
+              or record.get("model_verified") is False)
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -8,11 +8,13 @@ remainders are propagation candidates.  Each resolution step is
 several independent instances in a single derivation (constraints stay
 right-hand-side disjoint), and it renames nothing that cannot unify.
 
-Each literal is offered only the entries that hold, at each of its constant
-arguments, that constant or a variable: an argument index built lazily per
-call (Sekar, Ramakrishnan & Voronkov, *Term Indexing*).  Any other entry
-fails `meet` before it is renamed, so the leaves are those of offering
-every entry of the literal's (predicate, sign).
+The sources are a trail prefix, so an entry's position is its index, and
+the search keeps no other bookkeeping.  Each literal is offered only the
+entries that hold, at each of its constant arguments, that constant or a
+variable: an argument index built lazily per call (Sekar, Ramakrishnan &
+Voronkov, *Term Indexing*).  Any other entry fails `meet` before it is
+renamed, so the leaves are those of offering every entry of the literal's
+(predicate, sign).
 
 The search is a planned join.  A derivation that must use the newest entry
 is found as the semi-naive delta (Bancilhon & Ramakrishnan, SIGMOD 1986):
@@ -33,12 +35,13 @@ clause instances, without grounding.  A conflict derivation (no literal
 kept) picks, for every literal, the trail entry that falsifies it; strong
 consistency makes that the literal's defining entry.  So assertiveness is a
 count of top-level entries among a leaf's sources, a blocked decision is a
-derivation using the decision as a pseudo-entry at two positions whose
-instances can differ, and a clause is falsifiable under a trail prefix when
-the solver's derivation against it has a conflict leaf.  Non-emptiness of a
-leaf is asked of its constraint alone, by `constrained.no_instances`; only
-a blocked decision's witness asks for the least instance itself.  The
-grounding versions in `trail` serve only as referees.
+derivation against the trail with the decision as one more entry that uses
+it at two positions whose instances can differ, and a clause is falsifiable
+under a trail prefix when the solver's derivation against it has a conflict
+leaf.  Non-emptiness of a leaf is asked of its constraint alone, by
+`constrained.no_instances`; only a blocked decision's witness asks for the
+least instance itself.  The grounding versions in `trail` serve only as
+referees.
 """
 from __future__ import annotations
 
@@ -77,7 +80,7 @@ class DTuple:
     remaining: tuple[int, ...]          # unresolved literal positions
     sigma: Subst
     pi: Constraint
-    used: tuple[tuple[int, int], ...]   # (position, entry pos); extras negative
+    used: tuple[tuple[int, int], ...]   # (position, entry pos)
 
 
 def find_candidates(
@@ -85,35 +88,28 @@ def find_candidates(
     sources: list[TrailEntry],
     keep_limit: int,
     newest_pos: Optional[int] = None,
-    extra: Optional[list[tuple[Lit, Constraint]]] = None,
 ) -> list[DTuple]:
     """All maximal derivation tuples for `clause` against `sources`, in the
     order of the search that visits positions in clause order and sources
-    in pool order, keeping a position last.
+    in trail order, keeping a position last.
 
+    `sources` is a trail prefix: the entry at position i is `sources[i]`.
     keep_limit bounds the remainder size of reported tuples.
     With `newest_pos`, only derivations that use that entry are returned:
     one search per position p whose literal can unify with it, which
     resolves p against it alone and first, lets no position before p use it,
     and lets the positions after p use any source.  So each such derivation
     is found once, by the search of the first position that uses the entry.
-    Extra pseudo-entries get pseudo-positions -1, -2, ...
     """
-    pool: list[tuple[int, Lit, Constraint]] = [
-        (e.pos, e.lit, e.pi) for e in sources
-    ]
-    if extra:
-        pool += [(-1 - i, lit, pi) for i, (lit, pi) in enumerate(extra)]
-
-    by_pred: dict[tuple[str, bool], list[tuple[int, Lit, Constraint]]] = {}
-    for src in pool:
-        by_pred.setdefault((src[1].pred, src[1].neg), []).append(src)
+    by_pred: dict[tuple[str, bool], list[TrailEntry]] = {}
+    for e in sources:
+        by_pred.setdefault((e.lit.pred, e.lit.neg), []).append(e)
     # (predicate, sign, argument position j, constant c) -> the bucket's
-    # sources holding c or a variable at j, in bucket order; built lazily
-    by_arg: dict[tuple[str, bool, int, int], list[tuple[int, Lit, Constraint]]] = {}
+    # entries holding c or a variable at j, in bucket order; built lazily
+    by_arg: dict[tuple[str, bool, int, int], list[TrailEntry]] = {}
 
-    def compatible(lit: Lit) -> list[tuple[int, Lit, Constraint]]:
-        # `lit` is a clause literal under the node's sigma; a source clashing
+    def compatible(lit: Lit) -> list[TrailEntry]:
+        # `lit` is a clause literal under the node's sigma; an entry clashing
         # with one of its constants would fail `meet` before any renaming
         whole = best = by_pred.get((lit.pred, not lit.neg), [])
         for j, c in enumerate(lit.args):
@@ -122,8 +118,8 @@ def find_candidates(
             key = (lit.pred, not lit.neg, j, c)
             got = by_arg.get(key)
             if got is None:
-                got = by_arg[key] = [src for src in whole
-                                     if src[1].args[j] == c or src[1].args[j] < 0]
+                got = by_arg[key] = [e for e in whole
+                                     if e.lit.args[j] == c or e.lit.args[j] < 0]
             if len(got) < len(best):
                 best = got
         return best
@@ -144,16 +140,14 @@ def find_candidates(
             bound |= lit_vs[p]
         return order
 
-    rank = {src[0]: i for i, src in enumerate(pool)}
-    keep_rank = len(pool)
     found: list[tuple[list[int], DTuple]] = []
 
     def leaf_ok(kept: list[int], sigma: Subst, pi: Constraint) -> bool:
         # maximality: no kept literal still resolves against any source
         for p in kept:
             lit = apply_lit(clause[p], sigma)
-            if any(meet(lit, pi, src_lit, src_pi) is not None
-                   for _, src_lit, src_pi in compatible(lit)):
+            if any(meet(lit, pi, e.lit, e.pi) is not None
+                   for e in compatible(lit)):
                 return False
         return True
 
@@ -163,8 +157,8 @@ def find_candidates(
         # the order of resolution
         sigma, pi = {}, TOP
         for p, src_pos in used:
-            _, src_lit, src_pi = pool[rank[src_pos]]
-            got = meet(apply_lit(clause[p], sigma), pi, src_lit, src_pi)
+            src = sources[src_pos]
+            got = meet(apply_lit(clause[p], sigma), pi, src.lit, src.pi)
             assert got is not None, "a leaf's resolutions fail in clause order"
             sigma, pi = compose(sigma, got[0]), got[1]
         return sigma, pi
@@ -173,11 +167,11 @@ def find_candidates(
             sigma: Subst, pi: Constraint, used: list[tuple[int, int]]) -> None:
         if i == width:
             if leaf_ok(kept, sigma, pi):
-                # each position's choice, "keep" last: sorting on it gives
-                # the leaf order of the clause-order search
-                choice = [keep_rank] * width
+                # each position's source, "keep" (len(sources)) last:
+                # sorting on it gives the leaf order of the clause-order search
+                choice = [len(sources)] * width
                 for p, src_pos in used:
-                    choice[p] = rank[src_pos]
+                    choice[p] = src_pos
                 in_order = sorted(used)
                 if not pi.is_top and used != in_order:
                     sigma, pi = replay(in_order)
@@ -188,15 +182,15 @@ def find_candidates(
         # resolve this position against each compatible source, but not
         # against the newest entry before the position that uses it first
         lit = apply_lit(clause[pos], sigma)
-        for src_pos, src_lit, src_pi in compatible(lit):
-            if src_pos == newest_pos and pos < barred:
+        for e in compatible(lit):
+            if e.pos == newest_pos and pos < barred:
                 continue
-            got = meet(lit, pi, src_lit, src_pi)
+            got = meet(lit, pi, e.lit, e.pi)
             if got is None:
                 continue
             theta, combined = got
             rec(order, i + 1, barred, kept, compose(sigma, theta), combined,
-                used + [(pos, src_pos)])
+                used + [(pos, e.pos)])
         # or keep it (keep_limit bounds the remainder size)
         if len(kept) < keep_limit:
             rec(order, i + 1, barred, kept + [pos], sigma, pi, used)
@@ -204,11 +198,11 @@ def find_candidates(
     if newest_pos is None:
         rec(join_order(None), 0, 0, [], {}, TOP, [])
     else:
-        _, n_lit, n_pi = pool[rank[newest_pos]]
+        newest = sources[newest_pos]
         for p, lit in enumerate(clause):
-            if lit.pred != n_lit.pred or lit.neg == n_lit.neg:
+            if lit.pred != newest.lit.pred or lit.neg == newest.lit.neg:
                 continue
-            got = meet(lit, TOP, n_lit, n_pi)
+            got = meet(lit, TOP, newest.lit, newest.pi)
             if got is not None:
                 rec(join_order(p), 1, p, [], got[0], got[1], [(p, newest_pos)])
     found.sort(key=lambda leaf: leaf[0])
@@ -241,24 +235,23 @@ def is_blocked(
 ) -> Optional[tuple[int, Clause, Lit, Lit]]:
     """Witness (clause index, ground instance, L1, L2) or None.
 
-    The decision must already be undefined under the trail `entries`
-    (caller contract).
+    The decision must already be undefined under the trail prefix `entries`
+    (caller contract); it is searched as one more entry after them.
     A clause blocks the decision when some ground instance becomes false
     with two distinct literals falsified by the decision alone.
     """
     # decisions covering a single ground atom are never blocked
     if cover_size(d_lit, d_pi, n) <= 1:
         return None
+    decision = TrailEntry(d_lit, d_pi, 0, len(entries))
 
     for ci, clause in enumerate(pool):
         hits = [p for p, l in enumerate(clause)
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        leaves = find_candidates(clause, entries, keep_limit=0,
-                                 extra=[(d_lit, d_pi)])
-        for leaf in leaves:
-            d_positions = [p for p, src in leaf.used if src < 0]
+        for leaf in find_candidates(clause, entries + [decision], keep_limit=0):
+            d_positions = [p for p, src in leaf.used if src == decision.pos]
             if len(d_positions) < 2:
                 continue
             base = apply_clause(clause, leaf.sigma)

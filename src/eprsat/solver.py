@@ -25,12 +25,12 @@ which share a closure step.
 
 Between two decisions the trail only grows or is cut back, so the
 decisions carry their trail difference across calls (`_decision_pieces`).
-Each pool literal keeps its undefined pieces, the trail length L they were
-taken at and the entry object at position L-1.  The next call reuses them
-only if that same object is still at position L-1: `_push` makes every
-entry new, so then the first L entries are unchanged, and only the entries
-from position L on are subtracted from the kept pieces.  Otherwise the
-pieces are taken afresh, so a backjump needs no rollback of its own.
+Each pool literal keeps its undefined pieces and the trail length L they
+were taken at, and the next call subtracts only the entries from position L
+on.  The backjump drops every carried entry taken at a length above its
+cut, as it undoes the refinements: every Skip is followed by a Backjump
+before the next decision, and `_push` makes every entry new, so the first L
+entries of a kept one are those its pieces were taken against.
 `diff_apart` is a left fold over its sources, so the two parts give the
 pieces, in order, that one difference against the whole trail gives.
 
@@ -50,6 +50,7 @@ its target prefix.  `full_scan` asks it again, for the audit.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from collections import Counter
@@ -186,10 +187,9 @@ class Solver:
         self.pool_cands: list[tuple[Lit, Constraint]] = self._init_pool_cands()
         self._refinements: list[tuple[int, int, tuple[Lit, Constraint], int]] = []
         # each pool literal's undefined pieces, carried between decisions:
-        # (lit, pi) -> (pieces, trail length L, the entry at position L-1)
+        # (lit, pi) -> (pieces, the trail length they were taken at)
         self._carried: dict[tuple[Lit, Constraint],
-                            tuple[list[tuple[Subst, Constraint]], int,
-                                  Optional[TrailEntry]]] = {}
+                            tuple[list[tuple[Subst, Constraint]], int]] = {}
         # scores: canonical literal -> value
         self.scores: dict[Lit, float] = {}
         self._bump = 1.0
@@ -526,17 +526,12 @@ class Solver:
                          ) -> list[tuple[Subst, Constraint]]:
         """`lit` (constraint `pi`) minus the atoms the trail defines, as
         `diff_apart` gives it against the whole trail, carried from the last
-        call for this pool literal when the module docstring's rule allows
-        it."""
-        entries = self.trail.entries
-        pieces, start, anchor = self._carried.get((lit, pi), ([], 0, None))
-        if start == 0 or start > len(entries) or entries[start - 1] is not anchor:
-            pieces, start = [({}, pi)], 0
+        call for this pool literal unless a backjump dropped it."""
+        pieces, start = self._carried.get((lit, pi), ([({}, pi)], 0))
         pieces = diff_apart(lit, pieces, [(e.lit, e.pi)
                                           for e in self.trail.for_pred(lit.pred)
                                           if e.pos >= start])
-        self._carried[(lit, pi)] = (pieces, len(entries),
-                                    entries[-1] if entries else None)
+        self._carried[(lit, pi)] = (pieces, len(self.trail))
         return pieces
 
     def _check_script_decision(self, lit: Lit, pi: Constraint) -> None:
@@ -595,9 +590,13 @@ class Solver:
         self.pool_cands[pool_idx:pool_idx + 1] = new
 
     def _reroll_refinements(self, trail_len: int) -> None:
+        # undo the refinements, and drop the carried pieces, taken at a
+        # trail length above `trail_len`
         while self._refinements and self._refinements[-1][0] > trail_len:
             _, idx, old, count = self._refinements.pop()
             self.pool_cands[idx:idx + count] = [old]
+        self._carried = {key: kept for key, kept in self._carried.items()
+                         if kept[1] <= trail_len}
 
     # -- scores -----------------------------------------------------------------
 
@@ -789,12 +788,7 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
     changed = True
     alive = [True] * len(clauses)
     shapes = [_shape(c) for c in clauses]
-    variants: dict[Clause, Clause] = {}
-
-    def variant(c: Clause) -> Clause:
-        if c not in variants:
-            variants[c] = canonical_variant(c)
-        return variants[c]
+    variant = functools.cache(canonical_variant)
 
     # the later passes only drop literals of a non-tautology or delete
     # clauses, so no tautology appears after this one pass

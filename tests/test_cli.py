@@ -32,7 +32,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_missing_input_exit_code(capsys):
-    assert main([]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 1
+    assert "one of the arguments --input --bench is required" in capsys.readouterr().err
+
+
+def test_input_and_bench_together_exit_1(capsys):
+    # one problem source: --bench does not silently win over --input
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", os.path.join(DATA, "ex33.p"), "--bench", "3,3"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --bench: not allowed with argument --input" in err
 
 
 def test_step_cap_exit_code(tmp_path, capsys):
@@ -129,8 +142,11 @@ def test_check_mode_fails_when_the_oracle_disagrees(tmp_path, monkeypatch, capsy
     assert json.loads(captured.out)["verdict_oracle"] == "unsat"
 
 
-def test_bench_flag_with_check():
+def test_bench_flag_with_check(capsys):
     assert main(["--bench", "3,3", "--check"]) == 10
+    record = json.loads(capsys.readouterr().out)
+    assert {"seed", "verdict_nrcl", "verdict_oracle", "steps", "learned",
+            "audits_passed"} <= set(record)
 
 
 def test_bench_bad_format(capsys):

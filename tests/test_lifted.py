@@ -19,8 +19,10 @@ sign), the join order on a hand-built clause, the ground path of
 that tries every pair, each conflict-resolution precondition decided once
 per step, and the backjump queuing what its level search derived.  Then Decide and
 Propagate are checked to re-run none of the preconditions their search
-established, and the decision pieces carried between `select_decision`
-calls to equal a fresh trail difference.
+established, the decision pieces carried between `select_decision`
+calls to equal a fresh trail difference and to be dropped by a backjump
+that cuts past them, and every caller to hand `find_candidates` a trail
+prefix.
 """
 import itertools
 import os
@@ -166,9 +168,9 @@ def _ground_is_blocked(entries, d_lit, d_pi, pool, n):
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        for leaf in find_candidates(clause, entries, keep_limit=0,
-                                    extra=[(d_lit, d_pi)]):
-            d_positions = [p for p, src in leaf.used if src < 0]
+        decision = trail.TrailEntry(d_lit, d_pi, 0, len(entries))
+        for leaf in find_candidates(clause, entries + [decision], keep_limit=0):
+            d_positions = [p for p, src in leaf.used if src == decision.pos]
             if len(d_positions) < 2:
                 continue
             base = apply_clause(clause, leaf.sigma)
@@ -512,11 +514,10 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
     def shape(leaves):
         return [(leaf.remaining, leaf.used) for leaf in leaves]
 
-    def referee(clause, sources, keep_limit, newest_pos=None, extra=None):
-        got = real(clause, sources, keep_limit, newest_pos=newest_pos, extra=extra)
+    def referee(clause, sources, keep_limit, newest_pos=None):
+        got = real(clause, sources, keep_limit, newest_pos=newest_pos)
         if newest_pos is not None:
-            want = [leaf for leaf in real(clause, sources, keep_limit=keep_limit,
-                                          extra=extra)
+            want = [leaf for leaf in real(clause, sources, keep_limit=keep_limit)
                     if any(src == newest_pos for _, src in leaf.used)]
             seen["calls"] += 1
             seen["leaves"] += len(got)
@@ -532,14 +533,12 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
     assert seen["leaves"] > 100, seen
 
 
-def _bucket_search(clause, sources, keep_limit, newest_pos=None, extra=None):
+def _bucket_search(clause, sources, keep_limit, newest_pos=None):
     """The search `find_candidates` plans, made in clause order without the
     argument index: each position is offered every source of its
     (predicate, sign) bucket, and a search that must use the newest entry
     is cut once no unresolved literal can unify with it."""
     pool = [(e.pos, e.lit, e.pi) for e in sources]
-    if extra:
-        pool += [(-1 - i, lit, pi) for i, (lit, pi) in enumerate(extra)]
     by_pred = {}
     for src in pool:
         by_pred.setdefault((src[1].pred, src[1].neg), []).append(src)
@@ -618,8 +617,8 @@ def test_argument_index_keeps_every_leaf(monkeypatch):
         seen["meets"] += 1
         return real_meet(*args)
 
-    def referee(clause, sources, keep_limit, newest_pos=None, extra=None):
-        args = (clause, sources, keep_limit, newest_pos, extra)
+    def referee(clause, sources, keep_limit, newest_pos=None):
+        args = (clause, sources, keep_limit, newest_pos)
         before = seen["meets"]
         got = real(*args)
         middle = seen["meets"]
@@ -1040,8 +1039,7 @@ def test_carried_decision_pieces_match_a_fresh_difference(monkeypatch):
         entries = self.trail.entries
         for lit, pi in list(self.pool_cands):
             kept = self._carried.get((lit, pi))
-            seen["carried"] += (kept is not None and 0 < kept[1] <= len(entries)
-                                and entries[kept[1] - 1] is kept[2])
+            seen["carried"] += kept is not None and 0 < kept[1] <= len(entries)
             got = self._decision_pieces(lit, pi)
             want = diff_apart(lit, [({}, pi)], [
                 (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)])
@@ -1062,3 +1060,62 @@ def test_carried_decision_pieces_match_a_fresh_difference(monkeypatch):
         backjumps += verdict.backjumps
     assert backjumps > 20 and seen["carried"] > 1000 and seen["pieces"] > 0, (
         backjumps, seen)
+
+
+def test_backjump_drops_the_pieces_carried_past_its_cut(monkeypatch):
+    """After every Backjump, each carried entry was taken at a trail length
+    no longer than the trail the backjump left: the pieces taken past the
+    cut are dropped with it, as the refinements are undone."""
+    real = Solver.rule_backjump
+    seen = dict(backjumps=0, dropped=0)
+
+    def rule_backjump(self, case):
+        before = len(self._carried)
+        ci = real(self, case)
+        assert all(kept[1] <= len(self.trail)
+                   for kept in self._carried.values()), len(self.trail)
+        seen["backjumps"] += 1
+        seen["dropped"] += before - len(self._carried)
+        return ci
+
+    monkeypatch.setattr(Solver, "rule_backjump", rule_backjump)
+    runs = [(_c5_2(), "unsat", 2), (_k4_3(), "unsat", 7)]
+    runs += [(problem, None, None) for problem in criterion_1_population()]
+    for (sig, clauses), status, learned in runs:
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        if status is not None:
+            assert (verdict.status, verdict.learned) == (status, learned)
+    assert seen["backjumps"] > 20 and seen["dropped"] > 0, seen
+
+
+def test_find_candidates_reads_a_trail_prefix(monkeypatch):
+    """Every caller hands `find_candidates` a trail prefix, whose entry at
+    index i has position i, and a `newest_pos` inside it: the solver, the
+    lifted assertiveness and blocking tests, and the audit, over the audited
+    golden ex33 run, C5/2, K4/3 and the criterion-1 population.  The
+    blocking test's decision is the one entry at level 0 with no reason."""
+    real = derive.find_candidates
+    seen = dict(calls=0, newest=0, blocking=0)
+
+    def referee(clause, sources, keep_limit, newest_pos=None):
+        assert [e.pos for e in sources] == list(range(len(sources))), clause
+        if newest_pos is not None:
+            assert 0 <= newest_pos < len(sources), (newest_pos, len(sources))
+            seen["newest"] += 1
+        seen["calls"] += 1
+        seen["blocking"] += bool(sources) and sources[-1].is_decision and (
+            sources[-1].level == 0)
+        return real(clause, sources, keep_limit, newest_pos=newest_pos)
+
+    monkeypatch.setattr(derive, "find_candidates", referee)
+    monkeypatch.setattr(solver_mod, "find_candidates", referee)
+    runs = [(*_ex33(), "sat"), (*_c5_2(), None, "unsat"),
+            (*_k4_3(), None, "unsat")]
+    runs += [(*problem, None, None) for problem in criterion_1_population()]
+    for sig, clauses, script, status in runs:
+        auditor = Auditor(sig, clauses)
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000, script=script),
+                         auditor=auditor).solve()
+        assert status in (None, verdict.status)
+        assert auditor.violations == []
+    assert min(seen.values()) > 100, seen

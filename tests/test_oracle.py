@@ -6,7 +6,6 @@ from typing import Optional
 import pytest
 
 from eprsat.audit import Auditor
-from eprsat.cli import harness_report, run_differential
 from eprsat.constrained import CLit, cover
 from eprsat.constraints import TOP, conj
 from eprsat.oracle import (
@@ -464,12 +463,3 @@ def test_benchmark_intended_model_verifies():
             if all(inst[i + 1].args[0] != inst[i + 1].args[1]
                    for i in range(k - 1)):
                 assert p_lit.atom in cover(model[0].lit, model[0].pi, sig.n)
-
-
-def test_run_differential_record_shape():
-    rec = run_differential(5)
-    assert {"seed", "verdict_nrcl", "verdict_oracle", "steps", "learned",
-            "audits_passed"} <= set(rec)
-    line = harness_report([rec])
-    import json
-    assert json.loads(line.strip())["seed"] == 5

@@ -168,8 +168,6 @@ REFEREES = {
     "parse_model": "reads a model document back: the round-trip check",
     "trace_decisions": "reads a trace back: the round-trip check",
     "render_problem": "writes a problem back: the round-trip check",
-    "run_differential": "the differential harness",
-    "harness_report": "the differential harness",
     "error": "argparse hook (`_ArgumentParser.error`)",
 }
 
