@@ -60,7 +60,11 @@ def main(argv=None) -> int:
     args = build_argparser().parse_args(argv)
     try:
         if args.bench:
-            n, k = (int(x) for x in args.bench.split(","))
+            try:
+                n, k = (int(x) for x in args.bench.split(","))
+            except ValueError:
+                raise ValueError("--bench expects N,K (two integers), "
+                                 f"got '{args.bench}'") from None
             sig, clauses = gen_benchmark(n, k)
         else:
             with open(args.input, encoding="utf-8") as f:

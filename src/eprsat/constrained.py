@@ -253,17 +253,24 @@ def diff_pairs(lit1: Lit, pi1: Constraint, lit2: Lit, pi2: Constraint,
 
 
 def _diff_same(pi1: Constraint, pi2: Constraint) -> list[tuple[Subst, Constraint]]:
-    """Same-literal difference via the induced substitutions of pi2."""
+    """Same-literal difference via the induced substitutions of pi2: piece
+    i is (tau_i; pi1 and pi2's subconstraints before i, under tau_i),
+    tau_i = lhs_i -> rhs_i, unless BOT.  Normal form keeps the rhs variables
+    apart, so tau_i binds none.  A piece whose pi1 part is BOT is dropped
+    before the rest is instantiated (`instantiate` makes no fresh variable)."""
     if pi2.is_top:
         return []
     if pi2.is_bot:
         return [({}, pi1)] if not pi1.is_bot else []
     out: list[tuple[Subst, Constraint]] = []
-    etas = list(pi2.subs)
+    etas = pi2.subs
     for i, (lhs_i, rhs_i) in enumerate(etas):
         tau = dict(zip(lhs_i, rhs_i))
-        pi = conjoin(instantiate(pi1, tau),
-                     *(instantiate(subset(pi2, (sub,)), tau) for sub in etas[:i]))
+        head = instantiate(pi1, tau)
+        if head.is_bot:
+            continue
+        pi = conjoin(head, *(instantiate(subset(pi2, (sub,)), tau)
+                             for sub in etas[:i]))
         if not pi.is_bot:
             out.append((tau, pi))
     return out

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .constrained import CLit, conjunction, cover_size
-from .constraints import Constraint, normalize, subset
-from .syntax import Clause, Lit, Signature, clause_vars
+from .constraints import Constraint, instantiate, normalize, subset
+from .syntax import Clause, Lit, Signature, apply_lit, clause_vars
 
 _BASE_NAMES = ("X", "Y", "Z", "U", "V", "W", "S", "T")
 
@@ -119,6 +119,20 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
     the cap) are scanned as b.  The scan order is the same, so the first
     mergeable (i, j) still wins and the result is that of the unmemoized
     scan.
+
+    A widening is sized from b by its one new piece, not recounted.  Let w
+    be b with subconstraint k dropped and tau_k = lhs_k -> rhs_k.  The
+    groundings in w but not in b violate subconstraint k and solve the
+    rest: exactly the groundings of b.lit * tau_k that solve the rest under
+    tau_k.  That needs normal form, as the solver's model has: lhs_k is
+    distinct variables of the literal and every rhs variable is apart from
+    the others, so tau_k binds no rhs variable and each violating
+    grounding has one instance.  Hence |w| = |b| + |(b.lit * tau_k;
+    rest * tau_k)|, a count with one subconstraint fewer, over fewer
+    variables.  `meet_size` passes a as `meet`'s source: a is often ground
+    under TOP, which `meet` matches onto, where it would otherwise rename
+    b (or w) apart with all its subconstraints on every call.  The size of
+    an intersection does not depend on the order.
     """
     n = sig.n
     sizes: dict[CLit, int] = {}
@@ -130,8 +144,8 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
         return sizes[cl]
 
     def meet_size(a: CLit, b: CLit) -> int:
-        # a conjunction is renamed apart afresh each time: counted, not kept
-        c = conjunction(a, b)
+        # counted, not kept
+        c = conjunction(b, a)
         return cover_size(c.lit, c.pi, n)
 
     def widening(a: CLit, b: CLit) -> Optional[CLit]:
@@ -141,10 +155,14 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
             size_a = size(a)
             union = size_a + size(b) - meet_size(a, b)
             found = None
-            for k in range(len(b.pi.subs)):
-                rest = b.pi.subs[:k] + b.pi.subs[k + 1:]
-                w = CLit(b.lit, normalize(subset(b.pi, rest)))
-                if size(w) == union and meet_size(a, w) == size_a:
+            for k, (lhs, rhs) in enumerate(b.pi.subs):
+                rest = subset(b.pi, b.pi.subs[:k] + b.pi.subs[k + 1:])
+                w = CLit(b.lit, normalize(rest))
+                if w not in sizes:
+                    tau = dict(zip(lhs, rhs))
+                    sizes[w] = sizes[b] + cover_size(
+                        apply_lit(b.lit, tau), instantiate(rest, tau), n)
+                if sizes[w] == union and meet_size(a, w) == size_a:
                     found = w
                     break
             widenings[a, b] = found

@@ -15,7 +15,8 @@ literal left a propagation candidate.  `_reseed_full` (which on the empty
 trail queues each unit clause), `add_consequences` and, once per trail
 prefix, `compute_backjump_level` search with it; `full_scan` only asks.
 The one exception is the queue clash: before it derives, `add_consequences`
-reads a conflict off a queued candidate that the new entry falsifies.
+reads a conflict off a queued candidate that the new entry falsifies, the
+first in queue order among those of the complementary shape.
 `constrained.diff_apart` is the one trail difference, taken by
 `_undefined_pieces` (behind the queue and the backjump level, which keep
 only its non-empty pieces) and by `_decision_pieces`.  The lifted steps
@@ -155,8 +156,11 @@ class PropCand:
     sigma: Subst                   # over the clause variables (plus sources)
     pi: Constraint
 
+    def base(self, pool: list[Clause]) -> Lit:
+        return pool[self.clause_idx][self.lit_idx]
+
     def lit(self, pool: list[Clause]) -> Lit:
-        return apply_lit(pool[self.clause_idx][self.lit_idx], self.sigma)
+        return apply_lit(self.base(pool), self.sigma)
 
 
 class Solver:
@@ -415,7 +419,7 @@ class Solver:
         """Exhaust the queue; False means a conflict is pending."""
         while self._pq:
             _, _, cand = heapq.heappop(self._pq)
-            base = self.pool[cand.clause_idx][cand.lit_idx]
+            base = cand.base(self.pool)
             for sigma, pi in self._undefined_pieces(base, cand.sigma, cand.pi):
                 piece = PropCand(cand.clause_idx, cand.lit_idx, sigma, pi)
                 if not self.add_consequences(self.rule_propagate(piece)):
@@ -459,11 +463,16 @@ class Solver:
 
     def add_consequences(self, entry: TrailEntry) -> bool:
         """Conflict checks and new candidates after a push; False on conflict."""
-        # type-1: an unprocessed queue candidate is falsified by the new entry
-        for _, _, cand in sorted(self._pq):
+        # the entry falsifies only literals of the complementary shape
+        pred, neg = entry.lit.pred, not entry.lit.neg
+        # type-1: the first queued candidate, in (size, seq) order, that the
+        # new entry falsifies.  A candidate has its base literal's shape, so
+        # the others are dropped before anything is sorted or instantiated
+        clashing = sorted(item for item in self._pq
+                          if (b := item[2].base(self.pool)).pred == pred
+                          and b.neg == neg)
+        for _, _, cand in clashing:
             lit = cand.lit(self.pool)
-            if lit.neg == entry.lit.neg or lit.pred != entry.lit.pred:
-                continue
             delta = mgu_atoms(lit.atom, entry.lit.atom)
             if delta is None:
                 continue
@@ -476,8 +485,7 @@ class Solver:
                 met, origin=cand.clause_idx))
             return False
         # derived consequences: every clause touching the new entry
-        key = (entry.lit.pred, not entry.lit.neg)
-        for ci in self._clauses_by_shape.get(key, []):
+        for ci in self._clauses_by_shape.get((pred, neg), []):
             for got in self._derive(ci, self.pool[ci], self.trail.entries,
                                     newest_pos=entry.pos):
                 if isinstance(got, ConflictSet):

@@ -6,21 +6,25 @@ Each must be unsat in its recorded step count with its recorded trace
 SHA-256, which pins every rule application of the run.  Then PHP(4,3), K4/3
 and PHP(5,4) are solved again under the runtime audit, which must find no
 violation; their universes are over the atom caps of the two learning
-checks, so each learned clause skips those two.  Run from the repository
-root:
+checks, so each learned clause skips those two.  Last, the `gen_benchmark`
+rungs (10,3) and (12,3) are solved and their model documents rendered:
+each document must have its recorded SHA-256.  Their models are the largest
+that `render.merge_cover` consolidates here.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/hard_families.py
 
-It prints each run's solve time (and for an audited run its count of skipped
-checks) and exits non-zero on a mismatch or an audit violation.
+It prints each run's solve time (for an audited run its count of skipped
+checks, for a rung its render time) and exits non-zero on a mismatch or an
+audit violation.
 """
 import hashlib
 import sys
 import time
 
 from eprsat.audit import Auditor
+from eprsat.oracle import gen_benchmark
 from eprsat.parser import parse_problem
-from eprsat.render import render_trace
+from eprsat.render import render_model, render_trace
 from eprsat.solver import RunConfig, Solver
 
 
@@ -65,6 +69,12 @@ AUDITED = [
     ("PHP(5,4)", pigeonhole_text(5, 4), 769),
 ]
 
+# (n, k) of a sat gen_benchmark rung, SHA-256 of its model document
+RUNGS = [
+    ((10, 3), "9448110c7248322fa4828c8ef2c20c1e6ef409ffa3d0f951849019a1458632ef"),
+    ((12, 3), "6c994e392bcdd891613b68f87169f4e4be5cc51d940abf0236f2e66f1b0a6150"),
+]
+
 
 def main():
     failed = 0
@@ -97,6 +107,21 @@ def main():
         if not ok:
             print(f"  expected unsat in {steps} steps with no violation; "
                   f"first violations: {auditor.violations[:3]}")
+    for nk, sha in RUNGS:
+        sig, clauses = gen_benchmark(*nk)
+        start = time.perf_counter()
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        solved = time.perf_counter()
+        doc = render_model(sig, verdict.model) if verdict.status == "sat" else ""
+        rendered = time.perf_counter()
+        got_sha = hashlib.sha256(doc.encode()).hexdigest()
+        ok = (verdict.status, got_sha) == ("sat", sha)
+        failed += not ok
+        print(f"rung{nk}: {verdict.status} in {verdict.steps} steps, "
+              f"{solved - start:.2f} s, rendered in {rendered - solved:.2f} s, "
+              f"model {got_sha[:8]}… {'ok' if ok else 'MISMATCH'}")
+        if not ok:
+            print(f"  expected sat with model {sha}")
     return 1 if failed else 0
 
 

@@ -153,6 +153,13 @@ def test_bench_bad_format(capsys):
     assert main(["--bench", "oops"]) == 1
 
 
+@pytest.mark.parametrize("value", ["5", "2,2,2", ",3"])
+def test_bench_not_two_integers_names_the_format(capsys, value):
+    assert main(["--bench", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --bench expects N,K (two integers), got '{value}'\n")
+
+
 def test_no_index_and_seed_flags(tmp_path):
     assert main(["--input", os.path.join(DATA, "ex33.p"),
                  "--seed", "5"]) == 10

@@ -1,7 +1,11 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eprsat.constrained import (
     CLit,
+    _diff_same,
     conjunction,
     cover,
     difference,
@@ -9,7 +13,7 @@ from eprsat.constrained import (
     is_empty,
     rename_clit_fresh,
 )
-from eprsat.constraints import BOT, TOP, conj, normalize
+from eprsat.constraints import BOT, TOP, conj, conjoin, instantiate, normalize, subset
 from eprsat.syntax import Lit, fresh_var, lit_vars, var_code
 
 x, y, z, u = var_code(0), var_code(1), var_code(2), var_code(3)
@@ -292,3 +296,53 @@ def test_public_entries_on_raw_constraints_match_the_cover():
                 bad[name].append((c1, c2))
     assert {k: len(v) for k, v in bad.items()} == dict.fromkeys(bad, 0), \
         {k: v[:2] for k, v in bad.items()}
+
+
+# ---------------------------------------------------------------------------
+# the same-literal difference against its eager formula
+
+def _eager_diff_same(pi1, pi2):
+    """Piece i of pi1 minus pi2, every part instantiated before BOT is
+    asked: (tau_i; pi1 and pi2's subconstraints before i, under tau_i)."""
+    if pi2.is_top:
+        return []
+    if pi2.is_bot:
+        return [({}, pi1)] if not pi1.is_bot else []
+    out = []
+    for i, (lhs_i, rhs_i) in enumerate(pi2.subs):
+        tau = dict(zip(lhs_i, rhs_i))
+        pi = conjoin(instantiate(pi1, tau),
+                     *(instantiate(subset(pi2, (sub,)), tau) for sub in pi2.subs[:i]))
+        if not pi.is_bot:
+            out.append((tau, pi))
+    return out
+
+
+@st.composite
+def _normal_constraints(draw, rhs_base):
+    """A normalized conjunction over the lhs variables x, y, z, u; each
+    subconstraint's rhs mixes constants with variables of its own, all
+    numbered from `rhs_base`."""
+    subs = []
+    for i in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 3))
+        lhs = draw(st.lists(st.sampled_from([x, y, z, u]), min_size=width,
+                            max_size=width, unique=True))
+        rvs = [var_code(rhs_base + 10 * i + k) for k in range(2)]
+        rhs = draw(st.lists(st.sampled_from(rvs + [a, b]), min_size=width,
+                            max_size=width))
+        subs.append((tuple(lhs), tuple(rhs)))
+    return normalize(conj(subs))
+
+
+_DIFF_OPERANDS = st.tuples(
+    st.one_of(_normal_constraints(100), st.sampled_from([TOP, BOT])),
+    st.one_of(_normal_constraints(200), st.sampled_from([TOP, BOT])))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_DIFF_OPERANDS)
+def test_diff_same_matches_the_eager_formula(operands):
+    pi1, pi2 = operands
+    assert _diff_same(pi1, pi2) == _eager_diff_same(pi1, pi2), (pi1, pi2)
+

@@ -1,12 +1,15 @@
+import hashlib
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprsat.constrained import CLit, conjunction, cover, cover_size
-from eprsat.constraints import TOP, conj, is_normal, normalize
+from eprsat import render
+from eprsat.constraints import TOP, conj, is_normal, normalize, subset
 from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
 from eprsat.parser import (
     ParseError,
@@ -401,6 +404,109 @@ def test_merge_cover_matches_the_unmemoized_greedy_loop():
         assert got == _merge_cover_unmemoized(sig, model), name
         merged += len(model) - len(got)
     assert merged > 50, merged
+
+
+def _merge_cover_recounting(sig, clits):
+    """`merge_cover` as it was before widenings were sized by their new
+    piece: the same memoized scan, but every widened literal is counted
+    afresh over its whole constraint, and each intersection renames b (or
+    w) apart."""
+    n = sig.n
+    sizes, widenings = {}, {}
+
+    def size(cl):
+        if cl not in sizes:
+            sizes[cl] = cover_size(cl.lit, cl.pi, n)
+        return sizes[cl]
+
+    def meet_size(a, b):
+        c = conjunction(a, b)
+        return cover_size(c.lit, c.pi, n)
+
+    def widening(a, b):
+        if (a, b) not in widenings:
+            size_a = size(a)
+            union = size_a + size(b) - meet_size(a, b)
+            found = None
+            for k in range(len(b.pi.subs)):
+                rest = b.pi.subs[:k] + b.pi.subs[k + 1:]
+                w = CLit(b.lit, normalize(subset(b.pi, rest)))
+                if size(w) == union and meet_size(a, w) == size_a:
+                    found = w
+                    break
+            widenings[a, b] = found
+        return widenings[a, b]
+
+    def first_merge(out):
+        targets = {}
+        for j, b in enumerate(out):
+            if b.pi.kind == "and" and n ** len(b.lit.args) <= MERGE_ATOM_CAP:
+                targets.setdefault((b.lit.pred, b.lit.neg), []).append(j)
+        for i, a in enumerate(out):
+            for j in targets.get((a.lit.pred, a.lit.neg), ()):
+                if i != j and (w := widening(a, out[j])) is not None:
+                    return i, j, w
+        return None
+
+    out = list(clits)
+    while (found := first_merge(out)) is not None:
+        i, j, w = found
+        out[min(i, j)] = w
+        del out[max(i, j)]
+    return out
+
+
+def _memoized_sizes(sig, clits):
+    """`merge_cover(sig, clits)` and the cover sizes it memoized, read off
+    its frame as it returns (a profile hook, which leaves any trace hook
+    in place)."""
+    code = merge_cover.__code__
+    sizes = {}
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            sizes.update(frame.f_locals["sizes"])
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        merged = merge_cover(sig, clits)
+    finally:
+        sys.setprofile(outer)
+    return merged, sizes
+
+
+# SHA-256 of the gen_benchmark(10, 3) model document
+_DOC_10_3 = "9448110c7248322fa4828c8ef2c20c1e6ef409ffa3d0f951849019a1458632ef"
+
+
+def test_widening_sizes_match_a_fresh_count(monkeypatch):
+    """Each widening's size is b's size plus its one new piece: every size
+    `merge_cover` memoizes equals a fresh `cover_size`, and the document is
+    the one the whole-recount scan gives, over the ladder rung (7,3), the
+    rungs (8,3) and (10,3) and the sat criterion-1 population."""
+    runs = [(f"rung{nk}", *gen_benchmark(*nk)) for nk in [(7, 3), (8, 3), (10, 3)]]
+    models = [(name, sig, Solver(sig, clauses, RunConfig()).solve().model)
+              for name, sig, clauses in runs]
+    models += [(f"pop-{seed}", sig, verdict.model)
+               for seed, (sig, _, verdict) in enumerate(criterion_1_verdicts())
+               if verdict.status == "sat"]
+    widened = 0
+    docs = {}
+    for name, sig, model in models:
+        merged, sizes = _memoized_sizes(sig, model)
+        for cl, size in sizes.items():
+            assert size == cover_size(cl.lit, cl.pi, sig.n), (name, cl)
+        widened += len(set(sizes) - set(model))
+        docs[name] = render_model(sig, model)
+        assert docs[name].endswith("\n".join(
+            render_clit(sig, cl.lit, cl.pi) for cl in merged)
+            + "\n% all other atoms false\n"), name
+    monkeypatch.setattr(render, "merge_cover", _merge_cover_recounting)
+    for name, sig, model in models:
+        assert render_model(sig, model) == docs[name], name
+    assert hashlib.sha256(docs["rung(10, 3)"].encode()).hexdigest() == _DOC_10_3
+    assert widened > 500, widened
 
 
 def test_trace_replay_reproduces_trace():

@@ -21,8 +21,9 @@ per step, and the backjump queuing what its level search derived.  Then Decide a
 Propagate are checked to re-run none of the preconditions their search
 established, the decision pieces carried between `select_decision`
 calls to equal a fresh trail difference and to be dropped by a backjump
-that cuts past them, and every caller to hand `find_candidates` a trail
-prefix.
+that cuts past them, every caller to hand `find_candidates` a trail
+prefix, and the queue clash scan, filtered by shape, to find the conflict
+the whole-queue scan finds.
 """
 import itertools
 import os
@@ -48,7 +49,7 @@ from eprsat.constraints import (
 from eprsat.derive import find_candidates
 from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
 from eprsat.parser import parse_problem, parse_script
-from eprsat.render import render_clit, render_model
+from eprsat.render import render_clit, render_conflict, render_model
 from eprsat.solver import ConflictSet, RunConfig, Solver
 from eprsat.syntax import (
     Lit,
@@ -56,10 +57,12 @@ from eprsat.syntax import (
     apply_lit,
     canonical_variant,
     clause_vars,
+    compose,
     ground_assignments,
     lit_vars,
     match_args,
     mgu_atoms,
+    restrict,
     var_code,
 )
 from population import criterion_1_population
@@ -1119,3 +1122,63 @@ def test_find_candidates_reads_a_trail_prefix(monkeypatch):
         assert status in (None, verdict.status)
         assert auditor.violations == []
     assert min(seen.values()) > 100, seen
+
+
+def _first_queue_clash(s, entry):
+    """The clash scan as it was before the shape filter: the whole queue in
+    (size, seq) order, each candidate instantiated, the first that the new
+    entry falsifies; its rendered conflict, or None."""
+    for _, _, cand in sorted(s._pq):
+        lit = cand.lit(s.pool)
+        if lit.neg == entry.lit.neg or lit.pred != entry.lit.pred:
+            continue
+        delta = mgu_atoms(lit.atom, entry.lit.atom)
+        if delta is None:
+            continue
+        met = s._meets_entry(cand.pi, entry, delta)
+        if met is None:
+            continue
+        clause = s.pool[cand.clause_idx]
+        return render_conflict(s.sig, ConflictSet(
+            clause, restrict(compose(cand.sigma, delta), clause_vars(clause)),
+            met, origin=cand.clause_idx))
+    return None
+
+
+def test_shape_filtered_clash_scan_picks_the_first_clash(monkeypatch):
+    """`add_consequences` scans only the queued candidates of the new
+    entry's complementary shape, and finds the conflict the whole-queue
+    scan finds first; with no clash there, it derives before any conflict.
+    Over C5/2, K4/3 and the criterion-1 population."""
+    real_add, real_derive = Solver.add_consequences, Solver._derive
+    seen = dict(clashes=0, filtered=0)
+
+    def derive(self, *args, **kwargs):
+        self.derived = True
+        return real_derive(self, *args, **kwargs)
+
+    def add_consequences(self, entry):
+        want = _first_queue_clash(self, entry)
+        shape = (entry.lit.pred, not entry.lit.neg)
+        seen["filtered"] += sum(1 for _, _, c in self._pq
+                                if (c.base(self.pool).pred,
+                                    c.base(self.pool).neg) != shape)
+        self.derived = False
+        ok = real_add(self, entry)
+        if want is None:
+            assert ok or self.derived, entry.lit
+        else:
+            assert not ok and not self.derived, entry.lit
+            assert render_conflict(self.sig, self.conflict) == want
+        seen["clashes"] += want is not None
+        return ok
+
+    monkeypatch.setattr(Solver, "add_consequences", add_consequences)
+    monkeypatch.setattr(Solver, "_derive", derive)
+    runs = [(_c5_2(), "unsat", 2), (_k4_3(), "unsat", 7)]
+    runs += [(problem, None, None) for problem in criterion_1_population()]
+    for (sig, clauses), status, learned in runs:
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        if status is not None:
+            assert (verdict.status, verdict.learned) == (status, learned)
+    assert seen["clashes"] > 20 and seen["filtered"] > 300, seen
