@@ -32,8 +32,8 @@ from .syntax import (
     args_vars,
     match_args,
     mgu_args,
+    numbered,
     renaming_for,
-    var_code,
 )
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -115,14 +115,6 @@ def subset(c: Constraint, subs: tuple[Pair, ...]) -> Constraint:
 # ---------------------------------------------------------------------------
 # normal form transformation
 
-def _rhs_canon(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> tuple:
-    # key up to rhs renaming: the i-th rhs variable becomes var_code(i)
-    vs = args_vars(rhs)
-    if vs:
-        rhs = apply_args(rhs, {v: var_code(i) for i, v in enumerate(vs)})
-    return lhs, rhs
-
-
 def _normalize_sub(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Optional[Pair]:
     """Normalize one subconstraint in one left-to-right pass.  None means
     TOP (drop it); ``((), ())`` is BOT (rule 4's ``() != ()``)."""
@@ -196,7 +188,7 @@ def _dedup(subs: list[Pair]) -> Constraint:
     out: list[Pair] = []
     seen: set[tuple] = set()
     for sub in subs:
-        key = _rhs_canon(*sub)
+        key = (sub[0], numbered(sub[1]))
         if key not in seen:
             seen.add(key)
             out.append(sub)

@@ -26,14 +26,15 @@ which share a closure step.
 
 Between two decisions the trail only grows or is cut back, so the
 decisions carry their trail difference across calls (`_decision_pieces`).
-Each pool literal keeps its undefined pieces and the trail length L they
-were taken at, and the next call subtracts only the entries from position L
-on.  The backjump drops every carried entry taken at a length above its
-cut, as it undoes the refinements: every Skip is followed by a Backjump
-before the next decision, and `_push` makes every entry new, so the first L
-entries of a kept one are those its pieces were taken against.
-`diff_apart` is a left fold over its sources, so the two parts give the
-pieces, in order, that one difference against the whole trail gives.
+Each pool atom (a literal and its complement share one) keeps its non-empty
+undefined pieces and the trail length L they were taken at, and the next
+call subtracts only the entries from position L on.  The backjump drops
+every carried entry taken at a length above its cut, as it undoes the
+refinements: every Skip is followed by a Backjump before the next decision,
+and `_push` makes every entry new, so the first L entries of a kept one are
+those its pieces were taken against.  `diff_apart` is a left fold over its
+sources, so the two parts give the pieces, in order, that one difference
+against the whole trail gives.
 
 Each rule takes what the search that found it established and re-checks
 none of it: `prop_loop` vouches for Propagate, `select_decision` for Decide
@@ -63,7 +64,6 @@ from .constrained import (
     cover_size,
     diff_apart,
     elim_free_vars,
-    is_empty,
     no_instances,
     overlaps,
     rename_clit_fresh,
@@ -94,10 +94,10 @@ from .syntax import (
     lit_vars,
     match_lit,
     mgu_atoms,
+    numbered,
     renaming_for,
     restrict,
     unifiable_apart,
-    var_code,
 )
 from .render import render_clause, render_conflict, render_entry
 from .trail import Trail, TrailEntry
@@ -187,11 +187,12 @@ class Solver:
         # propagation queue: (cover size, seq, candidate)
         self._pq: list[tuple[int, int, PropCand]] = []
         self._seq = 0
-        # decision pool and its refinement trail
-        self.pool_cands: list[tuple[Lit, Constraint]] = self._init_pool_cands()
+        # decision pool (one canonical variant per input literal), refinements
+        self.pool_cands: list[tuple[Lit, Constraint]] = [
+            (l, TOP) for l in dict.fromkeys(_canon_lit(l) for c in self.pool for l in c)]
         self._refinements: list[tuple[int, int, tuple[Lit, Constraint], int]] = []
-        # each pool literal's undefined pieces, carried between decisions:
-        # (lit, pi) -> (pieces, the trail length they were taken at)
+        # each pool atom's non-empty undefined pieces, carried between decisions:
+        # (atom, pi) -> (pieces, the trail length they were taken at)
         self._carried: dict[tuple[Lit, Constraint],
                             tuple[list[tuple[Subst, Constraint]], int]] = {}
         # scores: canonical literal -> value
@@ -207,13 +208,6 @@ class Solver:
     def _index_new_clause(self, ci: int) -> None:
         for key in set((l.pred, l.neg) for l in self.pool[ci]):
             self._clauses_by_shape.setdefault(key, []).append(ci)
-
-    def _init_pool_cands(self) -> list[tuple[Lit, Constraint]]:
-        first: dict[Lit, Lit] = {}   # one literal per variant, the first
-        for c in self.pool:
-            for l in c:
-                first.setdefault(_canon_lit(l), l)
-        return [(l, TOP) for l in first.values()]
 
     def _emit(self, rule: str, payload: str) -> None:
         self.steps += 1
@@ -513,8 +507,8 @@ class Solver:
 
     def select_decision(self) -> Optional[tuple[Lit, Constraint]]:
         """The next decision, which satisfies every precondition of Decide:
-        a script line once checked, else an undefined piece of a pool
-        literal that `_repair_blocking` found non-empty and unblocked."""
+        a script line once checked, else the unblocked piece `_repair_blocking`
+        finds for the first pool literal, in score order, with undefined pieces."""
         if self._script:
             lit, pi = self._script.pop(0)
             self._check_script_decision(lit, pi)
@@ -524,28 +518,31 @@ class Solver:
                         for i, (lit, _) in enumerate(self.pool_cands))
         for _, _, i in ranked:
             lit, pi = self.pool_cands[i]
-            got = self._repair_blocking(i, [
-                (apply_lit(lit, s), p) for s, p in self._decision_pieces(lit, pi)])
-            if got is not None:
-                return got
+            pieces = self._decision_pieces(lit, pi)
+            if pieces:
+                return self._repair_blocking(
+                    i, [(apply_lit(lit, s), p) for s, p in pieces])
         return None
 
     def _decision_pieces(self, lit: Lit, pi: Constraint,
                          ) -> list[tuple[Subst, Constraint]]:
-        """`lit` (constraint `pi`) minus the atoms the trail defines, as
-        `diff_apart` gives it against the whole trail, carried from the last
-        call for this pool literal unless a backjump dropped it."""
-        pieces, start = self._carried.get((lit, pi), ([({}, pi)], 0))
-        pieces = diff_apart(lit, pieces, [(e.lit, e.pi)
-                                          for e in self.trail.for_pred(lit.pred)
-                                          if e.pos >= start])
-        self._carried[(lit, pi)] = (pieces, len(self.trail))
+        """The non-empty pieces of `lit` (constraint `pi`) minus the atoms the
+        trail defines, in `diff_apart`'s order against the whole trail, carried
+        per atom from the last call unless a backjump dropped them.  An empty
+        piece's pieces are empty, so dropping it when it is made is exact."""
+        key = (lit.atom, pi)
+        pieces, start = self._carried.get(key, ([({}, pi)], 0))
+        new = [(e.lit, e.pi) for e in self.trail.for_pred(lit.pred) if e.pos >= start]
+        if new:
+            pieces = [(s, p) for s, p in diff_apart(lit, pieces, new)
+                      if not no_instances(p, self.n)]
+        self._carried[key] = (pieces, len(self.trail))
         return pieces
 
     def _check_script_decision(self, lit: Lit, pi: Constraint) -> None:
         # a script line comes from outside the search, so Decide's
-        # preconditions are checked here, once
-        if is_empty(lit, pi, self.n):
+        # preconditions are checked here, once; `__init__` normalized pi
+        if no_instances(pi, self.n):
             raise RuleRejected("empty decision")
         if not self._is_undefined(lit, pi):
             raise RuleRejected("decision covers a defined atom")
@@ -557,9 +554,9 @@ class Solver:
 
     def _repair_blocking(self, pool_idx: int,
                          pieces: list[tuple[Lit, Constraint]],
-                         ) -> Optional[tuple[Lit, Constraint]]:
-        """Pick an unblocked decision among the undefined pieces, splitting
-        blocked candidates until a ground (hence unblocked) one emerges.
+                         ) -> tuple[Lit, Constraint]:
+        """The first of the non-empty `pieces`, split while blocked (a ground
+        part never is); each part of a split holds a witness atom, so is non-empty.
 
         If any split happened, the pool entry is replaced by the refined
         piece list so the candidate pool keeps covering the original atoms;
@@ -567,16 +564,9 @@ class Solver:
         """
         work = list(pieces)
         split = False
-        while work:
+        while (wit := is_blocked(self.trail.entries, *work[0], self.pool,
+                                 self.n)) is not None:
             d_lit, d_pi = work[0]
-            if is_empty(d_lit, d_pi, self.n):
-                work.pop(0)
-                continue
-            wit = is_blocked(self.trail.entries, d_lit, d_pi, self.pool, self.n)
-            if wit is None:
-                if split:
-                    self._record_refinement(pool_idx, work)
-                return d_lit, d_pi
             _, _, l1, l2 = wit
             # l1 and l2 are distinct ground instances of d_lit: they bind
             # some variable x apart, and the split puts x at l1's constant
@@ -584,18 +574,14 @@ class Solver:
             d2 = match_lit(d_lit.atom, l2.atom)
             x = next(v for v in lit_vars(d_lit) if d1[v] != d2[v])
             c1 = d1[x]
-            inst = (apply_lit(d_lit, {x: c1}), instantiate(d_pi, {x: c1}))
-            rest = (d_lit, conjoin(d_pi, conj([((x,), (c1,))])))
-            work[0:1] = [p for p in (inst, rest) if not p[1].is_bot]
+            work[0:1] = [(apply_lit(d_lit, {x: c1}), instantiate(d_pi, {x: c1})),
+                         (d_lit, conjoin(d_pi, conj([((x,), (c1,))])))]
             split = True
-        # only without a split: a split's first part covers l1's atom
-        return None
-
-    def _record_refinement(self, pool_idx: int,
-                           new: list[tuple[Lit, Constraint]]) -> None:
-        old = self.pool_cands[pool_idx]
-        self._refinements.append((len(self.trail), pool_idx, old, len(new)))
-        self.pool_cands[pool_idx:pool_idx + 1] = new
+        if split:
+            self._refinements.append(
+                (len(self.trail), pool_idx, self.pool_cands[pool_idx], len(work)))
+            self.pool_cands[pool_idx:pool_idx + 1] = work
+        return work[0]
 
     def _reroll_refinements(self, trail_len: int) -> None:
         # undo the refinements, and drop the carried pieces, taken at a
@@ -753,7 +739,7 @@ class Solver:
 
 def _canon_lit(l: Lit) -> Lit:
     # the variant whose variables are numbered 0, 1, ... in order of occurrence
-    return apply_lit(l, {v: var_code(i) for i, v in enumerate(lit_vars(l))})
+    return Lit(l.neg, l.pred, numbered(l.args))
 
 
 # ---------------------------------------------------------------------------

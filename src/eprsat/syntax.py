@@ -103,6 +103,13 @@ def apply_lit(l: Lit, s: Subst) -> Lit:
     return Lit(l.neg, l.pred, apply_args(l.args, s))
 
 
+def numbered(args: tuple[int, ...]) -> tuple[int, ...]:
+    """The variant of `args` whose variables are var_code(0), var_code(1),
+    ... in order of first occurrence; a ground tuple is returned as it is."""
+    vs = args_vars(args)
+    return apply_args(args, {v: var_code(i) for i, v in enumerate(vs)}) if vs else args
+
+
 def apply_clause(c: Clause, s: Subst) -> Clause:
     return tuple(apply_lit(l, s) for l in c)
 

@@ -20,8 +20,10 @@ that tries every pair, each conflict-resolution precondition decided once
 per step, and the backjump queuing what its level search derived.  Then Decide and
 Propagate are checked to re-run none of the preconditions their search
 established, the decision pieces carried between `select_decision`
-calls to equal a fresh trail difference and to be dropped by a backjump
-that cuts past them, every caller to hand `find_candidates` a trail
+calls to equal the non-empty pieces of a fresh trail difference, to be
+shared by a literal and its complement and to be dropped by a backjump
+that cuts past them, the blocking repair to take only non-empty pieces and
+return one, every caller to hand `find_candidates` a trail
 prefix, and the queue clash scan, filtered by shape, to find the conflict
 the whole-queue scan finds.
 """
@@ -34,7 +36,7 @@ import pytest
 
 from eprsat import audit, constrained, derive, solver as solver_mod, syntax, trail
 from eprsat.audit import Auditor
-from eprsat.constrained import cover, cover_size, diff_apart
+from eprsat.constrained import cover, cover_size, diff_apart, no_instances
 from eprsat.constraints import (
     BOT,
     TOP,
@@ -979,11 +981,11 @@ def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
 
 def test_decide_and_propagate_take_what_the_search_found(monkeypatch):
     """`rule_decide` and `rule_propagate` re-check none of their
-    preconditions: inside them `is_blocked`, `is_empty`, `_is_undefined` and
-    `_occurs_in_input` never run, while the search that vouches for them
+    preconditions: inside them `is_blocked`, `no_instances`, `_is_undefined`
+    and `_occurs_in_input` never run, while the search that vouches for them
     (`select_decision`, `prop_loop`) calls the first two."""
     inside = []
-    calls = dict(rule=0, is_blocked=0, is_empty=0, decide=0, propagate=0)
+    calls = dict(rule=0, is_blocked=0, no_instances=0, decide=0, propagate=0)
 
     def count(real):
         def wrapper(*args):
@@ -1005,7 +1007,7 @@ def test_decide_and_propagate_take_what_the_search_found(monkeypatch):
         raise AssertionError("a script-only check ran without a script")
 
     monkeypatch.setattr(solver_mod, "is_blocked", count(derive.is_blocked))
-    monkeypatch.setattr(solver_mod, "is_empty", count(constrained.is_empty))
+    monkeypatch.setattr(solver_mod, "no_instances", count(constrained.no_instances))
     monkeypatch.setattr(Solver, "rule_decide", rule(Solver.rule_decide, "decide"))
     monkeypatch.setattr(Solver, "rule_propagate",
                         rule(Solver.rule_propagate, "propagate"))
@@ -1017,7 +1019,7 @@ def test_decide_and_propagate_take_what_the_search_found(monkeypatch):
         verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
         assert (verdict.status, verdict.steps) == (status, steps)
     assert calls["rule"] == 0, calls
-    assert calls["decide"] > 0 and min(calls["is_blocked"], calls["is_empty"],
+    assert calls["decide"] > 0 and min(calls["is_blocked"], calls["no_instances"],
                                        calls["propagate"]) > 0, calls
 
 
@@ -1029,25 +1031,27 @@ def _pieces_text(sig, lit, pieces):
 
 
 def test_carried_decision_pieces_match_a_fresh_difference(monkeypatch):
-    """At every `select_decision` call, each pool literal's carried pieces
-    are those of a fresh `diff_apart` against the whole trail, in the same
-    order (compared as renderings, since the variable ids differ), also
-    after the backjumps of the colourings and of the criterion-1 population
-    (the whole of it: the instances that backjump are known only by solving
-    them)."""
+    """At every `select_decision` call, each pool literal's carried pieces,
+    kept under its atom, are the non-empty pieces of a fresh `diff_apart`
+    against the whole trail, in the same order (compared as renderings,
+    since the variable ids differ), also after the backjumps of the
+    colourings and of the criterion-1 population (the whole of it: the
+    instances that backjump are known only by solving them)."""
     real = Solver.select_decision
     seen = dict(carried=0, pieces=0)
 
     def referee(self):
         entries = self.trail.entries
         for lit, pi in list(self.pool_cands):
-            kept = self._carried.get((lit, pi))
+            kept = self._carried.get((lit.atom, pi))
             seen["carried"] += kept is not None and 0 < kept[1] <= len(entries)
             got = self._decision_pieces(lit, pi)
-            want = diff_apart(lit, [({}, pi)], [
+            want = [(s, p) for s, p in diff_apart(lit, [({}, pi)], [
                 (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)])
+                if not no_instances(p, self.n)]
             assert _pieces_text(self.sig, lit, got) == _pieces_text(self.sig, lit, want), (
                 render_clit(self.sig, lit, pi), len(entries))
+            assert not any(no_instances(p, self.n) for _, p in got)
             seen["pieces"] += len(got)
         return real(self)
 
@@ -1089,6 +1093,53 @@ def test_backjump_drops_the_pieces_carried_past_its_cut(monkeypatch):
         if status is not None:
             assert (verdict.status, verdict.learned) == (status, learned)
     assert seen["backjumps"] > 20 and seen["dropped"] > 0, seen
+
+
+def test_a_literal_and_its_complement_share_one_carried_difference(monkeypatch):
+    """The pool literals are canonical variants, and the carried pieces
+    are kept per atom: on ladder rung (7,3) the pool holds `q(X,Y)` and
+    `~q(X,Y)`, and after the first decision `_carried` has fewer keys than
+    the pool has literals."""
+    real = Solver.select_decision
+    seen = []
+
+    def select_decision(self):
+        got = real(self)
+        if not seen:
+            seen.append((len(self._carried), len(self.pool_cands)))
+        return got
+
+    monkeypatch.setattr(Solver, "select_decision", select_decision)
+    verdict = Solver(*gen_benchmark(7, 3), RunConfig()).solve()
+    assert (verdict.status, verdict.steps) == ("sat", 82)
+    assert seen == [(11, 12)]
+
+
+def test_repair_blocking_takes_non_empty_pieces_and_returns_one(monkeypatch):
+    """`select_decision` hands `_repair_blocking` only non-empty pieces, at
+    least one, and every call returns a non-empty piece: over ladder rung
+    (7,3), C5/2, K4/3, PHP(4,3) and the criterion-1 population."""
+    real = Solver._repair_blocking
+    seen = dict(calls=0, pieces=0)
+
+    def repair(self, pool_idx, pieces):
+        assert pieces and not any(constrained.is_empty(l, p, self.n)
+                                  for l, p in pieces)
+        got = real(self, pool_idx, pieces)
+        assert got is not None and not constrained.is_empty(*got, self.n)
+        seen["calls"] += 1
+        seen["pieces"] += len(pieces)
+        return got
+
+    monkeypatch.setattr(Solver, "_repair_blocking", repair)
+    runs = [(gen_benchmark(7, 3), "sat", 82), (_c5_2(), "unsat", 101),
+            (_k4_3(), "unsat", 238), (_php_4_3(), "unsat", 198)]
+    runs += [(problem, None, None) for problem in criterion_1_population()]
+    for (sig, clauses), status, steps in runs:
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        if status is not None:
+            assert (verdict.status, verdict.steps) == (status, steps)
+    assert seen["calls"] > 400 and seen["pieces"] >= seen["calls"], seen
 
 
 def test_find_candidates_reads_a_trail_prefix(monkeypatch):

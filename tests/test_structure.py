@@ -173,31 +173,47 @@ REFEREES = {
 
 
 def test_every_definition_has_a_caller_in_src():
-    """Every module-level function and class of `src/`, and every method of
-    such a class, is used by name (an `ast.Name` or `ast.Attribute`)
-    somewhere in `src/`, is exported in `eprsat.__all__`, is a dunder, or is
-    a kept referee named in `REFEREES`.  The scan goes by name alone, so
-    same-named definitions count as one name: one use keeps them all."""
-    trees = [_tree(path) for path in MODULES]
-    used = {getattr(n, "id", None) or n.attr for tree in trees
-            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
-    defs = []
-    for path, tree in zip(MODULES, trees):
+    """Every module-level function and class of `src/` is used where it can
+    be: an `ast.Name` refers to it in its own module or in a module that
+    imports it by that name, or the package imports it and lists it in
+    `eprsat.__all__`.  A same-named definition elsewhere does not keep it.
+    Every method of such a class is used by name (an `ast.Name` or
+    `ast.Attribute`) somewhere in `src/` or exported; that scan goes by name
+    alone, so same-named methods count as one name.  A dunder, and a kept
+    referee named in `REFEREES`, need no use."""
+    trees = {path.stem: _tree(path) for path in MODULES}
+    exported = set(eprsat.__all__)
+    names = {mod: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+             for mod, tree in trees.items()}
+    used = set().union(*names.values()) | {
+        n.attr for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)}
+    importers = {}   # (module, name) -> the modules importing it by that name
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if a.asname in (None, a.name):
+                        importers.setdefault((node.module, a.name), set()).add(mod)
+    defs = []        # (qualified name, name, used)
+    for mod, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs.append((f"{path.stem}.{node.name}", node.name))
+            where = {mod} | importers.get((mod, node.name), set())
+            defs.append((f"{mod}.{node.name}", node.name,
+                         any(node.name in names[m] for m in where)
+                         or (node.name in exported and "__init__" in where)))
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{path.stem}.{node.name}.{d.name}", d.name)
+                defs += [(f"{mod}.{node.name}.{d.name}", d.name,
+                          d.name in used or d.name in exported)
                          for d in node.body if isinstance(d, ast.FunctionDef)]
     assert defs
-    dead = sorted(q for q, name in defs
-                  if name not in used and name not in eprsat.__all__
-                  and not (name.startswith("__") and name.endswith("__"))
-                  and name not in REFEREES)
+    unused = {(q, name) for q, name, hit in defs
+              if not hit and not (name.startswith("__") and name.endswith("__"))}
+    dead = sorted(q for q, name in unused if name not in REFEREES)
     assert not dead, "no caller in src/: " + ", ".join(dead)
-    kept = {name for _, name in defs if name in REFEREES and name not in used}
-    assert kept == set(REFEREES)
+    assert {name for _, name in unused} == set(REFEREES)
 
 
 # parameters their function's body never reads, kept on purpose: each is
