@@ -17,9 +17,9 @@ prefix, `compute_backjump_level` search with it; `full_scan` only asks.
 The one exception is the queue clash: before it derives, `add_consequences`
 reads a conflict off a queued candidate that the new entry falsifies, the
 first in queue order among those of the complementary shape.
-`constrained.diff_apart` is the one trail difference, taken by
-`_undefined_pieces` (behind the queue and the backjump level, which keep
-only its non-empty pieces) and by `_decision_pieces`.  The lifted steps
+`_undefined_pieces` is the one trail difference, for Propagate, the backjump
+level, `full_scan` and the decisions; a candidate is born sized and non-empty,
+so only a constraint the difference makes is asked if empty.  The lifted steps
 live in `constrained`; a resolution step unifies each conflict literal with
 the rightmost entry once (`_entry_unifiers`) for Resolve and Factorize,
 which share a closure step.
@@ -155,12 +155,8 @@ class PropCand:
     lit_idx: int
     sigma: Subst                   # over the clause variables (plus sources)
     pi: Constraint
-
-    def base(self, pool: list[Clause]) -> Lit:
-        return pool[self.clause_idx][self.lit_idx]
-
-    def lit(self, pool: list[Clause]) -> Lit:
-        return apply_lit(self.base(pool), self.sigma)
+    lit: Lit                       # the clause literal under sigma
+    size: int                      # its cover size, positive: the priority
 
 
 class Solver:
@@ -221,20 +217,18 @@ class Solver:
     # -- propagation queue ---------------------------------------------------
 
     def _enqueue(self, cand: PropCand) -> None:
-        lit = cand.lit(self.pool)
-        size = cover_size(lit, cand.pi, self.n)
-        if size == 0:
-            return
-        heapq.heappush(self._pq, (size, self._seq, cand))
+        # `_derive` sized the candidate, and made it only if non-empty
+        heapq.heappush(self._pq, (cand.size, self._seq, cand))
         self._seq += 1
 
     # -- rules: conflict search ----------------------------------------------
 
-    def rule_propagate(self, cand: PropCand) -> TrailEntry:
-        """Push the queue piece `cand`.  `prop_loop` vouches that it is
-        undefined (a piece of the trail difference) and non-empty."""
-        entry = self._push(cand.lit(self.pool), cand.pi, reason=cand.clause_idx,
-                           reason_lit=cand.lit_idx, sigma=cand.sigma)
+    def rule_propagate(self, cand: PropCand, tau: Subst, pi: Constraint) -> TrailEntry:
+        """Push the piece (cand.lit*tau; pi) of the queued candidate, with
+        closure substitution cand.sigma then tau.  `prop_loop` vouches that
+        it is undefined (a piece of the trail difference) and non-empty."""
+        entry = self._push(apply_lit(cand.lit, tau), pi, reason=cand.clause_idx,
+                           reason_lit=cand.lit_idx, sigma=compose(cand.sigma, tau))
         self._emit("Propagate", render_entry(self.sig, entry))
         return entry
 
@@ -413,25 +407,27 @@ class Solver:
         """Exhaust the queue; False means a conflict is pending."""
         while self._pq:
             _, _, cand = heapq.heappop(self._pq)
-            base = cand.base(self.pool)
-            for sigma, pi in self._undefined_pieces(base, cand.sigma, cand.pi):
-                piece = PropCand(cand.clause_idx, cand.lit_idx, sigma, pi)
-                if not self.add_consequences(self.rule_propagate(piece)):
+            for tau, pi in self._undefined_pieces(cand.lit, [({}, cand.pi)]):
+                if not self.add_consequences(self.rule_propagate(cand, tau, pi)):
                     return False
         return True
 
-    def _undefined_pieces(self, lit: Lit, sigma: Subst, pi: Constraint,
-                          upto: Optional[int] = None):
-        """The non-empty pieces of (lit*sigma; pi) minus the atoms the trail
-        defines, as disjoint pieces (sigma', pi') of `lit`; with `upto`,
-        only the entries before that position count.  An entry that does
-        not unify with a piece leaves it as it is, without being renamed.
-        The difference is taken once, at the call; the emptiness tests run
-        lazily, piece by piece."""
-        pieces = diff_apart(lit, [(sigma, pi)], [
-            (e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
-            if upto is None or e.pos < upto])
-        return ((s, p) for s, p in pieces if not no_instances(p, self.n))
+    def _undefined_pieces(self, lit: Lit, pieces: list[tuple[Subst, Constraint]],
+                          start: int = 0, upto: Optional[int] = None):
+        """The non-empty pieces (sigma', pi') of `lit`, in `diff_apart`'s
+        order, left of the non-empty `pieces` by the entries of its predicate
+        at positions start <= pos < upto; with no such entry, `pieces`.  The
+        difference is taken at the call, emptiness lazily and only of a new
+        constraint: a piece no entry unifies with keeps its pi object, and
+        emptiness is a question about pi alone."""
+        sources = [(e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
+                   if start <= e.pos and (upto is None or e.pos < upto)]
+        if not sources:
+            return iter(pieces)
+        # the map holds the pieces, so no id is reused while the generator runs
+        known = {id(p): p for _, p in pieces}
+        return ((s, p) for s, p in diff_apart(lit, pieces, sources)
+                if known.get(id(p)) is p or not no_instances(p, self.n))
 
     def _derive(self, ci: int, clause: Clause, sources: list[TrailEntry],
                 newest_pos: Optional[int] = None):
@@ -439,9 +435,9 @@ class Solver:
 
         Yields, in leaf order, a ConflictSet for every leaf with no literal
         left and a ground instance, and the PropCands (free variables
-        eliminated) of every leaf with one literal left.  With `newest_pos`,
-        only derivations that use that entry.  `ci` is the clause's pool
-        index.
+        eliminated) of every leaf with one literal left whose cover size, the
+        queue priority, is positive.  With `newest_pos`, only derivations
+        that use that entry.  `ci` is the clause's pool index.
         """
         for leaf in find_candidates(clause, sources, newest_pos=newest_pos,
                                     keep_limit=1):
@@ -452,22 +448,22 @@ class Solver:
                 continue
             lit_idx = leaf.remaining[0]
             lit = apply_lit(clause[lit_idx], leaf.sigma)
-            for _, pi2, sigma2 in elim_free_vars(lit, leaf.pi, leaf.sigma, self.n):
-                yield PropCand(ci, lit_idx, sigma2, pi2)
+            for lit2, pi2, sigma2 in elim_free_vars(lit, leaf.pi, leaf.sigma, self.n):
+                size = cover_size(lit2, pi2, self.n)
+                if size:
+                    yield PropCand(ci, lit_idx, sigma2, pi2, lit2, size)
 
     def add_consequences(self, entry: TrailEntry) -> bool:
         """Conflict checks and new candidates after a push; False on conflict."""
         # the entry falsifies only literals of the complementary shape
         pred, neg = entry.lit.pred, not entry.lit.neg
         # type-1: the first queued candidate, in (size, seq) order, that the
-        # new entry falsifies.  A candidate has its base literal's shape, so
-        # the others are dropped before anything is sorted or instantiated
+        # new entry falsifies; the others of another shape are dropped
+        # before anything is sorted
         clashing = sorted(item for item in self._pq
-                          if (b := item[2].base(self.pool)).pred == pred
-                          and b.neg == neg)
+                          if item[2].lit.pred == pred and item[2].lit.neg == neg)
         for _, _, cand in clashing:
-            lit = cand.lit(self.pool)
-            delta = mgu_atoms(lit.atom, entry.lit.atom)
+            delta = mgu_atoms(cand.lit.atom, entry.lit.atom)
             if delta is None:
                 continue
             met = self._meets_entry(cand.pi, entry, delta)
@@ -501,7 +497,7 @@ class Solver:
         return next((got for ci, clause in enumerate(self.pool)
                      for got in self._derive(ci, clause, self.trail.entries)
                      if isinstance(got, ConflictSet) or any(self._undefined_pieces(
-                         clause[got.lit_idx], got.sigma, got.pi))), None)
+                         got.lit, [({}, got.pi)]))), None)
 
     # -- decisions -------------------------------------------------------------
 
@@ -526,16 +522,13 @@ class Solver:
 
     def _decision_pieces(self, lit: Lit, pi: Constraint,
                          ) -> list[tuple[Subst, Constraint]]:
-        """The non-empty pieces of `lit` (constraint `pi`) minus the atoms the
-        trail defines, in `diff_apart`'s order against the whole trail, carried
-        per atom from the last call unless a backjump dropped them.  An empty
-        piece's pieces are empty, so dropping it when it is made is exact."""
+        """The non-empty pieces of `lit` (constraint `pi`, non-empty) minus the
+        atoms the trail defines, in `diff_apart`'s order against the whole
+        trail: the pieces carried per atom from the last call, unless a
+        backjump dropped them, less the entries pushed since."""
         key = (lit.atom, pi)
         pieces, start = self._carried.get(key, ([({}, pi)], 0))
-        new = [(e.lit, e.pi) for e in self.trail.for_pred(lit.pred) if e.pos >= start]
-        if new:
-            pieces = [(s, p) for s, p in diff_apart(lit, pieces, new)
-                      if not no_instances(p, self.n)]
+        pieces = list(self._undefined_pieces(lit, pieces, start=start))
         self._carried[key] = (pieces, len(self.trail))
         return pieces
 
@@ -704,8 +697,8 @@ class Solver:
             cands = self._candidates_under_prefix(ci, learned, plen)
             if cands is None:
                 break
-            if any(any(self._undefined_pieces(learned[c.lit_idx], c.sigma, c.pi,
-                                              upto=plen)) for c in cands):
+            if any(any(self._undefined_pieces(c.lit, [({}, c.pi)], upto=plen))
+                   for c in cands):
                 return plen, j, cands
             fallback = (plen, j, cands)
         if fallback is not None:

@@ -92,18 +92,18 @@ def test_check_mode_unsat(tmp_path):
 
 
 def test_check_mode_verifies_a_sat_model_once(monkeypatch, capsys):
-    """The audit's verification at Success is the one the check reports: a
-    sat `--check` run calls `verify_model` once, and a model it rejects
-    still fails the check."""
+    """The audit's verification at Success is the one the check reports,
+    and the command line keeps no fallback of its own: a sat `--check` run
+    calls `verify_model` once, and a model it rejects still fails the check."""
+    assert not hasattr(cli, "verify_model")
     calls = []
-    real = cli.verify_model
+    real = audit.verify_model
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(audit, "verify_model", counted)
-    monkeypatch.setattr(cli, "verify_model", counted)
     assert main(["--input", os.path.join(DATA, "ex33.p"), "--check"]) == 10
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["model_verified"] is True
@@ -114,7 +114,6 @@ def test_check_mode_verifies_a_sat_model_once(monkeypatch, capsys):
 
     calls.clear()
     monkeypatch.setattr(audit, "verify_model", rejecting)
-    monkeypatch.setattr(cli, "verify_model", rejecting)
     assert main(["--input", os.path.join(DATA, "ex33.p"), "--check"]) == 2
     assert len(calls) == 1
     captured = capsys.readouterr()

@@ -25,7 +25,10 @@ shared by a literal and its complement and to be dropped by a backjump
 that cuts past them, the blocking repair to take only non-empty pieces and
 return one, every caller to hand `find_candidates` a trail
 prefix, and the queue clash scan, filtered by shape, to find the conflict
-the whole-queue scan finds.
+the whole-queue scan finds.  Last, every candidate `_derive` yields carries
+its literal and its positive cover size, every `_undefined_pieces` call
+returns the filtered trail difference, and a ladder solve asks emptiness
+at most three times.
 """
 import itertools
 import os
@@ -52,7 +55,7 @@ from eprsat.derive import find_candidates
 from eprsat.oracle import GenParams, gen_benchmark, gen_random_instance
 from eprsat.parser import parse_problem, parse_script
 from eprsat.render import render_clit, render_conflict, render_model
-from eprsat.solver import ConflictSet, RunConfig, Solver
+from eprsat.solver import ConflictSet, PropCand, RunConfig, Solver
 from eprsat.syntax import (
     Lit,
     apply_clause,
@@ -897,11 +900,12 @@ def test_a_run_of_skips_shares_one_assertiveness_answer(monkeypatch):
 
 def _queued_form(s, cands):
     """(clause, literal, rendered piece) of `cands` in the order the queue
-    pops them: smallest cover first, then as found; empty ones dropped."""
-    sized = sorted(((cover_size(c.lit(s.pool), c.pi, s.n), k, c)
+    pops them: smallest cover first, then as found; every one non-empty."""
+    sized = sorted(((cover_size(c.lit, c.pi, s.n), k, c)
                     for k, c in enumerate(cands)), key=lambda t: t[:2])
-    return [(c.clause_idx, c.lit_idx, render_clit(s.sig, c.lit(s.pool), c.pi))
-            for size, _, c in sized if size]
+    assert all(size > 0 for size, _, _ in sized)
+    return [(c.clause_idx, c.lit_idx, render_clit(s.sig, c.lit, c.pi))
+            for _, _, c in sized]
 
 
 def _backjump_past_a_false_level():
@@ -955,7 +959,7 @@ def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
             fresh = list(real_derive(self, ci, self.pool[ci], self.trail.entries))
             assert not any(isinstance(g, ConflictSet) for g in fresh)
             queued = [(c.clause_idx, c.lit_idx,
-                       render_clit(self.sig, c.lit(self.pool), c.pi))
+                       render_clit(self.sig, c.lit, c.pi))
                       for _, _, c in sorted(self._pq)]
             assert queued == _queued_form(self, fresh)
             seen["backjumps"] += 1
@@ -1180,7 +1184,7 @@ def _first_queue_clash(s, entry):
     (size, seq) order, each candidate instantiated, the first that the new
     entry falsifies; its rendered conflict, or None."""
     for _, _, cand in sorted(s._pq):
-        lit = cand.lit(s.pool)
+        lit = apply_lit(s.pool[cand.clause_idx][cand.lit_idx], cand.sigma)
         if lit.neg == entry.lit.neg or lit.pred != entry.lit.pred:
             continue
         delta = mgu_atoms(lit.atom, entry.lit.atom)
@@ -1212,8 +1216,7 @@ def test_shape_filtered_clash_scan_picks_the_first_clash(monkeypatch):
         want = _first_queue_clash(self, entry)
         shape = (entry.lit.pred, not entry.lit.neg)
         seen["filtered"] += sum(1 for _, _, c in self._pq
-                                if (c.base(self.pool).pred,
-                                    c.base(self.pool).neg) != shape)
+                                if (c.lit.pred, c.lit.neg) != shape)
         self.derived = False
         ok = real_add(self, entry)
         if want is None:
@@ -1233,3 +1236,81 @@ def test_shape_filtered_clash_scan_picks_the_first_clash(monkeypatch):
         if status is not None:
             assert (verdict.status, verdict.learned) == (status, learned)
     assert seen["clashes"] > 20 and seen["filtered"] > 300, seen
+
+
+# ---------------------------------------------------------------------------
+# a candidate is born sized, and the one trail difference
+
+def _solve_runs():
+    """Solve ladder rung (7,3), C5/2, K4/3 and PHP(4,3), each with its
+    recorded verdict and steps, then the criterion-1 population."""
+    runs = [(*gen_benchmark(7, 3), "sat", 82), (*_c5_2(), "unsat", 101),
+            (*_k4_3(), "unsat", 238), (*_php_4_3(), "unsat", 198)]
+    runs += [(*problem, None, None) for problem in criterion_1_population()]
+    for sig, clauses, status, steps in runs:
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+        if status is not None:
+            assert (verdict.status, verdict.steps) == (status, steps)
+
+
+def test_derive_yields_candidates_with_their_literal_and_size(monkeypatch):
+    """Every PropCand that `_derive` yields carries the clause literal under
+    its sigma and that literal's cover size, which is positive: the queue
+    priority is the emptiness answer, asked where the candidate is made."""
+    real = Solver._derive
+    seen = dict(cands=0)
+
+    def derive(self, ci, clause, *args, **kwargs):
+        for got in real(self, ci, clause, *args, **kwargs):
+            if isinstance(got, PropCand):
+                assert got.lit == apply_lit(clause[got.lit_idx], got.sigma)
+                assert got.size == cover_size(got.lit, got.pi, self.n) > 0
+                seen["cands"] += 1
+            yield got
+
+    monkeypatch.setattr(Solver, "_derive", derive)
+    _solve_runs()
+    assert seen["cands"] > 1000, seen
+
+
+def test_undefined_pieces_is_the_filtered_difference(monkeypatch):
+    """Every `_undefined_pieces` call is handed non-empty pieces and returns,
+    in order, the pieces of `diff_apart` over the entries of the literal's
+    predicate in its position range, less those `no_instances` rejects
+    (compared as renderings, since the variable ids differ): the call that
+    asks emptiness only of new constraints leaves out no empty piece."""
+    real = Solver._undefined_pieces
+    seen = dict(calls=0, sources=0, pieces=0)
+
+    def undefined(self, lit, pieces, start=0, upto=None):
+        assert not any(no_instances(p, self.n) for _, p in pieces)
+        sources = [(e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
+                   if start <= e.pos and (upto is None or e.pos < upto)]
+        want = [(s, p) for s, p in diff_apart(lit, pieces, sources)
+                if not no_instances(p, self.n)]
+        got = list(real(self, lit, pieces, start=start, upto=upto))
+        assert _pieces_text(self.sig, lit, got) == _pieces_text(self.sig, lit, want)
+        seen["calls"] += 1
+        seen["sources"] += bool(sources)
+        seen["pieces"] += len(got)
+        return iter(got)
+
+    monkeypatch.setattr(Solver, "_undefined_pieces", undefined)
+    _solve_runs()
+    assert min(seen.values()) > 1000, seen
+
+
+def test_a_ladder_solve_asks_emptiness_three_times(monkeypatch):
+    """On ladder rung (7,3) the solver asks `no_instances` at most three
+    times: a queued candidate is known non-empty, and so is every piece of
+    a difference that keeps its constraint."""
+    calls = []
+
+    def counted(pi, n):
+        calls.append(pi)
+        return constrained.no_instances(pi, n)
+
+    monkeypatch.setattr(solver_mod, "no_instances", counted)
+    verdict = Solver(*gen_benchmark(7, 3), RunConfig()).solve()
+    assert (verdict.status, verdict.steps) == ("sat", 82)
+    assert len(calls) <= 3, len(calls)

@@ -97,6 +97,37 @@ def test_renaming_apart_and_diff_pairs_stay_in_constrained():
     assert found == []
 
 
+def _calls_outside(name, method):
+    """Every call of `name` in src/ outside the method `Solver.<method>`."""
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        allowed = {id(n) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name == "Solver"
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == method
+                   for n in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))]
+    return found
+
+
+def test_a_propagation_candidate_is_made_only_by_derive():
+    """`PropCand(...)` is built only inside `Solver._derive`, which sizes it:
+    Propagate pushes a piece of the queued candidate, not a new one."""
+    assert _calls_outside("PropCand", "_derive") == []
+
+
+def test_one_routine_takes_the_trail_difference():
+    """`diff_apart` is called in src/ only by `Solver._undefined_pieces`
+    (`constrained.difference`, the public helper, aside): propagation, the
+    backjump level, `full_scan` and the decision pool share that one call."""
+    found = _calls_outside("diff_apart", "_undefined_pieces")
+    assert [f for f in found if not f.startswith("constrained.py")] == []
+
+
 # the enumerating helpers, by the module that defines them; only the oracle,
 # the audits and the tests may call them
 GROUNDING = {
