@@ -6,11 +6,11 @@ grounding is exhaustive enumeration, satisfiability is decided by DPLL over
 clause sets (the tests referee it with a full truth table, a second,
 independent route), and redundancy goes straight by its definition over the
 ground instances.  A `GroundProblem` is the one grounding path and the one
-signed-literal encoding: `ground_problem` and the audits' pool build it
-with `add`, which grounds a clause by atom-index arithmetic; `verify_model`
-evaluates the same instances; `encode` builds every other DPLL clause; and
-`entails` answers each entailment question, for the non-redundancy check
-and for the audits.
+signed-literal encoding.  It grounds a clause by columns, one list per
+literal of its signed index under every assignment: `add` keeps their rows
+(for `ground_problem` and the audits' pool), `verify_model` reads them in a
+truth array, `encode` builds every other DPLL clause, and `entails` answers
+each entailment question, for the non-redundancy check and the audits.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .syntax import (
     Signature,
     canonical_clause,
     clause_vars,
-    ground_assignments,
 )
 from .trail import InducedOrdering
 
@@ -77,33 +76,33 @@ class GroundProblem:
             h = h * self.n + t
         return -(i + h) if lit.neg else i + h
 
-    def _compile(self, clause: Clause) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Each literal as (c, [(v, k)]): c is its signed index with every
-        variable at constant 0, and under a ground assignment d it is
-        c + sum(d[v] * k)."""
-        out = []
+    def _columns(self, clause: Clause) -> Iterator[list[int]]:
+        """Yield each literal's signed index under every ground assignment of
+        `clause_vars(clause)`, in `ground_assignments` order.  The literal is
+        compiled once, to c (its index with every variable at 0) and k_v per
+        variable v; its column [c] is widened by `a * k_v` for a in range(n),
+        one variable after another, so the last variable varies fastest."""
+        vs = clause_vars(clause)
         for l in clause:
-            sign = -1 if l.neg else 1
-            coef: dict[int, int] = {}
-            for j, t in enumerate(reversed(l.args)):
+            w = -1 if l.neg else 1      # the signed weight of the next argument
+            col, coef = [w * (self.offset[l.pred] + 1)], {}
+            for t in reversed(l.args):
                 if t < 0:
-                    coef[t] = coef.get(t, 0) + sign * self.n ** j
-            c = self.signed(Lit(l.neg, l.pred, tuple(max(t, 0) for t in l.args)))
-            out.append((c, list(coef.items())))
-        return out
+                    coef[t] = coef.get(t, 0) + w
+                else:
+                    col[0] += t * w
+                w *= self.n
+            for v in vs:
+                steps = [a * coef.get(v, 0) for a in range(self.n)]
+                col = [s + k for s in col for k in steps]
+            yield col
 
     def instances(self, clause: Clause) -> Iterator[tuple[int, ...]]:
         """The sorted signed literals of each ground instance of `clause`, in
-        `ground_assignments` order, repeats included."""
-        lits = self._compile(clause)
-        for d in ground_assignments(clause_vars(clause), self.n):
-            key = []
-            for c, t in lits:
-                for v, k in t:
-                    c += d[v] * k
-                key.append(c)
-            key.sort()
-            yield tuple(key)
+        `ground_assignments` order, repeats included: the rows of its
+        columns (the empty clause has no column and one instance)."""
+        cols = list(self._columns(clause))
+        return (tuple(sorted(row)) for row in (zip(*cols) if cols else [()]))
 
     def add(self, clause: Clause) -> None:
         """Append the ground instances of `clause` not already present."""
@@ -199,18 +198,29 @@ def _dpll(clauses: list[frozenset[int]], assumed: list[int],
 
 def verify_model(model: list[CLit], sig: Signature, clauses: list[Clause],
                  ) -> tuple[bool, Optional[Clause]]:
-    """Check every ground instance under the induced interpretation
-    (atoms not covered positively are false).  Returns the first failing
-    instance, canonical."""
+    """Check every ground instance under the induced interpretation (atoms
+    not covered positively are false).  Returns the first failing instance,
+    canonical.
+
+    The interpretation is a truth `bytearray` indexed by signed literal, a
+    negative one from the end, marked from each positive model literal's
+    `cover`, looked up on this module because perfbench's selftest needs its
+    `constrained.cover` wrapper to fire here.  Each column of a clause
+    becomes a truth column as it is made (a failing clause's columns are
+    made again to decode its row), and the first row with no true literal
+    is the first failing instance in `ground_assignments` order."""
     gp = GroundProblem(sig, ceiling=None)
-    true: set[int] = set()      # the true atoms' positive literals
+    truth = bytearray(gp.size + 1) + b"\x01" * gp.size    # every atom false
     for cl in model:
         if not cl.lit.neg:
-            true.update(map(gp.signed, cover(cl.lit, cl.pi, sig.n)))
+            for atom in cover(cl.lit, cl.pi, sig.n):
+                s = gp.signed(atom)
+                truth[s], truth[-s] = 1, 0
     for c in clauses:
-        for key in gp.instances(c):
-            if not any((abs(s) in true) == (s > 0) for s in key):
-                return False, gp.decode(key)
+        cols = [bytes(map(truth.__getitem__, col)) for col in gp._columns(c)]
+        for r, row in enumerate(zip(*cols) if cols else [()]):
+            if not any(row):
+                return False, gp.decode(col[r] for col in gp._columns(c))
     return True, None
 
 

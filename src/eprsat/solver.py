@@ -52,10 +52,8 @@ its target prefix.  `full_scan` asks it again, for the audit.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -743,7 +741,7 @@ def is_tautology(c: Clause) -> bool:
     return any((l.pred, l.args) in atoms for l in c if l.neg)
 
 
-def _embedding(lits: Clause, target: Clause, bindable: set[int],
+def _embedding(lits: Clause, target: Clause, bindable: frozenset[int],
                sigma: Subst) -> Optional[int]:
     """Where `lits[0]` goes: the first position in `target` that starts a
     map of `lits` onto distinct literals of `target` by an extension of
@@ -762,20 +760,40 @@ def _embedding(lits: Clause, target: Clause, bindable: set[int],
     return None
 
 
-def _subsumes(c: Clause, d: Clause) -> bool:
-    """Some instance of c is a submultiset of d; c is already a variant
-    sharing no variable with d."""
-    return _embedding(c, d, set(clause_vars(c)), {}) is not None
-
-
 def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
-    """Tautology deletion, strict subsumption, subsumption resolution."""
+    """Tautology deletion, strict subsumption, subsumption resolution.
+
+    Both rules embed literals of c into distinct literals of d of the same
+    predicate and sign, so a pair is ruled out by the feature vectors of its
+    clauses (each one's literal count per (predicate, sign) key; Schulz,
+    *Simple and Efficient Clause Subsumption with Feature Vector Indexing*):
+    c can subsume d only when every count of c fits in d, and c can resolve
+    into d with L, embedding (c - L) + {~L}, only when the key of ~L is one of
+    d's and every count fits but L's own, which may exceed d's by one.  Only
+    the literals L of c that this allows are tried, in order; an embedding of
+    any other one fails on a count.  A pair test reads nothing but its two
+    clause versions and their positions, so a pair that failed is not tried
+    again in its sweep until one of the two is replaced: the round that
+    confirms the fixpoint tries only the pairs that changed.
+    """
     log: list[str] = []
     clauses = list(pool)
-    changed = True
     alive = [True] * len(clauses)
-    shapes = [_shape(c) for c in clauses]
-    variant = functools.cache(canonical_variant)
+    feats = [_features(c) for c in clauses]
+    variants: list[Optional[tuple]] = [None] * len(clauses)
+    # version numbers, unique across positions: j, j + len(pool), ... at position j
+    ver = list(range(len(clauses)))
+    failed_res: set[tuple[int, int]] = set()    # (version of c, version of d)
+    failed_sub: set[tuple[int, int]] = set()
+
+    def variant(k: int) -> tuple:
+        if variants[k] is None:
+            variants[k] = _variant(clauses[k])
+        return variants[k]
+
+    def subsumes(k: int, d: Clause) -> bool:
+        var, bind, _ = variant(k)
+        return _embedding(var, d, bind, {}) is not None
 
     # the later passes only drop literals of a non-tautology or delete
     # clauses, so no tautology appears after this one pass
@@ -783,60 +801,75 @@ def simplify_pool(pool: list[Clause]) -> tuple[list[Clause], list[str]]:
         if is_tautology(c):
             alive[i] = False
             log.append(f"tautology: deleted clause {i + 1}")
+    changed = True
     while changed:
         changed = False
         # subsumption resolution: C or L with C*s subset of D deletes ~L*s from D
         for i, c in enumerate(clauses):
             if not alive[i] or not c:
                 continue
+            cc, _, comp = feats[i]
+            vi = ver[i]
             for j, d in enumerate(clauses):
-                if i == j or not alive[j] or not _may_resolve(shapes[i], shapes[j]):
+                if (i == j or not alive[j] or comp.isdisjoint(feats[j][1])
+                        or (vi, ver[j]) in failed_res):
                     continue
-                res = _subsumption_resolvent(variant(c), d)
-                if res is not None:
-                    clauses[j] = res
-                    shapes[j] = _shape(res)
-                    log.append(f"subsumption resolution: clause {j + 1} reduced")
-                    changed = True
+                cd = feats[j][0]
+                over = [k for k, m in cc.items() if m > cd.get(k, 0)]
+                res = None
+                if len(over) < 2 and all(cc[k] == cd.get(k, 0) + 1 for k in over):
+                    _, bind, tries = variant(i)
+                    for key, ckey, lits in tries:
+                        if cd.get(ckey, 0) > cc.get(ckey, 0) and over in ([], [key]):
+                            at = _embedding(lits, d, bind, {})
+                            if at is not None:
+                                res = canonical_clause(d[:at] + d[at + 1:])
+                                break
+                if res is None:
+                    failed_res.add((vi, ver[j]))
+                    continue
+                clauses[j] = res
+                feats[j], variants[j] = _features(res), None
+                ver[j] += len(clauses)
+                log.append(f"subsumption resolution: clause {j + 1} reduced")
+                changed = True
         for i, c in enumerate(clauses):
             if not alive[i]:
                 continue
+            cc, keys, _ = feats[i]
+            vi = ver[i]
             for j, d in enumerate(clauses):
-                if i == j or not alive[j] or not shapes[i] <= shapes[j]:
+                if (i == j or not alive[j] or not keys <= feats[j][1]
+                        or (vi, ver[j]) in failed_sub):
                     continue
+                cd = feats[j][0]
                 # of two clauses that subsume each other the earlier stays
-                if _subsumes(variant(c), d) and (
-                        i < j or len(c) < len(d) or not _subsumes(variant(d), c)):
+                if (all(m <= cd[k] for k, m in cc.items()) and subsumes(i, d)
+                        and (i < j or len(c) < len(d) or not subsumes(j, c))):
                     alive[j] = False
                     log.append(f"subsumption: clause {j + 1} deleted by {i + 1}")
                     changed = True
+                else:
+                    failed_sub.add((vi, ver[j]))
     return [c for i, c in enumerate(clauses) if alive[i]], log
 
 
-def _shape(c: Clause) -> Counter:
-    """The multiset of (predicate, sign) of c's literals.  Subsumption maps
-    literals onto distinct literals of the same predicate and sign, so c can
-    subsume d only when _shape(c) <= _shape(d)."""
-    return Counter((l.pred, l.neg) for l in c)
+def _features(c: Clause) -> tuple:
+    """The feature vector of a clause version: its literal count per
+    (predicate, sign) key, its keys, and their complements."""
+    counts: dict[tuple[str, bool], int] = {}
+    for l in c:
+        counts[(l.pred, l.neg)] = counts.get((l.pred, l.neg), 0) + 1
+    return counts, frozenset(counts), frozenset((p, not neg) for p, neg in counts)
 
 
-def _may_resolve(sc: Counter, sd: Counter) -> bool:
-    """The shape test for `_subsumption_resolvent`: some literal L of c has a
-    complement ~L in d, and the shape of c minus L fits in that of d minus
-    ~L."""
-    return any(sd[(p, not neg)] > sc[(p, not neg)]
-               and all(m - (k == (p, neg)) <= sd[k] for k, m in sc.items())
-               for p, neg in sc)
-
-
-def _subsumption_resolvent(c: Clause, d: Clause) -> Optional[Clause]:
-    """If c == C or L with C*s a subset of d minus ~L*s, drop that literal;
-    the resolvent is one literal shorter than d.
-
-    c must be a variant sharing no variable with d."""
-    cvars = set(clause_vars(c))
-    for li in range(len(c)):
-        j = _embedding((c[li].negate(),) + c[:li] + c[li + 1:], d, cvars, {})
-        if j is not None:
-            return canonical_clause(d[:j] + d[j + 1:])
-    return None
+def _variant(c: Clause) -> tuple:
+    """A variant of c sharing no variable with any clause, its variables (the
+    ones an embedding may bind), and its resolution tries: (key of L, key of
+    ~L, ~L followed by the rest of the variant) for each literal L of the
+    variant, in order, but for a repeat of the literal before it (whose
+    embedding search is the same)."""
+    var = canonical_variant(c)
+    tries = [((l.pred, l.neg), (l.pred, not l.neg), (l.negate(),) + var[:li] + var[li + 1:])
+             for li, l in enumerate(var) if not li or l != var[li - 1]]
+    return var, frozenset(clause_vars(var)), tries

@@ -2,8 +2,9 @@
 
 A change that should not alter any run (a refactor, a speed-up) must keep
 every rule application and every model document.  This script solves a
-fixed corpus in one process and feeds one SHA-256 with each run's rendered
-trace and, when the run is sat, its rendered model document:
+fixed corpus in one process and feeds one SHA-256 with each run's
+preprocessing deletion log (`Solver.deletion_log`), its rendered trace and,
+when the run is sat, its rendered model document:
 
 - the `gen_benchmark` rungs (5,4), (7,3), (8,3), (8,4) and (10,3);
 - C5/2 (`tests/data/c5-2.p`), then K4/3 and PHP(4,3) (the text builders of
@@ -30,7 +31,7 @@ from eprsat.render import render_model, render_trace
 from eprsat.solver import RunConfig, Solver
 from hard_families import complete_colouring_text, pigeonhole_text
 
-DIGEST = "43f01f22744421be1a1068948d8032589371ad9614507d0159c29e7d7469705d"
+DIGEST = "cafe8f964a24c6c09eae06d2f3e9f12744edbb66612269ce85ac2201066860f0"
 
 SEEDS = (None, 1, 2, 5)
 RUNGS = [(5, 4), (7, 3), (8, 3), (8, 4), (10, 3)]
@@ -61,7 +62,9 @@ def main():
     start = time.perf_counter()
     for sig, clauses in instances():
         for seed in SEEDS:
-            verdict = Solver(sig, clauses, RunConfig(max_steps=20000, seed=seed)).solve()
+            solver = Solver(sig, clauses, RunConfig(max_steps=20000, seed=seed))
+            digest.update("\n".join(solver.deletion_log).encode())
+            verdict = solver.solve()
             digest.update(render_trace(verdict.trace).encode())
             if verdict.status == "sat":
                 digest.update(render_model(sig, verdict.model).encode())

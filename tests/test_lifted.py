@@ -10,25 +10,25 @@ colourings run clean with only the learning checks skipped.  A last test
 forbids grounding outright and solves anyway, and another checks that
 `constrained`'s lifted steps rename a trail entry only when it unifies.
 The last ones check that the learning path's shortcuts are exact:
-`_factorize_choice` against the all-pairs scan it replaced, the
-newest-entry searches of `find_candidates` against the search without a
-newest entry, the planned join with its argument index against the
-clause-order search that offers every entry of a literal's (predicate,
-sign), the join order on a hand-built clause, the ground path of
-`meet` against renaming, the shape test of `simplify_pool` against the loop
-that tries every pair, each conflict-resolution precondition decided once
-per step, and the backjump queuing what its level search derived.  Then Decide and
+`_factorize_choice` against the all-pairs scan it replaced, the newest-entry
+searches of `find_candidates` against the search without a newest entry, the
+planned join with its argument index against the clause-order search that
+offers every entry of a literal's (predicate, sign), the join order on a
+hand-built clause, the ground path of `meet` against renaming, the
+feature-vector filter of `simplify_pool` against the loop that tries every
+pair with every literal, its retest memo trying no pair twice on the same
+clauses, each conflict-resolution precondition decided once per step, and
+the backjump queuing what its level search derived. Then Decide and
 Propagate are checked to re-run none of the preconditions their search
-established, the decision pieces carried between `select_decision`
-calls to equal the non-empty pieces of a fresh trail difference, to be
-shared by a literal and its complement and to be dropped by a backjump
-that cuts past them, the blocking repair to take only non-empty pieces and
-return one, every caller to hand `find_candidates` a trail
-prefix, and the queue clash scan, filtered by shape, to find the conflict
-the whole-queue scan finds.  Last, every candidate `_derive` yields carries
-its literal and its positive cover size, every `_undefined_pieces` call
-returns the filtered trail difference, and a ladder solve asks emptiness
-at most three times.
+established, the decision pieces carried between `select_decision` calls to
+equal the non-empty pieces of a fresh trail difference, to be shared by a
+literal and its complement and to be dropped by a backjump that cuts past
+them, the blocking repair to take only non-empty pieces and return one,
+every caller to hand `find_candidates` a trail prefix, and the queue clash
+scan, filtered by shape, to find the conflict the whole-queue scan finds.
+Last, every candidate `_derive` yields carries its literal and its positive
+cover size, every `_undefined_pieces` call returns the filtered trail
+difference, and a ladder solve asks emptiness at most three times.
 """
 import itertools
 import os
@@ -60,6 +60,7 @@ from eprsat.syntax import (
     Lit,
     apply_clause,
     apply_lit,
+    canonical_clause,
     canonical_variant,
     clause_vars,
     compose,
@@ -752,9 +753,26 @@ def test_ground_meet_matches_the_renaming_path(monkeypatch):
     assert min(seen.values()) > 100, seen
 
 
+def _subsumes(c, d):
+    """Some instance of the variant c is a submultiset of d."""
+    return solver_mod._embedding(c, d, set(clause_vars(c)), {}) is not None
+
+
+def _subsumption_resolvent(c, d):
+    """If the variant c is C or L with C*s a subset of d minus ~L*s, for the
+    first such L of c, d without that literal; else None."""
+    cvars = set(clause_vars(c))
+    for li in range(len(c)):
+        j = solver_mod._embedding((c[li].negate(),) + c[:li] + c[li + 1:], d, cvars, {})
+        if j is not None:
+            return canonical_clause(d[:j] + d[j + 1:])
+    return None
+
+
 def _unfiltered_simplify_pool(pool):
-    """`simplify_pool` without its shape test: every ordered pair of live
-    clauses is tried."""
+    """`simplify_pool` without its feature-vector filter, literal filter or
+    retest memo: every ordered pair of live clauses is tried with every
+    literal, in every round."""
     log = []
     clauses = list(pool)
     alive = [True] * len(clauses)
@@ -779,7 +797,7 @@ def _unfiltered_simplify_pool(pool):
             for j, d in enumerate(clauses):
                 if i == j or not alive[j]:
                     continue
-                res = solver_mod._subsumption_resolvent(variant(c), d)
+                res = _subsumption_resolvent(variant(c), d)
                 if res is not None and res != d:
                     clauses[j] = res
                     log.append(f"subsumption resolution: clause {j + 1} reduced")
@@ -790,40 +808,55 @@ def _unfiltered_simplify_pool(pool):
             for j, d in enumerate(clauses):
                 if i == j or not alive[j]:
                     continue
-                if solver_mod._subsumes(variant(c), d) and (
-                        i < j or len(c) < len(d)
-                        or not solver_mod._subsumes(variant(d), c)):
+                if _subsumes(variant(c), d) and (
+                        i < j or len(c) < len(d) or not _subsumes(variant(d), c)):
                     alive[j] = False
                     log.append(f"subsumption: clause {j + 1} deleted by {i + 1}")
                     changed = True
     return [c for i, c in enumerate(clauses) if alive[i]], log
 
 
+def _spy_embeddings(monkeypatch, seen):
+    """Replace `solver._embedding` with a wrapper that hands each top-level
+    call's arguments to `seen`; its own recursive calls go through the
+    wrapper too, and are passed over."""
+    real = solver_mod._embedding
+    depth = [0]
+
+    def wrapper(lits, target, bindable, sigma):
+        if not depth[0]:
+            seen(lits, target)
+        depth[0] += 1
+        try:
+            return real(lits, target, bindable, sigma)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(solver_mod, "_embedding", wrapper)
+
+
+def _simplify_pools():
+    pools = [clauses for _, clauses in criterion_1_population()]
+    return pools + [clauses for _, _, clauses, _, _ in _learning_runs()]
+
+
 def test_simplify_shape_test_keeps_every_deletion(monkeypatch):
-    """`simplify_pool` tries a pair only when the (predicate, sign) multisets
-    of its clauses fit; the pool it leaves, up to variable renaming, and its
-    deletion log are those of the loop that tries every pair, on the
-    criterion-1 population and the learning runs, with fewer calls."""
+    """`simplify_pool` tries a pair only when the feature vectors of its
+    clauses fit, and only the literals they allow; the pool it leaves, up to
+    variable renaming, and its deletion log are those of the loop that tries
+    every pair with every literal, on the criterion-1 population and the
+    learning runs, with fewer than half the embedding searches."""
     calls = dict(filtered=0, unfiltered=0)
     side = ["filtered"]
-
-    def counted(real):
-        def wrapper(c, d):
-            calls[side[0]] += 1
-            return real(c, d)
-        return wrapper
-
-    for name in ("_subsumes", "_subsumption_resolvent"):
-        monkeypatch.setattr(solver_mod, name, counted(getattr(solver_mod, name)))
+    _spy_embeddings(monkeypatch, lambda lits, target: calls.update(
+        {side[0]: calls[side[0]] + 1}))
 
     def renamed(pool):
         return [apply_clause(c, {v: var_code(k) for k, v in enumerate(clause_vars(c))})
                 for c in pool]
 
-    pools = [clauses for _, clauses in criterion_1_population()]
-    pools += [clauses for _, _, clauses, _, _ in _learning_runs()]
     deletions = 0
-    for pool in pools:
+    for pool in _simplify_pools():
         side[0] = "filtered"
         got, got_log = solver_mod.simplify_pool(pool)
         side[0] = "unfiltered"
@@ -833,6 +866,40 @@ def test_simplify_shape_test_keeps_every_deletion(monkeypatch):
         deletions += len(got_log)
     assert deletions > 100, deletions
     assert 0 < calls["filtered"] < calls["unfiltered"] / 2, calls
+
+
+def test_simplify_retries_a_pair_only_once_a_clause_changed(monkeypatch):
+    """No embedding search of a `simplify_pool` pair test runs twice on the
+    same two clause versions at the same positions: a failed pair waits
+    until one of its clauses is replaced.  The searches of one pair test
+    differ in the literals they embed or in their target, so each call is
+    keyed by the pair's positions, its two clauses, and the call's literals
+    and target.  Checked on every pool of the shape test and on each pool's
+    own output, which is a fixpoint."""
+    code = solver_mod.simplify_pool.__code__
+    keys = set()
+    repeats = []
+
+    def seen(lits, target):
+        f = sys._getframe(2)
+        while f.f_code is not code:
+            f = f.f_back
+        i, j, clauses = (f.f_locals[k] for k in ("i", "j", "clauses"))
+        key = (i, j, clauses[i], clauses[j], lits, target)
+        if key in keys:
+            repeats.append(key)
+        keys.add(key)
+
+    _spy_embeddings(monkeypatch, seen)
+    searches = 0
+    for pool in _simplify_pools():
+        keys.clear()
+        out, log = solver_mod.simplify_pool(pool)
+        searches += len(keys)
+        keys.clear()
+        assert solver_mod.simplify_pool(out) == (out, []), pool
+    assert searches > 1000, searches
+    assert repeats == []
 
 
 def test_resolution_step_decides_each_precondition_once(monkeypatch):

@@ -5,6 +5,7 @@ from typing import Optional
 
 import pytest
 
+from eprsat import oracle
 from eprsat.audit import Auditor
 from eprsat.constrained import CLit, cover
 from eprsat.constraints import TOP, conj
@@ -32,6 +33,7 @@ from eprsat.syntax import (
     var_code,
 )
 from eprsat.trail import InducedOrdering, Trail, TrailEntry
+from hard_families import complete_colouring_text, pigeonhole_text
 from population import criterion_1_population, criterion_1_verdicts
 
 ENUM_ATOM_CAP = 20      # full truth-table route
@@ -259,6 +261,133 @@ def test_verify_model_matches_evaluation_by_substitution():
             assert got == _reference_verify(m, sig, clauses)
             witnesses += not got[0]
     assert witnesses > 100
+
+
+# ---------------------------------------------------------------------------
+# the column kernel against the per-assignment kernel it replaced
+
+def _per_assignment_instances(gp, clause):
+    """Each literal compiled to (c, [(v, k)]), its signed index with every
+    variable at constant 0 and a coefficient per variable, then one sum per
+    literal for each assignment of `ground_assignments`."""
+    lits = []
+    for l in clause:
+        sign = -1 if l.neg else 1
+        coef = {}
+        for j, t in enumerate(reversed(l.args)):
+            if t < 0:
+                coef[t] = coef.get(t, 0) + sign * gp.n ** j
+        lits.append((gp.signed(Lit(l.neg, l.pred, tuple(max(t, 0) for t in l.args))),
+                     list(coef.items())))
+    for d in ground_assignments(clause_vars(clause), gp.n):
+        key = []
+        for c, t in lits:
+            for v, k in t:
+                c += d[v] * k
+            key.append(c)
+        key.sort()
+        yield tuple(key)
+
+
+def _per_assignment_ground_problem(sig, clauses):
+    gp = GroundProblem(sig, ceiling=None)
+    for c in clauses:
+        for key in _per_assignment_instances(gp, c):
+            if key not in gp._keys:
+                gp._keys[key] = None
+                gp.clauses.append(frozenset(key))
+    return gp
+
+
+def _set_verify_model(model, sig, clauses):
+    """`verify_model` over a set of true atoms and one instance at a time."""
+    gp = GroundProblem(sig, ceiling=None)
+    true = set()
+    for cl in model:
+        if not cl.lit.neg:
+            true.update(map(gp.signed, cover(cl.lit, cl.pi, sig.n)))
+    for c in clauses:
+        for key in _per_assignment_instances(gp, c):
+            if not any((abs(s) in true) == (s > 0) for s in key):
+                return False, gp.decode(key)
+    return True, None
+
+
+def _kernel_inputs():
+    """The criterion-1 population, two ladder rungs, the colourings C5/2 and
+    K4/3, PHP(4,3), and this module's ground problems."""
+    yield from criterion_1_population()
+    yield gen_benchmark(5, 4)
+    yield gen_benchmark(7, 3)
+    with open(os.path.join(os.path.dirname(__file__), "data", "c5-2.p"),
+              encoding="utf-8") as f:
+        yield parse_problem(f.read())
+    yield parse_problem(complete_colouring_text(4, 3))
+    yield parse_problem(pigeonhole_text(4, 3))
+    yield parse_problem(EX33)
+    one = Signature({"P": 1}, ("a", "b"))
+    yield one, [(Lit(False, "P", (x,)),)]
+    yield one, [(), (Lit(True, "P", (x,)), Lit(True, "P", (x,)))]
+    for clauses in [[("P", "Q")], [("~P", "Q"), ("P", "R")], [("P",), ("~P", "Q"), ("~Q",)]]:
+        yield Signature({"P": 0, "Q": 0, "R": 0}, ("a",)), [
+            tuple(Lit(s.startswith("~"), s.lstrip("~"), ()) for s in c) for c in clauses]
+
+
+def test_instances_enumerate_the_rows_of_their_columns():
+    """`GroundProblem.instances` gives the per-assignment kernel's keys in
+    its order, repeats included, and `ground_problem` the same `_keys` and
+    `clauses`, on every input of `_kernel_inputs`."""
+    repeats = 0
+    for sig, clauses in _kernel_inputs():
+        gp = GroundProblem(sig, ceiling=None)
+        for c in clauses:
+            got = list(gp.instances(c))
+            assert got == list(_per_assignment_instances(gp, c)), c
+            repeats += len(got) - len(set(got))
+        got, want = ground_problem(sig, clauses, ceiling=None), \
+            _per_assignment_ground_problem(sig, clauses)
+        assert list(got._keys) == list(want._keys)
+        assert got.clauses == want.clauses
+    assert repeats > 100, repeats
+
+
+def test_verify_model_matches_the_set_of_true_atoms():
+    """On every sat model of the criterion-1 population, each model with one
+    entry dropped and each with every sign flipped, `verify_model` gives the
+    answer and the first failing instance that a set of true atoms checked
+    one instance at a time gives."""
+    witnesses = 0
+    for sig, clauses, verdict in criterion_1_verdicts():
+        if verdict.status != "sat":
+            continue
+        model = verdict.model
+        flipped = [CLit(cl.lit.negate(), cl.pi) for cl in model]
+        for m in [model, flipped] + [model[:i] + model[i + 1:] for i in range(len(model))]:
+            got = verify_model(m, sig, clauses)
+            assert got == _set_verify_model(m, sig, clauses), m
+            witnesses += not got[0]
+    assert witnesses > 300, witnesses
+
+
+def test_verify_model_reaches_cover(monkeypatch):
+    """`verify_model` enumerates a positive model literal's atoms with
+    `cover`, looked up on the `oracle` module, the way `perfbench/tracing.py`
+    replaces it: on the ladder rung (7,3) model that wrapper fires, and each
+    result has a size."""
+    sizes = []
+    real = oracle.cover
+
+    def counted(*args):
+        out = real(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(oracle, "cover", counted)
+    sig, clauses = gen_benchmark(7, 3)
+    verdict = Solver(sig, clauses, RunConfig()).solve()
+    assert verdict.status == "sat"
+    assert verify_model(verdict.model, sig, clauses) == (True, None)
+    assert sizes and min(sizes) > 0, sizes
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ from eprsat.solver import (
     RuleRejected,
     RunConfig,
     Solver,
-    _subsumes,
+    _embedding,
     is_tautology,
     simplify_pool,
 )
-from eprsat.syntax import Lit, canonical_clause, canonical_variant, var_code
+from eprsat.syntax import Lit, canonical_clause, canonical_variant, clause_vars, var_code
 
 EX33 = """
 domain a b c .
@@ -337,6 +337,12 @@ def test_tautology_deleted_from_pool():
     pool = [canonical_clause((P(x), nP(x))), (Q(a),)]
     out, log = simplify_pool(pool)
     assert out == [(Q(a),)]
+
+
+def _subsumes(c, d):
+    """Some instance of the variant c is a submultiset of d: the embedding
+    search that `simplify_pool` runs for subsumption."""
+    return _embedding(c, d, frozenset(clause_vars(c)), {}) is not None
 
 
 def test_subsumes_needs_consistent_matching():
