@@ -3,7 +3,10 @@
 A derivation tuple carries a remainder of a clause, the accumulated
 substitution and constraint, and the trail entry each resolved literal used.
 Tuples whose remainder is empty are conflict candidates; single-literal
-remainders are propagation candidates.  Each resolution step is
+remainders are propagation candidates.  A kept literal may resolve too:
+if with an instance, that is a conflict, which the same search finds with
+nothing kept; if not, the tuple is a propagation no other tuple reports.
+Each resolution step is
 `constrained.meet`: it renames the entry fresh, so one entry can justify
 several independent instances in a single derivation (constraints stay
 right-hand-side disjoint), and it renames nothing that cannot unify.
@@ -75,7 +78,7 @@ from .trail import Trail, TrailEntry
 
 @dataclass(frozen=True)
 class DTuple:
-    """One maximal derivation outcome for a clause against the trail."""
+    """One derivation outcome for a clause against the trail."""
 
     remaining: tuple[int, ...]          # unresolved literal positions
     sigma: Subst
@@ -89,12 +92,12 @@ def find_candidates(
     keep_limit: int,
     newest_pos: Optional[int] = None,
 ) -> list[DTuple]:
-    """All maximal derivation tuples for `clause` against `sources`, in the
-    order of the search that visits positions in clause order and sources
-    in trail order, keeping a position last.
+    """All derivation tuples for `clause` against `sources` with at most
+    `keep_limit` literals left, in the order of the search that visits
+    positions in clause order and sources in trail order, keeping a
+    position last.
 
     `sources` is a trail prefix: the entry at position i is `sources[i]`.
-    keep_limit bounds the remainder size of reported tuples.
     With `newest_pos`, only derivations that use that entry are returned:
     one search per position p whose literal can unify with it, which
     resolves p against it alone and first, lets no position before p use it,
@@ -142,15 +145,6 @@ def find_candidates(
 
     found: list[tuple[list[int], DTuple]] = []
 
-    def leaf_ok(kept: list[int], sigma: Subst, pi: Constraint) -> bool:
-        # maximality: no kept literal still resolves against any source
-        for p in kept:
-            lit = apply_lit(clause[p], sigma)
-            if any(meet(lit, pi, e.lit, e.pi) is not None
-                   for e in compatible(lit)):
-                return False
-        return True
-
     def replay(used: list[tuple[int, int]]) -> tuple[Subst, Constraint]:
         # a leaf's resolutions in clause order, as the clause-order search
         # makes them: the conjuncts of pi, and their normal forms, follow
@@ -166,17 +160,16 @@ def find_candidates(
     def rec(order: list[int], i: int, barred: int, kept: list[int],
             sigma: Subst, pi: Constraint, used: list[tuple[int, int]]) -> None:
         if i == width:
-            if leaf_ok(kept, sigma, pi):
-                # each position's source, "keep" (len(sources)) last:
-                # sorting on it gives the leaf order of the clause-order search
-                choice = [len(sources)] * width
-                for p, src_pos in used:
-                    choice[p] = src_pos
-                in_order = sorted(used)
-                if not pi.is_top and used != in_order:
-                    sigma, pi = replay(in_order)
-                found.append((choice, DTuple(tuple(sorted(kept)), sigma, pi,
-                                             tuple(in_order))))
+            # each position's source, "keep" (len(sources)) last:
+            # sorting on it gives the leaf order of the clause-order search
+            choice = [len(sources)] * width
+            for p, src_pos in used:
+                choice[p] = src_pos
+            in_order = sorted(used)
+            if not pi.is_top and used != in_order:
+                sigma, pi = replay(in_order)
+            found.append((choice, DTuple(tuple(sorted(kept)), sigma, pi,
+                                         tuple(in_order))))
             return
         pos = order[i]
         # resolve this position against each compatible source, but not

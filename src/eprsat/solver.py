@@ -12,7 +12,7 @@ smallest level where the new clause propagates.
 Everything the solver learns about the trail comes from one derivation
 path, `Solver._derive`: a leaf with nothing left is a conflict, one with one
 literal left a propagation candidate.  `_reseed_full` (which on the empty
-trail queues each unit clause), `add_consequences` and, once per trail
+trail queues each unit clause), `add_consequences` and, once per level
 prefix, `compute_backjump_level` search with it; `full_scan` only asks.
 The one exception is the queue clash: before it derives, `add_consequences`
 reads a conflict off a queued candidate that the new entry falsifies, the
@@ -46,9 +46,17 @@ Success rescans nothing: propagation is exhaustive, so no clause is left
 false or propagating.  Every derivation is found when its newest entry is
 pushed, by the search that starts at the first position resolving against
 that entry; the queue is exhausted before each decision; Conflict clears
-only the queue of a level that the backjump removes; a mid-level backjump
-reseeds the whole pool; and a learned clause has no false instance under
-its target prefix.  `full_scan` asks it again, for the audit.
+only the queue of a level that the backjump removes; and the backjump cuts
+at a level boundary and queues what the learned clause derives there.
+`full_scan` asks it again, for the audit.
+
+So every level prefix below the current level is conflict-free and
+propagation-complete for the whole pool: each was so when its decision was
+taken, and a clause learned since does not propagate below its level.  No
+such prefix falsifies a learned clause, as `compute_backjump_level`
+asserts: a ground instance of a resolvent is the resolvent of instances of
+its parents, so one of those would be false there, or would propagate the
+resolved literal; a factor has the same ground literals.
 """
 from __future__ import annotations
 
@@ -321,7 +329,6 @@ class Solver:
         self.pool.append(learned)
         ci = len(self.pool) - 1
         self._index_new_clause(ci)
-        mid_level = target_len != self.trail.level_prefix_len(target_level)
         self.trail.truncate(target_len)
         self.conflict = None
         self._decay_scores()
@@ -332,11 +339,8 @@ class Solver:
             f"{render_clause(self.sig, learned)} | to level {target_level}",
         )
         self._pq.clear()
-        if mid_level:
-            self._reseed_full()
-        else:
-            for cand in cands:
-                self._enqueue(cand)
+        for cand in cands:
+            self._enqueue(cand)
         return ci
 
     # -- helpers shared by the rules ------------------------------------------
@@ -679,44 +683,23 @@ class Solver:
     def compute_backjump_level(self, learned: Clause,
                                ) -> tuple[int, int, list[PropCand]]:
         """(trail prefix length, level, the candidates the learned clause
-        derives there) for the backjump target, one derivation per prefix.
-
-        Preference: the smallest level where the learned clause propagates
-        (and has no false instance); fallback: the largest level with no
-        false instance; last resort: the longest false-instance-free prefix
-        of level 0, whose mid-level cut reseeds the whole pool instead.
-        """
+        derives there) for the backjump target, one derivation per level: the
+        smallest level where the learned clause propagates, else the level
+        below the current one.  No prefix below the current level falsifies
+        the learned clause (see the module docstring), so every leaf of those
+        derivations is a candidate."""
         ci = len(self.pool)
         k = self.trail.level
         assert k >= 1, "backjump level computed only above level 0"
-        fallback = None
         for j in range(k):
             plen = self.trail.level_prefix_len(j)
-            cands = self._candidates_under_prefix(ci, learned, plen)
-            if cands is None:
-                break
+            cands = list(self._derive(ci, learned, self.trail.entries[:plen]))
+            assert all(isinstance(c, PropCand) for c in cands), (
+                "a learned clause is false below its conflict level")
             if any(any(self._undefined_pieces(c.lit, [({}, c.pi)], upto=plen))
                    for c in cands):
-                return plen, j, cands
-            fallback = (plen, j, cands)
-        if fallback is not None:
-            return fallback
-        # pathological: false already inside level 0, whose whole prefix
-        # broke the loop above; the empty prefix falsifies nothing
-        m = next((m for m in range(self.trail.level_prefix_len(0) - 1, 0, -1)
-                  if self._candidates_under_prefix(ci, learned, m) is not None), 0)
-        return m, 0, []
-
-    def _candidates_under_prefix(self, ci: int, clause: Clause, plen: int,
-                                 ) -> Optional[list[PropCand]]:
-        """The PropCands of `clause` (pool index `ci`) against the first
-        `plen` trail entries, or None when it has a false instance there."""
-        cands = []
-        for got in self._derive(ci, clause, self.trail.entries[:plen]):
-            if isinstance(got, ConflictSet):
-                return None
-            cands.append(got)
-        return cands
+                break
+        return plen, j, cands
 
     def _verdict(self, status: str, model: list[CLit]) -> Verdict:
         # each Backjump learns one clause, and nothing else adds one

@@ -33,6 +33,21 @@ def test_propagation_example_from_three_entry_trail():
     assert lf.pi.subs == (((cy,), (b,)),)
 
 
+def test_keep_leaf_whose_literal_meets_only_an_empty_instance():
+    # A(X) | L(X) over {a, b} against ~L(Y) :: Y != b and ~A(Z) :: Z != a:
+    # resolving both leaves X != a /\ X != b, which has no instance, so the
+    # leaf that resolves A(X) and keeps L(X) is the propagation of L(b)
+    tr = Trail(2)
+    tr.push(TrailEntry(L(True, "L", y), conj([((y,), (b,))]), 1, 0))
+    tr.push(TrailEntry(L(True, "A", z), conj([((z,), (a,))]), 2, 1))
+    cx = var_code(100)
+    clause = (L(False, "A", cx), L(False, "L", cx))
+    leaves = find_candidates(clause, list(tr.entries), keep_limit=1)
+    assert [(lf.remaining, lf.used) for lf in leaves] == [
+        ((), ((0, 1), (1, 0))), ((1,), ((0, 1),)), ((0,), ((1, 0),))]
+    assert leaves[1].pi.subs == (((cx,), (a,)),)
+
+
 def test_unit_clause_is_its_own_candidate():
     clause = (L(False, "P", x),)
     leaves = find_candidates(clause, [], keep_limit=1)

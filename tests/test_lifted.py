@@ -3,8 +3,9 @@ grounding versions they replace.
 
 The grounding versions (`constrained.cover`, `trail.is_assertive`, ground
 enumeration of clause instances) remain as referees; here they check
-`cover_size`, `derive.is_assertive`, the falsifiability answer of
-`Solver._candidates_under_prefix` and the witness of `derive.is_blocked` on
+`cover_size`, `derive.is_assertive`, the learned clause's freedom from
+false instances under the level prefixes `Solver.compute_backjump_level`
+searches and the witness of `derive.is_blocked` on
 random constraints and on every call a solve makes, and the audited
 colourings run clean with only the learning checks skipped.  A last test
 forbids grounding outright and solves anyway, and another checks that
@@ -18,7 +19,8 @@ hand-built clause, the ground path of `meet` against renaming, the
 feature-vector filter of `simplify_pool` against the loop that tries every
 pair with every literal, its retest memo trying no pair twice on the same
 clauses, each conflict-resolution precondition decided once per step, and
-the backjump queuing what its level search derived. Then Decide and
+the backjump queuing what its level search derived, with no ground
+instance left to propagate at any decision. Then Decide and
 Propagate are checked to re-run none of the preconditions their search
 established, the decision pieces carried between `select_decision` calls to
 equal the non-empty pieces of a fresh trail difference, to be shared by a
@@ -72,6 +74,7 @@ from eprsat.syntax import (
     var_code,
 )
 from population import criterion_1_population
+from propagation_sweep import checked_decide
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +214,18 @@ class _Referee:
                 self.mismatches.append(("is_assertive", clause, got))
             return got
 
-        real_candidates = Solver._candidates_under_prefix
+        real_level = Solver.compute_backjump_level
 
-        def candidates(solver, ci, clause, plen):
-            got = real_candidates(solver, ci, clause, plen)
-            self.calls["falsifiable"] += 1
-            if (got is None) != _ground_falsifiable(
-                    clause, solver.trail.entries[:plen], solver.n):
-                self.mismatches.append(("falsifiable", clause, got))
-            return got
+        def level(solver, learned):
+            # no level prefix below the conflict level falsifies the learned
+            # clause, so every leaf the level search derives is a candidate
+            tr = solver.trail
+            for j in range(tr.level):
+                self.calls["falsifiable"] += 1
+                if _ground_falsifiable(learned, tr.entries[:tr.level_prefix_len(j)],
+                                       solver.n):
+                    self.mismatches.append(("falsifiable", learned, j))
+            return real_level(solver, learned)
 
         def is_blocked(entries, d_lit, d_pi, pool, n):
             got = derive.is_blocked(entries, d_lit, d_pi, pool, n)
@@ -230,7 +236,7 @@ class _Referee:
             return got
 
         monkeypatch.setattr(solver_mod, "is_assertive", assertive)
-        monkeypatch.setattr(Solver, "_candidates_under_prefix", candidates)
+        monkeypatch.setattr(Solver, "compute_backjump_level", level)
         monkeypatch.setattr(solver_mod, "is_blocked", is_blocked)
 
 
@@ -565,16 +571,11 @@ def _bucket_search(clause, sources, keep_limit, newest_pos=None):
 
     out = []
 
-    def leaf_ok(kept, sigma, pi):
-        return not any(derive.meet(apply_lit(clause[p], sigma), pi, src_lit, src_pi)
-                       for p in kept for _, src_lit, src_pi in bucket(p))
-
     def rec(pos, kept, sigma, pi, uses, used):
         if newest_pos is not None and uses == 0 and not reaches_newest(pos, sigma):
             return
         if pos == len(clause):
-            if leaf_ok(kept, sigma, pi):
-                out.append(derive.DTuple(tuple(kept), sigma, pi, tuple(used)))
+            out.append(derive.DTuple(tuple(kept), sigma, pi, tuple(used)))
             return
         lit = apply_lit(clause[pos], sigma)
         for src_pos, src_lit, src_pi in bucket(pos):
@@ -975,41 +976,16 @@ def _queued_form(s, cands):
             for _, _, c in sized]
 
 
-def _backjump_past_a_false_level():
-    """A solver at level 3 whose conflict ~P(X) | Q(X) has, at level 1, the
-    candidate Q(a), true already, and at level 2 the false instance X = b:
-    the backjump falls back to level 1 and queues that candidate."""
-    sig, clauses = parse_problem("""
-    domain a b .
-    -P(a) | Q(a) .
-    -P(b) | -Q(b) .
-    R(a) | P(X) .
-    """)
-    script = parse_script("P(a)\nP(b)\nR(a)", sig)
-    s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
-    for _ in range(3):
-        s.add_consequences(s.rule_decide(*s.select_decision()))
-        assert s.prop_loop()
-    s.conflict = ConflictSet((Lit(True, "P", (var_code(0),)),
-                              Lit(False, "Q", (var_code(0),))), {}, TOP)
-    return s
-
-
 def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
-    """After each backjump that cuts at a level boundary the queue holds
-    exactly what a fresh derivation of the learned clause against the cut
-    trail yields, and the backjump derived nothing after the cut: the
-    candidates come from the level search."""
-    real_level = Solver.compute_backjump_level
+    """Every backjump cuts at a level boundary, and after each one that
+    learns a non-empty clause the queue holds exactly what a fresh
+    derivation of the learned clause against the cut trail yields, and the
+    backjump derived nothing after the cut: the candidates come from the
+    level search."""
     real_backjump = Solver.rule_backjump
     real_derive = Solver._derive
     cut = {}
     seen = dict(backjumps=0, queued=0)
-
-    def level(self, learned):
-        got = real_level(self, learned)
-        cut["at_boundary"] = got[0] == self.trail.level_prefix_len(got[1])
-        return got
 
     def derive_(self, *args, **kwargs):
         if "before" in cut and len(self.trail) < cut["before"]:
@@ -1019,21 +995,23 @@ def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
     def backjump(self, case):
         cut.clear()
         cut["before"] = len(self.trail)
+        bounds = [self.trail.level_prefix_len(j)
+                  for j in range(self.trail.level + 1)]
         ci = real_backjump(self, case)
         del cut["before"]
-        if cut.get("at_boundary"):
-            assert "derived_after" not in cut, "derived after the cut"
+        assert bounds.index(len(self.trail)) == self.trail.level, "cut mid-level"
+        assert "derived_after" not in cut, "derived after the cut"
+        if self.pool[ci]:
             fresh = list(real_derive(self, ci, self.pool[ci], self.trail.entries))
             assert not any(isinstance(g, ConflictSet) for g in fresh)
             queued = [(c.clause_idx, c.lit_idx,
                        render_clit(self.sig, c.lit, c.pi))
                       for _, _, c in sorted(self._pq)]
             assert queued == _queued_form(self, fresh)
-            seen["backjumps"] += 1
             seen["queued"] += len(queued)
+        seen["backjumps"] += 1
         return ci
 
-    monkeypatch.setattr(Solver, "compute_backjump_level", level)
     monkeypatch.setattr(Solver, "_derive", derive_)
     monkeypatch.setattr(Solver, "rule_backjump", backjump)
     for make, steps in [(_c5_2, 101), (_k4_3, 238)]:
@@ -1044,10 +1022,29 @@ def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
         auditor = Auditor(sig, clauses)
         Solver(sig, clauses, RunConfig(max_steps=10_000), auditor=auditor).solve()
         assert auditor.violations == [], (seed, auditor.violations[:3])
-    s = _backjump_past_a_false_level()
-    s.rule_backjump(2)
-    assert (len(s.trail), s.trail.level, len(s._pq)) == (2, 1, 1)
     assert seen["backjumps"] > 40 and seen["queued"] > 40, seen
+
+
+def test_no_propagation_is_left_at_a_decision(monkeypatch):
+    """Before every Decide, no pool clause has a ground instance with exactly
+    one undefined literal position and every other literal false
+    (`propagation_sweep.missed_propagation`): on the colourings, PHP(4,3),
+    the first 100 criterion-1 seeds and three arity-3 runs that once
+    missed one, at a kept literal whose meet with a source had no instance."""
+    misses = []
+    monkeypatch.setattr(Solver, "rule_decide",
+                        checked_decide(Solver.rule_decide, misses))
+    runs = [(make(), None) for make in (_c5_2, _k4_3, _php_4_3)]
+    runs += [(inst, None) for inst in criterion_1_population(100)]
+    runs += [(gen_random_instance(GenParams(
+        n_preds=2, max_arity=3, domain_size=3, n_clauses=14, max_lits=4,
+        seed=seed)), 3) for seed in (221, 361, 1180)]
+    decisions = 0
+    for (sig, clauses), seed in runs:
+        verdict = Solver(sig, clauses, RunConfig(max_steps=10_000, seed=seed)).solve()
+        assert misses == [], (sig, seed, misses[0])
+        decisions += sum(e.rule == "Decide" for e in verdict.trace)
+    assert decisions > 100, decisions
 
 
 def test_decide_and_propagate_take_what_the_search_found(monkeypatch):

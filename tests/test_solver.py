@@ -1,9 +1,10 @@
 import pytest
 
-from eprsat.constraints import TOP, conj
+from eprsat.audit import Auditor
+from eprsat.constraints import conj
+from eprsat.oracle import GenParams, gen_random_instance
 from eprsat.parser import parse_problem, parse_script
 from eprsat.solver import (
-    ConflictSet,
     RuleRejected,
     RunConfig,
     Solver,
@@ -242,7 +243,8 @@ def test_backjump_level_second_highest_for_ground_clause():
 
 
 def test_backjump_level_zero_when_false_above():
-    # an instance false at every level > 0 forces the fallback to level 0
+    # false at level 1 and propagating nowhere below it: the search ends at
+    # the level below the current one, level 0
     sig, clauses = parse_problem("""
     domain a b .
     P(X) | Q(a) .
@@ -257,34 +259,32 @@ def test_backjump_level_zero_when_false_above():
     assert level == 0 and plen == 0 and cands == []
 
 
-def test_backjump_inside_level_zero_reseeds_the_whole_pool(monkeypatch):
-    # ~P(a) is already false at level 0, whose only entry is P(a): the
-    # level search breaks at once, the longest prefix of level 0 where the
-    # clause is not false is the empty one, and a backjump that cuts level 0
-    # short reseeds every clause
+def test_missed_keep_leaf_propagates_at_its_level():
+    """L(b) is due at level 2: A(X) | L(X) resolves A(X) against ~A(X) :: X != a
+    and keeps L(X), although L(X) meets ~L(X) :: X != b (a meet with no
+    instance, so no conflict either)."""
     sig, clauses = parse_problem("""
-    domain a .
-    P(a) .
-    Q(a) | R(a) .
+    domain a b .
+    A(X) | L(X) .
+    -L(X) | B(X) .
     """)
-    script = parse_script("Q(a)", sig)
-    s = Solver(sig, clauses, RunConfig(script=script, simplify=False))
-    s._reseed_full()
-    assert s.prop_loop()
-    s.add_consequences(s.rule_decide(*s.select_decision()))
-    assert s.prop_loop()
-    assert (len(s.trail), s.trail.level) == (2, 1)
-    cl = canonical_clause((Lit(True, "P", (0,)),))
-    assert s.compute_backjump_level(cl) == (0, 0, [])
-    reseeds = []
-    real = s._reseed_full
-    monkeypatch.setattr(s, "_reseed_full", lambda: reseeds.append(real()))
-    s.conflict = ConflictSet(cl, {}, TOP)
-    ci = s.rule_backjump(3)
-    assert (len(s.trail), s.trail.level, s.conflict) == (0, 0, None)
-    assert s.pool[ci] == cl and len(reseeds) == 1
-    # both unit clauses are queued again, the learned one included
-    assert sorted(c.clause_idx for _, _, c in s._pq) == [0, ci]
+    script = parse_script("~L(X) :: X != b\n~A(X) :: X != a", sig)
+    for simplify in (True, False):
+        v = Solver(sig, clauses, RunConfig(script=script, simplify=simplify)).solve()
+        assert v.status == "sat"
+        assert [(e.rule, e.level, e.payload) for e in v.trace[2:4]] == [
+            ("Decide", 2, "[lvl 2 DECIDE] ~A(X) :: X != a"),
+            ("Propagate", 2, "[reason C1] L(b) :: TOP")]
+
+
+def test_audited_arity_3_run_that_missed_a_propagation():
+    # at a missed propagation this run learned a redundant clause and the
+    # audit reported a conflict instance with one top-level literal
+    sig, clauses = gen_random_instance(GenParams(
+        n_preds=2, max_arity=3, domain_size=3, n_clauses=14, max_lits=4, seed=1180))
+    auditor = Auditor(sig, clauses)
+    Solver(sig, clauses, RunConfig(seed=3), auditor=auditor).solve()
+    assert auditor.violations == []
 
 
 # ---------------------------------------------------------------------------
