@@ -8,16 +8,14 @@ decrease of the conflict-resolution measure, blocking of removed decisions
 by case-(3) clauses, non-redundancy of every learned clause and its
 entailment by the input (both asked of the one `GroundProblem` encoding),
 and the model property at success.  The input is grounded once per run,
-and so is the clause pool: the pool only grows by appends, so each
-learning check adds to the pool's `GroundProblem` only the clauses appended
-since the last one.  At every backjump it also referees the
-solver's lifted derivations by grounding: assertiveness of the conflict and
-the absence of false learned-clause instances under the chosen prefix, and
-at success it asks `Solver.full_scan` if propagation left anything undone.
-A learned clause is grounded in full only for the two checks that need its
-instance list, non-redundancy and entailment, and only when one of them
-runs; the check for a false instance under the backjump prefix walks the
-instances lazily and stops at the first false one.
+and the clause pool at each learning check.  At every backjump it also
+referees the solver's lifted derivations by grounding: assertiveness of the
+conflict and the absence of false learned-clause instances under the chosen
+prefix, and at success it asks `Solver.full_scan` if propagation left
+anything undone.  A learned clause is grounded in full only for the two
+checks that need its instance list, non-redundancy and entailment, and only
+when one of them runs; the check for a false instance under the backjump
+prefix walks the instances lazily and stops at the first false one.
 Each defining-entry lookup is answered once per ground atom per trail
 state: the entry checks, the conflict-set checks, the two-per-level check,
 the ground `is_assertive` and the false-under-prefix check all ask
@@ -88,7 +86,6 @@ class Auditor:
         self._ordering: Optional[InducedOrdering] = None
         # the last conflict set grounded, and its ground instances
         self._grounded: Optional[tuple[object, list[Clause]]] = None
-        self._pool_grounded = 0     # how much of solver.pool is in pool_ground
         # verify_model's (ok, witness) for the model at Success
         self.model_check: Optional[tuple[bool, Optional[Clause]]] = None
 
@@ -104,24 +101,14 @@ class Auditor:
         except OracleCeiling:
             return None
 
-    @cached_property
-    def pool_ground(self) -> Optional[GroundProblem]:
+    def _ground_pool(self, solver) -> Optional[GroundProblem]:
         """The solver's clause pool, grounded for the non-redundancy check
-        (None when its universe is too big); `_ground_pool` extends it."""
+        (None when its universe is too big)."""
         try:
-            return ground_problem(self.sig, [], ceiling=REDUNDANCY_ATOM_CAP)
+            return ground_problem(self.sig, solver.pool,
+                                  ceiling=REDUNDANCY_ATOM_CAP)
         except OracleCeiling:
             return None
-
-    def _ground_pool(self, solver) -> Optional[GroundProblem]:
-        """`pool_ground` over the whole of `solver.pool`: the clauses
-        appended since the last call are the only ones grounded."""
-        gp = self.pool_ground
-        if gp is not None:
-            for clause in solver.pool[self._pool_grounded:]:
-                gp.add(clause)
-            self._pool_grounded = len(solver.pool)
-        return gp
 
     # -- hooks ----------------------------------------------------------------
 

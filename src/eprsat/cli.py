@@ -135,12 +135,12 @@ def _run_checks(sig, clauses, verdict, auditor, seed) -> int:
         record["verdict_oracle"] = oracle
         if oracle != verdict.status:
             notes.append(f"check: verdict {verdict.status} but oracle says {oracle}")
-        if verdict.status == "sat":
-            # the audit verified this model at Success, for every sat verdict
-            ok, witness = auditor.model_check
-            record["model_verified"] = ok
-            if not ok:
-                notes.append(f"check: model fails on {witness}")
+    if verdict.status == "sat":
+        # the audit verified this model at Success, for every sat verdict
+        ok, witness = auditor.model_check
+        record["model_verified"] = ok
+        if not ok:
+            notes.append(f"check: model fails on {witness}")
     for note in notes:
         print(note, file=sys.stderr)
     print(json.dumps(record, sort_keys=True))

@@ -111,14 +111,10 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
     whose universe exceeds that many ground atoms; dropping it would change
     which model documents get consolidated.
 
-    After each merge the scan restarts at the first pair, so one call asks
-    about the same pairs many times.  The answers are memoized for the
-    call: the cover size of each literal, and the widening found (or none)
-    for each pair (a, b), which depends on the two literals and the domain
-    alone.  Only the literals a pair can widen (an `and` constraint, under
-    the cap) are scanned as b.  The scan order is the same, so the first
-    mergeable (i, j) still wins and the result is that of the unmemoized
-    scan.
+    After each merge the scan restarts at the first pair, so the cover size
+    of each literal is memoized for the call.  Only the literals a pair can
+    widen (an `and` constraint, under the cap) are scanned as b, in order,
+    so the first mergeable (i, j) wins.
 
     A widening is sized from b by its one new piece, not recounted.  Let w
     be b with subconstraint k dropped and tau_k = lhs_k -> rhs_k.  The
@@ -136,7 +132,6 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
     """
     n = sig.n
     sizes: dict[CLit, int] = {}
-    widenings: dict[tuple[CLit, CLit], Optional[CLit]] = {}
 
     def size(cl: CLit) -> int:
         if cl not in sizes:
@@ -151,22 +146,18 @@ def merge_cover(sig: Signature, clits: list[CLit]) -> list[CLit]:
     def widening(a: CLit, b: CLit) -> Optional[CLit]:
         """b with one subconstraint dropped, covering exactly a | b; None
         when no such subconstraint exists."""
-        if (a, b) not in widenings:
-            size_a = size(a)
-            union = size_a + size(b) - meet_size(a, b)
-            found = None
-            for k, (lhs, rhs) in enumerate(b.pi.subs):
-                rest = subset(b.pi, b.pi.subs[:k] + b.pi.subs[k + 1:])
-                w = CLit(b.lit, normalize(rest))
-                if w not in sizes:
-                    tau = dict(zip(lhs, rhs))
-                    sizes[w] = sizes[b] + cover_size(
-                        apply_lit(b.lit, tau), instantiate(rest, tau), n)
-                if sizes[w] == union and meet_size(a, w) == size_a:
-                    found = w
-                    break
-            widenings[a, b] = found
-        return widenings[a, b]
+        size_a = size(a)
+        union = size_a + size(b) - meet_size(a, b)
+        for k, (lhs, rhs) in enumerate(b.pi.subs):
+            rest = subset(b.pi, b.pi.subs[:k] + b.pi.subs[k + 1:])
+            w = CLit(b.lit, normalize(rest))
+            if w not in sizes:
+                tau = dict(zip(lhs, rhs))
+                sizes[w] = sizes[b] + cover_size(
+                    apply_lit(b.lit, tau), instantiate(rest, tau), n)
+            if sizes[w] == union and meet_size(a, w) == size_a:
+                return w
+        return None
 
     def first_merge(out: list[CLit]) -> Optional[tuple[int, int, CLit]]:
         targets: dict[tuple[str, bool], list[int]] = {}

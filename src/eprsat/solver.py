@@ -18,11 +18,10 @@ The one exception is the queue clash: before it derives, `add_consequences`
 reads a conflict off a queued candidate that the new entry falsifies, the
 first in queue order among those of the complementary shape.
 `_undefined_pieces` is the one trail difference, for Propagate, the backjump
-level, `full_scan` and the decisions; a candidate is born sized and non-empty,
-so only a constraint the difference makes is asked if empty.  The lifted steps
-live in `constrained`; a resolution step unifies each conflict literal with
-the rightmost entry once (`_entry_unifiers`) for Resolve and Factorize,
-which share a closure step.
+level, `full_scan` and the decisions; it yields only the pieces with an
+instance.  The lifted steps live in `constrained`; a resolution step unifies
+each conflict literal with the rightmost entry once (`_entry_unifiers`) for
+Resolve and Factorize, which share a closure step.
 
 Between two decisions the trail only grows or is cut back, so the
 decisions carry their trail difference across calls (`_decision_pieces`).
@@ -418,18 +417,12 @@ class Solver:
                           start: int = 0, upto: Optional[int] = None):
         """The non-empty pieces (sigma', pi') of `lit`, in `diff_apart`'s
         order, left of the non-empty `pieces` by the entries of its predicate
-        at positions start <= pos < upto; with no such entry, `pieces`.  The
-        difference is taken at the call, emptiness lazily and only of a new
-        constraint: a piece no entry unifies with keeps its pi object, and
-        emptiness is a question about pi alone."""
+        at positions start <= pos < upto.  The difference is taken at the
+        call, emptiness lazily."""
         sources = [(e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
                    if start <= e.pos and (upto is None or e.pos < upto)]
-        if not sources:
-            return iter(pieces)
-        # the map holds the pieces, so no id is reused while the generator runs
-        known = {id(p): p for _, p in pieces}
         return ((s, p) for s, p in diff_apart(lit, pieces, sources)
-                if known.get(id(p)) is p or not no_instances(p, self.n))
+                if not no_instances(p, self.n))
 
     def _derive(self, ci: int, clause: Clause, sources: list[TrailEntry],
                 newest_pos: Optional[int] = None):

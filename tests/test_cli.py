@@ -128,7 +128,10 @@ def test_check_mode_over_the_oracle_ceiling_skips_the_oracle(tmp_path, capsys):
     assert main(["--input", str(p), "--check"]) == 10
     captured = capsys.readouterr()
     assert "check: oracle skipped (ground universe has 72 atoms" in captured.err
-    assert json.loads(captured.out)["verdict_oracle"] is None
+    record = json.loads(captured.out)
+    assert record["verdict_oracle"] is None
+    # the audit verified the model at Success, oracle or not
+    assert record["model_verified"] is True
 
 
 def test_check_mode_fails_when_the_oracle_disagrees(tmp_path, monkeypatch, capsys):

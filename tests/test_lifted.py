@@ -134,6 +134,24 @@ def test_cover_size_examples():
     assert cover_size(Lit(False, "P", (x,)), BOT, 5) == 0
 
 
+def test_cover_size_counts_independent_subconstraints_apart(monkeypatch):
+    """Subconstraints on disjoint variables are counted apart: 14
+    disequations X_i != a take one `mgu_args` call each, where one
+    inclusion-exclusion over all of them takes 2^14 - 1 = 16,383."""
+    calls = []
+    real = constrained.mgu_args
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    xs = tuple(var_code(i) for i in range(14))
+    pi = normalize(conj([((x,), (0,)) for x in xs]))
+    monkeypatch.setattr(constrained, "mgu_args", counted)
+    assert cover_size(Lit(False, "P", xs), pi, 3) == 2 ** 14
+    assert len(calls) <= 28, len(calls)
+
+
 def test_cover_size_rejects_free_lhs_variables():
     x, y = var_code(0), var_code(1)
     pi = conj([((y,), (0,))])
@@ -1341,8 +1359,8 @@ def test_undefined_pieces_is_the_filtered_difference(monkeypatch):
     """Every `_undefined_pieces` call is handed non-empty pieces and returns,
     in order, the pieces of `diff_apart` over the entries of the literal's
     predicate in its position range, less those `no_instances` rejects
-    (compared as renderings, since the variable ids differ): the call that
-    asks emptiness only of new constraints leaves out no empty piece."""
+    (compared as renderings, since the variable ids differ): it yields no
+    empty piece."""
     real = Solver._undefined_pieces
     seen = dict(calls=0, sources=0, pieces=0)
 
@@ -1362,19 +1380,3 @@ def test_undefined_pieces_is_the_filtered_difference(monkeypatch):
     monkeypatch.setattr(Solver, "_undefined_pieces", undefined)
     _solve_runs()
     assert min(seen.values()) > 1000, seen
-
-
-def test_a_ladder_solve_asks_emptiness_three_times(monkeypatch):
-    """On ladder rung (7,3) the solver asks `no_instances` at most three
-    times: a queued candidate is known non-empty, and so is every piece of
-    a difference that keeps its constraint."""
-    calls = []
-
-    def counted(pi, n):
-        calls.append(pi)
-        return constrained.no_instances(pi, n)
-
-    monkeypatch.setattr(solver_mod, "no_instances", counted)
-    verdict = Solver(*gen_benchmark(7, 3), RunConfig()).solve()
-    assert (verdict.status, verdict.steps) == ("sat", 82)
-    assert len(calls) <= 3, len(calls)

@@ -134,7 +134,7 @@ GROUNDING = {
     "syntax": {"ground_assignments"},
     "constraints": {"solutions"},
     "constrained": {"cover"},
-    "trail": {"clause_instances", "ground_walk", "is_assertive"},
+    "trail": {"_instances", "clause_instances", "ground_walk", "is_assertive"},
 }
 SOLVER_SIDE = ("syntax", "constraints", "constrained", "trail", "derive",
                "solver", "render")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from eprsat import trail as trail_mod
 from eprsat.constrained import cover
 from eprsat.constraints import TOP, conj, violates
 from eprsat.trail import (
@@ -112,6 +113,24 @@ def test_ground_walk_undefined_literal_is_not_false():
     walk = list(ground_walk(tr, clause, {}, TOP))
     assert len(walk) == 9
     assert all(defs == [None] and not false for _, defs, false in walk)
+
+
+def test_ground_walk_grounds_as_it_yields(monkeypatch):
+    """The first instance of a 5-variable clause over 6 constants draws one
+    assignment, not all 6^5 = 7,776, so a caller that stops early (as
+    `is_assertive`'s `any` does) grounds no further."""
+    drawn = []
+    real = trail_mod.ground_assignments
+
+    def counted(vars_, n):
+        for d in real(vars_, n):
+            drawn.append(d)
+            yield d
+
+    monkeypatch.setattr(trail_mod, "ground_assignments", counted)
+    clause = (nP3(x, y, z), Q(u, w))
+    next(ground_walk(Trail(6), clause, {}, TOP))
+    assert len(drawn) == 1
 
 
 def test_is_assertive_unit_learned_clause():
