@@ -8,13 +8,14 @@ decrease of the conflict-resolution measure, blocking of removed decisions
 by case-(3) clauses, non-redundancy of every learned clause and its
 entailment by the input (both asked of the one `GroundProblem` encoding),
 and the model property at success.  The input is grounded once per run,
-and the clause pool at each learning check.  At every backjump it also
+for the entailment checks and `--check`'s oracle, and the clause pool, of
+the same signature, at each learning check: both fit under the one DPLL
+atom cap, or both learning checks are skipped.  At every backjump it also
 referees the solver's lifted derivations by grounding: assertiveness of the
 conflict and the absence of false learned-clause instances under the chosen
 prefix, and at success it asks `Solver.full_scan` if propagation left
-anything undone.  A learned clause is grounded in full only for the two
-checks that need its instance list, non-redundancy and entailment, and only
-when one of them runs; the check for a false instance under the backjump
+anything undone.  A learned clause is grounded in full only when the two
+learning checks run; the check for a false instance under the backjump
 prefix walks the instances lazily and stops at the first false one.
 Each defining-entry lookup is answered once per ground atom per trail
 state: the entry checks, the conflict-set checks, the two-per-level check,
@@ -49,7 +50,6 @@ from .constrained import CLit, is_empty, overlaps
 from .constraints import TOP
 from .derive import is_blocked
 from .oracle import (
-    REDUNDANCY_ATOM_CAP,
     GroundProblem,
     OracleCeiling,
     check_nonredundant,
@@ -93,22 +93,12 @@ class Auditor:
         self.violations.append(msg)
 
     @cached_property
-    def _input_ground(self) -> Optional[GroundProblem]:
-        """The input never changes: ground it once per run (None when its
-        universe is too big)."""
-        try:
-            return ground_problem(self.sig, self.input_clauses)
-        except OracleCeiling:
-            return None
-
-    def _ground_pool(self, solver) -> Optional[GroundProblem]:
-        """The solver's clause pool, grounded for the non-redundancy check
-        (None when its universe is too big)."""
-        try:
-            return ground_problem(self.sig, solver.pool,
-                                  ceiling=REDUNDANCY_ATOM_CAP)
-        except OracleCeiling:
-            return None
+    def input_ground(self) -> GroundProblem:
+        """The input never changes: it is grounded once per run, for the
+        entailment checks and `--check`'s oracle.  Over the atom cap this
+        raises `OracleCeiling` before grounding anything, and caches
+        nothing."""
+        return ground_problem(self.sig, self.input_clauses)
 
     # -- hooks ----------------------------------------------------------------
 
@@ -150,26 +140,26 @@ class Auditor:
     def before_learn(self, solver, learned: Clause, case: int,
                      target_len: int) -> None:
         """Checks before Backjump `case` learns `learned` and cuts the
-        trail to `target_len` entries."""
+        trail to `target_len` entries (over the atom cap, skipping both
+        ground learning checks)."""
         if self._ordering is None:
             self._flag("learning without a conflict snapshot")
             return
-        pool, gp = self._ground_pool(solver), self._input_ground
-        # the distinct ground instances, in assignment order, built only
-        # when a check that needs them runs
-        insts = (clause_instances(learned, {}, TOP, solver.n)
-                 if pool is not None or gp is not None else [])
-        if pool is None:
-            self.skipped.append("non-redundancy check skipped (universe too big)")
-        elif not check_nonredundant(insts, pool, self._ordering):
-            self._flag(f"learned clause is redundant: "
-                       f"{render_clause(self.sig, learned)}")
-        # sound-state item for the learned set: the inputs entail it
-        if gp is None:
-            self.skipped.append("entailment check skipped (universe too big)")
-        elif not all(gp.entails(gp.clauses, inst) for inst in insts):
-            self._flag(f"learned clause not entailed by the input: "
-                       f"{render_clause(self.sig, learned)}")
+        try:
+            gp, pool = self.input_ground, ground_problem(self.sig, solver.pool)
+        except OracleCeiling:
+            self.skipped += ["non-redundancy check skipped (universe too big)",
+                             "entailment check skipped (universe too big)"]
+        else:
+            # the distinct ground instances, in assignment order
+            insts = clause_instances(learned, {}, TOP, solver.n)
+            if not check_nonredundant(insts, pool, self._ordering):
+                self._flag(f"learned clause is redundant: "
+                           f"{render_clause(self.sig, learned)}")
+            # sound-state item for the learned set: the inputs entail it
+            if not all(gp.entails(gp.clauses, inst) for inst in insts):
+                self._flag(f"learned clause not entailed by the input: "
+                           f"{render_clause(self.sig, learned)}")
         self._check_false_under_prefix(solver, learned, target_len)
         cs = solver.conflict
         assertive = None

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .audit import Auditor
-from .oracle import OracleCeiling, brute_sat, gen_benchmark, ground_problem
+from .oracle import OracleCeiling, brute_sat, gen_benchmark
 from .parser import ParseError, parse_problem, parse_script
 from .render import render_model, render_trace
 from .solver import RuleRejected, RunConfig, Solver
@@ -103,18 +103,18 @@ def main(argv=None) -> int:
         return 1
 
     if args.check:
-        code = _run_checks(sig, clauses, verdict, auditor, args.seed)
+        code = _run_checks(verdict, auditor, args.seed)
         if code:
             return code
 
     return 10 if verdict.status == "sat" else 20
 
 
-def _run_checks(sig, clauses, verdict, auditor, seed) -> int:
+def _run_checks(verdict, auditor, seed) -> int:
     """The solve against its audits and the ground oracle: prints a message
     for every failed check, then the JSON record, and returns 2 if any check
-    failed.  `verdict_oracle` stays None, with a message, when the ground
-    universe is over the oracle's ceiling.
+    failed.  The oracle reads the audit's grounding of the input, and
+    `verdict_oracle` stays None, with a message, over its ceiling.
     """
     violations = auditor.violations
     record = {
@@ -127,11 +127,11 @@ def _run_checks(sig, clauses, verdict, auditor, seed) -> int:
     }
     notes = [f"audit violation: {v}" for v in violations]
     try:
-        gp = ground_problem(sig, clauses)
+        model = brute_sat(auditor.input_ground)
     except OracleCeiling as exc:
         notes.append(f"check: oracle skipped ({exc})")
     else:
-        oracle = "sat" if brute_sat(gp) is not None else "unsat"
+        oracle = "sat" if model is not None else "unsat"
         record["verdict_oracle"] = oracle
         if oracle != verdict.status:
             notes.append(f"check: verdict {verdict.status} but oracle says {oracle}")

@@ -8,7 +8,7 @@ independent route), and redundancy goes straight by its definition over the
 ground instances.  A `GroundProblem` is the one grounding path and the one
 signed-literal encoding.  It grounds a clause by columns, one list per
 literal of its signed index under every assignment: `add` keeps their rows
-(for `ground_problem` and the audits' pool), `verify_model` reads them in a
+(for `ground_problem`, of the input or the pool), `verify_model` reads them in a
 truth array, `encode` builds every other DPLL clause, and `entails` answers
 each entailment question, for the non-redundancy check and the audits.
 """
@@ -31,7 +31,6 @@ from .syntax import (
 from .trail import InducedOrdering
 
 DPLL_ATOM_CAP = 60      # backtracking route
-REDUNDANCY_ATOM_CAP = 36
 
 
 class OracleCeiling(ValueError):
@@ -148,9 +147,8 @@ class GroundProblem:
         return brute_sat(self, premises + units) is None
 
 
-def ground_problem(sig: Signature, clauses: list[Clause],
-                   ceiling: int = DPLL_ATOM_CAP) -> GroundProblem:
-    gp = GroundProblem(sig, ceiling)
+def ground_problem(sig: Signature, clauses: list[Clause]) -> GroundProblem:
+    gp = GroundProblem(sig, DPLL_ATOM_CAP)
     for c in clauses:
         gp.add(c)
     return gp

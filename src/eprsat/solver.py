@@ -130,7 +130,6 @@ class RunConfig:
 
 @dataclass
 class TraceEvent:
-    step: int
     rule: str
     level: int
     payload: str
@@ -215,7 +214,7 @@ class Solver:
         if self.steps > self.cfg.max_steps:
             raise StepCap
         level = -1 if rule == "Success" else self.trail.level
-        self.trace.append(TraceEvent(self.steps, rule, level, payload))
+        self.trace.append(TraceEvent(rule, level, payload))
         if self.auditor is not None:
             self.auditor.after_rule(rule, self)
 

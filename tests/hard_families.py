@@ -5,9 +5,10 @@ K5/4 (the complete graph on 5 nodes with 4 colours) and PHP(5,4) (5 pigeons,
 Each must be unsat in its recorded step count with its recorded trace
 SHA-256, which pins every rule application of the run.  Then PHP(4,3), K4/3
 and PHP(5,4) are solved again under the runtime audit, which must find no
-violation; their universes are over the atom caps of the two learning
-checks, so each learned clause skips those two.  Last, the `gen_benchmark`
-rungs (10,3) and (12,3) are solved and their model documents rendered:
+violation; their universes are over the one DPLL atom cap, so each learned
+clause skips the two learning checks, and each run must skip its recorded
+count of checks.  Last, the `gen_benchmark` rungs (10,3) and (12,3) are
+solved and their model documents rendered:
 each document must have its recorded SHA-256.  Their models are the largest
 that `render.merge_cover` consolidates here.  Run from the repository root:
 
@@ -62,11 +63,11 @@ FAMILIES = [
 ]
 
 
-# (name, problem text, steps), solved with the audit on
+# (name, problem text, steps, skipped checks), solved with the audit on
 AUDITED = [
-    ("PHP(4,3)", pigeonhole_text(4, 3), 198),
-    ("K4/3", complete_colouring_text(4, 3), 238),
-    ("PHP(5,4)", pigeonhole_text(5, 4), 769),
+    ("PHP(4,3)", pigeonhole_text(4, 3), 198, 6),
+    ("K4/3", complete_colouring_text(4, 3), 238, 14),
+    ("PHP(5,4)", pigeonhole_text(5, 4), 769, 12),
 ]
 
 # (n, k) of a sat gen_benchmark rung, SHA-256 of its model document
@@ -91,22 +92,23 @@ def main():
               f"{took:.2f} s, trace {got_sha[:8]}… {'ok' if ok else 'MISMATCH'}")
         if not ok:
             print(f"  expected unsat in {steps} steps, trace {sha}")
-    for name, text, steps in AUDITED:
+    for name, text, steps, skipped in AUDITED:
         sig, clauses = parse_problem(text)
         auditor = Auditor(sig, clauses)
         start = time.perf_counter()
         verdict = Solver(sig, clauses, RunConfig(max_steps=10_000),
                          auditor=auditor).solve()
         took = time.perf_counter() - start
-        ok = ((verdict.status, verdict.steps) == ("unsat", steps)
-              and not auditor.violations)
+        ok = ((verdict.status, verdict.steps, len(auditor.skipped))
+              == ("unsat", steps, skipped) and not auditor.violations)
         failed += not ok
         print(f"{name} audited: {verdict.status} in {verdict.steps} steps, "
               f"{took:.2f} s, {len(auditor.violations)} violations, "
               f"{len(auditor.skipped)} skipped {'ok' if ok else 'MISMATCH'}")
         if not ok:
-            print(f"  expected unsat in {steps} steps with no violation; "
-                  f"first violations: {auditor.violations[:3]}")
+            print(f"  expected unsat in {steps} steps with no violation and "
+                  f"{skipped} skipped; first violations: "
+                  f"{auditor.violations[:3]}")
     for nk, sha in RUNGS:
         sig, clauses = gen_benchmark(*nk)
         start = time.perf_counter()

@@ -90,7 +90,7 @@ def test_a_false_instance_under_the_backjump_prefix_is_flagged():
 
 
 def test_checks_over_a_universe_too_big_are_skipped():
-    # P/3 over four constants: 64 atoms, over both ceilings (36 and 60)
+    # P/3 over four constants: 64 atoms, over the atom cap of 60
     sig = Signature({"P": 3}, ("a", "b", "c", "d"))
     unit = (Lit(False, "P", (X, X, X)),)
     got = _learn(sig, [unit], [unit], (Lit(False, "P", (a, a, a)),))

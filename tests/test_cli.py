@@ -121,6 +121,27 @@ def test_check_mode_verifies_a_sat_model_once(monkeypatch, capsys):
     assert "check: model fails on" in captured.err
 
 
+def test_check_mode_grounds_the_input_once(monkeypatch, capsys):
+    """The oracle reads the audit's grounding of the input: a `--check`
+    replay of `ex33` calls `ground_problem` once for the input and once per
+    learned clause for the pool, wherever `audit` and `cli` bind it."""
+    calls = []
+    real = audit.ground_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (audit, cli):
+        if hasattr(mod, "ground_problem"):
+            monkeypatch.setattr(mod, "ground_problem", counted)
+    assert main(["--input", os.path.join(DATA, "ex33.p"),
+                 "--script", os.path.join(DATA, "ex33.dec"), "--check"]) == 10
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdict_oracle"] == "sat"
+    assert len(calls) == 1 + record["learned"] == 3
+
+
 def test_check_mode_over_the_oracle_ceiling_skips_the_oracle(tmp_path, capsys):
     # 8 constants: P/2 and Q/1 have 72 ground atoms, over the oracle's 60
     p = tmp_path / "p.p"

@@ -10,7 +10,6 @@ from eprsat.audit import Auditor
 from eprsat.constrained import CLit, cover
 from eprsat.constraints import TOP, conj
 from eprsat.oracle import (
-    REDUNDANCY_ATOM_CAP,
     GenParams,
     GroundProblem,
     OracleCeiling,
@@ -83,7 +82,15 @@ def test_ground_problem_empty():
 def test_ground_problem_ceiling():
     sig = Signature({"P": 4}, ("a", "b", "c"))
     with pytest.raises(OracleCeiling):
-        ground_problem(sig, [], ceiling=24)
+        ground_problem(sig, [])
+
+
+def test_brute_sat_refuses_an_uncapped_problem_over_the_cap():
+    # `verify_model` builds its `GroundProblem` with no ceiling; DPLL still
+    # refuses a universe over its cap (81 atoms)
+    gp = GroundProblem(Signature({"P": 4}, ("a", "b", "c")), None)
+    with pytest.raises(OracleCeiling, match="81 atoms exceed"):
+        brute_sat(gp)
 
 
 def test_brute_sat_trivial():
@@ -335,8 +342,8 @@ def _kernel_inputs():
 
 def test_instances_enumerate_the_rows_of_their_columns():
     """`GroundProblem.instances` gives the per-assignment kernel's keys in
-    its order, repeats included, and `ground_problem` the same `_keys` and
-    `clauses`, on every input of `_kernel_inputs`."""
+    its order, repeats included, and `add` the same `_keys` and `clauses`,
+    on every input of `_kernel_inputs` (up to 650 atoms, so uncapped)."""
     repeats = 0
     for sig, clauses in _kernel_inputs():
         gp = GroundProblem(sig, ceiling=None)
@@ -344,10 +351,10 @@ def test_instances_enumerate_the_rows_of_their_columns():
             got = list(gp.instances(c))
             assert got == list(_per_assignment_instances(gp, c)), c
             repeats += len(got) - len(set(got))
-        got, want = ground_problem(sig, clauses, ceiling=None), \
-            _per_assignment_ground_problem(sig, clauses)
-        assert list(got._keys) == list(want._keys)
-        assert got.clauses == want.clauses
+            gp.add(c)
+        want = _per_assignment_ground_problem(sig, clauses)
+        assert list(gp._keys) == list(want._keys)
+        assert gp.clauses == want.clauses
     assert repeats > 100, repeats
 
 
@@ -400,7 +407,7 @@ def _tiny_ordering():
 
 
 def _pool(sig, clauses):
-    return ground_problem(sig, clauses, ceiling=REDUNDANCY_ATOM_CAP)
+    return ground_problem(sig, clauses)
 
 
 def test_check_nonredundant_fresh_empty_clause():

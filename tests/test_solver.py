@@ -279,12 +279,17 @@ def test_missed_keep_leaf_propagates_at_its_level():
 
 def test_audited_arity_3_run_that_missed_a_propagation():
     # at a missed propagation this run learned a redundant clause and the
-    # audit reported a conflict instance with one top-level literal
+    # audit reported a conflict instance with one top-level literal.  Its
+    # universe has 54 atoms: under the one DPLL cap of 60, every learning
+    # check runs, and on the code that missed the propagation the
+    # non-redundancy check flags p1(X,X,Y) | p1(Y,a,b) | ~p1(Z,a,U), which
+    # a second cap of 36 atoms hid
     sig, clauses = gen_random_instance(GenParams(
         n_preds=2, max_arity=3, domain_size=3, n_clauses=14, max_lits=4, seed=1180))
     auditor = Auditor(sig, clauses)
     Solver(sig, clauses, RunConfig(seed=3), auditor=auditor).solve()
     assert auditor.violations == []
+    assert auditor.skipped == []
 
 
 # ---------------------------------------------------------------------------
