@@ -173,7 +173,7 @@ class Auditor:
         entry = solver.trail.entries[-1] if solver.trail.entries else None
         if entry is not None and entry.is_decision and learned != ():
             if not assertive:
-                wit = is_blocked(solver.trail.entries[:-1], entry.lit, entry.pi,
+                wit = is_blocked(solver.trail, entry.pos, entry.lit, entry.pi,
                                  [learned], solver.n)
                 if wit is None:
                     self._flag("case-(3) clause does not block the removed decision")
@@ -215,7 +215,7 @@ class Auditor:
                 self._flag(f"strong consistency broken: entries "
                            f"{other.pos} and {e.pos}")
         if e.is_decision:
-            if is_blocked(trail.entries[:e.pos], e.lit, e.pi, solver.pool,
+            if is_blocked(trail, e.pos, e.lit, e.pi, solver.pool,
                           n) is not None:
                 self._flag(f"decision at {e.pos} is blocked w.r.t. the "
                            f"current clause sets")

@@ -285,7 +285,10 @@ def diff_apart(lit: Lit, pieces: Iterable[tuple[Subst, Constraint]],
     is not renamed and leaves the piece as it is, its sigma the same object.
     The sources are folded in one at a time, left to right, so subtracting
     a list in two parts, the first part's pieces passed on as the starting
-    pieces of the second, gives the same pieces in the same order."""
+    pieces of the second, gives the same pieces in the same order.  Every
+    piece is an instance of a starting piece, so a source whose atom unifies
+    with no starting piece changes nothing: the sources may be any superset,
+    kept in order, of those that unify with one."""
     # each piece carries its instance lit*sigma, made once per piece
     work = [(s, p, apply_lit(lit, s)) for s, p in pieces if not p.is_bot]
     for src, src_pi in sources:

@@ -13,11 +13,11 @@ right-hand-side disjoint), and it renames nothing that cannot unify.
 
 The sources are a trail prefix, so an entry's position is its index, and
 the search keeps no other bookkeeping.  Each literal is offered only the
-entries that hold, at each of its constant arguments, that constant or a
-variable: an argument index built lazily per call (Sekar, Ramakrishnan &
-Voronkov, *Term Indexing*).  Any other entry fails `meet` before it is
-renamed, so the leaves are those of offering every entry of the literal's
-(predicate, sign).
+entries that hold, at its most selective constant argument, that constant
+or a variable: a list of the trail's own argument index (`Trail.offered`),
+cut at the prefix length, so no call scans or buckets its sources.  Any
+other entry fails `meet` before it is renamed, so the leaves are those of
+offering every entry of the literal's (predicate, sign).
 
 The search is a planned join.  A derivation that must use the newest entry
 is found as the semi-naive delta (Bancilhon & Ramakrishnan, SIGMOD 1986):
@@ -88,44 +88,38 @@ class DTuple:
 
 def find_candidates(
     clause: Clause,
-    sources: list[TrailEntry],
+    trail: Trail,
     keep_limit: int,
+    upto: Optional[int] = None,
     newest_pos: Optional[int] = None,
+    extra: Optional[TrailEntry] = None,
 ) -> list[DTuple]:
-    """All derivation tuples for `clause` against `sources` with at most
-    `keep_limit` literals left, in the order of the search that visits
-    positions in clause order and sources in trail order, keeping a
+    """All derivation tuples for `clause` against the first `upto` entries
+    of `trail` (default: all), then `extra` if given, at position `upto`,
+    with at most `keep_limit` literals left, in the order of the search that
+    visits positions in clause order and sources in trail order, keeping a
     position last.
 
-    `sources` is a trail prefix: the entry at position i is `sources[i]`.
     With `newest_pos`, only derivations that use that entry are returned:
     one search per position p whose literal can unify with it, which
     resolves p against it alone and first, lets no position before p use it,
     and lets the positions after p use any source.  So each such derivation
     is found once, by the search of the first position that uses the entry.
     """
-    by_pred: dict[tuple[str, bool], list[TrailEntry]] = {}
-    for e in sources:
-        by_pred.setdefault((e.lit.pred, e.lit.neg), []).append(e)
-    # (predicate, sign, argument position j, constant c) -> the bucket's
-    # entries holding c or a variable at j, in bucket order; built lazily
-    by_arg: dict[tuple[str, bool, int, int], list[TrailEntry]] = {}
+    entries = trail.entries
+    end = len(entries) if upto is None else upto
+
+    def source(pos: int) -> TrailEntry:
+        return extra if pos == end else entries[pos]
 
     def compatible(lit: Lit) -> list[TrailEntry]:
         # `lit` is a clause literal under the node's sigma; an entry clashing
         # with one of its constants would fail `meet` before any renaming
-        whole = best = by_pred.get((lit.pred, not lit.neg), [])
-        for j, c in enumerate(lit.args):
-            if c < 0:
-                continue
-            key = (lit.pred, not lit.neg, j, c)
-            got = by_arg.get(key)
-            if got is None:
-                got = by_arg[key] = [e for e in whole
-                                     if e.lit.args[j] == c or e.lit.args[j] < 0]
-            if len(got) < len(best):
-                best = got
-        return best
+        got = trail.offered(lit.pred, not lit.neg, lit.args, end)
+        if (extra is not None and extra.lit.pred == lit.pred
+                and extra.lit.neg != lit.neg):
+            return got + [extra]
+        return got
 
     width = len(clause)
     lit_vs = [set(args_vars(lit.args)) for lit in clause]
@@ -151,7 +145,7 @@ def find_candidates(
         # the order of resolution
         sigma, pi = {}, TOP
         for p, src_pos in used:
-            src = sources[src_pos]
+            src = source(src_pos)
             got = meet(apply_lit(clause[p], sigma), pi, src.lit, src.pi)
             assert got is not None, "a leaf's resolutions fail in clause order"
             sigma, pi = compose(sigma, got[0]), got[1]
@@ -160,9 +154,9 @@ def find_candidates(
     def rec(order: list[int], i: int, barred: int, kept: list[int],
             sigma: Subst, pi: Constraint, used: list[tuple[int, int]]) -> None:
         if i == width:
-            # each position's source, "keep" (len(sources)) last:
+            # each position's source, "keep" (past every source) last:
             # sorting on it gives the leaf order of the clause-order search
-            choice = [len(sources)] * width
+            choice = [end + 1] * width
             for p, src_pos in used:
                 choice[p] = src_pos
             in_order = sorted(used)
@@ -191,7 +185,7 @@ def find_candidates(
     if newest_pos is None:
         rec(join_order(None), 0, 0, [], {}, TOP, [])
     else:
-        newest = sources[newest_pos]
+        newest = source(newest_pos)
         for p, lit in enumerate(clause):
             if lit.pred != newest.lit.pred or lit.neg == newest.lit.neg:
                 continue
@@ -208,7 +202,7 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
     top = trail.level
     entries = trail.entries
     pi = rename_rhs_fresh(pi)
-    for leaf in find_candidates(apply_clause(clause, sigma), entries, keep_limit=0):
+    for leaf in find_candidates(apply_clause(clause, sigma), trail, keep_limit=0):
         if sum(1 for _, src in leaf.used if entries[src].level == top) != 1:
             continue
         if not no_instances(conjoin(instantiate(pi, leaf.sigma), leaf.pi), trail.n):
@@ -220,7 +214,8 @@ def is_assertive(trail: Trail, clause: Clause, sigma: Subst, pi: Constraint) -> 
 # blocked decisions
 
 def is_blocked(
-    entries: list[TrailEntry],
+    trail: Trail,
+    upto: int,
     d_lit: Lit,
     d_pi: Constraint,
     pool: list[Clause],
@@ -228,22 +223,24 @@ def is_blocked(
 ) -> Optional[tuple[int, Clause, Lit, Lit]]:
     """Witness (clause index, ground instance, L1, L2) or None.
 
-    The decision must already be undefined under the trail prefix `entries`
-    (caller contract); it is searched as one more entry after them.
+    The decision must already be undefined under the first `upto` entries
+    of `trail` (caller contract); it is searched as one more entry after
+    them, at position `upto`.
     A clause blocks the decision when some ground instance becomes false
     with two distinct literals falsified by the decision alone.
     """
     # decisions covering a single ground atom are never blocked
     if cover_size(d_lit, d_pi, n) <= 1:
         return None
-    decision = TrailEntry(d_lit, d_pi, 0, len(entries))
+    decision = TrailEntry(d_lit, d_pi, 0, upto)
 
     for ci, clause in enumerate(pool):
         hits = [p for p, l in enumerate(clause)
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        for leaf in find_candidates(clause, entries + [decision], keep_limit=0):
+        for leaf in find_candidates(clause, trail, keep_limit=0, upto=upto,
+                                    extra=decision):
             d_positions = [p for p, src in leaf.used if src == decision.pos]
             if len(d_positions) < 2:
                 continue

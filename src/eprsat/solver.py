@@ -19,9 +19,11 @@ reads a conflict off a queued candidate that the new entry falsifies, the
 first in queue order among those of the complementary shape.
 `_undefined_pieces` is the one trail difference, for Propagate, the backjump
 level, `full_scan` and the decisions; it yields only the pieces with an
-instance.  The lifted steps live in `constrained`; a resolution step unifies
-each conflict literal with the rightmost entry once (`_entry_unifiers`) for
-Resolve and Factorize, which share a closure step.
+instance, and subtracts only the entries the trail's argument index offers
+its starting pieces (`Trail.unifiable`), since the others clash with every
+piece the difference makes.  The lifted steps live in `constrained`; a
+resolution step unifies each conflict literal with the rightmost entry once
+(`_entry_unifiers`) for Resolve and Factorize, which share a closure step.
 
 Between two decisions the trail only grows or is cut back, so the
 decisions carry their trail difference across calls (`_decision_pieces`).
@@ -88,6 +90,7 @@ from .syntax import (
     Lit,
     Signature,
     Subst,
+    apply_args,
     apply_clause,
     apply_lit,
     apply_term,
@@ -417,15 +420,27 @@ class Solver:
         """The non-empty pieces (sigma', pi') of `lit`, in `diff_apart`'s
         order, left of the non-empty `pieces` by the entries of its predicate
         at positions start <= pos < upto.  The difference is taken at the
-        call, emptiness lazily."""
-        sources = [(e.lit, e.pi) for e in self.trail.for_pred(lit.pred)
-                   if start <= e.pos and (upto is None or e.pos < upto)]
+        call, emptiness lazily.
+
+        `diff_apart` is handed only the entries, of either sign, that the
+        trail's argument index offers one of the starting pieces, in trail
+        order.  Every piece the fold makes is an instance of a starting
+        piece, so an entry that clashes with each of them clashes with all
+        their pieces: it would leave each piece as it is and be renamed
+        never, so leaving it out changes neither the pieces nor the fresh
+        variables."""
+        trail = self.trail
+        sources = [(e.lit, e.pi) for e in trail.unifiable(
+            lit.pred, [apply_args(lit.args, s) if s else lit.args
+                       for s, _ in pieces], start,
+            len(trail) if upto is None else upto)]
         return ((s, p) for s, p in diff_apart(lit, pieces, sources)
                 if not no_instances(p, self.n))
 
-    def _derive(self, ci: int, clause: Clause, sources: list[TrailEntry],
+    def _derive(self, ci: int, clause: Clause, upto: Optional[int] = None,
                 newest_pos: Optional[int] = None):
-        """The one derivation path: resolve `clause` against `sources`.
+        """The one derivation path: resolve `clause` against the first `upto`
+        trail entries (default: all).
 
         Yields, in leaf order, a ConflictSet for every leaf with no literal
         left and a ground instance, and the PropCands (free variables
@@ -433,8 +448,8 @@ class Solver:
         queue priority, is positive.  With `newest_pos`, only derivations
         that use that entry.  `ci` is the clause's pool index.
         """
-        for leaf in find_candidates(clause, sources, newest_pos=newest_pos,
-                                    keep_limit=1):
+        for leaf in find_candidates(clause, self.trail, keep_limit=1, upto=upto,
+                                    newest_pos=newest_pos):
             if not leaf.remaining:
                 if not no_instances(leaf.pi, self.n):
                     yield ConflictSet(clause, restrict(leaf.sigma, clause_vars(clause)),
@@ -470,8 +485,7 @@ class Solver:
             return False
         # derived consequences: every clause touching the new entry
         for ci in self._clauses_by_shape.get((pred, neg), []):
-            for got in self._derive(ci, self.pool[ci], self.trail.entries,
-                                    newest_pos=entry.pos):
+            for got in self._derive(ci, self.pool[ci], newest_pos=entry.pos):
                 if isinstance(got, ConflictSet):
                     self.rule_conflict(got)
                     return False
@@ -481,7 +495,7 @@ class Solver:
     def _reseed_full(self) -> None:
         # queue every clause's candidates; a conflict leaf is not acted on
         for ci, clause in enumerate(self.pool):
-            for got in self._derive(ci, clause, self.trail.entries):
+            for got in self._derive(ci, clause):
                 if isinstance(got, PropCand):
                     self._enqueue(got)
 
@@ -489,7 +503,7 @@ class Solver:
         """The first conflict set, or candidate with an undefined piece, of
         any pool clause against the trail.  A query; it enqueues nothing."""
         return next((got for ci, clause in enumerate(self.pool)
-                     for got in self._derive(ci, clause, self.trail.entries)
+                     for got in self._derive(ci, clause)
                      if isinstance(got, ConflictSet) or any(self._undefined_pieces(
                          got.lit, [({}, got.pi)]))), None)
 
@@ -533,7 +547,7 @@ class Solver:
             raise RuleRejected("empty decision")
         if not self._is_undefined(lit, pi):
             raise RuleRejected("decision covers a defined atom")
-        wit = is_blocked(self.trail.entries, lit, pi, self.pool, self.n)
+        wit = is_blocked(self.trail, len(self.trail), lit, pi, self.pool, self.n)
         if wit is not None:
             raise RuleRejected(f"decision blocked by clause C{wit[0] + 1}")
         if not self._occurs_in_input(lit):
@@ -551,8 +565,8 @@ class Solver:
         """
         work = list(pieces)
         split = False
-        while (wit := is_blocked(self.trail.entries, *work[0], self.pool,
-                                 self.n)) is not None:
+        while (wit := is_blocked(self.trail, len(self.trail), *work[0],
+                                 self.pool, self.n)) is not None:
             d_lit, d_pi = work[0]
             _, _, l1, l2 = wit
             # l1 and l2 are distinct ground instances of d_lit: they bind
@@ -685,7 +699,7 @@ class Solver:
         assert k >= 1, "backjump level computed only above level 0"
         for j in range(k):
             plen = self.trail.level_prefix_len(j)
-            cands = list(self._derive(ci, learned, self.trail.entries[:plen]))
+            cands = list(self._derive(ci, learned, upto=plen))
             assert all(isinstance(c, PropCand) for c in cands), (
                 "a learned clause is false below its conflict level")
             if any(any(self._undefined_pieces(c.lit, [({}, c.pi)], upto=plen))

@@ -14,6 +14,15 @@ positions, so `level` is their count and `level_prefix_len(j)` the position
 of decision j+1.  The solver gives the k-th decision level k, which the
 audit re-checks.
 
+The trail owns one argument index (Sekar, Ramakrishnan & Voronkov, *Term
+Indexing*, 2001), which `push` and `pop` (so `truncate`) keep: each
+(predicate, sign) and each (predicate, sign, argument position j,
+constant c) lists its entries in trail order, and the entries with a
+variable at j share one list per (predicate, sign, j), not one copy per
+constant.  `offered` reads it for the derivation join and `unifiable` for
+the trail difference; an entry that either leaves out clashes with a
+constant of the asked arguments, so unifies with no instance of them.
+
 `Trail.defining_entry` is memoized per ground atom: the memo holds the first
 covering entry of the whole trail, and `push` and `pop` (so `truncate` too)
 clear it.  A query over the first `upto` entries reads the same answer when
@@ -25,7 +34,9 @@ a solve with no audit the memo stays empty and each clear is one truth test.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .constraints import Constraint, lvars, violates
@@ -58,13 +69,30 @@ class TrailEntry:
         return self.reason is None
 
 
+_POS = attrgetter("pos")
+
+
+def _below(entries: list[TrailEntry], end: int) -> list[TrailEntry]:
+    """The entries of a trail-order list at positions below `end`; the list
+    itself when all are."""
+    if not entries or entries[-1].pos < end:
+        return entries
+    return entries[:bisect_left(entries, end, key=_POS)]
+
+
 class Trail:
-    """Single-owner mutable sequence of entries with per-predicate buckets."""
+    """Single-owner mutable sequence of entries with per-predicate buckets
+    and an argument index (see the module docstring)."""
 
     def __init__(self, n: int):
         self.n = n                    # domain size
         self.entries: list[TrailEntry] = []
         self._buckets: dict[str, list[TrailEntry]] = {}
+        # (pred, neg), (pred, neg, j) and (pred, neg, j, c) -> entries
+        self._index: dict[tuple, list[TrailEntry]] = {}
+        self._keys: list[list[tuple]] = []    # each entry's index keys
+        # (pred, neg, end) and (pred, neg, j, c, end) -> `offered`'s lists
+        self._offers: dict[tuple, list[TrailEntry]] = {}
         self._decisions: list[int] = []   # the decisions' positions, in order
         # ground atom -> its first covering entry on the whole trail
         self._defs: dict[Lit, Optional[TrailEntry]] = {}
@@ -85,19 +113,31 @@ class Trail:
                              f"of {len(self.entries)} entries")
         self.entries.append(entry)
         self._buckets.setdefault(entry.lit.pred, []).append(entry)
+        keys = _index_keys(entry.lit)
+        self._keys.append(keys)
+        index = self._index
+        for key in keys:
+            index.setdefault(key, []).append(entry)
         if entry.is_decision:
             self._decisions.append(entry.pos)
         if self._defs:
             self._defs.clear()
+        if self._offers:
+            self._offers.clear()
 
     def pop(self) -> TrailEntry:
         e = self.entries.pop()
-        # the trail's last entry is the last of its bucket
+        # the trail's last entry is the last of its bucket and index lists
         self._buckets[e.lit.pred].pop()
+        index = self._index
+        for key in self._keys.pop():
+            index[key].pop()
         if e.is_decision:
             self._decisions.pop()
         if self._defs:
             self._defs.clear()
+        if self._offers:
+            self._offers.clear()
         return e
 
     def truncate(self, length: int) -> None:
@@ -108,6 +148,83 @@ class Trail:
         """Entries up to (excluding) the first decision above `lvl`."""
         return (self._decisions[lvl] if lvl < len(self._decisions)
                 else len(self.entries))
+
+    def offered(self, pred: str, neg: bool, args: tuple[int, ...],
+                end: int) -> list[TrailEntry]:
+        """The entries of (pred, neg) at positions below `end` that hold, at
+        one constant of `args`, that constant or a variable, in trail order:
+        the shortest such list over the constant positions, else every entry
+        of (pred, neg), which is not copied.  Memoized per (position,
+        constant) until the next push or pop."""
+        memo = self._offers
+        whole = memo.get((pred, neg, end))
+        if whole is None:
+            whole = memo[pred, neg, end] = _below(
+                self._index.get((pred, neg), []), end)
+        best = whole
+        for j, c in enumerate(args):
+            if c < 0:
+                continue
+            got = memo.get((pred, neg, j, c, end))
+            if got is None:
+                got = memo[pred, neg, j, c, end] = self._holding(
+                    whole, (pred, neg, j), c, end)
+            if len(got) < len(best):
+                best = got
+        return best
+
+    def unifiable(self, pred: str, arg_tuples: list[tuple[int, ...]],
+                  start: int, end: int) -> list[TrailEntry]:
+        """The entries of `pred`, of either sign, at positions start <= pos
+        < end that hold, for one of the `arg_tuples`, that tuple's constant
+        or a variable at its most selective constant position, in trail
+        order; the predicate's bucket, not merged, when a tuple has no
+        constant that leaves an entry out."""
+        bucket = self._buckets.get(pred)
+        if not bucket:
+            return []
+        cut = end < len(self.entries)
+        if cut:
+            bucket = _below(bucket, end)
+        index = self._index
+        found: list[TrailEntry] = []
+        for args in arg_tuples:
+            best, lists = len(bucket), None
+            for j, c in enumerate(args):
+                if c < 0:
+                    continue
+                got = [entries for entries in (
+                    index.get((pred, False, j, c)), index.get((pred, False, j)),
+                    index.get((pred, True, j, c)), index.get((pred, True, j)))
+                    if entries]
+                if cut:
+                    got = [_below(entries, end) for entries in got]
+                size = sum(map(len, got))
+                if size < best:
+                    best, lists = size, got
+            if lists is None:
+                found = bucket
+                break
+            for entries in lists:
+                found += entries
+        else:
+            if len(arg_tuples) > 1:
+                found = list({e.pos: e for e in found}.values())
+            found.sort(key=_POS)
+        return found[bisect_left(found, start, key=_POS):] if start else found
+
+    def _holding(self, whole: list[TrailEntry], key: tuple, c: int,
+                 end: int) -> list[TrailEntry]:
+        # the entries of `whole` with `c` or a variable at key's position:
+        # `whole` itself when that is all of them, else its constant list
+        # merged in trail order with its variable list
+        const = _below(self._index.get((*key, c), []), end)
+        var = _below(self._index.get(key, []), end)
+        if len(const) + len(var) == len(whole):
+            return whole
+        if const and var:
+            return sorted(const + var, key=_POS)
+        return const or var
 
     # -- truth values -------------------------------------------------------
 
@@ -125,6 +242,15 @@ class Trail:
         if e is None:
             return UNDEF
         return TRUE if e.lit.neg == lit.neg else FALSE
+
+
+def _index_keys(lit: Lit) -> list[tuple]:
+    """The argument index's keys of an entry with literal `lit`."""
+    pred, neg = lit.pred, lit.neg
+    keys = [(pred, neg)]
+    for j, c in enumerate(lit.args):
+        keys.append((pred, neg, j, c) if c >= 0 else (pred, neg, j))
+    return keys
 
 
 def _defining(entries: Iterable[TrailEntry], atom: Lit) -> Optional[TrailEntry]:

@@ -21,7 +21,7 @@ def test_propagation_example_from_three_entry_trail():
     # clause: P(y,b) | ~Q(x,y) | R(y)
     cx, cy = var_code(100), var_code(101)
     clause = (L(False, "P", cy, b), L(True, "Q", cx, cy), L(False, "R", cy))
-    leaves = find_candidates(clause, list(tr.entries), keep_limit=1)
+    leaves = find_candidates(clause, tr, keep_limit=1)
     units = [lf for lf in leaves if len(lf.remaining) == 1]
     assert len(units) == 1
     lf = units[0]
@@ -42,7 +42,7 @@ def test_keep_leaf_whose_literal_meets_only_an_empty_instance():
     tr.push(TrailEntry(L(True, "A", z), conj([((z,), (a,))]), 2, 1))
     cx = var_code(100)
     clause = (L(False, "A", cx), L(False, "L", cx))
-    leaves = find_candidates(clause, list(tr.entries), keep_limit=1)
+    leaves = find_candidates(clause, tr, keep_limit=1)
     assert [(lf.remaining, lf.used) for lf in leaves] == [
         ((), ((0, 1), (1, 0))), ((1,), ((0, 1),)), ((0,), ((1, 0),))]
     assert leaves[1].pi.subs == (((cx,), (a,)),)
@@ -50,7 +50,7 @@ def test_keep_leaf_whose_literal_meets_only_an_empty_instance():
 
 def test_unit_clause_is_its_own_candidate():
     clause = (L(False, "P", x),)
-    leaves = find_candidates(clause, [], keep_limit=1)
+    leaves = find_candidates(clause, Trail(2), keep_limit=1)
     assert len(leaves) == 1 and leaves[0].remaining == (0,)
     assert leaves[0].pi.is_top and leaves[0].sigma == {}
 
@@ -59,7 +59,7 @@ def test_unrelated_clause_keeps_initial_tuple():
     tr = Trail(2)
     tr.push(TrailEntry(L(False, "Q", x), TOP, 0, 0, reason=0))
     clause = (L(False, "P", y), L(False, "R", y))
-    leaves = find_candidates(clause, list(tr.entries), keep_limit=len(clause))
+    leaves = find_candidates(clause, tr, keep_limit=len(clause))
     assert len(leaves) == 1
     assert leaves[0].remaining == (0, 1)
 
@@ -70,14 +70,14 @@ def test_need_newest_filters_derivations():
     tr.push(TrailEntry(L(True, "Q", x), TOP, 0, 1, reason=1))
     clause = (L(False, "P", y),)
     # newest entry is the Q one; the P unit derivation never touches it
-    leaves = find_candidates(clause, list(tr.entries), newest_pos=1,
+    leaves = find_candidates(clause, tr, newest_pos=1,
                              keep_limit=0)
     assert leaves == []
-    leaves = find_candidates(clause, list(tr.entries), newest_pos=0,
+    leaves = find_candidates(clause, tr, newest_pos=0,
                              keep_limit=0)
     assert len(leaves) == 1 and leaves[0].used == ((0, 0),)
     # without newest_pos every derivation counts
-    leaves = find_candidates(clause, list(tr.entries), keep_limit=0)
+    leaves = find_candidates(clause, tr, keep_limit=0)
     assert len(leaves) == 1
 
 
@@ -89,14 +89,14 @@ def test_is_blocked_two_distinct_falsified_instances():
     clause = (L(True, "P", cx), L(True, "P", cy), L(False, "Q", cx, cy))
     pool = [clause]
     dx = var_code(200)
-    wit = is_blocked(tr.entries, L(False, "P", dx), TOP, pool, 3)
+    wit = is_blocked(tr, len(tr), L(False, "P", dx), TOP, pool, 3)
     assert wit is not None
     ci, inst, l1, l2 = wit
     assert ci == 0
     assert inst == (L(True, "P", a), L(True, "P", b), L(False, "Q", a, b))
     assert {l1, l2} == {L(True, "P", a), L(True, "P", b)}
     # the constrained variant (P(x); x != c) is blocked by the same instance
-    wit2 = is_blocked(tr.entries, L(False, "P", dx), conj([((dx,), (c,))]), pool, 3)
+    wit2 = is_blocked(tr, len(tr), L(False, "P", dx), conj([((dx,), (c,))]), pool, 3)
     assert wit2 is not None and wit2[1] == inst
 
 
@@ -105,7 +105,7 @@ def test_single_atom_decisions_never_blocked():
     tr.push(TrailEntry(L(True, "Q", x, y), TOP, 1, 0))
     cx, cy = var_code(100), var_code(101)
     pool = [(L(True, "P", cx), L(True, "P", cy), L(False, "Q", cx, cy))]
-    wit = is_blocked(tr.entries, L(False, "P", a), TOP, pool, 3)
+    wit = is_blocked(tr, len(tr), L(False, "P", a), TOP, pool, 3)
     assert wit is None
 
 
@@ -117,7 +117,7 @@ def test_duplicate_literal_clause_does_not_block():
     cx, cy = var_code(100), var_code(101)
     clause = (L(True, "Q", cx, cy), L(False, "P", cx, cy), L(False, "P", cx, cy))
     dx, dy = var_code(200), var_code(201)
-    wit = is_blocked(tr.entries, L(True, "P", dx, dy),
+    wit = is_blocked(tr, len(tr), L(True, "P", dx, dy),
                      conj([((dx, dy), (v, v))]), [clause], 3)
     assert wit is None
 
@@ -131,11 +131,11 @@ def test_is_blocked_needs_two_distinct_decision_instances():
     # decision literals are one instance, so nothing blocks
     tr = Trail(2)
     tr.push(TrailEntry(L(True, "Q", z, z), TOP, 1, 0))
-    assert is_blocked(tr.entries, L(False, "P", dw), TOP, pool, 2) is None
+    assert is_blocked(tr, len(tr), L(False, "P", dw), TOP, pool, 2) is None
     # under (~Q(z,u); TOP) the instance with x = a, y = b blocks
     tr = Trail(2)
     tr.push(TrailEntry(L(True, "Q", z, u), TOP, 1, 0))
-    wit = is_blocked(tr.entries, L(False, "P", dw), TOP, pool, 2)
+    wit = is_blocked(tr, len(tr), L(False, "P", dw), TOP, pool, 2)
     assert wit is not None
     assert wit[1] == (L(True, "P", a), L(True, "P", b), L(False, "Q", a, b))
     # over {a,b,c} with (P(a); TOP) on the trail, the leaves resolving one
@@ -144,7 +144,7 @@ def test_is_blocked_needs_two_distinct_decision_instances():
     tr = Trail(3)
     tr.push(TrailEntry(L(False, "P", a), TOP, 0, 0, reason=0))
     tr.push(TrailEntry(L(True, "Q", z, u), TOP, 0, 1, reason=0))
-    wit = is_blocked(tr.entries, L(False, "P", dw), conj([((dw,), (a,))]),
+    wit = is_blocked(tr, len(tr), L(False, "P", dw), conj([((dw,), (a,))]),
                      pool, 3)
     assert wit is not None
     assert wit[1] == (L(True, "P", b), L(True, "P", c), L(False, "Q", b, c))

@@ -30,7 +30,8 @@ every caller to hand `find_candidates` a trail prefix, and the queue clash
 scan, filtered by shape, to find the conflict the whole-queue scan finds.
 Last, every candidate `_derive` yields carries its literal and its positive
 cover size, every `_undefined_pieces` call returns the filtered trail
-difference, and a ladder solve asks emptiness at most three times.
+difference, a ladder solve asks emptiness at most three times, and its
+trail differences try only the sources the trail's argument index offers.
 """
 import itertools
 import os
@@ -189,7 +190,7 @@ def _ground_falsifiable(clause, sources, n):
     return search(0, {})
 
 
-def _ground_is_blocked(entries, d_lit, d_pi, pool, n):
+def _ground_is_blocked(tr, upto, d_lit, d_pi, pool, n):
     """The enumerating decision-blocking test the solver used to run."""
     if len(cover(d_lit.atom, d_pi, n)) <= 1:
         return None
@@ -198,8 +199,9 @@ def _ground_is_blocked(entries, d_lit, d_pi, pool, n):
                 if l.pred == d_lit.pred and l.neg != d_lit.neg]
         if len(hits) < 2:
             continue
-        decision = trail.TrailEntry(d_lit, d_pi, 0, len(entries))
-        for leaf in find_candidates(clause, entries + [decision], keep_limit=0):
+        decision = trail.TrailEntry(d_lit, d_pi, 0, upto)
+        for leaf in find_candidates(clause, tr, keep_limit=0, upto=upto,
+                                    extra=decision):
             d_positions = [p for p, src in leaf.used if src == decision.pos]
             if len(d_positions) < 2:
                 continue
@@ -245,11 +247,11 @@ class _Referee:
                     self.mismatches.append(("falsifiable", learned, j))
             return real_level(solver, learned)
 
-        def is_blocked(entries, d_lit, d_pi, pool, n):
-            got = derive.is_blocked(entries, d_lit, d_pi, pool, n)
+        def is_blocked(tr, upto, d_lit, d_pi, pool, n):
+            got = derive.is_blocked(tr, upto, d_lit, d_pi, pool, n)
             self.calls["blocked"] += 1
             self.calls["witness"] += got is not None
-            if got != _ground_is_blocked(entries, d_lit, d_pi, pool, n):
+            if got != _ground_is_blocked(tr, upto, d_lit, d_pi, pool, n):
                 self.mismatches.append(("is_blocked", d_lit, got))
             return got
 
@@ -547,10 +549,12 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
     def shape(leaves):
         return [(leaf.remaining, leaf.used) for leaf in leaves]
 
-    def referee(clause, sources, keep_limit, newest_pos=None):
-        got = real(clause, sources, keep_limit, newest_pos=newest_pos)
+    def referee(clause, tr, keep_limit, upto=None, newest_pos=None, extra=None):
+        got = real(clause, tr, keep_limit, upto=upto, newest_pos=newest_pos,
+                   extra=extra)
         if newest_pos is not None:
-            want = [leaf for leaf in real(clause, sources, keep_limit=keep_limit)
+            want = [leaf for leaf in real(clause, tr, keep_limit, upto=upto,
+                                          extra=extra)
                     if any(src == newest_pos for _, src in leaf.used)]
             seen["calls"] += 1
             seen["leaves"] += len(got)
@@ -566,11 +570,13 @@ def test_newest_entry_cut_keeps_every_leaf(monkeypatch):
     assert seen["leaves"] > 100, seen
 
 
-def _bucket_search(clause, sources, keep_limit, newest_pos=None):
+def _bucket_search(clause, tr, keep_limit, upto=None, newest_pos=None,
+                   extra=None):
     """The search `find_candidates` plans, made in clause order without the
     argument index: each position is offered every source of its
     (predicate, sign) bucket, and a search that must use the newest entry
     is cut once no unresolved literal can unify with it."""
+    sources = tr.entries[:upto] + ([] if extra is None else [extra])
     pool = [(e.pos, e.lit, e.pi) for e in sources]
     by_pred = {}
     for src in pool:
@@ -645,8 +651,8 @@ def test_argument_index_keeps_every_leaf(monkeypatch):
         seen["meets"] += 1
         return real_meet(*args)
 
-    def referee(clause, sources, keep_limit, newest_pos=None):
-        args = (clause, sources, keep_limit, newest_pos)
+    def referee(clause, tr, keep_limit, upto=None, newest_pos=None, extra=None):
+        args = (clause, tr, keep_limit, upto, newest_pos, extra)
         before = seen["meets"]
         got = real(*args)
         middle = seen["meets"]
@@ -670,6 +676,14 @@ def test_argument_index_keeps_every_leaf(monkeypatch):
     assert seen["leaves"] > 1000 and seen["indexed"] * 4 < seen["bucket"], seen
 
 
+def _pushed(entries):
+    """A trail of `entries`, pushed in order."""
+    tr = trail.Trail(3)
+    for e in entries:
+        tr.push(e)
+    return tr
+
+
 def test_newest_entry_split_finds_each_leaf_once(monkeypatch):
     """The newest entry resolves at two positions of the pigeonhole clause,
     so `find_candidates` runs a search from each; a position before the one
@@ -687,11 +701,11 @@ def test_newest_entry_split_finds_each_leaf_once(monkeypatch):
 
     clause = (Lit(True, "in", (x, h)), Lit(True, "in", (y, h)),
               Lit(True, "diff", (x, y)))
-    entries = [entry(0, "diff", (a1, a2)), entry(1, "diff", (a2, a1)),
-               entry(2, "diff", (w, u), conj([((w, u), (t, t))])),
-               entry(3, "in", (z, h1), conj([((z,), (a1,)), ((z,), (a2,))])),
-               entry(4, "in", (a2, h1)),
-               entry(5, "in", (v, h1), conj([((v,), (a3,))]))]
+    entries = _pushed([entry(0, "diff", (a1, a2)), entry(1, "diff", (a2, a1)),
+                       entry(2, "diff", (w, u), conj([((w, u), (t, t))])),
+                       entry(3, "in", (z, h1), conj([((z,), (a1,)), ((z,), (a2,))])),
+                       entry(4, "in", (a2, h1)),
+                       entry(5, "in", (v, h1), conj([((v,), (a3,))]))])
     got = find_candidates(clause, entries, newest_pos=5, keep_limit=1)
     shapes = [(leaf.remaining, leaf.used) for leaf in got]
     assert len(set(shapes)) == len(shapes)
@@ -710,8 +724,8 @@ def test_newest_entry_split_finds_each_leaf_once(monkeypatch):
         return real_meet(lit, *args)
 
     monkeypatch.setattr(derive, "meet", meet)
-    sources = [entry(0, "in", (a1, h1)), entry(1, "in", (a2, h1)),
-               entry(2, "hole", (h1,)), entry(3, "diff", (a1, a2))]
+    sources = _pushed([entry(0, "in", (a1, h1)), entry(1, "in", (a2, h1)),
+                       entry(2, "hole", (h1,)), entry(3, "diff", (a1, a2))])
     assert find_candidates(clause, sources, newest_pos=3, keep_limit=0)
     assert met[:2] == [clause[2], Lit(True, "in", (a1, h))]
     # the hole literal has the fewest unbound variables: it binds H first
@@ -1020,7 +1034,7 @@ def test_backjump_queues_what_the_learned_clause_derives(monkeypatch):
         assert bounds.index(len(self.trail)) == self.trail.level, "cut mid-level"
         assert "derived_after" not in cut, "derived after the cut"
         if self.pool[ci]:
-            fresh = list(real_derive(self, ci, self.pool[ci], self.trail.entries))
+            fresh = list(real_derive(self, ci, self.pool[ci]))
             assert not any(isinstance(g, ConflictSet) for g in fresh)
             queued = [(c.clause_idx, c.lit_idx,
                        render_clit(self.sig, c.lit, c.pi))
@@ -1229,23 +1243,29 @@ def test_repair_blocking_takes_non_empty_pieces_and_returns_one(monkeypatch):
 
 
 def test_find_candidates_reads_a_trail_prefix(monkeypatch):
-    """Every caller hands `find_candidates` a trail prefix, whose entry at
-    index i has position i, and a `newest_pos` inside it: the solver, the
-    lifted assertiveness and blocking tests, and the audit, over the audited
-    golden ex33 run, C5/2, K4/3 and the criterion-1 population.  The
-    blocking test's decision is the one entry at level 0 with no reason."""
+    """Every caller hands `find_candidates` a trail, whose entry at index i
+    has position i, a prefix length inside it and a `newest_pos` inside the
+    prefix: the solver, the lifted assertiveness and blocking tests, and the
+    audit, over the audited golden ex33 run, C5/2, K4/3 and the criterion-1
+    population.  Only the blocking test hands it one more entry, its
+    decision: at the prefix's end, at level 0 with no reason."""
     real = derive.find_candidates
-    seen = dict(calls=0, newest=0, blocking=0)
+    seen = dict(calls=0, newest=0, blocking=0, prefix=0)
 
-    def referee(clause, sources, keep_limit, newest_pos=None):
-        assert [e.pos for e in sources] == list(range(len(sources))), clause
+    def referee(clause, tr, keep_limit, upto=None, newest_pos=None, extra=None):
+        assert [e.pos for e in tr.entries] == list(range(len(tr))), clause
+        end = len(tr) if upto is None else upto
+        assert 0 <= end <= len(tr), (upto, len(tr))
         if newest_pos is not None:
-            assert 0 <= newest_pos < len(sources), (newest_pos, len(sources))
+            assert 0 <= newest_pos < end, (newest_pos, end)
             seen["newest"] += 1
+        if extra is not None:
+            assert extra.pos == end and extra.is_decision and extra.level == 0
+            seen["blocking"] += 1
         seen["calls"] += 1
-        seen["blocking"] += bool(sources) and sources[-1].is_decision and (
-            sources[-1].level == 0)
-        return real(clause, sources, keep_limit, newest_pos=newest_pos)
+        seen["prefix"] += end < len(tr)
+        return real(clause, tr, keep_limit, upto=upto, newest_pos=newest_pos,
+                    extra=extra)
 
     monkeypatch.setattr(derive, "find_candidates", referee)
     monkeypatch.setattr(solver_mod, "find_candidates", referee)
@@ -1380,3 +1400,30 @@ def test_undefined_pieces_is_the_filtered_difference(monkeypatch):
     monkeypatch.setattr(Solver, "_undefined_pieces", undefined)
     _solve_runs()
     assert min(seen.values()) > 1000, seen
+
+
+def test_trail_difference_tries_only_indexed_sources(monkeypatch):
+    """`_undefined_pieces` hands `diff_apart` only the entries the trail's
+    argument index offers its starting pieces, so on a ladder solve the
+    fold runs `unifiable_apart` on at most 1,300 (piece, source) pairs; it
+    ran 6,405 when every entry of the predicate was a source."""
+    real_diff, real_unifiable = solver_mod.diff_apart, constrained.unifiable_apart
+    seen = dict(inside=False, pairs=0)
+
+    def diff(*args):
+        seen["inside"] = True
+        try:
+            return real_diff(*args)
+        finally:
+            seen["inside"] = False
+
+    def unifiable(a, b):
+        seen["pairs"] += seen["inside"]
+        return real_unifiable(a, b)
+
+    monkeypatch.setattr(solver_mod, "diff_apart", diff)
+    monkeypatch.setattr(constrained, "unifiable_apart", unifiable)
+    sig, clauses = gen_benchmark(7, 3)
+    verdict = Solver(sig, clauses, RunConfig(max_steps=10_000)).solve()
+    assert (verdict.status, verdict.steps) == ("sat", 82)
+    assert 0 < seen["pairs"] <= 1_300, seen

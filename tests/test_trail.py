@@ -70,15 +70,35 @@ def test_level_of_propagation_after_decision():
     assert tr.level == 1
 
 
+def _index_by_scan(entries):
+    """The argument index of `entries` by its definition: each (predicate,
+    sign), (predicate, sign, j) for a variable at j and (predicate, sign,
+    j, c) for the constant c at j, with its entries in trail order."""
+    want = {}
+    for e in entries:
+        pred, neg = e.lit.pred, e.lit.neg
+        want.setdefault((pred, neg), []).append(e)
+        for j, t in enumerate(e.lit.args):
+            want.setdefault((pred, neg, j) if t < 0 else (pred, neg, j, t),
+                            []).append(e)
+    return want
+
+
 def test_buckets_follow_push_pop_and_truncate():
+    """The per-predicate buckets and every argument index list equal their
+    scans of the entries after each push, pop and truncate, over random
+    arity-1 to arity-3 literals of both signs with constants and variables."""
     rng = random.Random(7)
+    keys = 0
     for _ in range(50):
         tr = Trail(2)
         for _ in range(40):
             op = rng.random()
             if op < 0.6 or not tr.entries:
-                lit = Lit(rng.random() < 0.5, rng.choice("PQR"),
-                          (rng.choice([a, b, x]),))
+                pred = rng.choice("PQR")
+                args = tuple(rng.choice([a, b, x, y])
+                             for _ in range("PQR".index(pred) + 1))
+                lit = Lit(rng.random() < 0.5, pred, args)
                 tr.push(TrailEntry(lit, TOP, 0, len(tr), reason=0))
             elif op < 0.85:
                 tr.pop()
@@ -87,6 +107,63 @@ def test_buckets_follow_push_pop_and_truncate():
             for pred in "PQR":
                 assert tr.for_pred(pred) == [e for e in tr.entries
                                              if e.lit.pred == pred]
+            want = _index_by_scan(tr.entries)
+            got = {key: entries for key, entries in tr._index.items() if entries}
+            assert got == want
+            keys += len(want)
+    assert keys > 10_000, keys
+
+
+def _may_unify(lit, entry):
+    """No argument of `entry` holds a constant other than `lit`'s there."""
+    return all(s < 0 or t < 0 or s == t
+               for s, t in zip(lit.args, entry.lit.args))
+
+
+def test_offered_lists_keep_every_entry_that_may_unify():
+    """`offered` and `unifiable` return, in trail order, entries of the
+    asked predicate (and sign) in the asked position range, including every
+    one that agrees with the arguments at each constant.  When no constant
+    leaves an entry out, the answer is the list of an argument tuple with no
+    constant, not a copy; many answers merge a constant's list with the
+    variable list of its position."""
+    rng = random.Random(33)
+    seen = dict(narrowed=0, whole=0, merged=0)
+    for _ in range(60):
+        tr = Trail(3)
+        for i in range(rng.randrange(1, 14)):
+            args = tuple(rng.choice([a, b, c, x, y]) for _ in range(2))
+            tr.push(TrailEntry(Lit(rng.random() < 0.5, "P", args), TOP, 0, i,
+                               reason=0))
+        for _ in range(20):
+            arg_tuples = [tuple(rng.choice([a, b, c, z]) for _ in range(2))
+                     for _ in range(rng.randrange(3))]
+            end = rng.randrange(len(tr) + 1)
+            start = rng.randrange(end + 1)
+            for args in arg_tuples:
+                for neg in (False, True):
+                    got = tr.offered("P", neg, args, end)
+                    bucket = [e for e in tr.entries[:end] if e.lit.neg == neg]
+                    assert [e for e in bucket if e in got] == got
+                    assert all(e in got for e in bucket
+                               if _may_unify(Lit(neg, "P", args), e))
+                    if len(got) == len(bucket) and end == len(tr):
+                        # nothing left out: the unnarrowed list, not a copy
+                        assert got is tr.offered("P", neg, (z, z), end)
+                    seen["merged"] += any(
+                        e.lit.args[j] < 0 for e in got for j in range(2)) and (
+                        0 < len(got) < len(bucket))
+            got = tr.unifiable("P", arg_tuples, start, end)
+            span = tr.entries[start:end]
+            assert [e for e in span if e in got] == got
+            want = [e for e in span
+                    if any(_may_unify(Lit(False, "P", args), e) for args in arg_tuples)]
+            assert all(e in got for e in want)
+            if len(arg_tuples) == 1 and got == span and end == len(tr) and not start:
+                assert got is tr.unifiable("P", [(z, z)], 0, end)
+            seen["narrowed"] += len(got) < len(span)
+            seen["whole"] += bool(arg_tuples) and got == span
+    assert min(seen.values()) > 50, seen
 
 
 def test_ground_walk_conflict_example():
